@@ -4,8 +4,13 @@ degradability, plus the constructive pipelines relating them.
 Every check is a PSD-affine feasibility problem in Choi coordinates, and
 every feasible verdict returns a witness channel that is re-verified through
 channel operations alone (never through solver internals). Infeasible
-verdicts inherit the solver's heuristic character: a residual plateau close
-to the tolerance is reported as inconclusive.
+verdicts come in two kinds, told apart by the solver report's
+``stop_reason``: certified (``"certificate"``: the report's Farkas multipliers
+prove, through :func:`chancompat.feasibility.certificate_bound`, that every
+candidate misses the constraints by at least ten times the tolerance) and
+uncertified fallbacks (``"plateau"``, and ``"empty-support"`` when the forced
+support leaves only the zero operator). A plateau close to the tolerance is
+reported as inconclusive.
 """
 
 from __future__ import annotations
@@ -170,14 +175,14 @@ def _solve_on_support(
         r = float(np.linalg.norm(np.concatenate([vectorize_hermitian(t) for _, t in specs])))
         if r < config.eps_feas:
             return FeasibilityReport(
-                Status.FEASIBLE, np.zeros((side, side), dtype=complex), r, 0.0, 0
+                Status.FEASIBLE, np.zeros((side, side), dtype=complex), r, 0.0, 0, "empty-support"
             )
         status = (
             Status.NOT_FEASIBLE_AT_TOLERANCE
             if r >= 10.0 * config.eps_feas
             else Status.ITERATION_LIMIT
         )
-        return FeasibilityReport(status, None, r, 0.0, 0)
+        return FeasibilityReport(status, None, r, 0.0, 0, "empty-support")
     udag = u.conj().T
     reduced = [(lambda y, fn=fn: fn(u @ y @ udag), t) for fn, t in specs]
     report = solve(build_constraints(u.shape[1], reduced), config)

@@ -2,7 +2,10 @@
 
 Every check/verify command prints a single JSON report to stdout and exits
 with 0 (feasible/verified), 1 (not feasible at tolerance), 2 (inconclusive)
-or 3 (input/usage error). Human diagnostics go to stderr.
+or 3 (input/usage error). Human diagnostics go to stderr. Reports of solver
+checks say why the solver stopped; a not-feasible verdict is either certified
+(the report carries the Farkas multipliers and the residual lower bound they
+prove) or an uncertified fallback, which carries ``HEURISTIC_WARNING``.
 """
 
 from __future__ import annotations
@@ -17,11 +20,14 @@ import numpy as np
 
 from . import analysis, channels as ch, io
 from .channels import Channel, KrausSet
-from .feasibility import SolverConfig, Status
+from .feasibility import FeasibilityReport, SolverConfig, Status, certificate_bound
 
 HEURISTIC_WARNING = (
-    "infeasibility is heuristic: declared on residual plateau without a dual certificate"
+    "infeasibility is heuristic: declared without a dual certificate, on a residual "
+    "plateau or from an empty forced support"
 )
+# Solver stop reasons whose not-feasible verdict has no certificate.
+_UNCERTIFIED = {"plateau", "empty-support"}
 EXTRACTED_WARNING = (
     "Kraus representation extracted from the Choi eigendecomposition; "
     "degradability statements refer to this representation"
@@ -46,6 +52,20 @@ def _finite(x: float | None) -> float | None:
     return float(x)
 
 
+def _solver_fields(solver: FeasibilityReport, quiet: bool) -> dict[str, Any]:
+    """Why the solver stopped and, for a certified verdict, the certificate
+    with the residual bound recomputed from its multipliers."""
+    doc: dict[str, Any] = {"stop_reason": solver.stop_reason}
+    if solver.certificate is not None:
+        cert: dict[str, Any] = {
+            "residual_lower_bound": certificate_bound(solver.constraints, solver.certificate)
+        }
+        if not quiet:
+            cert["multipliers"] = solver.certificate.tolist()
+        doc["certificate"] = cert
+    return doc
+
+
 def _emit(
     command: str,
     status: Status | str,
@@ -57,11 +77,17 @@ def _emit(
     witness: Channel | KrausSet | None = None,
     warnings: list[str] | None = None,
     quiet: bool = False,
+    solver: FeasibilityReport | None = None,
+    steps: list[dict[str, Any]] | None = None,
     extra: dict[str, Any] | None = None,
 ) -> int:
     status_str = status if isinstance(status, str) else _STATUS_STRINGS[status]
     warnings = list(warnings or [])
-    if status_str == "not-feasible-at-tolerance":
+    if solver is not None:
+        reasons = [solver.stop_reason]
+    else:
+        reasons = [s.get("stop_reason") for s in steps or () if s["status"] == status_str]
+    if status_str == "not-feasible-at-tolerance" and _UNCERTIFIED.intersection(reasons):
         warnings.append(HEURISTIC_WARNING)
     doc: dict[str, Any] = {
         "command": command,
@@ -78,8 +104,12 @@ def _emit(
     }
     if witness is not None and status_str == "feasible" and not quiet:
         doc["witness"] = io.channel_to_json(witness)
+    if solver is not None:
+        doc.update(_solver_fields(solver, quiet))
     if extra:
         doc.update(extra)
+    if steps is not None:
+        doc["steps"] = steps
     json.dump(doc, sys.stdout, allow_nan=False)
     print()
     return _EXIT_CODES[status_str]
@@ -186,6 +216,7 @@ def cmd_check(args: argparse.Namespace) -> int:
             config=config,
             witness=report.compatibilizer,
             quiet=args.quiet,
+            solver=report.solver,
         )
     if what == "div":
         a, _ = _load(args.channels[0])
@@ -203,6 +234,7 @@ def cmd_check(args: argparse.Namespace) -> int:
             config=config,
             witness=report.quotient,
             quiet=args.quiet,
+            solver=report.solver,
         )
     if what in ("degradable", "antidegradable"):
         warnings: list[str] = []
@@ -222,6 +254,7 @@ def cmd_check(args: argparse.Namespace) -> int:
             witness=report.degrading,
             warnings=warnings,
             quiet=args.quiet,
+            solver=report.solver,
             extra={"environment_dim": report.dim_env},
         )
     # selfdeg
@@ -261,10 +294,23 @@ def _steps_status(steps: list[dict[str, Any]]) -> str:
 
 
 def _step(name: str, ok: bool, residual: float | None, **extra: Any) -> dict[str, Any]:
+    """Step decided by an exact check of a constructed object."""
     doc = {"name": name, "status": "feasible" if ok else "not-feasible-at-tolerance"}
     if residual is not None:
         doc["residual"] = _finite(residual)
     doc.update(extra)
+    return doc
+
+
+def _solver_step(
+    name: str, status: Status, residual: float | None, solver: FeasibilityReport
+) -> dict[str, Any]:
+    """Step decided by a solver verdict: its status, stop reason and iterations."""
+    doc: dict[str, Any] = {"name": name, "status": _STATUS_STRINGS[status]}
+    if residual is not None:
+        doc["residual"] = _finite(residual)
+    doc["stop_reason"] = solver.stop_reason
+    doc["iterations"] = solver.iterations
     return doc
 
 
@@ -282,12 +328,14 @@ def verify_thm1(args: argparse.Namespace, config: SolverConfig, rng) -> tuple[li
         steps.append(_step(f"reverse-{t}", max(res_b, res_c) < 1e-9, max(res_b, res_c)))
         compat = analysis.check_compatibility(psi, phi, config)
         if compat.status is not Status.FEASIBLE:
-            steps.append({"name": f"forward-{t}", "status": _STATUS_STRINGS[compat.status]})
+            steps.append(_solver_step(f"forward-{t}", compat.status, None, compat.solver))
             continue
         _, _, residual = analysis.postprocessing_from_compatibilizer(
             compat.compatibilizer, 2, 2
         )
-        steps.append(_step(f"forward-{t}", residual < 1e-7, residual))
+        steps.append(
+            _step(f"forward-{t}", residual < 1e-7, residual, iterations=compat.solver.iterations)
+        )
         witness = compat.compatibilizer
     return steps, witness
 
@@ -300,19 +348,14 @@ def verify_thm2i(args: argparse.Namespace, config: SolverConfig, rng) -> tuple[l
         psi = ch.choi_from_kraus(kraus)
         psi_c = ch.complementary(kraus)
         deg = analysis.check_degradable(psi, kraus, config)
+        steps.append(_solver_step(f"degradable-{t}", deg.status, deg.residual, deg.solver))
         if deg.status is not Status.FEASIBLE:
-            steps.append({"name": f"degradable-{t}", "status": _STATUS_STRINGS[deg.status]})
             continue
-        steps.append(_step(f"degradable-{t}", True, deg.residual))
         theta = ch.random_channel(kraus.dim_env, 2, rng, dim_env=2 * kraus.dim_env)
         phi = ch.compose_choi(psi_c, theta)
         div = analysis.check_divisibility(psi, phi, config)
         steps.append(
-            _step(
-                f"divisible-{t}",
-                div.status is Status.FEASIBLE,
-                div.composition_residual,
-            )
+            _solver_step(f"divisible-{t}", div.status, div.composition_residual, div.solver)
         )
         quotient = analysis.quotient_via_degradability(psi, psi_c, deg.degrading, theta)
         residual = analysis.basis_deviation(ch.compose_choi(psi, quotient), phi)
@@ -328,19 +371,16 @@ def verify_thm2ii(args: argparse.Namespace, config: SolverConfig, rng) -> tuple[
         kraus = analysis.sample_antidegradable_kraus(rng)
         psi = ch.choi_from_kraus(kraus)
         anti = analysis.check_antidegradable(psi, kraus, config)
+        steps.append(_solver_step(f"antidegradable-{t}", anti.status, anti.residual, anti.solver))
         if anti.status is not Status.FEASIBLE:
-            steps.append({"name": f"antidegradable-{t}", "status": _STATUS_STRINGS[anti.status]})
             continue
-        steps.append(_step(f"antidegradable-{t}", True, anti.residual))
         theta_cb = ch.random_channel(2, 2, rng, dim_env=4)
         phi = ch.compose_choi(psi, theta_cb)
         compat = analysis.check_compatibility(psi, phi, config)
         verification = None
         if compat.status is Status.FEASIBLE:
             verification = max(compat.marginal_residual_b, compat.marginal_residual_c)
-        steps.append(
-            _step(f"compatible-{t}", compat.status is Status.FEASIBLE, verification)
-        )
+        steps.append(_solver_step(f"compatible-{t}", compat.status, verification, compat.solver))
         built = analysis.compatibilizer_via_antidegradability(kraus, anti.degrading, theta_cb)
         res_b = analysis.marginal_deviation(built, psi, (2, 2), keep=0)
         res_c = analysis.marginal_deviation(built, phi, (2, 2), keep=1)
@@ -360,14 +400,12 @@ def verify_corollary(args: argparse.Namespace, config: SolverConfig, rng) -> tup
         compat = analysis.check_compatibility(psi, phi, config)
         div = analysis.check_divisibility(psi, phi, config)
         steps.append(
-            _step(
-                f"compatible-{t}",
-                compat.status is Status.FEASIBLE,
-                compat.marginal_residual_b,
+            _solver_step(
+                f"compatible-{t}", compat.status, compat.marginal_residual_b, compat.solver
             )
         )
         steps.append(
-            _step(f"divisible-{t}", div.status is Status.FEASIBLE, div.composition_residual)
+            _solver_step(f"divisible-{t}", div.status, div.composition_residual, div.solver)
         )
         witness = compat.compatibilizer or witness
     return steps, witness
@@ -385,14 +423,19 @@ def verify_prop1(args: argparse.Namespace, config: SolverConfig, rng) -> tuple[l
         phi = ch.compose_choi(psi, theta0)
         div = analysis.check_divisibility(psi, phi, config)
         compat = analysis.check_compatibility(psi, phi, config)
+        iterations = div.solver.iterations + compat.solver.iterations
         if div.status is not Status.FEASIBLE or compat.status is not Status.FEASIBLE:
-            steps.append({"name": f"instance-{t}", "status": "inconclusive"})
+            steps.append(
+                {"name": f"instance-{t}", "status": "inconclusive", "iterations": iterations}
+            )
             continue
         swapped = ch.swap_output(compat.compatibilizer, 2, 2)
         phi_c, theta_be, _ = analysis.postprocessing_from_compatibilizer(swapped, 2, 2)
         anti = analysis.antidegrading_map_from_compat_and_div(div.quotient, theta_be)
         residual = analysis.basis_deviation(ch.compose_choi(phi_c, anti), phi)
-        steps.append(_step(f"antidegrading-{t}", residual < 1e-7, residual))
+        steps.append(
+            _step(f"antidegrading-{t}", residual < 1e-7, residual, iterations=iterations)
+        )
         witness = anti
     return steps, witness
 
@@ -409,13 +452,12 @@ def verify_nocatalysis(args: argparse.Namespace, config: SolverConfig, rng) -> t
         # tensored pair to stand a chance; measure-and-prepare channels do.
         chi = ch.choi_from_kraus(ch.random_measure_prepare(2, rng))
         report = analysis.verify_no_catalysis(psi, phi, chi, config)
+        solver = report.tensored.solver
         if report.reduced is None:
-            steps.append(
-                {"name": f"instance-{t}", "status": _STATUS_STRINGS[report.tensored.status]}
-            )
+            steps.append(_solver_step(f"instance-{t}", report.tensored.status, None, solver))
             continue
         worst = max(report.marginal_residual_b, report.marginal_residual_c)
-        steps.append(_step(f"reduction-{t}", worst < 1e-8, worst))
+        steps.append(_step(f"reduction-{t}", worst < 1e-8, worst, iterations=solver.iterations))
         witness = report.reduced
     return steps, witness
 
@@ -430,13 +472,7 @@ def verify_family(args: argparse.Namespace, config: SolverConfig, rng) -> tuple[
             family.append(ch.compose_choi(family[-1], psi))
     reports = analysis.check_family_divisibility(family, config)
     steps = [
-        _step(
-            f"step-{k}",
-            rep.status is Status.FEASIBLE,
-            rep.composition_residual,
-        )
-        if rep.status is Status.FEASIBLE
-        else {"name": f"step-{k}", "status": _STATUS_STRINGS[rep.status]}
+        _solver_step(f"step-{k}", rep.status, rep.composition_residual, rep.solver)
         for k, rep in enumerate(reports)
     ]
     witness = next((r.quotient for r in reversed(reports) if r.quotient is not None), None)
@@ -464,12 +500,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
         f"verify {args.pipeline}",
         status,
         residuals={"verification": max(residuals) if residuals else None},
-        iterations=0,
+        iterations=sum(s.get("iterations", 0) for s in steps),
         config=config,
         seed=args.seed,
         witness=witness if status == "feasible" else None,
         quiet=args.quiet,
-        extra={"steps": steps},
+        steps=steps,
     )
 
 

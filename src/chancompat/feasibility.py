@@ -7,16 +7,25 @@ projection onto the affine set, with Dykstra's correction terms so the
 candidate sequence converges to a point of the intersection whenever one
 exists.
 
-Infeasibility detection is heuristic: when the best combined residual
-stops improving (plateau) at a level well above the feasibility tolerance,
-the problem is declared not feasible at tolerance. No dual certificate is
-produced; near-boundary instances come back as inconclusive instead.
+Infeasible verdicts are certified where possible. At iteration 1 and at
+every 1000-iteration checkpoint the residual of the PSD iterate is turned into
+Farkas multipliers lambda for the affine rows; :func:`certificate_bound` turns
+lambda into a lower bound on ``||M vec(X) - b||`` that holds for every PSD X,
+and a bound of at least ``10 * eps_feas`` ends the solve as not feasible at
+tolerance. Infeasibility detection from the splitting iterates follows Liu,
+Ryu & Yin (Math. Program. 2019). Weakly infeasible problems admit no such
+bound, and lambda lies in M's range, so affine rows that are inconsistent on
+their own are not certified either. For these the plateau rule stays as the
+fallback: when the best residual stops improving at ten times the
+feasibility tolerance or more, the problem is declared not feasible at
+tolerance without a certificate, and a plateau below that is inconclusive.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -27,9 +36,17 @@ __all__ = [
     "AffineConstraintSet",
     "SolverConfig",
     "FeasibilityReport",
+    "certificate_bound",
     "project_affine",
     "solve",
 ]
+
+# Relative error within which M^T tau must reproduce vec(I) for tau to count
+# as the coordinates of the identity in M's row space.
+_ROW_SPACE_TOL = 1e-9
+# The solver tries a certificate and tests for a plateau every this many
+# iterations.
+_CHECKPOINT = 1000
 
 
 class Status(enum.Enum):
@@ -78,6 +95,18 @@ class AffineConstraintSet:
         """Euclidean residual ||M vec(X) - b|| of a Hermitian matrix."""
         return float(np.linalg.norm(self.matrix @ vectorize_hermitian(x) - self.rhs))
 
+    @cached_property
+    def trace_coordinates(self) -> np.ndarray | None:
+        """Coordinates tau with ``M^T tau = vec(I)``, or ``None`` when the
+        identity is not in M's row space (the constraints do not fix Tr X).
+
+        Computed on first use only: most feasible solves never need it.
+        """
+        ident = vectorize_hermitian(np.eye(self.dim))
+        tau = self.pinv.T @ ident
+        defect = np.linalg.norm(self.matrix.T @ tau - ident)
+        return tau if defect <= _ROW_SPACE_TOL * np.linalg.norm(ident) else None
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -97,11 +126,25 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class FeasibilityReport:
+    """Outcome of a solve.
+
+    ``stop_reason`` is one of ``"tolerance"`` (feasible), ``"certificate"``
+    (infeasible, ``certificate`` holds the Farkas multipliers), ``"plateau"``
+    (residual stopped improving; infeasible without certificate, or
+    inconclusive), ``"iteration-cap"`` and ``"empty-support"`` (the forced
+    support is zero-dimensional and no iteration ran). ``constraints`` is the
+    system that ``certificate`` refers to, which :func:`certificate_bound`
+    needs to re-check it.
+    """
+
     status: Status
     solution: np.ndarray | None
     residual_affine: float
     residual_psd: float
     iterations: int
+    stop_reason: str
+    certificate: np.ndarray | None = field(default=None, repr=False)
+    constraints: AffineConstraintSet | None = field(default=None, repr=False, compare=False)
 
 
 def project_affine(x: np.ndarray, constraints: AffineConstraintSet) -> np.ndarray:
@@ -109,6 +152,39 @@ def project_affine(x: np.ndarray, constraints: AffineConstraintSet) -> np.ndarra
     v = vectorize_hermitian(x)
     v = v - constraints.pinv @ (constraints.matrix @ v - constraints.rhs)
     return devectorize_hermitian(v)
+
+
+def certificate_bound(constraints: AffineConstraintSet, lam: np.ndarray) -> float:
+    """Lower bound on ``||M vec(X) - b||`` over every PSD X, from multipliers lam.
+
+    With ``G = devec(M^T lam)`` and ``mu = min(0, lambda_min(G))``, every PSD X
+    has ``lam . (M vec(X) - b) = <G, X> - b . lam >= mu Tr X - b . lam``. When
+    ``M^T tau = vec(I)``, ``Tr X = tau . (M vec(X) - b) + b . tau``, so
+    ``(lam - mu tau) . (M vec(X) - b) >= delta = mu b . tau - b . lam`` and
+    Cauchy-Schwarz gives ``||M vec(X) - b|| >= delta / (||lam|| + |mu| ||tau||)``.
+    Returns 0.0 (no bound) when that is not positive, or when ``mu < 0`` and
+    the constraints do not fix Tr X. One ``eigvalsh``; nothing from the solve
+    that produced lam is used.
+    """
+    lam = np.asarray(lam, dtype=float)
+    if lam.shape != constraints.rhs.shape:
+        raise ValueError(
+            f"multiplier shape {lam.shape} does not match {constraints.rhs.shape[0]} rows"
+        )
+    if not np.isfinite(lam).all():
+        raise ValueError("multipliers contain non-finite entries")
+    b = constraints.rhs
+    g = devectorize_hermitian(constraints.matrix.T @ lam)
+    mu = min(0.0, float(np.linalg.eigvalsh(g)[0]))
+    delta = -float(b @ lam)
+    scale = float(np.linalg.norm(lam))
+    if mu < 0.0:
+        tau = constraints.trace_coordinates
+        if tau is None:
+            return 0.0
+        delta += mu * float(b @ tau)
+        scale -= mu * float(np.linalg.norm(tau))
+    return delta / scale if delta > 0.0 else 0.0
 
 
 def _psd_defect(x: np.ndarray) -> float:
@@ -121,10 +197,14 @@ def solve(constraints: AffineConstraintSet, config: SolverConfig = SolverConfig(
 
     The candidate tracked for the verdict is the PSD-projected iterate, which
     is exactly positive semidefinite by construction, so its affine residual
-    alone measures distance from feasibility. Residual improvement is
-    checkpointed every 1000 iterations; a plateau with best residual at
-    least ``10 * eps_feas`` is declared not feasible, a plateau below that
-    is inconclusive (iteration limit), as is exhausting ``max_iter``.
+    alone measures distance from feasibility. At iteration 1 and at every
+    1000-iteration checkpoint the iterate's residual ``r`` gives multipliers
+    ``lam = pinv^T pinv r``; when :func:`certificate_bound` proves every PSD X
+    to have residual at least ``10 * eps_feas``, the solve stops not feasible
+    with ``lam`` as its certificate. Otherwise, at each checkpoint, a plateau
+    of the best residual at ``10 * eps_feas`` or more is declared not feasible
+    without a certificate, a plateau below that is inconclusive (iteration
+    limit), as is exhausting ``max_iter``.
     """
     m, b, mp = constraints.matrix, constraints.rhs, constraints.pinv
 
@@ -140,27 +220,37 @@ def solve(constraints: AffineConstraintSet, config: SolverConfig = SolverConfig(
     best_candidate = x
     checkpoints: list[float] = []
     status = Status.ITERATION_LIMIT
+    stop_reason = "iteration-cap"
     iterations = config.max_iter
+    certificate = None
+    infeasible_at = 10.0 * config.eps_feas
 
     for it in range(1, config.max_iter + 1):
         y = project_psd(x + p)
         p = x + p - y
-        r_aff = float(np.linalg.norm(m @ vectorize_hermitian(y) - b))
+        r = m @ vectorize_hermitian(y) - b
+        r_aff = float(np.linalg.norm(r))
         if r_aff < best:
             best = r_aff
             best_candidate = y
         if r_aff < config.eps_feas:
-            status = Status.FEASIBLE
-            iterations = it
+            status, stop_reason, iterations = Status.FEASIBLE, "tolerance", it
             break
+        checkpoint = it % _CHECKPOINT == 0
+        if it == 1 or checkpoint:
+            lam = mp.T @ (mp @ r)
+            if certificate_bound(constraints, lam) >= infeasible_at:
+                status, stop_reason = Status.NOT_FEASIBLE_AT_TOLERANCE, "certificate"
+                iterations, certificate = it, lam
+                break
         x_new = proj_affine_mat(y + q)
         q = y + q - x_new
         x = x_new
-        if it % 1000 == 0:
+        if checkpoint:
             checkpoints.append(best)
             if len(checkpoints) >= 2 and checkpoints[-2] - checkpoints[-1] < config.eps_plateau:
-                iterations = it
-                if best >= 10.0 * config.eps_feas:
+                stop_reason, iterations = "plateau", it
+                if best >= infeasible_at:
                     status = Status.NOT_FEASIBLE_AT_TOLERANCE
                 break
 
@@ -174,4 +264,6 @@ def solve(constraints: AffineConstraintSet, config: SolverConfig = SolverConfig(
         # Defensive: the PSD-projected candidate should always satisfy both.
         status = Status.ITERATION_LIMIT
         solution = None
-    return FeasibilityReport(status, solution, r_aff, r_psd, iterations)
+    return FeasibilityReport(
+        status, solution, r_aff, r_psd, iterations, stop_reason, certificate, constraints
+    )

@@ -239,3 +239,45 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["status"] == "feasible"
+
+
+def test_certified_infeasible_report(tmp_path, capsys):
+    ad = str(tmp_path / "ad.json")
+    id_path = str(tmp_path / "id2.json")
+    io.save_channel(ad, ch.amplitude_damping(0.3))
+    main(["make", "identity", "--dim", "2", "-o", id_path])
+    capsys.readouterr()
+    code, doc = run(capsys, "check", "div", ad, id_path)
+    assert code == 1 and doc["status"] == "not-feasible-at-tolerance"
+    assert doc["stop_reason"] == "certificate" and doc["iterations"] == 1
+    assert doc["warnings"] == []
+    bound = doc["certificate"]["residual_lower_bound"]
+    assert bound >= 10 * doc["config"]["eps_feas"]
+    # The bound is recomputed from the reported multipliers alone.
+    from chancompat import analysis as an
+    from chancompat.feasibility import certificate_bound
+
+    psi, _, _ = io.load_channel(ad)
+    cons = an.check_divisibility(psi, ch.identity(2)).solver.constraints
+    assert certificate_bound(cons, np.array(doc["certificate"]["multipliers"])) == bound
+    _, quiet = run(capsys, "check", "div", ad, id_path, "--quiet")
+    assert quiet["certificate"] == {"residual_lower_bound": bound}
+
+
+def test_plateau_verdict_keeps_heuristic_warning(tmp_path, capsys):
+    stem = str(tmp_path / "ex2")
+    main(["make", "example2", "-o", stem])
+    capsys.readouterr()
+    code, doc = run(capsys, "check", "div", f"{stem}.psi.json", f"{stem}.phi.json", "--quiet")
+    assert code == 1
+    assert doc["stop_reason"] == "plateau" and "certificate" not in doc
+    assert any("heuristic" in w for w in doc["warnings"])
+
+
+def test_verify_reports_solver_iterations(tmp_path, capsys):
+    id_path = str(tmp_path / "id2.json")
+    main(["make", "identity", "--dim", "2", "-o", id_path])
+    capsys.readouterr()
+    _, doc = run(capsys, "verify", "family", id_path, id_path, id_path, "--quiet")
+    assert [s["iterations"] for s in doc["steps"]] == [1, 1]
+    assert doc["iterations"] == 2

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+from chancompat import analysis as an
+from chancompat import channels as ch
 from chancompat.feasibility import (
     AffineConstraintSet,
     SolverConfig,
     Status,
+    certificate_bound,
     project_affine,
     solve,
 )
@@ -99,12 +102,42 @@ def test_inconsistent_rows_fall_back_to_least_squares():
 
 
 def test_iteration_limit_status():
-    cons = trace_constraint(2, -1.0)
-    rep = solve(cons, SolverConfig(max_iter=50))
-    # cannot plateau-detect in 50 iterations, so the cap is reported
+    # Example-2 divisibility is infeasible through affine rows that are
+    # inconsistent on their own, which range-space multipliers do not
+    # certify, and no plateau shows in 50 iterations: the cap is reported.
+    psi, phi, _ = ch.trace_out_pair(ch.completely_depolarizing(2), ch.identity(2))
+    rep = an.check_divisibility(psi, phi, SolverConfig(max_iter=50)).solver
     assert rep.status is Status.ITERATION_LIMIT
+    assert rep.stop_reason == "iteration-cap"
     assert rep.iterations == 50
-    assert rep.solution is None
+    assert rep.solution is None and rep.certificate is None
+
+
+def test_negative_trace_is_certified_at_first_iteration():
+    config = SolverConfig()
+    cons = trace_constraint(2, -1.0)
+    rep = solve(cons, config)
+    assert rep.status is Status.NOT_FEASIBLE_AT_TOLERANCE
+    assert rep.stop_reason == "certificate" and rep.iterations == 1
+    bound = certificate_bound(cons, rep.certificate)
+    assert bound >= 10 * config.eps_feas
+    # Every PSD X has |Tr X + 1| >= 1, and the certificate proves exactly that.
+    assert abs(bound - 1.0) < 1e-12
+    assert bound <= rep.residual_affine + 1e-12
+
+
+def test_certificate_bound_needs_a_fixed_trace():
+    # X_00 - X_11 = 1 leaves Tr X free, so multipliers whose G = diag(1, -1)
+    # has a negative eigenvalue prove nothing.
+    row = vectorize_hermitian(np.diag([1.0, -1.0]))
+    cons = AffineConstraintSet(2, row.reshape(1, -1), np.array([1.0]))
+    assert cons.trace_coordinates is None
+    assert certificate_bound(cons, np.array([-1.0])) == 0.0
+    assert certificate_bound(trace_constraint(2, 1.0), np.array([1.0])) == 0.0
+    with pytest.raises(ValueError):
+        certificate_bound(cons, np.zeros(2))
+    with pytest.raises(ValueError):
+        certificate_bound(cons, np.array([np.nan]))
 
 
 def test_config_validation():
