@@ -7,10 +7,10 @@ channel operations alone (never through solver internals). Infeasible
 verdicts come in two kinds, told apart by the solver report's
 ``stop_reason``: certified (``"certificate"``: the report's Farkas multipliers
 prove, through :func:`chancompat.feasibility.certificate_bound`, that every
-candidate misses the constraints by at least ten times the tolerance) and
-uncertified fallbacks (``"plateau"``, and ``"empty-support"`` when the forced
-support leaves only the zero operator). A plateau close to the tolerance is
-reported as inconclusive.
+candidate misses the constraints by at least ten times the tolerance) and the
+uncertified ``"empty-support"`` shortcut, taken when the forced support leaves
+only the zero operator. A solve that stalls on a residual plateau without a
+certificate is reported as inconclusive.
 """
 
 from __future__ import annotations

@@ -3,9 +3,11 @@
 Every check/verify command prints a single JSON report to stdout and exits
 with 0 (feasible/verified), 1 (not feasible at tolerance), 2 (inconclusive)
 or 3 (input/usage error). Human diagnostics go to stderr. Reports of solver
-checks say why the solver stopped; a not-feasible verdict is either certified
-(the report carries the Farkas multipliers and the residual lower bound they
-prove) or an uncertified fallback, which carries ``HEURISTIC_WARNING``.
+checks say why the solver stopped. A not-feasible verdict from the solver is
+always certified: the report carries the Farkas multipliers and the residual
+lower bound they prove. A solve that stalls on a residual plateau without a
+certificate is inconclusive. The one uncertified not-feasible verdict, an
+empty forced support, carries ``HEURISTIC_WARNING``.
 """
 
 from __future__ import annotations
@@ -23,11 +25,11 @@ from .channels import Channel, KrausSet
 from .feasibility import FeasibilityReport, SolverConfig, Status, certificate_bound
 
 HEURISTIC_WARNING = (
-    "infeasibility is heuristic: declared without a dual certificate, on a residual "
-    "plateau or from an empty forced support"
+    "infeasibility is heuristic: declared without a dual certificate, from an empty "
+    "forced support"
 )
 # Solver stop reasons whose not-feasible verdict has no certificate.
-_UNCERTIFIED = {"plateau", "empty-support"}
+_UNCERTIFIED = {"empty-support"}
 EXTRACTED_WARNING = (
     "Kraus representation extracted from the Choi eigendecomposition; "
     "degradability statements refer to this representation"

@@ -1,24 +1,25 @@
-"""PSD-affine feasibility via alternating projections with Dykstra correction.
+"""PSD-affine feasibility via Douglas-Rachford splitting.
 
 Problems have the form: find Hermitian X >= 0 with M vec(X) = b, where vec
-is the isometric real vectorization of the Hermitian space. The iteration
-alternates the Frobenius-nearest PSD projection with the Euclidean
-projection onto the affine set, with Dykstra's correction terms so the
-candidate sequence converges to a point of the intersection whenever one
-exists.
+is the isometric real vectorization of the Hermitian space. Douglas-Rachford
+splitting runs on the real coordinates: it reflects through the
+Frobenius-nearest PSD projection and the Euclidean projection onto the
+affine set, and its PSD iterates converge to a point of the intersection
+whenever one exists.
 
-Infeasible verdicts are certified where possible. At iteration 1 and at
-every 1000-iteration checkpoint the residual of the PSD iterate is turned into
-Farkas multipliers lambda for the affine rows; :func:`certificate_bound` turns
-lambda into a lower bound on ``||M vec(X) - b||`` that holds for every PSD X,
-and a bound of at least ``10 * eps_feas`` ends the solve as not feasible at
+Infeasible verdicts are certified. At iteration 1 and at every
+1000-iteration checkpoint the residual of the PSD iterate is turned into
+Farkas multipliers lambda for the affine rows, with one part in M's range (a
+PSD cone that misses a consistent affine set) and one orthogonal to it (rows
+that are inconsistent on their own); :func:`certificate_bound` turns lambda
+into a lower bound on ``||M vec(X) - b||`` that holds for every PSD X, and a
+bound of at least ``10 * eps_feas`` ends the solve as not feasible at
 tolerance. Infeasibility detection from the splitting iterates follows Liu,
 Ryu & Yin (Math. Program. 2019). Weakly infeasible problems admit no such
-bound, and lambda lies in M's range, so affine rows that are inconsistent on
-their own are not certified either. For these the plateau rule stays as the
-fallback: when the best residual stops improving at ten times the
-feasibility tolerance or more, the problem is declared not feasible at
-tolerance without a certificate, and a plateau below that is inconclusive.
+bound. And on feasible problems near the cone boundary the best residual of
+Douglas-Rachford can stay flat for thousands of iterations before it falls
+again, so a plateau of the best residual between checkpoints decides
+nothing: it ends the solve inconclusive, as does the iteration cap.
 """
 
 from __future__ import annotations
@@ -113,15 +114,12 @@ class SolverConfig:
     eps_feas: float = 1e-7
     max_iter: int = 20000
     eps_plateau: float = 1e-12
-    initial_point: str = "affine_zero"
 
     def __post_init__(self):
         if self.eps_feas <= 0:
             raise ValueError("eps_feas must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if self.initial_point != "affine_zero":
-            raise ValueError(f"unknown initial point policy {self.initial_point!r}")
 
 
 @dataclass(frozen=True)
@@ -130,11 +128,11 @@ class FeasibilityReport:
 
     ``stop_reason`` is one of ``"tolerance"`` (feasible), ``"certificate"``
     (infeasible, ``certificate`` holds the Farkas multipliers), ``"plateau"``
-    (residual stopped improving; infeasible without certificate, or
-    inconclusive), ``"iteration-cap"`` and ``"empty-support"`` (the forced
-    support is zero-dimensional and no iteration ran). ``constraints`` is the
-    system that ``certificate`` refers to, which :func:`certificate_bound`
-    needs to re-check it.
+    (best residual stopped improving; inconclusive), ``"iteration-cap"``
+    (inconclusive) and ``"empty-support"`` (the forced support is
+    zero-dimensional and no iteration ran). ``constraints`` is the system that
+    ``certificate`` refers to, which :func:`certificate_bound` needs to
+    re-check it.
     """
 
     status: Status
@@ -195,29 +193,24 @@ def _psd_defect(x: np.ndarray) -> float:
 def solve(constraints: AffineConstraintSet, config: SolverConfig = SolverConfig()) -> FeasibilityReport:
     """Decide feasibility of the PSD cone intersected with the affine set.
 
-    The candidate tracked for the verdict is the PSD-projected iterate, which
-    is exactly positive semidefinite by construction, so its affine residual
-    alone measures distance from feasibility. At iteration 1 and at every
-    1000-iteration checkpoint the iterate's residual ``r`` gives multipliers
-    ``lam = pinv^T pinv r``; when :func:`certificate_bound` proves every PSD X
-    to have residual at least ``10 * eps_feas``, the solve stops not feasible
-    with ``lam`` as its certificate. Otherwise, at each checkpoint, a plateau
-    of the best residual at ``10 * eps_feas`` or more is declared not feasible
-    without a certificate, a plateau below that is inconclusive (iteration
-    limit), as is exhausting ``max_iter``.
+    Douglas-Rachford splitting on the real coordinates ``z``: from
+    ``z = P_aff(0)``, each iteration takes the PSD iterate
+    ``y = vec(project_psd(devec(z)))`` and updates
+    ``z <- z + P_aff(2y - z) - y``. The candidate tracked for the verdict is
+    the PSD iterate, which is exactly positive semidefinite by construction,
+    so its affine residual ``r = M y - b`` alone measures distance from
+    feasibility. At iteration 1 and at every 1000-iteration checkpoint ``r``
+    gives multipliers ``lam = pinv^T g + (r - M g)`` with ``g = pinv r``;
+    when :func:`certificate_bound` proves every PSD X to have residual at
+    least ``10 * eps_feas``, the solve stops not feasible with ``lam`` as its
+    certificate. A plateau of the best residual between checkpoints, and
+    exhausting ``max_iter``, end the solve inconclusive (iteration limit).
     """
     m, b, mp = constraints.matrix, constraints.rhs, constraints.pinv
 
-    def proj_affine_mat(h: np.ndarray) -> np.ndarray:
-        v = vectorize_hermitian(h)
-        return devectorize_hermitian(v - mp @ (m @ v - b))
-
-    x = proj_affine_mat(np.zeros((constraints.dim, constraints.dim)))
-    p = np.zeros_like(x)
-    q = np.zeros_like(x)
-
+    z = mp @ b
     best = np.inf
-    best_candidate = x
+    best_candidate = None
     checkpoints: list[float] = []
     status = Status.ITERATION_LIMIT
     stop_reason = "iteration-cap"
@@ -226,33 +219,35 @@ def solve(constraints: AffineConstraintSet, config: SolverConfig = SolverConfig(
     infeasible_at = 10.0 * config.eps_feas
 
     for it in range(1, config.max_iter + 1):
-        y = project_psd(x + p)
-        p = x + p - y
-        r = m @ vectorize_hermitian(y) - b
+        y_mat = project_psd(devectorize_hermitian(z))
+        y = vectorize_hermitian(y_mat)
+        r = m @ y - b
         r_aff = float(np.linalg.norm(r))
         if r_aff < best:
             best = r_aff
-            best_candidate = y
+            best_candidate = y_mat
         if r_aff < config.eps_feas:
             status, stop_reason, iterations = Status.FEASIBLE, "tolerance", it
             break
         checkpoint = it % _CHECKPOINT == 0
         if it == 1 or checkpoint:
-            lam = mp.T @ (mp @ r)
+            # The range part certifies a PSD cone that misses a consistent
+            # affine set; the part orthogonal to M's range (M^T of it is 0)
+            # certifies rows that are inconsistent on their own.
+            g = mp @ r
+            lam = mp.T @ g + (r - m @ g)
             if certificate_bound(constraints, lam) >= infeasible_at:
                 status, stop_reason = Status.NOT_FEASIBLE_AT_TOLERANCE, "certificate"
                 iterations, certificate = it, lam
                 break
-        x_new = proj_affine_mat(y + q)
-        q = y + q - x_new
-        x = x_new
         if checkpoint:
             checkpoints.append(best)
             if len(checkpoints) >= 2 and checkpoints[-2] - checkpoints[-1] < config.eps_plateau:
+                # Not infeasible: the best residual can fall again later.
                 stop_reason, iterations = "plateau", it
-                if best >= infeasible_at:
-                    status = Status.NOT_FEASIBLE_AT_TOLERANCE
                 break
+        w = 2.0 * y - z
+        z = y - mp @ (m @ w - b)
 
     # Residuals are re-measured from the candidate matrix itself, never from
     # solver internals.

@@ -8,11 +8,13 @@ factor index varies slowest, which is exactly the ordering produced by
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 EPS_HERM = 1e-10
+_SQRT2 = float(np.sqrt(2.0))
 
 __all__ = [
     "EPS_HERM",
@@ -110,6 +112,18 @@ def project_psd(x: np.ndarray, eps_herm: float = EPS_HERM) -> np.ndarray:
     return (v * w) @ dag(v)
 
 
+@functools.cache
+def _hermitian_indices(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat indices into a d x d matrix of its diagonal, its strict upper
+    triangle and the transposed (lower) positions, in the coordinate order of
+    :func:`vectorize_hermitian`. Cached per dimension, read-only."""
+    iu, ju = np.triu_indices(d, k=1)
+    out = (np.arange(d) * (d + 1), iu * d + ju, ju * d + iu)
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
 def vectorize_hermitian(x: np.ndarray) -> np.ndarray:
     """Real coordinates of a Hermitian d x d matrix, length d^2.
 
@@ -119,13 +133,14 @@ def vectorize_hermitian(x: np.ndarray) -> np.ndarray:
     """
     x = np.asarray(x)
     d = x.shape[0]
-    iu, ju = np.triu_indices(d, k=1)
+    diag, upper, _ = _hermitian_indices(d)
+    flat = x.reshape(-1)
     out = np.empty(d * d)
-    out[:d] = np.real(np.diagonal(x))
-    m = iu.size
-    off = x[iu, ju]
-    out[d : d + m] = np.sqrt(2.0) * np.real(off)
-    out[d + m :] = np.sqrt(2.0) * np.imag(off)
+    out[:d] = np.real(flat[diag])
+    m = upper.size
+    off = flat[upper]
+    out[d : d + m] = _SQRT2 * np.real(off)
+    out[d + m :] = _SQRT2 * np.imag(off)
     return out
 
 
@@ -135,14 +150,14 @@ def devectorize_hermitian(v: np.ndarray) -> np.ndarray:
     d = int(round(np.sqrt(v.size)))
     if d * d != v.size:
         raise ValueError(f"vector length {v.size} is not a perfect square")
-    x = np.zeros((d, d), dtype=complex)
-    x[np.diag_indices(d)] = v[:d]
-    iu, ju = np.triu_indices(d, k=1)
-    m = iu.size
-    off = (v[d : d + m] + 1j * v[d + m :]) / np.sqrt(2.0)
-    x[iu, ju] = off
-    x[ju, iu] = off.conj()
-    return x
+    diag, upper, lower = _hermitian_indices(d)
+    x = np.zeros(d * d, dtype=complex)
+    x[diag] = v[:d]
+    m = upper.size
+    off = (v[d : d + m] + 1j * v[d + m :]) / _SQRT2
+    x[upper] = off
+    x[lower] = off.conj()
+    return x.reshape(d, d)
 
 
 def hermitian_basis(d: int) -> Iterable[np.ndarray]:

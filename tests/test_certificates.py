@@ -1,6 +1,7 @@
 """Farkas certificates of infeasibility: soundness on feasible instances,
 certification of the known infeasible kinds, and invariance under local
-unitaries."""
+unitaries. Feasible instances near the PSD cone boundary never get a
+not-feasible verdict."""
 
 import numpy as np
 import pytest
@@ -101,3 +102,52 @@ def test_certified_verdict_survives_local_unitaries():
         for rep in (check(kind, kraus), check(kind, dressed)):
             assert rep.status is Status.NOT_FEASIBLE_AT_TOLERANCE
             assert rep.stop_reason == "certificate" and rep.iterations == 1
+
+
+def joint_reverifies(joint, psi: Channel, phi: Channel, tol: float = 1e-6) -> bool:
+    """CPTP with marginals psi and phi, from channel arithmetic alone."""
+    cp, tp = ch.cptp_defects(joint)
+    dims = (psi.dim_out, phi.dim_out)
+    return (
+        cp <= 1e-8
+        and tp <= tol
+        and ch.choi_distance(ch.output_marginal(joint, dims, (0,)), psi) <= tol
+        and ch.choi_distance(ch.output_marginal(joint, dims, (1,)), phi) <= tol
+    )
+
+
+@pytest.mark.parametrize("eps", [1e-4, 1e-6])
+def test_noisy_pairs_are_never_declared_not_feasible(eps):
+    # Compatible by construction. The best residual of Douglas-Rachford can
+    # stay flat for thousands of iterations before it falls again, so a
+    # plateau here must end inconclusive, not infeasible.
+    rng = np.random.default_rng(31)
+    for _ in range(2):
+        psi, phi = (noisy(c, eps) for c in thm1_pair(rng, 2, 2))
+        rep = an.check_compatibility(psi, phi, CONFIG)
+        assert rep.status is not Status.NOT_FEASIBLE_AT_TOLERANCE
+        assert rep.solver.certificate is None
+        if rep.status is Status.FEASIBLE:
+            assert joint_reverifies(rep.compatibilizer, psi, phi)
+        else:
+            assert rep.solver.stop_reason == "plateau"
+
+
+@pytest.mark.parametrize("d,env", [(2, 4), (3, 9)])
+def test_full_rank_pairs_are_feasible_with_reverified_witness(d, env):
+    rng = np.random.default_rng(17)
+    for _ in range(3):
+        psi, phi = thm1_pair(rng, d, env)
+        rep = an.check_compatibility(psi, phi, CONFIG)
+        assert rep.status is Status.FEASIBLE
+        assert joint_reverifies(rep.compatibilizer, psi, phi)
+        # Multipliers built the solver's way, range and null-space parts, from
+        # the residual of an arbitrary PSD point never bound above the
+        # solution's residual.
+        cons = rep.solver.constraints
+        n = cons.dim
+        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        r = cons.matrix @ vectorize_hermitian(project_psd(0.5 * (g + g.conj().T))) - cons.rhs
+        h = cons.pinv @ r
+        lam = cons.pinv.T @ h + (r - cons.matrix @ h)
+        assert certificate_bound(cons, lam) <= rep.solver.residual_affine + 1e-12

@@ -208,22 +208,27 @@ def test_complement_of_choi_form_extracts_kraus(tmp_path, capsys):
     assert comp.dim_out == 4  # canonical environment of the depolarizing qubit
 
 
+def thm1_files(tmp_path, rng, d, env, eps=0.0):
+    """Files of a Theorem 1 pair (psi, theta o psi^c), compatible by
+    construction, mixed with eps of completely depolarizing noise (which keeps
+    it compatible)."""
+    kraus = ch.random_kraus(d, d, env, rng)
+    theta = ch.random_channel(env, d, rng, dim_env=2 * env)
+    psi, phi = ch.choi_from_kraus(kraus), ch.compose_choi(ch.complementary(kraus), theta)
+    noise = ch.constant_channel(np.eye(d) / d, d)
+    paths = []
+    for name, c in (("psi", psi), ("phi", phi)):
+        paths.append(str(tmp_path / f"{name}.json"))
+        io.save_channel(paths[-1], ch.Channel(d, d, (1 - eps) * c.choi + eps * noise.choi))
+    return paths
+
+
 def test_iteration_cap_gives_inconclusive_exit(tmp_path, capsys):
-    stem = str(tmp_path / "ex2")
-    main(["make", "example2", "-o", stem])
-    capsys.readouterr()
-    code, doc = run(
-        capsys,
-        "check",
-        "div",
-        f"{stem}.psi.json",
-        f"{stem}.phi.json",
-        "--max-iter",
-        "50",
-        "--quiet",
-    )
+    psi, phi = thm1_files(tmp_path, np.random.default_rng(3), 2, 4)
+    code, doc = run(capsys, "check", "compat", psi, phi, "--max-iter", "2", "--quiet")
     assert code == 2
     assert doc["status"] == "inconclusive"
+    assert doc["stop_reason"] == "iteration-cap" and doc["iterations"] == 2
 
 
 def test_module_entry_point(tmp_path):
@@ -264,14 +269,28 @@ def test_certified_infeasible_report(tmp_path, capsys):
     assert quiet["certificate"] == {"residual_lower_bound": bound}
 
 
-def test_plateau_verdict_keeps_heuristic_warning(tmp_path, capsys):
+def test_uncertified_plateau_is_inconclusive(tmp_path, capsys):
+    # Feasible by construction, but the best residual stalls near 1e-4 for
+    # thousands of iterations: without a certificate the plateau decides
+    # nothing.
+    psi, phi = thm1_files(tmp_path, np.random.default_rng(4), 2, 2, eps=1e-4)
+    code, doc = run(capsys, "check", "compat", psi, phi, "--quiet")
+    assert code == 2 and doc["status"] == "inconclusive"
+    assert doc["stop_reason"] == "plateau" and "certificate" not in doc
+    assert doc["warnings"] == []
+
+
+def test_inconsistent_rows_are_certified(tmp_path, capsys):
+    # Example-2 divisibility: the affine rows alone have least-squares
+    # residual sqrt(6), which multipliers orthogonal to M's range prove.
     stem = str(tmp_path / "ex2")
     main(["make", "example2", "-o", stem])
     capsys.readouterr()
     code, doc = run(capsys, "check", "div", f"{stem}.psi.json", f"{stem}.phi.json", "--quiet")
-    assert code == 1
-    assert doc["stop_reason"] == "plateau" and "certificate" not in doc
-    assert any("heuristic" in w for w in doc["warnings"])
+    assert code == 1 and doc["status"] == "not-feasible-at-tolerance"
+    assert doc["stop_reason"] == "certificate" and doc["iterations"] == 1
+    assert abs(doc["certificate"]["residual_lower_bound"] - np.sqrt(6.0)) < 1e-9
+    assert doc["warnings"] == []
 
 
 def test_verify_reports_solver_iterations(tmp_path, capsys):
