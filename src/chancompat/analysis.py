@@ -1,10 +1,12 @@
 """Decision procedures for channel compatibility, divisibility and
-degradability, plus the constructive pipelines relating them.
+degradability, plus the constructions relating their witnesses.
 
 Every check is a PSD-affine feasibility problem in Choi coordinates, and
 every feasible verdict returns a witness channel that is re-verified through
-channel operations alone (never through solver internals). Infeasible
-verdicts come in two kinds, told apart by the solver report's
+channel operations alone (never through solver internals), as a Choi
+Frobenius distance. The paper's pipelines, which chain these checks and
+constructions on sampled instances, are in :mod:`chancompat.pipelines`.
+Infeasible verdicts come in two kinds, told apart by the solver report's
 ``stop_reason``: certified (``"certificate"``: the report's Farkas multipliers
 prove, through :func:`chancompat.feasibility.certificate_bound`, that every
 candidate misses the constraints by at least ten times the tolerance) and the
@@ -43,11 +45,14 @@ __all__ = [
     "compatibilizer_via_antidegradability",
     "antidegrading_map_from_compat_and_div",
     "verify_no_catalysis",
-    "marginal_deviation",
-    "basis_deviation",
+    "marginal_distances",
     "sample_degradable_kraus",
     "sample_antidegradable_kraus",
 ]
+
+# Largest Choi distance accepted from a (anti-)degrading witness before a
+# construction is built on it.
+_WITNESS_TOL = 1e-7
 
 
 # ---------------------------------------------------------------------------
@@ -74,7 +79,6 @@ class DivReport:
 
 @dataclass(frozen=True)
 class DegradabilityReport:
-    kind: str  # "degradable" | "anti-degradable" | "self-degradable"
     status: Status
     degrading: Channel | None
     residual: float | None
@@ -116,10 +120,6 @@ def build_constraints(
     return AffineConstraintSet(dim, m, b)
 
 
-def _require_cptp(c: Channel, name: str, atol: float = ch.EPS_EQ) -> None:
-    ch.validate_channel(c, atol=atol, name=name)
-
-
 def _kernel_columns(mat: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     h = 0.5 * (mat + dag(mat))
     w, v = np.linalg.eigh(h)
@@ -138,7 +138,6 @@ def _compat_support(psi: Channel, phi: Channel) -> np.ndarray | None:
     well-conditioned ones. Returns ``None`` when nothing is forced.
     """
     da, db, dc = psi.dim_in, psi.dim_out, phi.dim_out
-    side = da * db * dc
     null_cols = []
     for col in _kernel_columns(psi.choi).T:
         block = col.reshape(da, db)
@@ -180,7 +179,7 @@ def _solve_on_support(
         status = (
             Status.NOT_FEASIBLE_AT_TOLERANCE
             if r >= 10.0 * config.eps_feas
-            else Status.ITERATION_LIMIT
+            else Status.INCONCLUSIVE
         )
         return FeasibilityReport(status, None, r, 0.0, 0, "empty-support")
     udag = u.conj().T
@@ -191,24 +190,13 @@ def _solve_on_support(
     return report
 
 
-def marginal_deviation(joint: Channel, target: Channel, out_dims: tuple[int, int], keep: int) -> float:
-    """Max deviation, over a Hermitian input basis, between a marginal of the
-    joint channel and the target channel."""
-    db, dc = out_dims
-    worst = 0.0
-    for basis_elem in hermitian_basis(joint.dim_in):
-        full = ch.apply(joint, basis_elem)
-        marg = partial_trace(full, (db, dc), keep=(keep,))
-        worst = max(worst, frob(marg - ch.apply(target, basis_elem)))
-    return worst
-
-
-def basis_deviation(c1: Channel, c2: Channel) -> float:
-    """Max output deviation of two channels over a Hermitian input basis."""
-    if (c1.dim_in, c1.dim_out) != (c2.dim_in, c2.dim_out):
-        raise ValueError("channel dimensions differ")
-    return max(
-        frob(ch.apply(c1, b) - ch.apply(c2, b)) for b in hermitian_basis(c1.dim_in)
+def marginal_distances(joint: Channel, psi: Channel, phi: Channel) -> tuple[float, float]:
+    """Choi distances of the joint channel's two output marginals from psi and
+    from phi."""
+    dims = (psi.dim_out, phi.dim_out)
+    return (
+        ch.choi_distance(ch.output_marginal(joint, dims, (0,)), psi),
+        ch.choi_distance(ch.output_marginal(joint, dims, (1,)), phi),
     )
 
 
@@ -228,8 +216,8 @@ def check_compatibility(
     """
     if psi.dim_in != phi.dim_in:
         raise ValueError("channels must share the input dimension")
-    _require_cptp(psi, "psi")
-    _require_cptp(phi, "phi")
+    ch.validate_channel(psi, atol=ch.EPS_EQ, name="psi")
+    ch.validate_channel(phi, atol=ch.EPS_EQ, name="phi")
     da, db, dc = psi.dim_in, psi.dim_out, phi.dim_out
     dims = (da, db, dc)
     side = da * db * dc
@@ -241,9 +229,7 @@ def check_compatibility(
     if report.status is not Status.FEASIBLE:
         return CompatReport(report.status, None, None, None, report)
     witness = Channel(da, db * dc, report.solution)
-    res_b = marginal_deviation(witness, psi, (db, dc), keep=0)
-    res_c = marginal_deviation(witness, phi, (db, dc), keep=1)
-    return CompatReport(report.status, witness, res_b, res_c, report)
+    return CompatReport(report.status, witness, *marginal_distances(witness, psi, phi), report)
 
 
 def check_divisibility(
@@ -257,8 +243,8 @@ def check_divisibility(
     """
     if psi.dim_in != phi.dim_in:
         raise ValueError("channels must share the input dimension")
-    _require_cptp(psi, "psi")
-    _require_cptp(phi, "phi")
+    ch.validate_channel(psi, atol=ch.EPS_EQ, name="psi")
+    ch.validate_channel(phi, atol=ch.EPS_EQ, name="phi")
     db, dc = psi.dim_out, phi.dim_out
     side = db * dc
 
@@ -298,12 +284,7 @@ def check_degradable(
     psi_c = ch.complementary(kraus)
     div = check_divisibility(psi, psi_c, config)
     return DegradabilityReport(
-        "degradable",
-        div.status,
-        div.quotient,
-        div.composition_residual,
-        kraus.dim_env,
-        solver=div.solver,
+        div.status, div.quotient, div.composition_residual, kraus.dim_env, solver=div.solver
     )
 
 
@@ -315,45 +296,31 @@ def check_antidegradable(
     psi_c = ch.complementary(kraus)
     div = check_divisibility(psi_c, psi, config)
     return DegradabilityReport(
-        "anti-degradable",
-        div.status,
-        div.quotient,
-        div.composition_residual,
-        kraus.dim_env,
-        solver=div.solver,
+        div.status, div.quotient, div.composition_residual, kraus.dim_env, solver=div.solver
     )
 
 
-def check_self_degradable(kraus: KrausSet, eps_eq: float = ch.EPS_EQ) -> DegradabilityReport:
+def check_self_degradable(kraus: KrausSet) -> DegradabilityReport:
     """Exact self-complementarity test for the given representation.
 
     Reports the Choi distance between the channel and its complementary; the
     distance is infinite when the output and environment dimensions differ,
-    since equality is then impossible for this representation.
+    since equality is then impossible for this representation. Equality is a
+    distance below ``channels.EPS_EQ``.
     """
     psi = ch.choi_from_kraus(kraus)
     if kraus.dim_out != kraus.dim_env:
         return DegradabilityReport(
-            "self-degradable",
-            Status.NOT_FEASIBLE_AT_TOLERANCE,
-            None,
-            None,
-            kraus.dim_env,
-            self_distance=float("inf"),
+            Status.NOT_FEASIBLE_AT_TOLERANCE, None, None, kraus.dim_env, self_distance=float("inf")
         )
     dist = frob(psi.choi - ch.complementary(kraus).choi)
-    if dist < eps_eq:
+    if dist < ch.EPS_EQ:
         witness = ch.identity(kraus.dim_env)
         return DegradabilityReport(
-            "self-degradable", Status.FEASIBLE, witness, dist, kraus.dim_env, self_distance=dist
+            Status.FEASIBLE, witness, dist, kraus.dim_env, self_distance=dist
         )
     return DegradabilityReport(
-        "self-degradable",
-        Status.NOT_FEASIBLE_AT_TOLERANCE,
-        None,
-        None,
-        kraus.dim_env,
-        self_distance=dist,
+        Status.NOT_FEASIBLE_AT_TOLERANCE, None, None, kraus.dim_env, self_distance=dist
     )
 
 
@@ -383,7 +350,7 @@ def check_family_divisibility(
 
 
 def postprocessing_from_compatibilizer(
-    compatibilizer: Channel, dim_b: int, dim_c: int, eps_rank: float = ch.EPS_RANK
+    compatibilizer: Channel, dim_b: int, dim_c: int
 ) -> tuple[Channel, Channel, float]:
     """Recover the second marginal as a post-processing of an enlarged
     complementary channel.
@@ -391,12 +358,12 @@ def postprocessing_from_compatibilizer(
     From a Stinespring dilation V: A -> (B (x) C) (x) E of the compatibilizer,
     builds the enlarged complementary psi_c: A -> C (x) E by tracing out B,
     and the post-processing theta = Tr_E. Returns (psi_c, theta, residual)
-    where the residual is the worst basis deviation of the two identities
+    where the residual is the worse Choi distance of the two identities
     phi = theta o psi_c and psi = Tr_{C,E} of the dilation.
     """
     if dim_b * dim_c != compatibilizer.dim_out:
         raise ValueError("output factors do not multiply to the compatibilizer output dim")
-    kraus = ch.kraus_from_choi(compatibilizer, eps_rank=eps_rank)
+    kraus = ch.kraus_from_choi(compatibilizer)
     v = ch.isometry_from_kraus(kraus)
     dilated = ch.isometry_channel(v)  # A -> B (x) C (x) E
     dims_bce = (dim_b, dim_c, v.dim_env)
@@ -407,7 +374,7 @@ def postprocessing_from_compatibilizer(
     psi = ch.output_marginal(compatibilizer, (dim_b, dim_c), keep=(0,))
     phi_rebuilt = ch.compose_choi(psi_c, theta)
     psi_rebuilt = ch.output_marginal(dilated, dims_bce, keep=(0,))
-    residual = max(basis_deviation(phi_rebuilt, phi), basis_deviation(psi_rebuilt, psi))
+    residual = max(ch.choi_distance(phi_rebuilt, phi), ch.choi_distance(psi_rebuilt, psi))
     return psi_c, theta, residual
 
 
@@ -433,17 +400,18 @@ def quotient_via_degradability(
     psi_c: Channel,
     degrading: Channel,
     theta_ce: Channel,
-    eps: float = 1e-7,
 ) -> Channel:
     """Quotient for phi = theta_ce o psi_c built from a degrading map.
 
     Requires the degradability witness to hold: degrading o psi must equal
-    the given complementary channel within ``eps``. The returned channel is
-    theta_ce o degrading, which divides psi into phi.
+    the given complementary channel within Choi distance ``1e-7``. The
+    returned channel is theta_ce o degrading, which divides psi into phi.
     """
-    defect = frob(ch.compose_choi(psi, degrading).choi - psi_c.choi)
-    if defect > eps:
-        raise ValueError(f"invalid degradability witness: residual {defect:.3e} > {eps:.1e}")
+    defect = ch.choi_distance(ch.compose_choi(psi, degrading), psi_c)
+    if defect > _WITNESS_TOL:
+        raise ValueError(
+            f"invalid degradability witness: residual {defect:.3e} > {_WITNESS_TOL:.1e}"
+        )
     return ch.compose_choi(degrading, theta_ce)
 
 
@@ -451,19 +419,20 @@ def compatibilizer_via_antidegradability(
     psi_kraus: KrausSet,
     antidegrading: Channel,
     theta_cb: Channel,
-    eps: float = 1e-7,
 ) -> Channel:
     """Compatibilizer for (psi, theta_cb o psi) built from an anti-degrading map.
 
-    Requires antidegrading o psi_c = psi within ``eps`` for the complementary
-    of this representation; the environment post-processing
+    Requires antidegrading o psi_c = psi within Choi distance ``1e-7`` for the
+    complementary of this representation; the environment post-processing
     theta_cb o antidegrading then feeds the joint construction.
     """
     psi = ch.choi_from_kraus(psi_kraus)
     psi_c = ch.complementary(psi_kraus)
-    defect = frob(ch.compose_choi(psi_c, antidegrading).choi - psi.choi)
-    if defect > eps:
-        raise ValueError(f"invalid anti-degradability witness: residual {defect:.3e} > {eps:.1e}")
+    defect = ch.choi_distance(ch.compose_choi(psi_c, antidegrading), psi)
+    if defect > _WITNESS_TOL:
+        raise ValueError(
+            f"invalid anti-degradability witness: residual {defect:.3e} > {_WITNESS_TOL:.1e}"
+        )
     theta_ce = ch.compose_choi(antidegrading, theta_cb)  # E -> B -> C
     return compatibilizer_from_postprocessing(psi_kraus, theta_ce)
 
@@ -496,9 +465,7 @@ def verify_no_catalysis(
         return CatalysisReport(compat, None, None, None)
     out_dims = (psi.dim_out, chi.dim_out, phi.dim_out, chi.dim_out)
     reduced = ch.catalysis_reduction(compat.compatibilizer, out_dims, chi.dim_in)
-    res_b = marginal_deviation(reduced, psi, (psi.dim_out, phi.dim_out), keep=0)
-    res_c = marginal_deviation(reduced, phi, (psi.dim_out, phi.dim_out), keep=1)
-    return CatalysisReport(compat, reduced, res_b, res_c)
+    return CatalysisReport(compat, reduced, *marginal_distances(reduced, psi, phi))
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,10 @@
 
 Every check/verify command prints a single JSON report to stdout and exits
 with 0 (feasible/verified), 1 (not feasible at tolerance), 2 (inconclusive)
-or 3 (input/usage error). Human diagnostics go to stderr. Reports of solver
+or 3 (input/usage error); the report's ``status`` is the value of the
+:class:`~chancompat.feasibility.Status` that decides the exit code. Human
+diagnostics go to stderr. ``verify`` runs a pipeline of
+:mod:`chancompat.pipelines` and serializes its step records. Reports of solver
 checks say why the solver stopped. A not-feasible verdict from the solver is
 always certified: the report carries the Farkas multipliers and the residual
 lower bound they prove. A solve that stalls on a residual plateau without a
@@ -16,11 +19,12 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 from typing import Any
 
 import numpy as np
 
-from . import analysis, channels as ch, io
+from . import analysis, channels as ch, io, pipelines
 from .channels import Channel, KrausSet
 from .feasibility import FeasibilityReport, SolverConfig, Status, certificate_bound
 
@@ -35,12 +39,7 @@ EXTRACTED_WARNING = (
     "degradability statements refer to this representation"
 )
 
-_STATUS_STRINGS = {
-    Status.FEASIBLE: "feasible",
-    Status.NOT_FEASIBLE_AT_TOLERANCE: "not-feasible-at-tolerance",
-    Status.ITERATION_LIMIT: "inconclusive",
-}
-_EXIT_CODES = {"feasible": 0, "not-feasible-at-tolerance": 1, "inconclusive": 2}
+_EXIT_CODES = {Status.FEASIBLE: 0, Status.NOT_FEASIBLE_AT_TOLERANCE: 1, Status.INCONCLUSIVE: 2}
 
 
 def _config(args: argparse.Namespace, default_eps: float = 1e-7) -> SolverConfig:
@@ -70,7 +69,7 @@ def _solver_fields(solver: FeasibilityReport, quiet: bool) -> dict[str, Any]:
 
 def _emit(
     command: str,
-    status: Status | str,
+    status: Status,
     *,
     residuals: dict[str, float | None],
     iterations: int,
@@ -80,20 +79,19 @@ def _emit(
     warnings: list[str] | None = None,
     quiet: bool = False,
     solver: FeasibilityReport | None = None,
-    steps: list[dict[str, Any]] | None = None,
+    steps: list[pipelines.Step] | None = None,
     extra: dict[str, Any] | None = None,
 ) -> int:
-    status_str = status if isinstance(status, str) else _STATUS_STRINGS[status]
     warnings = list(warnings or [])
     if solver is not None:
         reasons = [solver.stop_reason]
     else:
-        reasons = [s.get("stop_reason") for s in steps or () if s["status"] == status_str]
-    if status_str == "not-feasible-at-tolerance" and _UNCERTIFIED.intersection(reasons):
+        reasons = [s.stop_reason for s in steps or () if s.status is status]
+    if status is Status.NOT_FEASIBLE_AT_TOLERANCE and _UNCERTIFIED.intersection(reasons):
         warnings.append(HEURISTIC_WARNING)
     doc: dict[str, Any] = {
         "command": command,
-        "status": status_str,
+        "status": status.value,
         "residuals": {k: _finite(v) for k, v in residuals.items()},
         "iterations": iterations,
         "config": {
@@ -104,26 +102,21 @@ def _emit(
         },
         "warnings": warnings,
     }
-    if witness is not None and status_str == "feasible" and not quiet:
+    if witness is not None and status is Status.FEASIBLE and not quiet:
         doc["witness"] = io.channel_to_json(witness)
     if solver is not None:
         doc.update(_solver_fields(solver, quiet))
     if extra:
         doc.update(extra)
     if steps is not None:
-        doc["steps"] = steps
+        doc["steps"] = [_step_json(s) for s in steps]
     json.dump(doc, sys.stdout, allow_nan=False)
     print()
-    return _EXIT_CODES[status_str]
-
-
-def _load(path: str) -> tuple[Channel, KrausSet | None]:
-    channel, kraus, _ = io.load_channel(path)
-    return channel, kraus
+    return _EXIT_CODES[status]
 
 
 def _kraus_of(path: str, warnings: list[str]) -> tuple[Channel, KrausSet]:
-    channel, kraus = _load(path)
+    channel, kraus, _ = io.load_channel(path)
     if kraus is None:
         kraus = ch.kraus_from_choi(channel)
         warnings.append(EXTRACTED_WARNING)
@@ -199,313 +192,100 @@ def cmd_complement(args: argparse.Namespace) -> int:
 def cmd_check(args: argparse.Namespace) -> int:
     config = _config(args)
     what = args.what
-    if what == "compat":
-        a, _ = _load(args.channels[0])
-        b, _ = _load(args.channels[1])
-        report = analysis.check_compatibility(a, b, config)
-        verification = None
-        if report.marginal_residual_b is not None:
-            verification = max(report.marginal_residual_b, report.marginal_residual_c)
-        return _emit(
-            "check compat",
-            report.status,
-            residuals={
-                "affine": report.solver.residual_affine,
-                "psd": report.solver.residual_psd,
-                "verification": verification,
-            },
-            iterations=report.solver.iterations,
-            config=config,
-            witness=report.compatibilizer,
-            quiet=args.quiet,
-            solver=report.solver,
-        )
-    if what == "div":
-        a, _ = _load(args.channels[0])
-        b, _ = _load(args.channels[1])
-        report = analysis.check_divisibility(a, b, config)
-        return _emit(
-            "check div",
-            report.status,
-            residuals={
-                "affine": report.solver.residual_affine,
-                "psd": report.solver.residual_psd,
-                "verification": report.composition_residual,
-            },
-            iterations=report.solver.iterations,
-            config=config,
-            witness=report.quotient,
-            quiet=args.quiet,
-            solver=report.solver,
-        )
-    if what in ("degradable", "antidegradable"):
-        warnings: list[str] = []
+    warnings: list[str] = []
+    extra = None
+    if what in ("compat", "div"):
+        a, _, _ = io.load_channel(args.channels[0])
+        b, _, _ = io.load_channel(args.channels[1])
+        if what == "compat":
+            report = analysis.check_compatibility(a, b, config)
+            witness, verification = report.compatibilizer, None
+            if report.marginal_residual_b is not None:
+                verification = max(report.marginal_residual_b, report.marginal_residual_c)
+        else:
+            report = analysis.check_divisibility(a, b, config)
+            witness, verification = report.quotient, report.composition_residual
+    else:
         channel, kraus = _kraus_of(args.channels[0], warnings)
-        fn = analysis.check_degradable if what == "degradable" else analysis.check_antidegradable
-        report = fn(channel, kraus, config)
-        return _emit(
-            f"check {what}",
-            report.status,
-            residuals={
-                "affine": report.solver.residual_affine,
-                "psd": report.solver.residual_psd,
-                "verification": report.residual,
-            },
-            iterations=report.solver.iterations,
-            config=config,
-            witness=report.degrading,
-            warnings=warnings,
-            quiet=args.quiet,
-            solver=report.solver,
-            extra={"environment_dim": report.dim_env},
-        )
-    # selfdeg
-    warnings = []
-    _, kraus = _kraus_of(args.channels[0], warnings)
-    report = analysis.check_self_degradable(kraus)
-    if report.self_distance is not None and not math.isfinite(report.self_distance):
-        warnings.append(
-            "output and environment dimensions differ; equality is impossible "
-            "for this representation"
-        )
+        if what == "selfdeg":
+            report = analysis.check_self_degradable(kraus)
+            verification = report.self_distance
+            if not math.isfinite(verification):
+                warnings.append(
+                    "output and environment dimensions differ; equality is impossible "
+                    "for this representation"
+                )
+        else:
+            report = (
+                analysis.check_degradable if what == "degradable" else analysis.check_antidegradable
+            )(channel, kraus, config)
+            verification = report.residual
+        witness = report.degrading
+        extra = {"environment_dim": report.dim_env}
+    solver = report.solver
+    residuals = {"verification": verification}
+    if solver is not None:
+        residuals = {"affine": solver.residual_affine, "psd": solver.residual_psd, **residuals}
     return _emit(
-        "check selfdeg",
+        f"check {what}",
         report.status,
-        residuals={"verification": report.self_distance},
-        iterations=0,
+        residuals=residuals,
+        iterations=0 if solver is None else solver.iterations,
         config=config,
-        witness=report.degrading,
+        witness=witness,
         warnings=warnings,
         quiet=args.quiet,
-        extra={"environment_dim": report.dim_env},
+        solver=solver,
+        extra=extra,
     )
 
 
 # ---------------------------------------------------------------------------
-# verify pipelines
+# verify
 # ---------------------------------------------------------------------------
 
 
-def _steps_status(steps: list[dict[str, Any]]) -> str:
-    statuses = [s["status"] for s in steps]
-    if all(s == "feasible" for s in statuses):
-        return "feasible"
-    if any(s == "not-feasible-at-tolerance" for s in statuses):
-        return "not-feasible-at-tolerance"
-    return "inconclusive"
-
-
-def _step(name: str, ok: bool, residual: float | None, **extra: Any) -> dict[str, Any]:
-    """Step decided by an exact check of a constructed object."""
-    doc = {"name": name, "status": "feasible" if ok else "not-feasible-at-tolerance"}
-    if residual is not None:
-        doc["residual"] = _finite(residual)
-    doc.update(extra)
-    return doc
-
-
-def _solver_step(
-    name: str, status: Status, residual: float | None, solver: FeasibilityReport
-) -> dict[str, Any]:
-    """Step decided by a solver verdict: its status, stop reason and iterations."""
-    doc: dict[str, Any] = {"name": name, "status": _STATUS_STRINGS[status]}
-    if residual is not None:
-        doc["residual"] = _finite(residual)
-    doc["stop_reason"] = solver.stop_reason
-    doc["iterations"] = solver.iterations
-    return doc
-
-
-def verify_thm1(args: argparse.Namespace, config: SolverConfig, rng) -> tuple[list[dict], Any]:
-    steps = []
-    witness = None
-    for t in range(args.trials):
-        kraus = ch.random_kraus(2, 2, 2, rng)
-        psi = ch.choi_from_kraus(kraus)
-        theta = ch.random_channel(kraus.dim_env, 2, rng, dim_env=2 * kraus.dim_env)
-        comp = analysis.compatibilizer_from_postprocessing(kraus, theta)
-        phi = ch.compose_choi(ch.complementary(kraus), theta)
-        res_b = analysis.marginal_deviation(comp, psi, (2, 2), keep=0)
-        res_c = analysis.marginal_deviation(comp, phi, (2, 2), keep=1)
-        steps.append(_step(f"reverse-{t}", max(res_b, res_c) < 1e-9, max(res_b, res_c)))
-        compat = analysis.check_compatibility(psi, phi, config)
-        if compat.status is not Status.FEASIBLE:
-            steps.append(_solver_step(f"forward-{t}", compat.status, None, compat.solver))
-            continue
-        _, _, residual = analysis.postprocessing_from_compatibilizer(
-            compat.compatibilizer, 2, 2
-        )
-        steps.append(
-            _step(f"forward-{t}", residual < 1e-7, residual, iterations=compat.solver.iterations)
-        )
-        witness = compat.compatibilizer
-    return steps, witness
-
-
-def verify_thm2i(args: argparse.Namespace, config: SolverConfig, rng) -> tuple[list[dict], Any]:
-    steps = []
-    witness = None
-    for t in range(args.trials):
-        kraus = analysis.sample_degradable_kraus(rng)
-        psi = ch.choi_from_kraus(kraus)
-        psi_c = ch.complementary(kraus)
-        deg = analysis.check_degradable(psi, kraus, config)
-        steps.append(_solver_step(f"degradable-{t}", deg.status, deg.residual, deg.solver))
-        if deg.status is not Status.FEASIBLE:
-            continue
-        theta = ch.random_channel(kraus.dim_env, 2, rng, dim_env=2 * kraus.dim_env)
-        phi = ch.compose_choi(psi_c, theta)
-        div = analysis.check_divisibility(psi, phi, config)
-        steps.append(
-            _solver_step(f"divisible-{t}", div.status, div.composition_residual, div.solver)
-        )
-        quotient = analysis.quotient_via_degradability(psi, psi_c, deg.degrading, theta)
-        residual = analysis.basis_deviation(ch.compose_choi(psi, quotient), phi)
-        steps.append(_step(f"quotient-{t}", residual < 1e-7, residual))
-        witness = div.quotient or quotient
-    return steps, witness
-
-
-def verify_thm2ii(args: argparse.Namespace, config: SolverConfig, rng) -> tuple[list[dict], Any]:
-    steps = []
-    witness = None
-    for t in range(args.trials):
-        kraus = analysis.sample_antidegradable_kraus(rng)
-        psi = ch.choi_from_kraus(kraus)
-        anti = analysis.check_antidegradable(psi, kraus, config)
-        steps.append(_solver_step(f"antidegradable-{t}", anti.status, anti.residual, anti.solver))
-        if anti.status is not Status.FEASIBLE:
-            continue
-        theta_cb = ch.random_channel(2, 2, rng, dim_env=4)
-        phi = ch.compose_choi(psi, theta_cb)
-        compat = analysis.check_compatibility(psi, phi, config)
-        verification = None
-        if compat.status is Status.FEASIBLE:
-            verification = max(compat.marginal_residual_b, compat.marginal_residual_c)
-        steps.append(_solver_step(f"compatible-{t}", compat.status, verification, compat.solver))
-        built = analysis.compatibilizer_via_antidegradability(kraus, anti.degrading, theta_cb)
-        res_b = analysis.marginal_deviation(built, psi, (2, 2), keep=0)
-        res_c = analysis.marginal_deviation(built, phi, (2, 2), keep=1)
-        steps.append(_step(f"construction-{t}", max(res_b, res_c) < 1e-7, max(res_b, res_c)))
-        witness = compat.compatibilizer or built
-    return steps, witness
-
-
-def verify_corollary(args: argparse.Namespace, config: SolverConfig, rng) -> tuple[list[dict], Any]:
-    kraus = ch.self_complementary_qubit(args.family, args.alpha, args.beta)
-    psi = ch.choi_from_kraus(kraus)
-    steps = []
-    witness = None
-    for t in range(args.trials):
-        theta = ch.random_channel(2, 2, rng, dim_env=4)
-        phi = ch.compose_choi(psi, theta)
-        compat = analysis.check_compatibility(psi, phi, config)
-        div = analysis.check_divisibility(psi, phi, config)
-        steps.append(
-            _solver_step(
-                f"compatible-{t}", compat.status, compat.marginal_residual_b, compat.solver
-            )
-        )
-        steps.append(
-            _solver_step(f"divisible-{t}", div.status, div.composition_residual, div.solver)
-        )
-        witness = compat.compatibilizer or witness
-    return steps, witness
-
-
-def verify_prop1(args: argparse.Namespace, config: SolverConfig, rng) -> tuple[list[dict], Any]:
-    steps = []
-    witness = None
-    for t in range(args.trials):
-        kraus = ch.self_complementary_qubit(
-            1, float(rng.uniform(0, np.pi)), float(rng.uniform(0, 2 * np.pi))
-        )
-        psi = ch.choi_from_kraus(kraus)
-        theta0 = ch.random_channel(2, 2, rng, dim_env=4)
-        phi = ch.compose_choi(psi, theta0)
-        div = analysis.check_divisibility(psi, phi, config)
-        compat = analysis.check_compatibility(psi, phi, config)
-        iterations = div.solver.iterations + compat.solver.iterations
-        if div.status is not Status.FEASIBLE or compat.status is not Status.FEASIBLE:
-            steps.append(
-                {"name": f"instance-{t}", "status": "inconclusive", "iterations": iterations}
-            )
-            continue
-        swapped = ch.swap_output(compat.compatibilizer, 2, 2)
-        phi_c, theta_be, _ = analysis.postprocessing_from_compatibilizer(swapped, 2, 2)
-        anti = analysis.antidegrading_map_from_compat_and_div(div.quotient, theta_be)
-        residual = analysis.basis_deviation(ch.compose_choi(phi_c, anti), phi)
-        steps.append(
-            _step(f"antidegrading-{t}", residual < 1e-7, residual, iterations=iterations)
-        )
-        witness = anti
-    return steps, witness
-
-
-def verify_nocatalysis(args: argparse.Namespace, config: SolverConfig, rng) -> tuple[list[dict], Any]:
-    steps = []
-    witness = None
-    for t in range(args.trials):
-        kraus = ch.random_kraus(2, 2, 2, rng)
-        psi = ch.choi_from_kraus(kraus)
-        theta = ch.random_channel(kraus.dim_env, 2, rng, dim_env=2 * kraus.dim_env)
-        phi = ch.compose_choi(ch.complementary(kraus), theta)
-        # The ancilla must itself admit a self-compatibilizer for the
-        # tensored pair to stand a chance; measure-and-prepare channels do.
-        chi = ch.choi_from_kraus(ch.random_measure_prepare(2, rng))
-        report = analysis.verify_no_catalysis(psi, phi, chi, config)
-        solver = report.tensored.solver
-        if report.reduced is None:
-            steps.append(_solver_step(f"instance-{t}", report.tensored.status, None, solver))
-            continue
-        worst = max(report.marginal_residual_b, report.marginal_residual_c)
-        steps.append(_step(f"reduction-{t}", worst < 1e-8, worst, iterations=solver.iterations))
-        witness = report.reduced
-    return steps, witness
-
-
-def verify_family(args: argparse.Namespace, config: SolverConfig, rng) -> tuple[list[dict], Any]:
-    if args.inputs:
-        family = [_load(path)[0] for path in args.inputs]
-    else:
-        psi = ch.random_channel(2, 2, rng, dim_env=2)
-        family = [psi]
-        for _ in range(args.steps - 1):
-            family.append(ch.compose_choi(family[-1], psi))
-    reports = analysis.check_family_divisibility(family, config)
-    steps = [
-        _solver_step(f"step-{k}", rep.status, rep.composition_residual, rep.solver)
-        for k, rep in enumerate(reports)
-    ]
-    witness = next((r.quotient for r in reversed(reports) if r.quotient is not None), None)
-    return steps, witness
-
-
-_PIPELINES = {
-    "thm1": verify_thm1,
-    "thm2i": verify_thm2i,
-    "thm2ii": verify_thm2ii,
-    "corollary": verify_corollary,
-    "prop1": verify_prop1,
-    "nocatalysis": verify_nocatalysis,
-    "family": verify_family,
+_SAMPLED = {
+    "thm1": pipelines.thm1,
+    "thm2i": pipelines.thm2i,
+    "thm2ii": pipelines.thm2ii,
+    "prop1": pipelines.prop1,
+    "nocatalysis": pipelines.nocatalysis,
 }
+
+
+def _step_json(step: pipelines.Step) -> dict[str, Any]:
+    """A step's fields in declaration order; unset (``None``) ones dropped."""
+    doc = {k: v for k, v in asdict(step).items() if v is not None}
+    doc["status"] = step.status.value
+    if "residual" in doc:
+        doc["residual"] = _finite(step.residual)
+    return doc
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     config = _config(args, default_eps=1e-9)
     rng = np.random.default_rng(args.seed)
-    steps, witness = _PIPELINES[args.pipeline](args, config, rng)
-    status = _steps_status(steps)
-    residuals = [s.get("residual") for s in steps if s.get("residual") is not None]
+    if args.pipeline == "family":
+        if args.inputs:
+            family = [io.load_channel(path)[0] for path in args.inputs]
+        else:
+            family = pipelines.power_family(ch.random_channel(2, 2, rng, dim_env=2), args.steps)
+        steps, witness = pipelines.family(family, config)
+    elif args.pipeline == "corollary":
+        kraus = ch.self_complementary_qubit(args.family, args.alpha, args.beta)
+        steps, witness = pipelines.corollary(kraus, rng, args.trials, config)
+    else:
+        steps, witness = _SAMPLED[args.pipeline](rng, args.trials, config)
+    residuals = [r for s in steps if (r := _finite(s.residual)) is not None]
     return _emit(
         f"verify {args.pipeline}",
-        status,
+        pipelines.overall_status(steps),
         residuals={"verification": max(residuals) if residuals else None},
-        iterations=sum(s.get("iterations", 0) for s in steps),
+        iterations=sum(s.iterations or 0 for s in steps),
         config=config,
         seed=args.seed,
-        witness=witness if status == "feasible" else None,
+        witness=witness,
         quiet=args.quiet,
         steps=steps,
     )
@@ -563,7 +343,7 @@ def _build_parser() -> argparse.ArgumentParser:
     comp.set_defaults(func=cmd_complement)
 
     ver = sub.add_parser("verify", parents=[common], help="run a constructive pipeline")
-    ver.add_argument("pipeline", choices=sorted(_PIPELINES))
+    ver.add_argument("pipeline", choices=sorted([*_SAMPLED, "corollary", "family"]))
     ver.add_argument("inputs", nargs="*", help="channel files (family pipeline only)")
     ver.add_argument("--trials", type=int, default=5)
     ver.add_argument("--steps", type=int, default=4, help="family length for random families")

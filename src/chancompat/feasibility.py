@@ -45,6 +45,10 @@ __all__ = [
 # Relative error within which M^T tau must reproduce vec(I) for tau to count
 # as the coordinates of the identity in M's row space.
 _ROW_SPACE_TOL = 1e-9
+# Singular values of M below this fraction of the largest are rank noise:
+# constraint matrices assembled from numerical channel data carry O(1e-15)
+# junk directions that would otherwise be inverted and wreck the projection.
+_RCOND = 1e-10
 # The solver tries a certificate and tests for a plateau every this many
 # iterations.
 _CHECKPOINT = 1000
@@ -53,7 +57,7 @@ _CHECKPOINT = 1000
 class Status(enum.Enum):
     FEASIBLE = "feasible"
     NOT_FEASIBLE_AT_TOLERANCE = "not-feasible-at-tolerance"
-    ITERATION_LIMIT = "iteration-limit"
+    INCONCLUSIVE = "inconclusive"
 
 
 @dataclass(frozen=True)
@@ -63,16 +67,12 @@ class AffineConstraintSet:
     The pseudo-inverse of M is precomputed once; constraint rows need not be
     linearly independent, and an inconsistent system simply projects onto its
     least-squares affine set (the reported residual then never reaches the
-    feasibility tolerance). Singular values below ``rcond`` times the largest
-    are treated as rank noise: constraint matrices assembled from numerical
-    channel data carry O(1e-15) junk directions that would otherwise be
-    inverted and wreck the projection.
+    feasibility tolerance).
     """
 
     dim: int
     matrix: np.ndarray = field(repr=False)
     rhs: np.ndarray = field(repr=False)
-    rcond: float = 1e-10
     pinv: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -90,7 +90,7 @@ class AffineConstraintSet:
             raise ValueError("constraints contain non-finite entries")
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "rhs", b)
-        object.__setattr__(self, "pinv", np.linalg.pinv(m, rcond=self.rcond))
+        object.__setattr__(self, "pinv", np.linalg.pinv(m, rcond=_RCOND))
 
     def residual(self, x: np.ndarray) -> float:
         """Euclidean residual ||M vec(X) - b|| of a Hermitian matrix."""
@@ -204,7 +204,7 @@ def solve(constraints: AffineConstraintSet, config: SolverConfig = SolverConfig(
     when :func:`certificate_bound` proves every PSD X to have residual at
     least ``10 * eps_feas``, the solve stops not feasible with ``lam`` as its
     certificate. A plateau of the best residual between checkpoints, and
-    exhausting ``max_iter``, end the solve inconclusive (iteration limit).
+    exhausting ``max_iter``, end the solve inconclusive.
     """
     m, b, mp = constraints.matrix, constraints.rhs, constraints.pinv
 
@@ -212,7 +212,7 @@ def solve(constraints: AffineConstraintSet, config: SolverConfig = SolverConfig(
     best = np.inf
     best_candidate = None
     checkpoints: list[float] = []
-    status = Status.ITERATION_LIMIT
+    status = Status.INCONCLUSIVE
     stop_reason = "iteration-cap"
     iterations = config.max_iter
     certificate = None
@@ -257,7 +257,7 @@ def solve(constraints: AffineConstraintSet, config: SolverConfig = SolverConfig(
     solution = candidate if status is Status.FEASIBLE else None
     if status is Status.FEASIBLE and not (r_aff < config.eps_feas and r_psd < config.eps_feas):
         # Defensive: the PSD-projected candidate should always satisfy both.
-        status = Status.ITERATION_LIMIT
+        status = Status.INCONCLUSIVE
         solution = None
     return FeasibilityReport(
         status, solution, r_aff, r_psd, iterations, stop_reason, certificate, constraints

@@ -10,6 +10,7 @@ import numpy as np
 
 from chancompat import analysis as an
 from chancompat import channels as ch
+from chancompat import pipelines
 from chancompat.feasibility import SolverConfig, Status
 from chancompat.linalg import frob
 
@@ -20,6 +21,18 @@ TIGHT = SolverConfig(eps_feas=1e-10, max_iter=50000)
 def report(name, ok, detail=""):
     print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
     assert ok, f"{name}: {detail}"
+
+
+def feasible_trials(steps, kind, below=None):
+    """Trials whose ``<kind>-<trial>`` step is feasible, with its residual
+    below ``below`` when given."""
+    trials = set()
+    for s in steps:
+        step_kind, trial = s.name.rsplit("-", 1)
+        if step_kind == kind and s.status is Status.FEASIBLE:
+            if below is None or s.residual < below:
+                trials.add(int(trial))
+    return trials
 
 
 def test_criterion_01_identity_not_self_compatible():
@@ -58,8 +71,8 @@ def test_criterion_03_example2_separation():
     psi, phi, compat = ch.trace_out_pair(ch.completely_depolarizing(2), ch.identity(2))
     crep = an.check_compatibility(psi, phi, DECIDE)
     drep = an.check_divisibility(psi, phi, DECIDE)
-    res_b = an.marginal_deviation(compat, psi, (2, 2), keep=0)
-    res_c = an.marginal_deviation(compat, phi, (2, 2), keep=1)
+    res_b = ch.choi_distance(ch.output_marginal(compat, (2, 2), (0,)), psi)
+    res_c = ch.choi_distance(ch.output_marginal(compat, (2, 2), (1,)), phi)
     elapsed = time.time() - t0
     ok = (
         crep.status is Status.FEASIBLE
@@ -131,8 +144,8 @@ def test_criterion_06_postprocessing_both_directions():
         built = an.compatibilizer_from_postprocessing(kraus, theta)
         phi = ch.compose_choi(ch.complementary(kraus), theta)
         rev = max(
-            an.marginal_deviation(built, psi, (db, dc), keep=0),
-            an.marginal_deviation(built, phi, (db, dc), keep=1),
+            ch.choi_distance(ch.output_marginal(built, (db, dc), (0,)), psi),
+            ch.choi_distance(ch.output_marginal(built, (db, dc), (1,)), phi),
         )
         if rev < 1e-9:
             n_rev += 1
@@ -152,23 +165,10 @@ def test_criterion_06_postprocessing_both_directions():
 
 def test_criterion_07_degradable_compatible_implies_divisible():
     t0 = time.time()
-    rng = np.random.default_rng(707)
-    n_div = n_quot = n_deg = 0
-    for _ in range(50):
-        kraus = an.sample_degradable_kraus(rng)
-        psi = ch.choi_from_kraus(kraus)
-        psi_c = ch.complementary(kraus)
-        deg = an.check_degradable(psi, kraus, TIGHT)
-        if deg.status is not Status.FEASIBLE or deg.residual >= 1e-7:
-            continue
-        n_deg += 1
-        theta = ch.random_channel(kraus.dim_env, 2, rng, dim_env=2 * kraus.dim_env)
-        phi = ch.compose_choi(psi_c, theta)
-        if an.check_divisibility(psi, phi, TIGHT).status is Status.FEASIBLE:
-            n_div += 1
-        quotient = an.quotient_via_degradability(psi, psi_c, deg.degrading, theta)
-        if an.basis_deviation(ch.compose_choi(psi, quotient), phi) < 1e-7:
-            n_quot += 1
+    steps, _ = pipelines.thm2i(np.random.default_rng(707), 50, TIGHT)
+    n_deg = len(feasible_trials(steps, "degradable", below=1e-7))
+    n_div = len(feasible_trials(steps, "divisible"))
+    n_quot = len(feasible_trials(steps, "quotient"))
     elapsed = time.time() - t0
     ok = n_deg == 50 and n_div == 50 and n_quot == 50 and elapsed < 600.0
     report(
@@ -181,30 +181,10 @@ def test_criterion_07_degradable_compatible_implies_divisible():
 
 def test_criterion_08_antidegradable_divisible_implies_compatible():
     t0 = time.time()
-    rng = np.random.default_rng(808)
-    n_anti = n_compat = n_built = 0
-    for _ in range(50):
-        kraus = an.sample_antidegradable_kraus(rng)
-        psi = ch.choi_from_kraus(kraus)
-        anti = an.check_antidegradable(psi, kraus, TIGHT)
-        if anti.status is not Status.FEASIBLE or anti.residual >= 1e-7:
-            continue
-        n_anti += 1
-        theta_cb = ch.random_channel(2, 2, rng, dim_env=4)
-        phi = ch.compose_choi(psi, theta_cb)
-        crep = an.check_compatibility(psi, phi, TIGHT)
-        if (
-            crep.status is Status.FEASIBLE
-            and max(crep.marginal_residual_b, crep.marginal_residual_c) < 1e-7
-        ):
-            n_compat += 1
-        built = an.compatibilizer_via_antidegradability(kraus, anti.degrading, theta_cb)
-        res = max(
-            an.marginal_deviation(built, psi, (2, 2), keep=0),
-            an.marginal_deviation(built, phi, (2, 2), keep=1),
-        )
-        if res < 1e-7:
-            n_built += 1
+    steps, _ = pipelines.thm2ii(np.random.default_rng(808), 50, TIGHT)
+    n_anti = len(feasible_trials(steps, "antidegradable", below=1e-7))
+    n_compat = len(feasible_trials(steps, "compatible", below=1e-7))
+    n_built = len(feasible_trials(steps, "construction"))
     elapsed = time.time() - t0
     ok = n_anti == 50 and n_compat == 50 and n_built == 50 and elapsed < 600.0
     report(
@@ -217,17 +197,9 @@ def test_criterion_08_antidegradable_divisible_implies_compatible():
 
 def test_criterion_09_self_degradable_equivalence_at_dephasing_point():
     t0 = time.time()
-    rng = np.random.default_rng(909)
     kraus = ch.self_complementary_qubit(1, 0.0, 0.0)
-    psi = ch.choi_from_kraus(kraus)
-    n_ok = 0
-    for _ in range(20):
-        theta = ch.random_channel(2, 2, rng, dim_env=4)
-        phi = ch.compose_choi(psi, theta)
-        crep = an.check_compatibility(psi, phi, TIGHT)
-        drep = an.check_divisibility(psi, phi, TIGHT)
-        if crep.status is Status.FEASIBLE and drep.status is Status.FEASIBLE:
-            n_ok += 1
+    steps, _ = pipelines.corollary(kraus, np.random.default_rng(909), 20, TIGHT)
+    n_ok = len(feasible_trials(steps, "compatible") & feasible_trials(steps, "divisible"))
     elapsed = time.time() - t0
     ok = n_ok == 20 and elapsed < 300.0
     report(
@@ -239,24 +211,8 @@ def test_criterion_09_self_degradable_equivalence_at_dephasing_point():
 
 def test_criterion_10_antidegradability_from_compat_and_div():
     t0 = time.time()
-    rng = np.random.default_rng(1010)
-    n_ok = 0
-    for _ in range(20):
-        kraus = ch.self_complementary_qubit(
-            1, float(rng.uniform(0, np.pi)), float(rng.uniform(0, 2 * np.pi))
-        )
-        psi = ch.choi_from_kraus(kraus)
-        theta0 = ch.random_channel(2, 2, rng, dim_env=4)
-        phi = ch.compose_choi(psi, theta0)
-        div = an.check_divisibility(psi, phi, TIGHT)
-        compat = an.check_compatibility(psi, phi, TIGHT)
-        if div.status is not Status.FEASIBLE or compat.status is not Status.FEASIBLE:
-            continue
-        swapped = ch.swap_output(compat.compatibilizer, 2, 2)
-        phi_c, theta_be, _ = an.postprocessing_from_compatibilizer(swapped, 2, 2)
-        anti = an.antidegrading_map_from_compat_and_div(div.quotient, theta_be)
-        if an.basis_deviation(ch.compose_choi(phi_c, anti), phi) < 1e-7:
-            n_ok += 1
+    steps, _ = pipelines.prop1(np.random.default_rng(1010), 20, TIGHT)
+    n_ok = len(feasible_trials(steps, "antidegrading"))
     elapsed = time.time() - t0
     ok = n_ok == 20 and elapsed < 300.0
     report(
@@ -268,21 +224,9 @@ def test_criterion_10_antidegradability_from_compat_and_div():
 
 def test_criterion_11_no_catalysis():
     t0 = time.time()
-    rng = np.random.default_rng(1111)
     config = SolverConfig(eps_feas=1e-9, max_iter=40000)
-    n_ok = 0
-    for _ in range(10):
-        kraus = ch.random_kraus(2, 2, 2, rng)
-        psi = ch.choi_from_kraus(kraus)
-        theta = ch.random_channel(kraus.dim_env, 2, rng, dim_env=2 * kraus.dim_env)
-        phi = ch.compose_choi(ch.complementary(kraus), theta)
-        chi = ch.choi_from_kraus(ch.random_measure_prepare(2, rng))
-        rep = an.verify_no_catalysis(psi, phi, chi, config)
-        if (
-            rep.tensored.status is Status.FEASIBLE
-            and max(rep.marginal_residual_b, rep.marginal_residual_c) < 1e-8
-        ):
-            n_ok += 1
+    steps, _ = pipelines.nocatalysis(np.random.default_rng(1111), 10, config)
+    n_ok = len(feasible_trials(steps, "reduction"))
     id2 = ch.identity(2)
     neg = an.verify_no_catalysis(id2, id2, id2, DECIDE)
     elapsed = time.time() - t0
@@ -337,9 +281,7 @@ def _matrix_units(d):
 def test_criterion_13_family_of_powers():
     t0 = time.time()
     psi = ch.random_channel(2, 2, np.random.default_rng(1313), dim_env=2)
-    family = [psi]
-    for _ in range(3):
-        family.append(ch.compose_choi(family[-1], psi))
+    family = pipelines.power_family(psi, 4)
     reports = an.check_family_divisibility(family, TIGHT)
     dists = [
         ch.choi_distance(rep.quotient, psi) if rep.quotient is not None else np.inf

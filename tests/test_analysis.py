@@ -53,8 +53,8 @@ def test_example2_pair_is_compatible():
     assert max(rep.marginal_residual_b, rep.marginal_residual_c) < 1e-7
     # the analytic product compatibilizer satisfies the marginal equations
     # without any solver involvement
-    res_b = an.marginal_deviation(compat, psi, (2, 2), keep=0)
-    res_c = an.marginal_deviation(compat, phi, (2, 2), keep=1)
+    res_b = ch.choi_distance(ch.output_marginal(compat, (2, 2), (0,)), psi)
+    res_c = ch.choi_distance(ch.output_marginal(compat, (2, 2), (1,)), phi)
     assert max(res_b, res_c) < 1e-10
 
 
@@ -224,20 +224,21 @@ def test_compatibilizer_from_postprocessing_marginals():
     psi_c = ch.complementary(kraus)
     # identity post-processing: marginals are psi and psi_c exactly
     built = an.compatibilizer_from_postprocessing(kraus, ch.identity(kraus.dim_env))
-    assert an.marginal_deviation(built, psi, (2, kraus.dim_env), keep=0) < 1e-9
-    assert an.marginal_deviation(built, psi_c, (2, kraus.dim_env), keep=1) < 1e-9
+    assert ch.choi_distance(ch.output_marginal(built, (2, kraus.dim_env), (0,)), psi) < 1e-9
+    assert ch.choi_distance(ch.output_marginal(built, (2, kraus.dim_env), (1,)), psi_c) < 1e-9
     # constant post-processing: second marginal is the constant channel
     sigma = np.array([[0.6, 0.0], [0.0, 0.4]], dtype=complex)
     const = ch.constant_channel(sigma, kraus.dim_env)
     built = an.compatibilizer_from_postprocessing(kraus, const)
-    assert an.marginal_deviation(built, psi, (2, 2), keep=0) < 1e-9
-    assert an.marginal_deviation(built, ch.constant_channel(sigma, 2), (2, 2), keep=1) < 1e-9
+    assert ch.choi_distance(ch.output_marginal(built, (2, 2), (0,)), psi) < 1e-9
+    const_2 = ch.constant_channel(sigma, 2)
+    assert ch.choi_distance(ch.output_marginal(built, (2, 2), (1,)), const_2) < 1e-9
     # random post-processing
     theta = ch.random_channel(kraus.dim_env, 2, rng, dim_env=4)
     built = an.compatibilizer_from_postprocessing(kraus, theta)
     phi = ch.compose_choi(psi_c, theta)
-    assert an.marginal_deviation(built, psi, (2, 2), keep=0) < 1e-9
-    assert an.marginal_deviation(built, phi, (2, 2), keep=1) < 1e-9
+    assert ch.choi_distance(ch.output_marginal(built, (2, 2), (0,)), psi) < 1e-9
+    assert ch.choi_distance(ch.output_marginal(built, (2, 2), (1,)), phi) < 1e-9
 
 
 def test_quotient_via_degradability():
@@ -249,7 +250,7 @@ def test_quotient_via_degradability():
     theta = ch.random_channel(2, 2, rng, dim_env=4)
     phi = ch.compose_choi(psi_c, theta)
     quotient = an.quotient_via_degradability(psi, psi_c, lam, theta)
-    assert an.basis_deviation(ch.compose_choi(psi, quotient), phi) < 1e-8
+    assert ch.choi_distance(ch.compose_choi(psi, quotient), phi) < 1e-8
     # constant theta gives a constant quotient
     sigma = np.eye(2, dtype=complex) / 2
     const = ch.constant_channel(sigma, 2)
@@ -274,8 +275,8 @@ def test_compatibilizer_via_antidegradability():
     theta_cb = ch.random_channel(2, 2, rng, dim_env=4)
     phi = ch.compose_choi(psi, theta_cb)
     built = an.compatibilizer_via_antidegradability(kraus, anti.degrading, theta_cb)
-    assert an.marginal_deviation(built, psi, (2, 2), keep=0) < 1e-8
-    assert an.marginal_deviation(built, phi, (2, 2), keep=1) < 1e-8
+    assert ch.choi_distance(ch.output_marginal(built, (2, 2), (0,)), psi) < 1e-8
+    assert ch.choi_distance(ch.output_marginal(built, (2, 2), (1,)), phi) < 1e-8
 
 
 def test_antidegrading_map_composition():
@@ -306,7 +307,7 @@ def test_prop1_pipeline_on_self_complementary_instance():
     swapped = ch.swap_output(compat.compatibilizer, 2, 2)
     phi_c, theta_be, _ = an.postprocessing_from_compatibilizer(swapped, 2, 2)
     anti = an.antidegrading_map_from_compat_and_div(div.quotient, theta_be)
-    assert an.basis_deviation(ch.compose_choi(phi_c, anti), phi) < 1e-7
+    assert ch.choi_distance(ch.compose_choi(phi_c, anti), phi) < 1e-7
 
 
 def test_family_divisibility_powers():

@@ -95,10 +95,8 @@ def test_reloaded_witness_meets_reported_residuals(tmp_path, capsys):
     witness, _ = io.channel_from_json(doc["witness"], atol=1e-6)
     psi, _, _ = io.load_channel(f"{stem}.psi.json")
     phi, _, _ = io.load_channel(f"{stem}.phi.json")
-    from chancompat import analysis as an
-
-    res_b = an.marginal_deviation(witness, psi, (2, 2), keep=0)
-    res_c = an.marginal_deviation(witness, phi, (2, 2), keep=1)
+    res_b = ch.choi_distance(ch.output_marginal(witness, (2, 2), (0,)), psi)
+    res_c = ch.choi_distance(ch.output_marginal(witness, (2, 2), (1,)), phi)
     assert max(res_b, res_c) <= doc["residuals"]["verification"] + 1e-12
 
 
@@ -300,3 +298,36 @@ def test_verify_reports_solver_iterations(tmp_path, capsys):
     _, doc = run(capsys, "verify", "family", id_path, id_path, id_path, "--quiet")
     assert [s["iterations"] for s in doc["steps"]] == [1, 1]
     assert doc["iterations"] == 2
+
+
+PIPELINE_STEP_KINDS = {
+    "thm1": ["reverse", "forward"],
+    "thm2i": ["degradable", "divisible", "quotient"],
+    "thm2ii": ["antidegradable", "compatible", "construction"],
+    "prop1": ["antidegrading"],
+    "nocatalysis": ["reduction"],
+}
+
+
+@pytest.mark.parametrize("pipeline", PIPELINE_STEP_KINDS)
+def test_verify_pipeline_single_trial(capsys, pipeline):
+    code, doc = run(capsys, "verify", pipeline, "--seed", "17", "--trials", "1", "--quiet")
+    assert code == 0 and doc["status"] == "feasible"
+    assert [s["name"] for s in doc["steps"]] == [f"{k}-0" for k in PIPELINE_STEP_KINDS[pipeline]]
+    assert all(s["status"] == "feasible" for s in doc["steps"])
+    assert doc["iterations"] == sum(s.get("iterations", 0) for s in doc["steps"])
+
+
+def test_verify_survives_reload_of_checks():
+    # A reload re-creates Status; pipelines must not keep the class they
+    # saw at import, or every comparison with a fresh verdict fails.
+    code = (
+        "import importlib\n"
+        "from chancompat import analysis, cli, feasibility\n"
+        "for module in (feasibility, analysis, cli):\n"
+        "    importlib.reload(module)\n"
+        "raise SystemExit(cli.main(['verify', 'thm2i', '--trials', '1', '--quiet']))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert json.loads(proc.stdout)["status"] == "feasible"

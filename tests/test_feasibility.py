@@ -108,7 +108,7 @@ def test_iteration_limit_status():
     rows = np.array([x00, re_x01])
     cons = AffineConstraintSet(2, rows, np.array([0.0, 1.0]))
     rep = solve(cons, SolverConfig(max_iter=50))
-    assert rep.status is Status.ITERATION_LIMIT
+    assert rep.status is Status.INCONCLUSIVE
     assert rep.stop_reason == "iteration-cap"
     assert rep.iterations == 50
     assert rep.solution is None and rep.certificate is None
