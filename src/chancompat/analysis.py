@@ -18,6 +18,8 @@ certificate is reported as inconclusive.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
+from itertools import islice
 from typing import Callable, Sequence
 
 import numpy as np
@@ -25,7 +27,7 @@ import numpy as np
 from . import channels as ch
 from .channels import Channel, KrausSet
 from .feasibility import AffineConstraintSet, FeasibilityReport, SolverConfig, Status, solve
-from .linalg import dag, frob, hermitian_basis, partial_trace, vectorize_hermitian
+from .linalg import dag, frob, hermitian_basis, partial_trace_adjoint, vectorize_hermitian
 
 __all__ = [
     "CompatReport",
@@ -53,6 +55,9 @@ __all__ = [
 # Largest Choi distance accepted from a (anti-)degrading witness before a
 # construction is built on it.
 _WITNESS_TOL = 1e-7
+# Constraint rows are assembled in chunks of at most this many matrix
+# entries, which bounds the temporaries alive next to the constraint matrix.
+_CHUNK_ENTRIES = 1 << 13
 
 
 # ---------------------------------------------------------------------------
@@ -106,16 +111,25 @@ def build_constraints(
 ) -> AffineConstraintSet:
     """Assemble an affine system L_k(X) = T_k over Hermitian dim x dim X.
 
-    Each spec is a pair (map, target) where the map is Hermitian-linear. Its
-    matrix in vectorized coordinates is built column by column on the
-    orthonormal Hermitian basis, so ``M vec(X)`` evaluates every map exactly
-    by linearity.
+    Each spec is a pair (adjoint, target) for a Hermitian-preserving linear
+    map L_k. The adjoint takes a stack ``(n, m, m)`` of Hermitian operators
+    on the target's space to the stack ``(n, dim, dim)`` of their images
+    under L_k*. Rows are built on the orthonormal Hermitian basis B_j of the
+    target's (small) space: ``<B_j, L(X)> = <L*(B_j), X>``, so the row is
+    ``vec(L*(B_j))`` and ``M vec(X)`` evaluates every map exactly by
+    linearity. The basis is consumed as an iterable, in chunks.
     """
     targets = [np.asarray(t) for _, t in specs]
-    rows = sum(t.shape[0] ** 2 for t in targets)
-    m = np.empty((rows, dim * dim))
-    for col, basis_elem in enumerate(hermitian_basis(dim)):
-        m[:, col] = np.concatenate([vectorize_hermitian(fn(basis_elem)) for fn, _ in specs])
+    cols = dim * dim
+    m = np.empty((sum(t.shape[0] ** 2 for t in targets), cols))
+    row = 0
+    for (adjoint, _), target in zip(specs, targets):
+        chunk = max(1, _CHUNK_ENTRIES // max(cols, target.size))
+        basis = iter(hermitian_basis(target.shape[0]))
+        while block := list(islice(basis, chunk)):
+            m[row : row + len(block)] = vectorize_hermitian(adjoint(np.stack(block)))
+            row += len(block)
+        del basis  # the basis stack need not outlive assembly into the pinv
     b = np.concatenate([vectorize_hermitian(t) for t in targets])
     return AffineConstraintSet(dim, m, b)
 
@@ -162,14 +176,18 @@ def _compat_support(psi: Channel, phi: Channel) -> np.ndarray | None:
 def _solve_on_support(
     side: int,
     specs: Sequence[tuple[Callable[[np.ndarray], np.ndarray], np.ndarray]],
-    support: np.ndarray | None,
+    frame: np.ndarray | None,
     config: SolverConfig,
 ) -> FeasibilityReport:
-    """Solve the PSD-affine system, optionally restricted to a forced support."""
-    if support is None or support.shape[1] == side:
+    """Solve the PSD-affine system, optionally restricted to a forced support.
+
+    With an isometry ``frame`` U the variable is Y in ``X = U Y U^dag``, a
+    change of variables: the adjoints in ``specs`` must already map into Y's
+    space (for instance :func:`partial_trace_adjoint` given the same frame).
+    """
+    if frame is None:
         return solve(build_constraints(side, specs), config)
-    u = support
-    if u.shape[1] == 0:
+    if frame.shape[1] == 0:
         # Only the zero operator is admissible; measure its residual directly.
         r = float(np.linalg.norm(np.concatenate([vectorize_hermitian(t) for _, t in specs])))
         if r < config.eps_feas:
@@ -182,11 +200,9 @@ def _solve_on_support(
             else Status.INCONCLUSIVE
         )
         return FeasibilityReport(status, None, r, 0.0, 0, "empty-support")
-    udag = u.conj().T
-    reduced = [(lambda y, fn=fn: fn(u @ y @ udag), t) for fn, t in specs]
-    report = solve(build_constraints(u.shape[1], reduced), config)
+    report = solve(build_constraints(frame.shape[1], specs), config)
     if report.solution is not None:
-        report = replace(report, solution=u @ report.solution @ udag)
+        report = replace(report, solution=frame @ report.solution @ dag(frame))
     return report
 
 
@@ -221,11 +237,12 @@ def check_compatibility(
     da, db, dc = psi.dim_in, psi.dim_out, phi.dim_out
     dims = (da, db, dc)
     side = da * db * dc
+    frame = _compat_support(psi, phi)
     specs = [
-        (lambda x: partial_trace(x, dims, keep=(0, 1)), psi.choi),
-        (lambda x: partial_trace(x, dims, keep=(0, 2)), phi.choi),
+        (partial(partial_trace_adjoint, dims=dims, keep=(0, 1), frame=frame), psi.choi),
+        (partial(partial_trace_adjoint, dims=dims, keep=(0, 2), frame=frame), phi.choi),
     ]
-    report = _solve_on_support(side, specs, _compat_support(psi, phi), config)
+    report = _solve_on_support(side, specs, frame, config)
     if report.status is not Status.FEASIBLE:
         return CompatReport(report.status, None, None, None, report)
     witness = Channel(da, db * dc, report.solution)
@@ -246,17 +263,11 @@ def check_divisibility(
     ch.validate_channel(psi, atol=ch.EPS_EQ, name="psi")
     ch.validate_channel(phi, atol=ch.EPS_EQ, name="phi")
     db, dc = psi.dim_out, phi.dim_out
-    side = db * dc
-
-    def compose_with_psi(x: np.ndarray) -> np.ndarray:
-        theta = Channel(db, dc, x)
-        return ch.compose_choi(psi, theta).choi
-
     constraints = build_constraints(
-        side,
+        db * dc,
         [
-            (lambda x: partial_trace(x, (db, dc), keep=(0,)), np.eye(db, dtype=complex)),
-            (compose_with_psi, phi.choi),
+            (partial(partial_trace_adjoint, dims=(db, dc), keep=(0,)), np.eye(db, dtype=complex)),
+            (partial(ch.compose_choi_adjoint, psi), phi.choi),
         ],
     )
     report = solve(constraints, config)

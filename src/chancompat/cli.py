@@ -354,17 +354,36 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _usage_error(args: argparse.Namespace) -> str | None:
+    """Argument combinations the parser cannot reject by itself: wrong file
+    counts, and ``verify`` runs that would check nothing and so report a
+    vacuous success."""
+    if args.command == "check":
+        need = 2 if args.what in ("compat", "div") else 1
+        if len(args.channels) != need:
+            return f"check {args.what} takes {need} channel file(s)"
+    elif args.command == "verify":
+        if args.pipeline != "family":
+            if args.trials < 1:
+                return "verify --trials must be at least 1"
+        elif args.inputs:
+            if len(args.inputs) < 2:
+                return "verify family takes at least 2 channel files"
+        elif args.steps < 2:
+            return "verify family --steps must be at least 2"
+    return None
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     for key, value in _GLOBAL_DEFAULTS.items():
         if not hasattr(args, key):
             setattr(args, key, value)
-    if args.command == "check":
-        need = 2 if args.what in ("compat", "div") else 1
-        if len(args.channels) != need:
-            print(f"error: check {args.what} takes {need} channel file(s)", file=sys.stderr)
-            return 3
+    problem = _usage_error(args)
+    if problem is not None:
+        print(f"error: {problem}", file=sys.stderr)
+        return 3
     try:
         return args.func(args)
     except (io.LoadError, ValueError, OSError) as exc:

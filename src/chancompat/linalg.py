@@ -21,6 +21,7 @@ __all__ = [
     "dag",
     "kron",
     "partial_trace",
+    "partial_trace_adjoint",
     "partial_transpose",
     "project_psd",
     "vectorize_hermitian",
@@ -77,6 +78,53 @@ def partial_trace(x: np.ndarray, dims: Sequence[int], keep: Iterable[int]) -> np
     return t.reshape(side, side)
 
 
+def partial_trace_adjoint(
+    y: np.ndarray,
+    dims: Sequence[int],
+    keep: Iterable[int],
+    frame: np.ndarray | None = None,
+) -> np.ndarray:
+    """Adjoint of :func:`partial_trace`: Y (x) I on the traced subsystems.
+
+    ``y`` may carry leading batch axes: ``(..., k, k)`` with ``k`` the product
+    of the kept dimensions, factors in sorted ``keep`` order. The identity
+    factors are placed back at the traced positions of ``dims``. With an
+    isometry ``frame`` U (``side x r``, orthonormal columns) the result is
+    ``U^dag (Y (x) I) U``, the adjoint of ``X -> partial_trace(U X U^dag)``,
+    computed with two matmuls and never forming a ``side x side`` matrix.
+    """
+    dims = tuple(int(d) for d in dims)
+    n = len(dims)
+    keep = sorted(set(keep))
+    if any(k < 0 or k >= n for k in keep):
+        raise ValueError(f"keep indices {keep} out of range for {n} subsystems")
+    traced = [i for i in range(n) if i not in keep]
+    k_side = int(np.prod([dims[i] for i in keep]))
+    t_side = int(np.prod([dims[i] for i in traced]))
+    y = np.asarray(y)
+    lead = y.shape[:-2]
+    if y.shape[-2:] != (k_side, k_side):
+        raise ValueError(f"matrix shape {y.shape[-2:]} does not match kept dims")
+    order = keep + traced
+    if frame is not None:
+        u = np.asarray(frame)
+        r = u.shape[1]
+        if u.shape[0] != k_side * t_side:
+            raise ValueError(f"frame shape {u.shape} does not match subsystem dims {dims}")
+        # Rows of U in (kept, traced) order: U[(k, t), q].
+        u = u.reshape(*dims, r).transpose(*order, n).reshape(k_side * t_side, r)
+        w = (y @ u.reshape(k_side, t_side * r)).reshape(*lead, k_side * t_side, r)
+        return dag(u) @ w
+    z = y[..., :, None, :, None] * np.eye(t_side)[:, None, :]
+    side = k_side * t_side
+    sub = [dims[i] for i in order]
+    z = z.reshape(*lead, *sub, *sub)
+    inverse = [order.index(i) for i in range(n)]
+    lb = len(lead)
+    axes = [*range(lb), *(lb + i for i in inverse), *(lb + n + i for i in inverse)]
+    return z.transpose(axes).reshape(*lead, side, side)
+
+
 def partial_transpose(x: np.ndarray, dims: Sequence[int], subsystem: int) -> np.ndarray:
     """Transpose the indices of one subsystem only; involutive."""
     x, side = _check_square(x, dims)
@@ -129,18 +177,20 @@ def vectorize_hermitian(x: np.ndarray) -> np.ndarray:
 
     Uses an orthonormal basis of the Hermitian space: diagonal matrix units,
     then symmetric and antisymmetric off-diagonal pairs scaled by 1/sqrt(2),
-    so Frobenius norms map to Euclidean norms exactly.
+    so Frobenius norms map to Euclidean norms exactly. Leading batch axes are
+    kept: a ``(..., d, d)`` stack gives ``(..., d^2)`` coordinates.
     """
     x = np.asarray(x)
-    d = x.shape[0]
+    d = x.shape[-1]
     diag, upper, _ = _hermitian_indices(d)
-    flat = x.reshape(-1)
-    out = np.empty(d * d)
-    out[:d] = np.real(flat[diag])
+    lead = x.shape[:-2]
+    flat = x.reshape(*lead, d * d)
+    out = np.empty((*lead, d * d))
+    out[..., :d] = np.real(flat[..., diag])
     m = upper.size
-    off = flat[upper]
-    out[d : d + m] = _SQRT2 * np.real(off)
-    out[d + m :] = _SQRT2 * np.imag(off)
+    off = flat[..., upper]
+    out[..., d : d + m] = _SQRT2 * np.real(off)
+    out[..., d + m :] = _SQRT2 * np.imag(off)
     return out
 
 
@@ -160,13 +210,18 @@ def devectorize_hermitian(v: np.ndarray) -> np.ndarray:
     return x.reshape(d, d)
 
 
-def hermitian_basis(d: int) -> Iterable[np.ndarray]:
-    """Orthonormal Hermitian basis in the :func:`vectorize_hermitian` order."""
-    e = np.zeros(d * d)
-    for k in range(d * d):
-        e[k] = 1.0
-        yield devectorize_hermitian(e)
-        e[k] = 0.0
+def hermitian_basis(d: int) -> np.ndarray:
+    """Orthonormal Hermitian basis in the :func:`vectorize_hermitian` order,
+    as a ``(d^2, d, d)`` stack: element k is ``devectorize_hermitian(e_k)``."""
+    diag, upper, lower = _hermitian_indices(d)
+    m = upper.size
+    out = np.zeros((d * d, d * d), dtype=complex)
+    out[np.arange(d), diag] = 1.0
+    sym = np.arange(d, d + m)
+    out[sym, upper] = out[sym, lower] = 1.0 / _SQRT2
+    out[sym + m, upper] = 1j / _SQRT2
+    out[sym + m, lower] = -1j / _SQRT2
+    return out.reshape(d * d, d, d)
 
 
 def swap_unitary(d_first: int, d_second: int) -> np.ndarray:

@@ -1,10 +1,12 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
 from chancompat import analysis as an
 from chancompat import channels as ch
 from chancompat.feasibility import SolverConfig, Status
-from chancompat.linalg import frob, hermitian_basis, partial_trace, vectorize_hermitian
+from chancompat.linalg import frob, partial_trace, partial_trace_adjoint, vectorize_hermitian
 
 TIGHT = SolverConfig(eps_feas=1e-10, max_iter=50000)
 
@@ -15,7 +17,8 @@ def example2_pair():
 
 def test_constraint_builder_matches_direct_evaluation():
     # M vec(X) must evaluate the declared linear maps exactly, for maps of
-    # both marginal and composition type.
+    # both marginal and composition type. Constraints are declared by their
+    # adjoints; the check runs the forward maps.
     rng = np.random.default_rng(0)
     psi = ch.random_channel(2, 2, rng)
     dims = (2, 2, 2)
@@ -26,8 +29,10 @@ def test_constraint_builder_matches_direct_evaluation():
     def compose(x):
         return ch.compose_choi(psi, ch.Channel(2, 2, x)).choi
 
-    cons_m = an.build_constraints(8, [(marg, np.zeros((4, 4)))])
-    cons_c = an.build_constraints(4, [(compose, np.zeros((4, 4)))])
+    marg_adjoint = partial(partial_trace_adjoint, dims=dims, keep=(0, 1))
+    compose_adjoint = partial(ch.compose_choi_adjoint, psi)
+    cons_m = an.build_constraints(8, [(marg_adjoint, np.zeros((4, 4)))])
+    cons_c = an.build_constraints(4, [(compose_adjoint, np.zeros((4, 4)))])
     for _ in range(5):
         g = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
         x = 0.5 * (g + g.conj().T)

@@ -175,6 +175,31 @@ def test_usage_errors_exit_three(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "thm1", "--trials", "0"],
+        ["verify", "thm1", "--trials", "-3"],
+        ["verify", "family", "--steps", "1"],
+    ],
+)
+def test_vacuous_verify_is_rejected(capsys, argv):
+    # A run that checks nothing must not report success.
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def test_verify_family_needs_two_files(tmp_path, capsys):
+    id_path = str(tmp_path / "id2.json")
+    main(["make", "identity", "--dim", "2", "-o", id_path])
+    capsys.readouterr()
+    assert main(["verify", "family", id_path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
 def test_quiet_flag_position_independent(tmp_path, capsys):
     id_path = str(tmp_path / "id2.json")
     main(["make", "identity", "--dim", "2", "-o", id_path])

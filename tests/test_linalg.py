@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from chancompat.linalg import (
     hermitian_basis,
     kron,
     partial_trace,
+    partial_trace_adjoint,
     partial_transpose,
     project_psd,
     swap_unitary,
@@ -180,6 +183,66 @@ def test_hermitian_basis_is_orthonormal():
         for j, b in enumerate(basis):
             ip = np.trace(dag(a) @ b).real
             assert abs(ip - (1.0 if i == j else 0.0)) < 1e-13
+
+
+def test_hermitian_basis_is_the_devectorized_unit_basis():
+    for d in (1, 2, 3, 5):
+        basis = hermitian_basis(d)
+        assert basis.shape == (d * d, d, d)
+        for k, elem in enumerate(basis):
+            e = np.zeros(d * d)
+            e[k] = 1.0
+            assert np.array_equal(elem, devectorize_hermitian(e))
+
+
+def test_vectorize_keeps_batch_axes():
+    rng = np.random.default_rng(11)
+    stack = np.array([[random_hermitian(3, rng) for _ in range(4)] for _ in range(2)])
+    out = vectorize_hermitian(stack)
+    assert out.shape == (2, 4, 9)
+    for i in range(2):
+        for j in range(4):
+            assert np.array_equal(out[i, j], vectorize_hermitian(stack[i, j]))
+
+
+def _random_isometry(side, r, rng):
+    g = rng.standard_normal((side, r)) + 1j * rng.standard_normal((side, r))
+    return np.linalg.qr(g)[0]
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 2), (3, 3, 3)])
+@pytest.mark.parametrize("framed", [False, True])
+def test_partial_trace_adjoint_identity(dims, framed):
+    # Re Tr(Y^dag L(X)) = Re Tr(L*(Y)^dag X) for every choice of kept
+    # subsystems, with L(X) = Tr(U X U^dag) when a frame U is given.
+    rng = np.random.default_rng(sum(dims) + framed)
+    side = int(np.prod(dims))
+    frame = _random_isometry(side, side // 2 + 1, rng) if framed else None
+    dim_x = frame.shape[1] if framed else side
+    for r in range(len(dims) + 1):
+        for keep in itertools.combinations(range(len(dims)), r):
+            k_side = int(np.prod([dims[i] for i in keep]))
+            for _ in range(3):
+                x = random_hermitian(dim_x, rng)
+                y = random_hermitian(k_side, rng)
+                full = frame @ x @ dag(frame) if framed else x
+                lhs = np.trace(dag(y) @ partial_trace(full, dims, keep)).real
+                adj = partial_trace_adjoint(y, dims, keep, frame=frame)
+                assert adj.shape == (dim_x, dim_x)
+                assert abs(lhs - np.trace(dag(adj) @ x).real) < 1e-12
+
+
+def test_partial_trace_adjoint_is_kron_with_identity():
+    rng = np.random.default_rng(12)
+    a = random_hermitian(2, rng)
+    # Keeping subsystem 1 of (3, 2): the identity goes on the left.
+    assert np.allclose(partial_trace_adjoint(a, (3, 2), (1,)), kron(np.eye(3), a), atol=1e-15)
+    stack = np.array([random_hermitian(2, rng) for _ in range(3)])
+    out = partial_trace_adjoint(stack, (2, 3), (0,))
+    for k in range(3):
+        assert np.allclose(out[k], kron(stack[k], np.eye(3)), atol=1e-15)
+    with pytest.raises(ValueError):
+        partial_trace_adjoint(np.eye(3), (2, 3), (0,))
 
 
 def test_swap_unitary_moves_factors():
