@@ -6,13 +6,13 @@ every feasible verdict returns a witness channel that is re-verified through
 channel operations alone (never through solver internals), as a Choi
 Frobenius distance. The paper's pipelines, which chain these checks and
 constructions on sampled instances, are in :mod:`chancompat.pipelines`.
-Infeasible verdicts come in two kinds, told apart by the solver report's
-``stop_reason``: certified (``"certificate"``: the report's Farkas multipliers
-prove, through :func:`chancompat.feasibility.certificate_bound`, that every
-candidate misses the constraints by at least ten times the tolerance) and the
-uncertified ``"empty-support"`` shortcut, taken when the forced support leaves
-only the zero operator. A solve that stalls on a residual plateau without a
-certificate is reported as inconclusive.
+Every infeasible verdict comes from the solver with a certificate
+(``stop_reason`` ``"certificate"``): the report's Farkas multipliers prove,
+through :func:`chancompat.feasibility.certificate_bound`, that every
+candidate misses the constraints by at least ten times the tolerance. That
+holds also when the forced support leaves only the zero operator: the solver
+then runs on a system with no coordinates. A solve that stalls on a residual
+plateau without a certificate is reported as inconclusive.
 """
 
 from __future__ import annotations
@@ -73,6 +73,13 @@ class CompatReport:
     marginal_residual_c: float | None
     solver: FeasibilityReport
 
+    @property
+    def marginal_residual(self) -> float | None:
+        """The worse of the two marginal distances; ``None`` without a witness."""
+        if self.marginal_residual_b is None:
+            return None
+        return max(self.marginal_residual_b, self.marginal_residual_c)
+
 
 @dataclass(frozen=True)
 class DivReport:
@@ -123,7 +130,8 @@ def build_constraints(
     cols = dim * dim
     m = np.empty((sum(t.shape[0] ** 2 for t in targets), cols))
     row = 0
-    for (adjoint, _), target in zip(specs, targets):
+    # A variable with no coordinates leaves no entries to fill.
+    for (adjoint, _), target in zip(specs if cols else (), targets):
         chunk = max(1, _CHUNK_ENTRIES // max(cols, target.size))
         basis = iter(hermitian_basis(target.shape[0]))
         while block := list(islice(basis, chunk)):
@@ -134,10 +142,12 @@ def build_constraints(
     return AffineConstraintSet(dim, m, b)
 
 
-def _kernel_columns(mat: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+def _kernel_columns(mat: np.ndarray) -> np.ndarray:
+    """Orthonormal eigenvectors of the Hermitian part whose eigenvalues are
+    below ``1e-9 * max(1, largest eigenvalue)``."""
     h = 0.5 * (mat + dag(mat))
     w, v = np.linalg.eigh(h)
-    cut = tol * max(1.0, float(w[-1]))
+    cut = 1e-9 * max(1.0, float(w[-1]))
     return v[:, w < cut]
 
 
@@ -146,31 +156,20 @@ def _compat_support(psi: Channel, phi: Channel) -> np.ndarray | None:
 
     A positive semidefinite operator whose partial trace has a kernel vector
     must itself annihilate that vector tensored with anything on the traced
-    factor. Restricting the search variable to the complement of the forced
-    null space turns the rank-deficient instances (whose feasible set lies
-    entirely on the cone boundary, stalling alternating projections) into
+    factor. With ``P`` the projector onto the kernel of each Choi operator,
+    the forced null space is the range of ``Tr_C*(P_psi) + Tr_B*(P_phi)``, so
+    the support is that operator's kernel. Restricting the search variable to
+    it turns the rank-deficient instances (whose feasible set lies entirely
+    on the cone boundary, stalling alternating projections) into
     well-conditioned ones. Returns ``None`` when nothing is forced.
     """
-    da, db, dc = psi.dim_in, psi.dim_out, phi.dim_out
-    null_cols = []
-    for col in _kernel_columns(psi.choi).T:
-        block = col.reshape(da, db)
-        for c in range(dc):
-            w = np.zeros((da, db, dc), dtype=complex)
-            w[:, :, c] = block
-            null_cols.append(w.reshape(-1))
-    for col in _kernel_columns(phi.choi).T:
-        block = col.reshape(da, dc)
-        for b_idx in range(db):
-            w = np.zeros((da, db, dc), dtype=complex)
-            w[:, b_idx, :] = block
-            null_cols.append(w.reshape(-1))
-    if not null_cols:
+    dims = (psi.dim_in, psi.dim_out, phi.dim_out)
+    k_psi, k_phi = _kernel_columns(psi.choi), _kernel_columns(phi.choi)
+    if k_psi.shape[1] + k_phi.shape[1] == 0:
         return None
-    n = np.column_stack(null_cols)
-    u, s, _ = np.linalg.svd(n, full_matrices=True)
-    rank = int(np.count_nonzero(s > 1e-10 * s[0]))
-    return u[:, rank:]
+    forced = partial_trace_adjoint(k_psi @ dag(k_psi), dims, keep=(0, 1))
+    forced += partial_trace_adjoint(k_phi @ dag(k_phi), dims, keep=(0, 2))
+    return _kernel_columns(forced)
 
 
 def _solve_on_support(
@@ -187,19 +186,6 @@ def _solve_on_support(
     """
     if frame is None:
         return solve(build_constraints(side, specs), config)
-    if frame.shape[1] == 0:
-        # Only the zero operator is admissible; measure its residual directly.
-        r = float(np.linalg.norm(np.concatenate([vectorize_hermitian(t) for _, t in specs])))
-        if r < config.eps_feas:
-            return FeasibilityReport(
-                Status.FEASIBLE, np.zeros((side, side), dtype=complex), r, 0.0, 0, "empty-support"
-            )
-        status = (
-            Status.NOT_FEASIBLE_AT_TOLERANCE
-            if r >= 10.0 * config.eps_feas
-            else Status.INCONCLUSIVE
-        )
-        return FeasibilityReport(status, None, r, 0.0, 0, "empty-support")
     report = solve(build_constraints(frame.shape[1], specs), config)
     if report.solution is not None:
         report = replace(report, solution=frame @ report.solution @ dag(frame))

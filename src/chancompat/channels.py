@@ -198,20 +198,20 @@ def choi_from_kraus(k: KrausSet, atol: float = EPS_TP) -> Channel:
     return Channel(k.dim_in, k.dim_out, j)
 
 
-def kraus_from_choi(c: Channel, eps_rank: float = EPS_RANK, eps_psd: float = EPS_PSD) -> KrausSet:
+def kraus_from_choi(c: Channel) -> KrausSet:
     """Canonical Kraus set from the Choi eigendecomposition.
 
-    Eigenpairs with eigenvalue above ``eps_rank`` are kept; a negative
-    eigenvalue below ``-eps_psd`` means the map is not completely positive
+    Eigenpairs with eigenvalue above ``EPS_RANK`` are kept; a negative
+    eigenvalue below ``-EPS_PSD`` means the map is not completely positive
     and raises.
     """
     h = 0.5 * (c.choi + dag(c.choi))
     w, v = np.linalg.eigh(h)
-    if w[0] < -eps_psd:
+    if w[0] < -EPS_PSD:
         raise ValueError(f"Choi operator has negative eigenvalue {w[0]:.3e}")
     ops = []
     for lam, vec in zip(w, v.T):
-        if lam > eps_rank:
+        if lam > EPS_RANK:
             ops.append(np.sqrt(lam) * vec.reshape(c.dim_in, c.dim_out).T)
     if not ops:
         raise ValueError("Choi operator has no eigenvalue above the rank threshold")

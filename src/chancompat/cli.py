@@ -6,11 +6,10 @@ or 3 (input/usage error); the report's ``status`` is the value of the
 :class:`~chancompat.feasibility.Status` that decides the exit code. Human
 diagnostics go to stderr. ``verify`` runs a pipeline of
 :mod:`chancompat.pipelines` and serializes its step records. Reports of solver
-checks say why the solver stopped. A not-feasible verdict from the solver is
-always certified: the report carries the Farkas multipliers and the residual
-lower bound they prove. A solve that stalls on a residual plateau without a
-certificate is inconclusive. The one uncertified not-feasible verdict, an
-empty forced support, carries ``HEURISTIC_WARNING``.
+checks say why the solver stopped. Every not-feasible verdict is certified:
+the report carries the Farkas multipliers and the residual lower bound they
+prove. A solve that stalls on a residual plateau without a certificate is
+inconclusive.
 """
 
 from __future__ import annotations
@@ -26,14 +25,8 @@ import numpy as np
 
 from . import analysis, channels as ch, io, pipelines
 from .channels import Channel, KrausSet
-from .feasibility import FeasibilityReport, SolverConfig, Status, certificate_bound
+from .feasibility import EPS_PLATEAU, FeasibilityReport, SolverConfig, Status, certificate_bound
 
-HEURISTIC_WARNING = (
-    "infeasibility is heuristic: declared without a dual certificate, from an empty "
-    "forced support"
-)
-# Solver stop reasons whose not-feasible verdict has no certificate.
-_UNCERTIFIED = {"empty-support"}
 EXTRACTED_WARNING = (
     "Kraus representation extracted from the Choi eigendecomposition; "
     "degradability statements refer to this representation"
@@ -82,13 +75,6 @@ def _emit(
     steps: list[pipelines.Step] | None = None,
     extra: dict[str, Any] | None = None,
 ) -> int:
-    warnings = list(warnings or [])
-    if solver is not None:
-        reasons = [solver.stop_reason]
-    else:
-        reasons = [s.stop_reason for s in steps or () if s.status is status]
-    if status is Status.NOT_FEASIBLE_AT_TOLERANCE and _UNCERTIFIED.intersection(reasons):
-        warnings.append(HEURISTIC_WARNING)
     doc: dict[str, Any] = {
         "command": command,
         "status": status.value,
@@ -97,10 +83,10 @@ def _emit(
         "config": {
             "eps_feas": config.eps_feas,
             "max_iter": config.max_iter,
-            "eps_plateau": config.eps_plateau,
+            "eps_plateau": EPS_PLATEAU,
             "seed": seed,
         },
-        "warnings": warnings,
+        "warnings": warnings or [],
     }
     if witness is not None and status is Status.FEASIBLE and not quiet:
         doc["witness"] = io.channel_to_json(witness)
@@ -199,9 +185,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         b, _, _ = io.load_channel(args.channels[1])
         if what == "compat":
             report = analysis.check_compatibility(a, b, config)
-            witness, verification = report.compatibilizer, None
-            if report.marginal_residual_b is not None:
-                verification = max(report.marginal_residual_b, report.marginal_residual_c)
+            witness, verification = report.compatibilizer, report.marginal_residual
         else:
             report = analysis.check_divisibility(a, b, config)
             witness, verification = report.quotient, report.composition_residual

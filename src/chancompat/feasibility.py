@@ -33,6 +33,7 @@ import numpy as np
 from .linalg import devectorize_hermitian, project_psd, vectorize_hermitian
 
 __all__ = [
+    "EPS_PLATEAU",
     "Status",
     "AffineConstraintSet",
     "SolverConfig",
@@ -52,6 +53,9 @@ _RCOND = 1e-10
 # The solver tries a certificate and tests for a plateau every this many
 # iterations.
 _CHECKPOINT = 1000
+# A best residual that falls by less than this between two checkpoints has
+# plateaued.
+EPS_PLATEAU = 1e-12
 
 
 class Status(enum.Enum):
@@ -113,7 +117,6 @@ class AffineConstraintSet:
 class SolverConfig:
     eps_feas: float = 1e-7
     max_iter: int = 20000
-    eps_plateau: float = 1e-12
 
     def __post_init__(self):
         if self.eps_feas <= 0:
@@ -128,11 +131,9 @@ class FeasibilityReport:
 
     ``stop_reason`` is one of ``"tolerance"`` (feasible), ``"certificate"``
     (infeasible, ``certificate`` holds the Farkas multipliers), ``"plateau"``
-    (best residual stopped improving; inconclusive), ``"iteration-cap"``
-    (inconclusive) and ``"empty-support"`` (the forced support is
-    zero-dimensional and no iteration ran). ``constraints`` is the system that
-    ``certificate`` refers to, which :func:`certificate_bound` needs to
-    re-check it.
+    (best residual stopped improving; inconclusive) and ``"iteration-cap"``
+    (inconclusive). ``constraints`` is the system that ``certificate`` refers
+    to, which :func:`certificate_bound` needs to re-check it.
     """
 
     status: Status
@@ -173,7 +174,7 @@ def certificate_bound(constraints: AffineConstraintSet, lam: np.ndarray) -> floa
         raise ValueError("multipliers contain non-finite entries")
     b = constraints.rhs
     g = devectorize_hermitian(constraints.matrix.T @ lam)
-    mu = min(0.0, float(np.linalg.eigvalsh(g)[0]))
+    mu = float(np.linalg.eigvalsh(g).min(initial=0.0))
     delta = -float(b @ lam)
     scale = float(np.linalg.norm(lam))
     if mu < 0.0:
@@ -187,7 +188,7 @@ def certificate_bound(constraints: AffineConstraintSet, lam: np.ndarray) -> floa
 
 def _psd_defect(x: np.ndarray) -> float:
     w = np.linalg.eigvalsh(0.5 * (x + x.conj().T))
-    return max(0.0, -float(w[0]))
+    return max(0.0, -float(w.min(initial=0.0)))
 
 
 def solve(constraints: AffineConstraintSet, config: SolverConfig = SolverConfig()) -> FeasibilityReport:
@@ -204,7 +205,9 @@ def solve(constraints: AffineConstraintSet, config: SolverConfig = SolverConfig(
     when :func:`certificate_bound` proves every PSD X to have residual at
     least ``10 * eps_feas``, the solve stops not feasible with ``lam`` as its
     certificate. A plateau of the best residual between checkpoints, and
-    exhausting ``max_iter``, end the solve inconclusive.
+    exhausting ``max_iter``, end the solve inconclusive. A system with no
+    coordinates is decided at iteration 1: ``r = -b`` and ``lam = r``, whose
+    bound is exactly ``||b||``.
     """
     m, b, mp = constraints.matrix, constraints.rhs, constraints.pinv
 
@@ -242,7 +245,7 @@ def solve(constraints: AffineConstraintSet, config: SolverConfig = SolverConfig(
                 break
         if checkpoint:
             checkpoints.append(best)
-            if len(checkpoints) >= 2 and checkpoints[-2] - checkpoints[-1] < config.eps_plateau:
+            if len(checkpoints) >= 2 and checkpoints[-2] - checkpoints[-1] < EPS_PLATEAU:
                 # Not infeasible: the best residual can fall again later.
                 stop_reason, iterations = "plateau", it
                 break

@@ -136,25 +136,25 @@ def partial_transpose(x: np.ndarray, dims: Sequence[int], subsystem: int) -> np.
     return t.reshape(side, side)
 
 
-def _symmetrize(x: np.ndarray, eps_herm: float) -> np.ndarray:
+def _symmetrize(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=complex)
     if x.ndim != 2 or x.shape[0] != x.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {x.shape}")
-    scale = max(1.0, float(np.abs(x).max()))
-    defect = float(np.abs(x - dag(x)).max())
-    if defect > eps_herm * scale:
+    scale = max(1.0, float(np.abs(x).max(initial=0.0)))
+    defect = float(np.abs(x - dag(x)).max(initial=0.0))
+    if defect > EPS_HERM * scale:
         raise ValueError(f"matrix is not Hermitian: max |X - X^dag| = {defect:.3e}")
     return 0.5 * (x + dag(x))
 
 
-def project_psd(x: np.ndarray, eps_herm: float = EPS_HERM) -> np.ndarray:
+def project_psd(x: np.ndarray) -> np.ndarray:
     """Frobenius-nearest positive semidefinite matrix.
 
     Symmetrizes the input (rejecting non-Hermitian matrices beyond
-    ``eps_herm`` relative to the largest entry), clips negative eigenvalues
+    ``EPS_HERM`` relative to the largest entry), clips negative eigenvalues
     to zero and reassembles.
     """
-    h = _symmetrize(x, eps_herm)
+    h = _symmetrize(x)
     w, v = np.linalg.eigh(h)
     w = np.maximum(w, 0.0)
     return (v * w) @ dag(v)

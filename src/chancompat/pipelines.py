@@ -156,10 +156,7 @@ def thm2ii(rng: np.random.Generator, trials: int, config: SolverConfig) -> Outco
         theta_cb = ch.random_channel(2, 2, rng, dim_env=4)
         phi = ch.compose_choi(psi, theta_cb)
         compat = analysis.check_compatibility(psi, phi, config)
-        verification = None
-        if compat.status is feasibility.Status.FEASIBLE:
-            verification = max(compat.marginal_residual_b, compat.marginal_residual_c)
-        steps.append(_solved(f"compatible-{t}", compat, verification))
+        steps.append(_solved(f"compatible-{t}", compat, compat.marginal_residual))
         built = analysis.compatibilizer_via_antidegradability(kraus, anti.degrading, theta_cb)
         residual = max(analysis.marginal_distances(built, psi, phi))
         steps.append(_exact(f"construction-{t}", residual, 1e-7))
@@ -180,7 +177,7 @@ def corollary(
         phi = ch.compose_choi(psi, theta)
         compat = analysis.check_compatibility(psi, phi, config)
         div = analysis.check_divisibility(psi, phi, config)
-        steps.append(_solved(f"compatible-{t}", compat, compat.marginal_residual_b))
+        steps.append(_solved(f"compatible-{t}", compat, compat.marginal_residual))
         steps.append(_solved(f"divisible-{t}", div, div.composition_residual))
         witness = compat.compatibilizer or witness
     return steps, witness

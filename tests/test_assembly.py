@@ -5,7 +5,8 @@ over the Hermitian basis of the (small) target space. The oracle below is the
 earlier builder: it applies each forward map to every Hermitian basis
 element of the variable and stores column by column. Both must give the same
 matrix up to rounding, and the solver must reach the same verdict the same
-way on either.
+way on either. The forced support of a compatibility system is checked the
+same way, against the earlier construction from explicit null columns.
 """
 
 import numpy as np
@@ -32,6 +33,33 @@ def oracle_constraints(dim, forward_specs):
         m[:, col] = np.concatenate([vectorize_hermitian(fn(basis_elem)) for fn, _ in forward_specs])
     b = np.concatenate([vectorize_hermitian(t) for t in targets])
     return AffineConstraintSet(dim, m, b)
+
+
+def support_oracle(psi, phi):
+    """The earlier forced support: the orthogonal complement of every kernel
+    vector of either Choi operator tensored with a basis vector of the traced
+    factor, from a full SVD of their column stack."""
+    da, db, dc = psi.dim_in, psi.dim_out, phi.dim_out
+
+    def kernel(mat):
+        w, v = np.linalg.eigh(0.5 * (mat + dag(mat)))
+        return v[:, w < 1e-9 * max(1.0, w[-1])]
+
+    null_cols = []
+    for col in kernel(psi.choi).T:
+        for c in range(dc):
+            w = np.zeros((da, db, dc), dtype=complex)
+            w[:, :, c] = col.reshape(da, db)
+            null_cols.append(w.reshape(-1))
+    for col in kernel(phi.choi).T:
+        for b in range(db):
+            w = np.zeros((da, db, dc), dtype=complex)
+            w[:, b, :] = col.reshape(da, dc)
+            null_cols.append(w.reshape(-1))
+    if not null_cols:
+        return None
+    u, s, _ = np.linalg.svd(np.column_stack(null_cols), full_matrices=True)
+    return u[:, int(np.count_nonzero(s > 1e-10 * s[0])) :]
 
 
 def compat_oracle(psi, phi):
@@ -109,12 +137,32 @@ def assert_parity(report, oracle, lift):
         assert np.abs(report.solution - lift(expected.solution)).max() <= 1e-12
 
 
+def support_instances():
+    identities = [
+        pytest.param(ch.identity(d), ch.identity(d), id=f"identity-d{d}") for d in (2, 3)
+    ]
+    return compat_instances() + identities
+
+
 def test_instances_cover_both_kinds_of_compatibility_system():
-    pairs = {p.id: p.values for p in compat_instances()}
+    pairs = {p.id: p.values for p in support_instances()}
     framed = [an._compat_support(psi, phi) is not None for psi, phi in pairs.values()]
     assert any(framed) and not all(framed)
+    # No-cloning: the identity's support with itself is zero-dimensional.
+    assert an._compat_support(*pairs["identity-d2"]).shape == (8, 0)
+    assert an._compat_support(*pairs["identity-d3"]).shape == (27, 0)
     psi, phi = pairs["tensored-64"]
     assert psi.dim_in * psi.dim_out * phi.dim_out == 64
+
+
+@pytest.mark.parametrize("psi, phi", support_instances())
+def test_support_matches_null_column_oracle(psi, phi):
+    frame, expected = an._compat_support(psi, phi), support_oracle(psi, phi)
+    assert (frame is None) == (expected is None)
+    if frame is not None:
+        assert frame.shape == expected.shape
+        gap = frame @ dag(frame) - expected @ dag(expected)
+        assert np.abs(gap).max(initial=0.0) <= 1e-10
 
 
 @pytest.mark.parametrize("psi, phi", compat_instances())

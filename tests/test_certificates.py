@@ -94,6 +94,19 @@ def test_known_infeasible_kinds_are_certified_at_first_iteration(kind, kraus):
     assert bound <= rep.residual_affine + 1e-12
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_identity_self_compatibility_is_certified(d):
+    # No-cloning: the forced support of the pair is zero-dimensional, so the
+    # solver runs on a system with no coordinates and the bound is the norm
+    # of the two stacked Choi targets, sqrt(2) * d.
+    rep = an.check_compatibility(ch.identity(d), ch.identity(d), CONFIG).solver
+    assert rep.status is Status.NOT_FEASIBLE_AT_TOLERANCE
+    assert rep.stop_reason == "certificate" and rep.iterations == 1
+    assert rep.constraints.dim == 0
+    bound = certificate_bound(rep.constraints, rep.certificate)
+    assert abs(bound - np.sqrt(2.0) * d) <= 1e-12
+
+
 def test_certified_verdict_survives_local_unitaries():
     rng = np.random.default_rng(5)
     for kind, kraus in seed_defect_kinds():

@@ -72,7 +72,10 @@ def test_make_and_check_compat_identity(tmp_path, capsys):
     assert code == 1
     assert doc["status"] == "not-feasible-at-tolerance"
     assert "witness" not in doc
-    assert any("heuristic" in w for w in doc["warnings"])
+    # No-cloning is certified like every other not-feasible verdict.
+    assert doc["stop_reason"] == "certificate"
+    assert doc["certificate"]["residual_lower_bound"] >= 10 * doc["config"]["eps_feas"]
+    assert doc["warnings"] == []
 
 
 def test_check_div_identity_emits_identity_witness(tmp_path, capsys):
