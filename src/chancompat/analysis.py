@@ -172,26 +172,6 @@ def _compat_support(psi: Channel, phi: Channel) -> np.ndarray | None:
     return _kernel_columns(forced)
 
 
-def _solve_on_support(
-    side: int,
-    specs: Sequence[tuple[Callable[[np.ndarray], np.ndarray], np.ndarray]],
-    frame: np.ndarray | None,
-    config: SolverConfig,
-) -> FeasibilityReport:
-    """Solve the PSD-affine system, optionally restricted to a forced support.
-
-    With an isometry ``frame`` U the variable is Y in ``X = U Y U^dag``, a
-    change of variables: the adjoints in ``specs`` must already map into Y's
-    space (for instance :func:`partial_trace_adjoint` given the same frame).
-    """
-    if frame is None:
-        return solve(build_constraints(side, specs), config)
-    report = solve(build_constraints(frame.shape[1], specs), config)
-    if report.solution is not None:
-        report = replace(report, solution=frame @ report.solution @ dag(frame))
-    return report
-
-
 def marginal_distances(joint: Channel, psi: Channel, phi: Channel) -> tuple[float, float]:
     """Choi distances of the joint channel's two output marginals from psi and
     from phi."""
@@ -222,13 +202,17 @@ def check_compatibility(
     ch.validate_channel(phi, atol=ch.EPS_EQ, name="phi")
     da, db, dc = psi.dim_in, psi.dim_out, phi.dim_out
     dims = (da, db, dc)
-    side = da * db * dc
     frame = _compat_support(psi, phi)
+    # With a support frame U the variable is Y in X = U Y U^dag, and the
+    # framed adjoints map into Y's space.
+    side = da * db * dc if frame is None else frame.shape[1]
     specs = [
         (partial(partial_trace_adjoint, dims=dims, keep=(0, 1), frame=frame), psi.choi),
         (partial(partial_trace_adjoint, dims=dims, keep=(0, 2), frame=frame), phi.choi),
     ]
-    report = _solve_on_support(side, specs, frame, config)
+    report = solve(build_constraints(side, specs), config)
+    if frame is not None and report.solution is not None:
+        report = replace(report, solution=frame @ report.solution @ dag(frame))
     if report.status is not Status.FEASIBLE:
         return CompatReport(report.status, None, None, None, report)
     witness = Channel(da, db * dc, report.solution)

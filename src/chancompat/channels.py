@@ -22,8 +22,8 @@ from .linalg import (
     frob,
     kron,
     partial_trace,
-    project_psd,
-    swap_unitary,
+    partial_trace_adjoint,
+    swap_unitary,  # noqa: F401  (kept importable as channels.swap_unitary)
 )
 
 EPS_PSD = 1e-9
@@ -220,13 +220,8 @@ def kraus_from_choi(c: Channel) -> KrausSet:
 
 def isometry_from_kraus(k: KrausSet) -> StinespringIsometry:
     """Stack Kraus operators into V = sum_i K_i (x) |i>_env."""
-    d_env = k.dim_env
-    v = np.zeros((k.dim_out * d_env, k.dim_in), dtype=complex)
-    for i, op in enumerate(k.operators):
-        e = np.zeros((d_env, 1))
-        e[i, 0] = 1.0
-        v += kron(op, e)
-    return StinespringIsometry(k.dim_in, k.dim_out, d_env, v)
+    v = np.stack(k.operators, axis=1).reshape(k.dim_out * k.dim_env, k.dim_in)
+    return StinespringIsometry(k.dim_in, k.dim_out, k.dim_env, v)
 
 
 def kraus_from_isometry(v: StinespringIsometry) -> KrausSet:
@@ -341,35 +336,18 @@ def isometry_channel(v: StinespringIsometry) -> Channel:
 def trace_out_channel(dims: Sequence[int], keep: Sequence[int]) -> Channel:
     """CPTP map on a composite space that traces out the subsystems not kept.
 
-    The Choi operator is a 0/1 pattern: basis units |i><l| with equal traced
-    sub-indices map to the matrix unit of their kept sub-indices, so the
-    entries are filled block-wise instead of summing Kronecker products.
+    Its Choi operator is the identity channel's Choi operator on the kept
+    factors, tensored with the identity on the traced input factors: the
+    adjoint of the partial trace over those factors, with the output factor
+    appended last and kept.
     """
     dims = tuple(dims)
     keep = tuple(sorted(set(keep)))
     if any(k < 0 or k >= len(dims) for k in keep):
         raise ValueError(f"keep indices {keep} out of range for {len(dims)} subsystems")
-    d_in = int(np.prod(dims))
-    kept_dims = [dims[k] for k in keep]
-    traced = [i for i in range(len(dims)) if i not in keep]
-    d_out = int(np.prod(kept_dims)) if keep else 1
-    midx = np.array(np.unravel_index(np.arange(d_in), dims)).reshape(len(dims), d_in)
-    kept_ravel = (
-        np.ravel_multi_index(tuple(midx[k] for k in keep), kept_dims)
-        if keep
-        else np.zeros(d_in, dtype=int)
-    )
-    traced_ravel = (
-        np.ravel_multi_index(tuple(midx[t] for t in traced), [dims[t] for t in traced])
-        if traced
-        else np.zeros(d_in, dtype=int)
-    )
-    j = np.zeros((d_in * d_out, d_in * d_out), dtype=complex)
-    for tval in range(int(traced_ravel.max()) + 1):
-        idx = np.nonzero(traced_ravel == tval)[0]
-        rows = idx * d_out + kept_ravel[idx]
-        j[np.ix_(rows, rows)] = 1.0
-    return Channel(d_in, d_out, j)
+    d_out = int(np.prod([dims[k] for k in keep]))
+    j = partial_trace_adjoint(identity(d_out).choi, (*dims, d_out), keep=(*keep, len(dims)))
+    return Channel(int(np.prod(dims)), d_out, j)
 
 
 def output_marginal(c: Channel, out_dims: Sequence[int], keep: Sequence[int]) -> Channel:
@@ -391,15 +369,7 @@ def output_marginal(c: Channel, out_dims: Sequence[int], keep: Sequence[int]) ->
 
 def append_maximally_mixed(d_sys: int, d_anc: int) -> Channel:
     """CPTP map rho -> rho (x) I/d_anc, ancilla appended after the system."""
-    mixed = np.eye(d_anc, dtype=complex) / d_anc
-    d_out = d_sys * d_anc
-    j = np.zeros((d_sys * d_out, d_sys * d_out), dtype=complex)
-    for i in range(d_sys):
-        for l in range(d_sys):
-            e = np.zeros((d_sys, d_sys), dtype=complex)
-            e[i, l] = 1.0
-            j += kron(e, kron(e, mixed))
-    return Channel(d_sys, d_out, j)
+    return tensor(identity(d_sys), constant_channel(np.eye(d_anc) / d_anc, 1))
 
 
 def trace_out_pair(psi_local: Channel, phi_local: Channel) -> tuple[Channel, Channel, Channel]:
@@ -487,16 +457,19 @@ def catalysis_reduction(theta_joint: Channel, out_dims: Sequence[int], d_anc: in
     if theta_joint.dim_in % d_anc != 0:
         raise ValueError("ancilla dimension does not divide the joint input dimension")
     d_a = theta_joint.dim_in // d_anc
-    prep = append_maximally_mixed(d_a, d_anc)
-    post = trace_out_channel(out_dims, keep=(0, 2))
-    return compose_choi(compose_choi(prep, theta_joint), post)
+    # Feeding I/d_anc into A' averages the Choi operator over A'.
+    dims = (d_a, d_anc, *out_dims)
+    j = partial_trace(theta_joint.choi, dims, keep=(0, 2, 4)) / d_anc
+    return Channel(d_a, out_dims[0] * out_dims[2], j)
 
 
 def swap_output(c: Channel, d_first: int, d_second: int) -> Channel:
     """Swap the two output factors of a channel into X2 (x) X1 order."""
     if d_first * d_second != c.dim_out:
         raise ValueError("output factors do not multiply to dim_out")
-    return compose_choi(c, unitary_channel(swap_unitary(d_first, d_second)))
+    side = c.dim_in * c.dim_out
+    j = c.choi.reshape(c.dim_in, d_first, d_second, c.dim_in, d_first, d_second)
+    return Channel(c.dim_in, c.dim_out, j.transpose(0, 2, 1, 3, 5, 4).reshape(side, side))
 
 
 # ---------------------------------------------------------------------------

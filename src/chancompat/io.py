@@ -38,12 +38,14 @@ def matrix_to_json(m: np.ndarray) -> list[list[list[float]]]:
 
 def matrix_from_json(data: Any, what: str = "matrix") -> np.ndarray:
     try:
-        rows = [[complex(entry[0], entry[1]) for entry in row] for row in data]
-    except (TypeError, IndexError) as exc:
+        rows = [[complex(re, im) for re, im in row] for row in data]
+    except (TypeError, ValueError) as exc:
         raise LoadError(f"{what}: entries must be [re, im] pairs") from exc
     m = np.array(rows, dtype=complex)
     if m.ndim != 2 or m.size == 0:
         raise LoadError(f"{what}: expected a non-empty 2-d array of rows")
+    if not np.isfinite(m).all():
+        raise LoadError(f"{what}: entries must be finite")
     return m
 
 
@@ -77,15 +79,12 @@ def channel_from_json(doc: Any, atol: float = 1e-9) -> tuple[Channel, KrausSet |
         raise LoadError("exactly one of 'kraus' or 'choi' is required")
     try:
         if has_kraus:
+            if not isinstance(doc["kraus"], list):
+                raise LoadError("'kraus' must be a list of matrices")
             ops = tuple(
                 matrix_from_json(k, f"kraus[{i}]") for i, k in enumerate(doc["kraus"])
             )
             kraus = KrausSet(dim_in, dim_out, ops)
-            defect = kraus.completeness_defect()
-            if defect > atol:
-                raise LoadError(
-                    f"Kraus completeness defect {defect:.3e} exceeds tolerance {atol:.1e}"
-                )
             return choi_from_kraus(kraus, atol=atol), kraus
         channel = Channel(dim_in, dim_out, matrix_from_json(doc["choi"], "choi"))
         validate_channel(channel, atol=atol)

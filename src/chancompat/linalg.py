@@ -9,7 +9,7 @@ factor index varies slowest, which is exactly the ordering produced by
 from __future__ import annotations
 
 import functools
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -226,9 +226,5 @@ def hermitian_basis(d: int) -> np.ndarray:
 
 def swap_unitary(d_first: int, d_second: int) -> np.ndarray:
     """Unitary mapping |x>(x)|y> on H1 (x) H2 to |y>(x)|x> on H2 (x) H1."""
-    side = d_first * d_second
-    p = np.zeros((side, side))
-    for a in range(d_first):
-        for b in range(d_second):
-            p[b * d_first + a, a * d_second + b] = 1.0
-    return p
+    perm = np.arange(d_first * d_second).reshape(d_first, d_second).T.reshape(-1)
+    return np.eye(d_first * d_second)[perm]

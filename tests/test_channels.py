@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -299,19 +301,24 @@ def test_trace_out_pair_marginals():
 
 
 def test_trace_out_channel_action():
-    rng = np.random.default_rng(15)
-    c = ch.trace_out_channel((2, 3), keep=(0,))
-    g = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-    rho = 0.5 * (g + dag(g))
-    assert frob(ch.apply(c, rho) - partial_trace(rho, (2, 3), keep=(0,))) < 1e-12
+    # Every keep subset, the empty one included, of each dims tuple; the
+    # action on every matrix unit is the partial trace.
+    for dims in [(2,), (2, 3), (3, 2), (2, 2, 2), (2, 3, 2), (2, 2, 2, 2), (2, 8)]:
+        for r in range(len(dims) + 1):
+            for keep in itertools.combinations(range(len(dims)), r):
+                c = ch.trace_out_channel(dims, keep)
+                for e in hermitian_units(int(np.prod(dims))):
+                    want = partial_trace(e, dims, keep)
+                    assert np.abs(ch.apply(c, e) - want).max() <= 1e-15, (dims, keep)
 
 
 def test_append_maximally_mixed_action():
-    rng = np.random.default_rng(16)
-    c = ch.append_maximally_mixed(2, 3)
-    g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    rho = 0.5 * (g + dag(g))
-    assert frob(ch.apply(c, rho) - kron(rho, np.eye(3) / 3)) < 1e-12
+    for d_sys, d_anc in [(1, 2), (2, 1), (2, 2), (2, 3), (3, 2)]:
+        c = ch.append_maximally_mixed(d_sys, d_anc)
+        assert (c.dim_in, c.dim_out) == (d_sys, d_sys * d_anc)
+        for e in hermitian_units(d_sys):
+            want = kron(e, np.eye(d_anc) / d_anc)
+            assert np.abs(ch.apply(c, e) - want).max() <= 1e-15, (d_sys, d_anc)
 
 
 def test_output_marginal_matches_composed_trace():
@@ -332,8 +339,6 @@ def test_catalysis_reduction_strips_product_ancilla():
     xi = ch.constant_channel(kron(sigma, sigma), 2)  # A' -> B' B''
     joint0 = ch.tensor(compat, xi)  # (A A') -> (B C) (B' B'')
     # permute output (B, C, B', B'') -> (B, B', C, B'')
-    import itertools
-
     perm = (0, 2, 1, 3)
     dims_src = (2, 2, 2, 2)
     p = np.zeros((16, 16))
@@ -348,6 +353,10 @@ def test_catalysis_reduction_strips_product_ancilla():
     joint = ch.compose_choi(joint0, ch.unitary_channel(p))
     reduced = ch.catalysis_reduction(joint, (2, 2, 2, 2), d_anc=2)
     assert (reduced.dim_in, reduced.dim_out) == (4, 4)
+    # Same as feeding I/d_anc into A' and tracing out B' and B''.
+    fed = ch.compose_choi(ch.append_maximally_mixed(4, 2), joint)
+    composed = ch.compose_choi(fed, ch.trace_out_channel((2, 2, 2, 2), (0, 2)))
+    assert np.abs(reduced.choi - composed.choi).max() <= 1e-14
     assert frob(ch.output_marginal(reduced, (2, 2), keep=(0,)).choi - psi.choi) < 1e-10
     assert frob(ch.output_marginal(reduced, (2, 2), keep=(1,)).choi - phi.choi) < 1e-10
 

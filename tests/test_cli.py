@@ -42,7 +42,7 @@ def test_kraus_file_roundtrip(tmp_path):
     assert frob(loaded.choi - ch.choi_from_kraus(k).choi) < 1e-12
 
 
-def test_load_rejects_invalid_documents(tmp_path):
+def test_load_rejects_invalid_documents(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     with pytest.raises(io.LoadError):
@@ -62,6 +62,28 @@ def test_load_rejects_invalid_documents(tmp_path):
     )
     with pytest.raises(io.LoadError):
         io.load_channel(str(bad))
+    # Non-finite entries, entries that are not [re, im] pairs, incomplete
+    # Kraus sets and a 'kraus' that is not a list are load errors: every
+    # check exits 3 with no report.
+    eye = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+    inf_kraus = [[[float("inf"), 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+    nan_choi = [[[float("nan"), 0.0]] * 4] + [[[0.0, 0.0]] * 4] * 3
+    triple = [[[1.0, 0.0, 5.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+    half = [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]
+    for doc in (
+        {"dim_in": 2, "dim_out": 2, "kraus": [inf_kraus]},
+        {"dim_in": 2, "dim_out": 2, "choi": nan_choi},
+        {"dim_in": 2, "dim_out": 2, "kraus": [triple]},
+        {"dim_in": 2, "dim_out": 2, "kraus": [half]},
+        {"dim_in": 2, "dim_out": 2, "kraus": [eye, half]},
+        {"dim_in": 2, "dim_out": 2, "kraus": 5},
+    ):
+        bad.write_text(json.dumps(doc))
+        with pytest.raises(io.LoadError):
+            io.load_channel(str(bad))
+        assert main(["check", "selfdeg", str(bad)]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: "), err
 
 
 def test_make_and_check_compat_identity(tmp_path, capsys):

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from chancompat import channels as ch
 from chancompat.linalg import (
     dag,
     devectorize_hermitian,
@@ -247,7 +248,12 @@ def test_partial_trace_adjoint_is_kron_with_identity():
 
 def test_swap_unitary_moves_factors():
     rng = np.random.default_rng(9)
-    a = random_hermitian(2, rng)
-    b = random_hermitian(3, rng)
-    p = swap_unitary(2, 3)
-    assert np.allclose(p @ kron(a, b) @ p.T, kron(b, a), atol=1e-13)
+    for d1, d2 in [(2, 3), (3, 2), (2, 2)]:
+        a = random_hermitian(d1, rng)
+        b = random_hermitian(d2, rng)
+        p = swap_unitary(d1, d2)
+        assert np.allclose(p @ kron(a, b) @ p.T, kron(b, a), atol=1e-13)
+        # swap_output is conjugation of the output by the same unitary.
+        c = ch.random_channel(2, d1 * d2, rng)
+        conj = kron(np.eye(2), p)
+        assert np.array_equal(ch.swap_output(c, d1, d2).choi, conj @ c.choi @ conj.T)
