@@ -4,20 +4,21 @@ degradability, plus the constructions relating their witnesses.
 Every check is a PSD-affine feasibility problem in Choi coordinates, and
 every feasible verdict returns a witness channel that is re-verified through
 channel operations alone (never through solver internals), as a Choi
-Frobenius distance. The paper's pipelines, which chain these checks and
-constructions on sampled instances, are in :mod:`chancompat.pipelines`.
-Every infeasible verdict comes from the solver with a certificate
-(``stop_reason`` ``"certificate"``): the report's Farkas multipliers prove,
-through :func:`chancompat.feasibility.certificate_bound`, that every
-candidate misses the constraints by at least ten times the tolerance. That
-holds also when the forced support leaves only the zero operator: the solver
-then runs on a system with no coordinates. A solve that stalls on a residual
-plateau without a certificate is reported as inconclusive.
+Frobenius distance: the ``residual`` of every check report. The paper's
+pipelines, which chain these checks and constructions on sampled instances,
+are in :mod:`chancompat.pipelines`. Every infeasible verdict comes from the
+solver with a certificate (``stop_reason`` ``"certificate"``): the report's
+Farkas multipliers prove, through
+:func:`chancompat.feasibility.certificate_bound`, that every candidate misses
+the constraints by at least ten times the tolerance. That holds also when the
+forced support leaves only the zero operator: the solver then runs on a
+system with no coordinates. A solve that stalls on a residual plateau
+without a certificate is reported as inconclusive.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from itertools import islice
 from typing import Callable, Sequence
@@ -64,28 +65,24 @@ _CHUNK_ENTRIES = 1 << 13
 # Reports
 # ---------------------------------------------------------------------------
 
+# Each ``residual`` is the Choi distance that re-verifies the report's witness,
+# ``None`` without one; the self-degradability distance is always given.
+# ``solver.solution`` is in the coordinates of ``solver.constraints``.
+
 
 @dataclass(frozen=True)
 class CompatReport:
     status: Status
     compatibilizer: Channel | None
-    marginal_residual_b: float | None
-    marginal_residual_c: float | None
+    residual: float | None
     solver: FeasibilityReport
-
-    @property
-    def marginal_residual(self) -> float | None:
-        """The worse of the two marginal distances; ``None`` without a witness."""
-        if self.marginal_residual_b is None:
-            return None
-        return max(self.marginal_residual_b, self.marginal_residual_c)
 
 
 @dataclass(frozen=True)
 class DivReport:
     status: Status
     quotient: Channel | None
-    composition_residual: float | None
+    residual: float | None
     solver: FeasibilityReport
 
 
@@ -94,8 +91,6 @@ class DegradabilityReport:
     status: Status
     degrading: Channel | None
     residual: float | None
-    dim_env: int
-    self_distance: float | None = None
     solver: FeasibilityReport | None = None
 
 
@@ -103,8 +98,7 @@ class DegradabilityReport:
 class CatalysisReport:
     tensored: CompatReport
     reduced: Channel | None
-    marginal_residual_b: float | None
-    marginal_residual_c: float | None
+    residual: float | None
 
 
 # ---------------------------------------------------------------------------
@@ -204,19 +198,18 @@ def check_compatibility(
     dims = (da, db, dc)
     frame = _compat_support(psi, phi)
     # With a support frame U the variable is Y in X = U Y U^dag, and the
-    # framed adjoints map into Y's space.
+    # framed adjoints map into Y's space; only the witness is lifted to X.
     side = da * db * dc if frame is None else frame.shape[1]
     specs = [
         (partial(partial_trace_adjoint, dims=dims, keep=(0, 1), frame=frame), psi.choi),
         (partial(partial_trace_adjoint, dims=dims, keep=(0, 2), frame=frame), phi.choi),
     ]
     report = solve(build_constraints(side, specs), config)
-    if frame is not None and report.solution is not None:
-        report = replace(report, solution=frame @ report.solution @ dag(frame))
     if report.status is not Status.FEASIBLE:
-        return CompatReport(report.status, None, None, None, report)
-    witness = Channel(da, db * dc, report.solution)
-    return CompatReport(report.status, witness, *marginal_distances(witness, psi, phi), report)
+        return CompatReport(report.status, None, None, report)
+    x = report.solution if frame is None else frame @ report.solution @ dag(frame)
+    witness = Channel(da, db * dc, x)
+    return CompatReport(report.status, witness, max(marginal_distances(witness, psi, phi)), report)
 
 
 def check_divisibility(
@@ -264,9 +257,7 @@ def check_degradable(
     _check_kraus_matches(psi, kraus)
     psi_c = ch.complementary(kraus)
     div = check_divisibility(psi, psi_c, config)
-    return DegradabilityReport(
-        div.status, div.quotient, div.composition_residual, kraus.dim_env, solver=div.solver
-    )
+    return DegradabilityReport(div.status, div.quotient, div.residual, div.solver)
 
 
 def check_antidegradable(
@@ -276,33 +267,24 @@ def check_antidegradable(
     _check_kraus_matches(psi, kraus)
     psi_c = ch.complementary(kraus)
     div = check_divisibility(psi_c, psi, config)
-    return DegradabilityReport(
-        div.status, div.quotient, div.composition_residual, kraus.dim_env, solver=div.solver
-    )
+    return DegradabilityReport(div.status, div.quotient, div.residual, div.solver)
 
 
 def check_self_degradable(kraus: KrausSet) -> DegradabilityReport:
     """Exact self-complementarity test for the given representation.
 
-    Reports the Choi distance between the channel and its complementary; the
-    distance is infinite when the output and environment dimensions differ,
-    since equality is then impossible for this representation. Equality is a
-    distance below ``channels.EPS_EQ``.
+    The report's ``residual`` is the Choi distance between the channel and
+    its complementary; the distance is infinite when the output and
+    environment dimensions differ, since equality is then impossible for this
+    representation. Equality is a distance below ``channels.EPS_EQ``.
     """
     psi = ch.choi_from_kraus(kraus)
     if kraus.dim_out != kraus.dim_env:
-        return DegradabilityReport(
-            Status.NOT_FEASIBLE_AT_TOLERANCE, None, None, kraus.dim_env, self_distance=float("inf")
-        )
+        return DegradabilityReport(Status.NOT_FEASIBLE_AT_TOLERANCE, None, float("inf"))
     dist = frob(psi.choi - ch.complementary(kraus).choi)
     if dist < ch.EPS_EQ:
-        witness = ch.identity(kraus.dim_env)
-        return DegradabilityReport(
-            Status.FEASIBLE, witness, dist, kraus.dim_env, self_distance=dist
-        )
-    return DegradabilityReport(
-        Status.NOT_FEASIBLE_AT_TOLERANCE, None, None, kraus.dim_env, self_distance=dist
-    )
+        return DegradabilityReport(Status.FEASIBLE, ch.identity(kraus.dim_env), dist)
+    return DegradabilityReport(Status.NOT_FEASIBLE_AT_TOLERANCE, None, dist)
 
 
 def check_family_divisibility(
@@ -443,10 +425,10 @@ def verify_no_catalysis(
     big_phi = ch.tensor(phi, chi)
     compat = check_compatibility(big_psi, big_phi, config)
     if compat.status is not Status.FEASIBLE:
-        return CatalysisReport(compat, None, None, None)
+        return CatalysisReport(compat, None, None)
     out_dims = (psi.dim_out, chi.dim_out, phi.dim_out, chi.dim_out)
     reduced = ch.catalysis_reduction(compat.compatibilizer, out_dims, chi.dim_in)
-    return CatalysisReport(compat, reduced, *marginal_distances(reduced, psi, phi))
+    return CatalysisReport(compat, reduced, max(marginal_distances(reduced, psi, phi)))
 
 
 # ---------------------------------------------------------------------------

@@ -96,8 +96,8 @@ def _emit(
         doc.update(extra)
     if steps is not None:
         doc["steps"] = [_step_json(s) for s in steps]
-    json.dump(doc, sys.stdout, allow_nan=False)
-    print()
+    # One string, so a report that cannot be encoded leaves stdout empty.
+    print(json.dumps(doc, allow_nan=False))
     return _EXIT_CODES[status]
 
 
@@ -116,8 +116,7 @@ def _kraus_of(path: str, warnings: list[str]) -> tuple[Channel, KrausSet]:
 
 def _write_or_print(obj: Channel | KrausSet, out: str | None, label: str) -> None:
     if out is None:
-        json.dump(io.channel_to_json(obj, label), sys.stdout)
-        print()
+        print(json.dumps(io.channel_to_json(obj, label)))
     else:
         io.save_channel(out, obj, label)
 
@@ -185,16 +184,15 @@ def cmd_check(args: argparse.Namespace) -> int:
         b, _, _ = io.load_channel(args.channels[1])
         if what == "compat":
             report = analysis.check_compatibility(a, b, config)
-            witness, verification = report.compatibilizer, report.marginal_residual
+            witness = report.compatibilizer
         else:
             report = analysis.check_divisibility(a, b, config)
-            witness, verification = report.quotient, report.composition_residual
+            witness = report.quotient
     else:
         channel, kraus = _kraus_of(args.channels[0], warnings)
         if what == "selfdeg":
             report = analysis.check_self_degradable(kraus)
-            verification = report.self_distance
-            if not math.isfinite(verification):
+            if kraus.dim_out != kraus.dim_env:
                 warnings.append(
                     "output and environment dimensions differ; equality is impossible "
                     "for this representation"
@@ -203,11 +201,10 @@ def cmd_check(args: argparse.Namespace) -> int:
             report = (
                 analysis.check_degradable if what == "degradable" else analysis.check_antidegradable
             )(channel, kraus, config)
-            verification = report.residual
         witness = report.degrading
-        extra = {"environment_dim": report.dim_env}
+        extra = {"environment_dim": kraus.dim_env}
     solver = report.solver
-    residuals = {"verification": verification}
+    residuals = {"verification": report.residual}
     if solver is not None:
         residuals = {"affine": solver.residual_affine, "psd": solver.residual_psd, **residuals}
     return _emit(

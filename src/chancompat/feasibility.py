@@ -119,8 +119,8 @@ class SolverConfig:
     max_iter: int = 20000
 
     def __post_init__(self):
-        if self.eps_feas <= 0:
-            raise ValueError("eps_feas must be positive")
+        if not 0 < self.eps_feas < np.inf:  # also false for nan
+            raise ValueError("eps_feas must be a positive finite number")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
 
@@ -132,8 +132,9 @@ class FeasibilityReport:
     ``stop_reason`` is one of ``"tolerance"`` (feasible), ``"certificate"``
     (infeasible, ``certificate`` holds the Farkas multipliers), ``"plateau"``
     (best residual stopped improving; inconclusive) and ``"iteration-cap"``
-    (inconclusive). ``constraints`` is the system that ``certificate`` refers
-    to, which :func:`certificate_bound` needs to re-check it.
+    (inconclusive). ``constraints`` is the system whose coordinates
+    ``solution`` and ``certificate`` are in; :func:`certificate_bound` needs
+    it to re-check the certificate.
     """
 
     status: Status

@@ -38,10 +38,9 @@ def matrix_to_json(m: np.ndarray) -> list[list[list[float]]]:
 
 def matrix_from_json(data: Any, what: str = "matrix") -> np.ndarray:
     try:
-        rows = [[complex(re, im) for re, im in row] for row in data]
+        m = np.array([[complex(re, im) for re, im in row] for row in data], dtype=complex)
     except (TypeError, ValueError) as exc:
-        raise LoadError(f"{what}: entries must be [re, im] pairs") from exc
-    m = np.array(rows, dtype=complex)
+        raise LoadError(f"{what}: expected equal-length rows of [re, im] pairs") from exc
     if m.ndim != 2 or m.size == 0:
         raise LoadError(f"{what}: expected a non-empty 2-d array of rows")
     if not np.isfinite(m).all():

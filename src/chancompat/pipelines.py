@@ -75,13 +75,11 @@ def _exact(name: str, residual: float, below: float, iterations: int | None = No
 
 
 def _solved(
-    name: str,
-    report: analysis.CompatReport | analysis.DivReport | analysis.DegradabilityReport,
-    residual: float | None,
+    name: str, report: analysis.CompatReport | analysis.DivReport | analysis.DegradabilityReport
 ) -> Step:
     """Step decided by the solver verdict of a check."""
     solver = report.solver
-    return Step(name, report.status, residual, solver.stop_reason, solver.iterations)
+    return Step(name, report.status, report.residual, solver.stop_reason, solver.iterations)
 
 
 def power_family(psi: Channel, length: int) -> list[Channel]:
@@ -109,7 +107,7 @@ def thm1(rng: np.random.Generator, trials: int, config: SolverConfig) -> Outcome
         steps.append(_exact(f"reverse-{t}", residual, 1e-9))
         compat = analysis.check_compatibility(psi, phi, config)
         if compat.status is not feasibility.Status.FEASIBLE:
-            steps.append(_solved(f"forward-{t}", compat, None))
+            steps.append(_solved(f"forward-{t}", compat))
             continue
         _, _, residual = analysis.postprocessing_from_compatibilizer(compat.compatibilizer, 2, 2)
         steps.append(_exact(f"forward-{t}", residual, 1e-7, compat.solver.iterations))
@@ -127,13 +125,13 @@ def thm2i(rng: np.random.Generator, trials: int, config: SolverConfig) -> Outcom
         psi = ch.choi_from_kraus(kraus)
         psi_c = ch.complementary(kraus)
         deg = analysis.check_degradable(psi, kraus, config)
-        steps.append(_solved(f"degradable-{t}", deg, deg.residual))
+        steps.append(_solved(f"degradable-{t}", deg))
         if deg.status is not feasibility.Status.FEASIBLE:
             continue
         theta = ch.random_channel(kraus.dim_env, 2, rng, dim_env=2 * kraus.dim_env)
         phi = ch.compose_choi(psi_c, theta)
         div = analysis.check_divisibility(psi, phi, config)
-        steps.append(_solved(f"divisible-{t}", div, div.composition_residual))
+        steps.append(_solved(f"divisible-{t}", div))
         quotient = analysis.quotient_via_degradability(psi, psi_c, deg.degrading, theta)
         residual = ch.choi_distance(ch.compose_choi(psi, quotient), phi)
         steps.append(_exact(f"quotient-{t}", residual, 1e-7))
@@ -150,13 +148,13 @@ def thm2ii(rng: np.random.Generator, trials: int, config: SolverConfig) -> Outco
         kraus = analysis.sample_antidegradable_kraus(rng)
         psi = ch.choi_from_kraus(kraus)
         anti = analysis.check_antidegradable(psi, kraus, config)
-        steps.append(_solved(f"antidegradable-{t}", anti, anti.residual))
+        steps.append(_solved(f"antidegradable-{t}", anti))
         if anti.status is not feasibility.Status.FEASIBLE:
             continue
         theta_cb = ch.random_channel(2, 2, rng, dim_env=4)
         phi = ch.compose_choi(psi, theta_cb)
         compat = analysis.check_compatibility(psi, phi, config)
-        steps.append(_solved(f"compatible-{t}", compat, compat.marginal_residual))
+        steps.append(_solved(f"compatible-{t}", compat))
         built = analysis.compatibilizer_via_antidegradability(kraus, anti.degrading, theta_cb)
         residual = max(analysis.marginal_distances(built, psi, phi))
         steps.append(_exact(f"construction-{t}", residual, 1e-7))
@@ -177,8 +175,8 @@ def corollary(
         phi = ch.compose_choi(psi, theta)
         compat = analysis.check_compatibility(psi, phi, config)
         div = analysis.check_divisibility(psi, phi, config)
-        steps.append(_solved(f"compatible-{t}", compat, compat.marginal_residual))
-        steps.append(_solved(f"divisible-{t}", div, div.composition_residual))
+        steps.append(_solved(f"compatible-{t}", compat))
+        steps.append(_solved(f"divisible-{t}", div))
         witness = compat.compatibilizer or witness
     return steps, witness
 
@@ -228,10 +226,10 @@ def nocatalysis(rng: np.random.Generator, trials: int, config: SolverConfig) -> 
         chi = ch.choi_from_kraus(ch.random_measure_prepare(2, rng))
         report = analysis.verify_no_catalysis(psi, phi, chi, config)
         if report.reduced is None:
-            steps.append(_solved(f"instance-{t}", report.tensored, None))
+            steps.append(_solved(f"instance-{t}", report.tensored))
             continue
-        worst = max(report.marginal_residual_b, report.marginal_residual_c)
-        steps.append(_exact(f"reduction-{t}", worst, 1e-8, report.tensored.solver.iterations))
+        iterations = report.tensored.solver.iterations
+        steps.append(_exact(f"reduction-{t}", report.residual, 1e-8, iterations))
         witness = report.reduced
     return steps, witness
 
@@ -240,6 +238,6 @@ def family(channels: Sequence[Channel], config: SolverConfig) -> Outcome:
     """Step-wise divisibility of a process family; the witness is the last
     quotient found."""
     reports = analysis.check_family_divisibility(channels, config)
-    steps = [_solved(f"step-{k}", r, r.composition_residual) for k, r in enumerate(reports)]
+    steps = [_solved(f"step-{k}", r) for k, r in enumerate(reports)]
     witness = next((r.quotient for r in reversed(reports) if r.quotient is not None), None)
     return steps, witness

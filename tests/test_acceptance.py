@@ -119,10 +119,10 @@ def test_criterion_05_unitaries_and_depolarizing_not_self_complementary():
     for _ in range(20):
         u = ch.random_unitary(2, rng)
         rep = an.check_self_degradable(ch.KrausSet(2, 2, (u,)))
-        worst = min(worst, rep.self_distance)
+        worst = min(worst, rep.residual)
         assert rep.status is Status.NOT_FEASIBLE_AT_TOLERANCE
     dep = an.check_self_degradable(ch.kraus_from_choi(ch.completely_depolarizing(2)))
-    worst = min(worst, dep.self_distance)
+    worst = min(worst, dep.residual)
     elapsed = time.time() - t0
     ok = worst > 1e-3 and dep.status is Status.NOT_FEASIBLE_AT_TOLERANCE and elapsed < 5.0
     report(

@@ -15,7 +15,7 @@ import pytest
 from chancompat import analysis as an
 from chancompat import channels as ch
 from chancompat.channels import Channel
-from chancompat.feasibility import AffineConstraintSet, SolverConfig, solve
+from chancompat.feasibility import AffineConstraintSet, SolverConfig, Status, solve
 from chancompat.linalg import dag, devectorize_hermitian, partial_trace, vectorize_hermitian
 
 CONFIG = SolverConfig()
@@ -63,16 +63,17 @@ def support_oracle(psi, phi):
 
 
 def compat_oracle(psi, phi):
-    """Oracle system and frame of check_compatibility (frame None: full space)."""
+    """Oracle system of check_compatibility, on its support frame's
+    coordinates (the full space when no support is forced)."""
     dims = (psi.dim_in, psi.dim_out, phi.dim_out)
     frame = an._compat_support(psi, phi)
-    lift = (lambda x: x) if frame is None else (lambda x: frame @ x @ dag(frame))
+    if frame is None:
+        frame = np.eye(int(np.prod(dims)))
     forward = [
-        (lambda x: partial_trace(lift(x), dims, (0, 1)), psi.choi),
-        (lambda x: partial_trace(lift(x), dims, (0, 2)), phi.choi),
+        (lambda x: partial_trace(frame @ x @ dag(frame), dims, (0, 1)), psi.choi),
+        (lambda x: partial_trace(frame @ x @ dag(frame), dims, (0, 2)), phi.choi),
     ]
-    dim = int(np.prod(dims)) if frame is None else frame.shape[1]
-    return oracle_constraints(dim, forward), lift
+    return oracle_constraints(frame.shape[1], forward)
 
 
 def div_oracle(psi, phi):
@@ -81,7 +82,7 @@ def div_oracle(psi, phi):
         (lambda x: partial_trace(x, (db, dc), (0,)), np.eye(db)),
         (lambda x: ch.compose_choi(psi, Channel(db, dc, x)).choi, phi.choi),
     ]
-    return oracle_constraints(db * dc, forward), lambda x: x
+    return oracle_constraints(db * dc, forward)
 
 
 def thm1_pair(rng, d, env):
@@ -123,7 +124,7 @@ def div_instances():
     return out
 
 
-def assert_parity(report, oracle, lift):
+def assert_parity(report, oracle):
     cons = report.constraints
     assert cons.matrix.shape == oracle.matrix.shape
     assert np.abs(cons.matrix - oracle.matrix).max() <= 1e-14
@@ -134,7 +135,11 @@ def assert_parity(report, oracle, lift):
     assert report.stop_reason == expected.stop_reason
     assert (report.solution is None) == (expected.solution is None)
     if report.solution is not None:
-        assert np.abs(report.solution - lift(expected.solution)).max() <= 1e-12
+        assert np.abs(report.solution - expected.solution).max() <= 1e-12
+    if report.status is Status.FEASIBLE:
+        # The solution is in the coordinates of the reported constraints.
+        assert report.solution.shape == (cons.dim, cons.dim)
+        assert cons.residual(report.solution) < CONFIG.eps_feas
 
 
 def support_instances():
@@ -168,10 +173,10 @@ def test_support_matches_null_column_oracle(psi, phi):
 @pytest.mark.parametrize("psi, phi", compat_instances())
 def test_compatibility_assembly_matches_oracle(psi, phi):
     report = an.check_compatibility(psi, phi, CONFIG).solver
-    assert_parity(report, *compat_oracle(psi, phi))
+    assert_parity(report, compat_oracle(psi, phi))
 
 
 @pytest.mark.parametrize("psi, phi", div_instances())
 def test_divisibility_assembly_matches_oracle(psi, phi):
     report = an.check_divisibility(psi, phi, CONFIG).solver
-    assert_parity(report, *div_oracle(psi, phi))
+    assert_parity(report, div_oracle(psi, phi))

@@ -62,9 +62,9 @@ def test_load_rejects_invalid_documents(tmp_path, capsys):
     )
     with pytest.raises(io.LoadError):
         io.load_channel(str(bad))
-    # Non-finite entries, entries that are not [re, im] pairs, incomplete
-    # Kraus sets and a 'kraus' that is not a list are load errors: every
-    # check exits 3 with no report.
+    # Non-finite entries, entries that are not [re, im] pairs, ragged rows,
+    # incomplete Kraus sets and a 'kraus' that is not a list are load errors:
+    # every check exits 3 with no report.
     eye = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
     inf_kraus = [[[float("inf"), 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
     nan_choi = [[[float("nan"), 0.0]] * 4] + [[[0.0, 0.0]] * 4] * 3
@@ -74,6 +74,7 @@ def test_load_rejects_invalid_documents(tmp_path, capsys):
         {"dim_in": 2, "dim_out": 2, "kraus": [inf_kraus]},
         {"dim_in": 2, "dim_out": 2, "choi": nan_choi},
         {"dim_in": 2, "dim_out": 2, "kraus": [triple]},
+        {"dim_in": 2, "dim_out": 2, "kraus": [[[[1, 0], [0, 0]], [[0, 0]]]]},
         {"dim_in": 2, "dim_out": 2, "kraus": [half]},
         {"dim_in": 2, "dim_out": 2, "kraus": [eye, half]},
         {"dim_in": 2, "dim_out": 2, "kraus": 5},
@@ -84,6 +85,8 @@ def test_load_rejects_invalid_documents(tmp_path, capsys):
         assert main(["check", "selfdeg", str(bad)]) == 3
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: "), err
+        # The message names the field at fault, not numpy's internals.
+        assert ("kraus" if "kraus" in doc else "choi") in err.lower(), err
 
 
 def test_make_and_check_compat_identity(tmp_path, capsys):
@@ -206,6 +209,7 @@ def test_usage_errors_exit_three(tmp_path, capsys):
         ["verify", "thm1", "--trials", "0"],
         ["verify", "thm1", "--trials", "-3"],
         ["verify", "family", "--steps", "1"],
+        ["--eps", "inf", "verify", "thm1", "--trials", "1"],
     ],
 )
 def test_vacuous_verify_is_rejected(capsys, argv):

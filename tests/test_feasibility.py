@@ -161,8 +161,9 @@ def test_certificate_bound_needs_a_fixed_trace():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(eps_feas=0.0)
+    for eps in (0.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            SolverConfig(eps_feas=eps)
     with pytest.raises(ValueError):
         SolverConfig(max_iter=0)
 
