@@ -27,7 +27,14 @@ import numpy as np
 
 from . import channels as ch
 from .channels import Channel, KrausSet
-from .feasibility import AffineConstraintSet, FeasibilityReport, SolverConfig, Status, solve
+from .feasibility import (
+    AffineConstraintSet,
+    FeasibilityReport,
+    MarginalConstraintSet,
+    SolverConfig,
+    Status,
+    solve,
+)
 from .linalg import dag, frob, hermitian_basis, partial_trace_adjoint, vectorize_hermitian
 
 __all__ = [
@@ -197,14 +204,17 @@ def check_compatibility(
     da, db, dc = psi.dim_in, psi.dim_out, phi.dim_out
     dims = (da, db, dc)
     frame = _compat_support(psi, phi)
-    # With a support frame U the variable is Y in X = U Y U^dag, and the
-    # framed adjoints map into Y's space; only the witness is lifted to X.
-    side = da * db * dc if frame is None else frame.shape[1]
-    specs = [
-        (partial(partial_trace_adjoint, dims=dims, keep=(0, 1), frame=frame), psi.choi),
-        (partial(partial_trace_adjoint, dims=dims, keep=(0, 2), frame=frame), phi.choi),
-    ]
-    report = solve(build_constraints(side, specs), config)
+    if frame is None:
+        constraints = MarginalConstraintSet(dims, psi.choi, phi.choi)
+    else:
+        # With a support frame U the variable is Y in X = U Y U^dag, and the
+        # framed adjoints map into Y's space; only the witness is lifted to X.
+        specs = [
+            (partial(partial_trace_adjoint, dims=dims, keep=(0, 1), frame=frame), psi.choi),
+            (partial(partial_trace_adjoint, dims=dims, keep=(0, 2), frame=frame), phi.choi),
+        ]
+        constraints = build_constraints(frame.shape[1], specs)
+    report = solve(constraints, config)
     if report.status is not Status.FEASIBLE:
         return CompatReport(report.status, None, None, report)
     x = report.solution if frame is None else frame @ report.solution @ dag(frame)

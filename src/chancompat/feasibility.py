@@ -2,10 +2,17 @@
 
 Problems have the form: find Hermitian X >= 0 with M vec(X) = b, where vec
 is the isometric real vectorization of the Hermitian space. Douglas-Rachford
-splitting runs on the real coordinates: it reflects through the
-Frobenius-nearest PSD projection and the Euclidean projection onto the
-affine set, and its PSD iterates converge to a point of the intersection
-whenever one exists.
+splitting reflects through the Frobenius-nearest PSD projection and the
+Euclidean projection onto the affine set, and its PSD iterates converge to a
+point of the intersection whenever one exists.
+
+Two constraint sets provide that projection. :class:`AffineConstraintSet`
+holds a dense M and projects with its pseudo-inverse, factored once, on
+real coordinates. :class:`MarginalConstraintSet` is the compatibility system
+``Tr_C X = J_psi, Tr_B X = J_phi`` on A (x) B (x) C, whose projection has a
+closed form; it iterates on the matrices themselves and factors nothing.
+Both state their residuals, multipliers and trace coordinates in the dense
+rows' coordinates, so a certificate means the same on either.
 
 Infeasible verdicts are certified. At iteration 1 and at every
 1000-iteration checkpoint the residual of the PSD iterate is turned into
@@ -25,21 +32,28 @@ nothing: it ends the solve inconclusive, as does the iteration cap.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .linalg import devectorize_hermitian, project_psd, vectorize_hermitian
+from .linalg import (
+    devectorize_hermitian,
+    partial_trace,
+    partial_trace_adjoint,
+    project_psd,
+    vectorize_hermitian,
+)
 
 __all__ = [
     "EPS_PLATEAU",
     "Status",
     "AffineConstraintSet",
+    "MarginalConstraintSet",
     "SolverConfig",
     "FeasibilityReport",
     "certificate_bound",
-    "project_affine",
     "solve",
 ]
 
@@ -64,6 +78,18 @@ class Status(enum.Enum):
     INCONCLUSIVE = "inconclusive"
 
 
+# Both constraint sets provide, besides ``dim`` and ``rhs`` (b):
+#   forward(X), adjoint(lam)  M vec(X), and devec(M^T lam) as a matrix
+#   residual(X), project(X)   ||M vec(X) - b||, and the Euclidean projection
+#   multipliers(r)            (M M^T)^+ r + (r - M M^+ r) for r = M vec(Y) - b
+#   trace_coordinates         tau with M^T tau = vec(I), or None
+# and, in the coordinates z that `solve` iterates on:
+#   start()                   P_aff(0)
+#   candidate(z)              the PSD iterate Y and its coordinates y
+#   misfit(y)                 ||M y - b||
+#   correction(w)             w - P_aff(w)
+
+
 @dataclass(frozen=True)
 class AffineConstraintSet:
     """Affine constraints M vec(X) = b over Hermitian ``dim x dim`` matrices.
@@ -71,7 +97,8 @@ class AffineConstraintSet:
     The pseudo-inverse of M is precomputed once; constraint rows need not be
     linearly independent, and an inconsistent system simply projects onto its
     least-squares affine set (the reported residual then never reaches the
-    feasibility tolerance).
+    feasibility tolerance). The solver's coordinates are the real ones of
+    :func:`vectorize_hermitian`.
     """
 
     dim: int
@@ -96,9 +123,26 @@ class AffineConstraintSet:
         object.__setattr__(self, "rhs", b)
         object.__setattr__(self, "pinv", np.linalg.pinv(m, rcond=_RCOND))
 
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        return self.matrix @ vectorize_hermitian(x)
+
+    def adjoint(self, lam: np.ndarray) -> np.ndarray:
+        return devectorize_hermitian(self.matrix.T @ lam)
+
     def residual(self, x: np.ndarray) -> float:
         """Euclidean residual ||M vec(X) - b|| of a Hermitian matrix."""
-        return float(np.linalg.norm(self.matrix @ vectorize_hermitian(x) - self.rhs))
+        return float(np.linalg.norm(self.forward(x) - self.rhs))
+
+    def project(self, x: np.ndarray) -> np.ndarray:
+        """Euclidean projection of a Hermitian matrix onto {X : M vec(X) = b}."""
+        v = vectorize_hermitian(x)
+        return devectorize_hermitian(v - self.correction(v))
+
+    def multipliers(self, r: np.ndarray) -> np.ndarray:
+        # pinv^T pinv = (M M^T)^+, and r - M pinv r is r's part orthogonal
+        # to M's range.
+        g = self.pinv @ r
+        return self.pinv.T @ g + (r - self.matrix @ g)
 
     @cached_property
     def trace_coordinates(self) -> np.ndarray | None:
@@ -111,6 +155,189 @@ class AffineConstraintSet:
         tau = self.pinv.T @ ident
         defect = np.linalg.norm(self.matrix.T @ tau - ident)
         return tau if defect <= _ROW_SPACE_TOL * np.linalg.norm(ident) else None
+
+    def start(self) -> np.ndarray:
+        return self.pinv @ self.rhs
+
+    def candidate(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        y = project_psd(devectorize_hermitian(z))
+        return y, vectorize_hermitian(y)
+
+    def misfit(self, y: np.ndarray) -> float:
+        return float(np.linalg.norm(self.matrix @ y - self.rhs))
+
+    def correction(self, w: np.ndarray) -> np.ndarray:
+        return self.pinv @ (self.matrix @ w - self.rhs)
+
+
+@functools.cache
+def _marginal_indices(dims: tuple[int, int, int]) -> tuple[np.ndarray, ...]:
+    """Flat gather/scatter indices of the marginal maps on A (x) B (x) C.
+
+    Returns ``(gather, starts, scatter, weights)``. ``gather`` lists the
+    entries of a ``side x side`` matrix that ``Tr_C``, ``Tr_B`` and ``Tr_BC``
+    sum, one segment per output entry starting at ``starts`` (for
+    ``numpy.add.reduceat``). Row k of ``scatter``/``weights`` names the (at
+    most three) reduced entries ``(dP, dQ, dR)`` whose weighted sum is entry k
+    of
+    ``dP (x) I_C / d_C + dQ I_B / d_B - dR (x) I_BC / (d_B d_C)``. Cached per
+    dims, read-only.
+    """
+    a, b, c = dims
+    side = a * b * c
+    idx = np.arange(side * side).reshape(a, b, c, a, b, c)
+    over_c = np.diagonal(idx, axis1=2, axis2=5)  # (a, b, a, b, c)
+    over_b = np.diagonal(idx, axis1=1, axis2=4)  # (a, c, a, c, b)
+    over_bc = np.diagonal(over_c, axis1=1, axis2=3)  # (a, a, c, b)
+    gather = np.concatenate([over_c.ravel(), over_b.ravel(), over_bc.ravel()])
+    p2, q2 = (a * b) ** 2, (a * c) ** 2
+    starts = np.concatenate(
+        [
+            np.arange(0, p2 * c, c),
+            p2 * c + np.arange(0, q2 * b, b),
+            p2 * c + q2 * b + np.arange(0, a * a * b * c, b * c),
+        ]
+    )
+    al, be, ga, al2, be2, ga2 = np.indices((a, b, c, a, b, c)).reshape(6, -1)
+    scatter = np.stack(
+        [
+            (al * b + be) * (a * b) + al2 * b + be2,
+            p2 + (al * c + ga) * (a * c) + al2 * c + ga2,
+            p2 + q2 + al * a + al2,
+        ],
+        axis=1,
+    )
+    same_b, same_c = be == be2, ga == ga2
+    weights = np.stack([same_c / c, same_b / b, (same_b & same_c) / (-b * c)], axis=1)
+    out = (gather, starts, scatter, weights.astype(complex))
+    for arr in out:
+        arr.setflags(write=False)
+    return out
+
+
+class MarginalConstraintSet:
+    """The compatibility constraints ``Tr_C X = first``, ``Tr_B X = second``
+    over Hermitian X on A (x) B (x) C, with ``dims = (d_A, d_B, d_C)``.
+
+    Equal to the :class:`AffineConstraintSet` whose rows are the two
+    marginals' (``M`` of two blocks, ``rhs`` the stacked vectorized targets),
+    but nothing is factored: with ``dP = P - Tr_C X``, ``dQ = Q - Tr_B X`` and
+    ``dR = Tr_B dP`` for targets (P, Q) with one A-marginal, the projection is
+    ``X + dP (x) I_C / d_C + dQ I_B / d_B - dR (x) I_BC / (d_B d_C)``. The two
+    given targets agree on A only to rounding, so the projection uses their
+    least-squares consistent pair ``first - E (x) I_B`` and
+    ``second + E (x) I_C`` with ``E = (Tr_B first - Tr_C second) / (d_B +
+    d_C)``, as the pseudo-inverse does, while residuals are measured against
+    the given targets. The solver iterates on the matrices themselves.
+    """
+
+    def __init__(self, dims: tuple[int, int, int], first: np.ndarray, second: np.ndarray):
+        dims = tuple(int(d) for d in dims)
+        if len(dims) != 3 or min(dims) < 1:
+            raise ValueError(f"dims must be three positive dimensions, got {dims}")
+        a, b, c = dims
+        first = np.asarray(first, dtype=complex)
+        second = np.asarray(second, dtype=complex)
+        if first.shape != (a * b, a * b) or second.shape != (a * c, a * c):
+            raise ValueError(
+                f"target shapes {first.shape}, {second.shape} do not match dims {dims}"
+            )
+        if not (np.isfinite(first).all() and np.isfinite(second).all()):
+            raise ValueError("constraints contain non-finite entries")
+        self.dims, self.first, self.second = dims, first, second
+        self.dim = a * b * c
+        self.rhs = np.concatenate([vectorize_hermitian(first), vectorize_hermitian(second)])
+        self._targets = np.concatenate([first.ravel(), second.ravel()])
+        # The consistent targets, and their common A-marginal, that the
+        # projection's (dP, dQ, dR) are taken from.
+        e = (partial_trace(first, (a, b), (0,)) - partial_trace(second, (a, c), (0,))) / (b + c)
+        p = first - partial_trace_adjoint(e, (a, b), (0,))
+        q = second + partial_trace_adjoint(e, (a, c), (0,))
+        r = partial_trace(p, (a, b), (0,))
+        self._anchor = np.concatenate([p.ravel(), q.ravel(), r.ravel()])
+
+    def _split(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The two row blocks of a vector in row coordinates, as matrices."""
+        a, b, c = self.dims
+        cut = (a * b) ** 2
+        return devectorize_hermitian(v[:cut]), devectorize_hermitian(v[cut:])
+
+    def _traces(self, x: np.ndarray) -> np.ndarray:
+        """``Tr_C X``, ``Tr_B X`` and ``Tr_BC X``, flattened and stacked."""
+        gather, starts, _, _ = _marginal_indices(self.dims)
+        return np.add.reduceat(np.take(x, gather), starts)
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        a, b, c = self.dims
+        t, cut = self._traces(x), (a * b) ** 2
+        return np.concatenate(
+            [
+                vectorize_hermitian(t[:cut].reshape(a * b, a * b)),
+                vectorize_hermitian(t[cut : self._targets.size].reshape(a * c, a * c)),
+            ]
+        )
+
+    def adjoint(self, lam: np.ndarray) -> np.ndarray:
+        u, v = self._split(np.asarray(lam, dtype=float))
+        return partial_trace_adjoint(u, self.dims, (0, 1)) + partial_trace_adjoint(
+            v, self.dims, (0, 2)
+        )
+
+    def residual(self, x: np.ndarray) -> float:
+        """Euclidean residual ||M vec(X) - b|| of a Hermitian matrix."""
+        return float(np.linalg.norm(self.forward(x) - self.rhs))
+
+    def project(self, x: np.ndarray) -> np.ndarray:
+        """Euclidean projection of a Hermitian matrix onto the (least-squares)
+        marginal constraints."""
+        return x - self.correction(x)
+
+    def multipliers(self, r: np.ndarray) -> np.ndarray:
+        """``(M M^T)^+ r + (r - M M^+ r)`` in closed form.
+
+        The rows' null space is spanned by the pairs ``(R (x) I_B, -R (x)
+        I_C)``; r's part in it is ``(E (x) I_B, -E (x) I_C)`` with ``E = (Tr_B
+        P - Tr_C Q) / (d_B + d_C)``. On the range part ``(P', Q')``, with
+        ``R' = Tr_B P'``, ``(M M^T)^+`` gives ``(P' / d_C - R' (x) I_B / (d_C
+        (d_B + d_C)), Q' / d_B - R' (x) I_C / (d_B (d_B + d_C)))``.
+        """
+        a, b, c = self.dims
+        p, q = self._split(np.asarray(r, dtype=float))
+        e = (partial_trace(p, (a, b), (0,)) - partial_trace(q, (a, c), (0,))) / (b + c)
+        e_b, e_c = partial_trace_adjoint(e, (a, b), (0,)), partial_trace_adjoint(e, (a, c), (0,))
+        p, q = p - e_b, q + e_c
+        r_a = partial_trace(p, (a, b), (0,)) / (b + c)
+        lam_p = (p - partial_trace_adjoint(r_a, (a, b), (0,))) / c + e_b
+        lam_q = (q - partial_trace_adjoint(r_a, (a, c), (0,))) / b - e_c
+        return np.concatenate([vectorize_hermitian(lam_p), vectorize_hermitian(lam_q)])
+
+    @cached_property
+    def trace_coordinates(self) -> np.ndarray:
+        """``(d_C vec(I_AB), d_B vec(I_AC)) / (d_B + d_C)``, the least-norm
+        coordinates of the identity, which the pseudo-inverse gives."""
+        a, b, c = self.dims
+        return np.concatenate(
+            [vectorize_hermitian(np.eye(a * b)) * c, vectorize_hermitian(np.eye(a * c)) * b]
+        ) / (b + c)
+
+    def start(self) -> np.ndarray:
+        return self.project(np.zeros((self.dim, self.dim), dtype=complex))
+
+    def candidate(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        y = project_psd(z)
+        return y, y
+
+    def misfit(self, y: np.ndarray) -> float:
+        # Frobenius norms of Hermitian blocks equal their coordinates' norms.
+        return float(np.linalg.norm(self._traces(y)[: self._targets.size] - self._targets))
+
+    def correction(self, w: np.ndarray) -> np.ndarray:
+        _, _, scatter, weights = _marginal_indices(self.dims)
+        d = self._traces(w) - self._anchor
+        return (d[scatter] * weights).sum(axis=1).reshape(self.dim, self.dim)
+
+
+ConstraintSet = AffineConstraintSet | MarginalConstraintSet
 
 
 @dataclass(frozen=True)
@@ -144,17 +371,10 @@ class FeasibilityReport:
     iterations: int
     stop_reason: str
     certificate: np.ndarray | None = field(default=None, repr=False)
-    constraints: AffineConstraintSet | None = field(default=None, repr=False, compare=False)
+    constraints: ConstraintSet | None = field(default=None, repr=False, compare=False)
 
 
-def project_affine(x: np.ndarray, constraints: AffineConstraintSet) -> np.ndarray:
-    """Euclidean projection of a Hermitian matrix onto {X : M vec(X) = b}."""
-    v = vectorize_hermitian(x)
-    v = v - constraints.pinv @ (constraints.matrix @ v - constraints.rhs)
-    return devectorize_hermitian(v)
-
-
-def certificate_bound(constraints: AffineConstraintSet, lam: np.ndarray) -> float:
+def certificate_bound(constraints: ConstraintSet, lam: np.ndarray) -> float:
     """Lower bound on ``||M vec(X) - b||`` over every PSD X, from multipliers lam.
 
     With ``G = devec(M^T lam)`` and ``mu = min(0, lambda_min(G))``, every PSD X
@@ -174,7 +394,7 @@ def certificate_bound(constraints: AffineConstraintSet, lam: np.ndarray) -> floa
     if not np.isfinite(lam).all():
         raise ValueError("multipliers contain non-finite entries")
     b = constraints.rhs
-    g = devectorize_hermitian(constraints.matrix.T @ lam)
+    g = constraints.adjoint(lam)
     mu = float(np.linalg.eigvalsh(g).min(initial=0.0))
     delta = -float(b @ lam)
     scale = float(np.linalg.norm(lam))
@@ -192,17 +412,19 @@ def _psd_defect(x: np.ndarray) -> float:
     return max(0.0, -float(w.min(initial=0.0)))
 
 
-def solve(constraints: AffineConstraintSet, config: SolverConfig = SolverConfig()) -> FeasibilityReport:
+def solve(constraints: ConstraintSet, config: SolverConfig = SolverConfig()) -> FeasibilityReport:
     """Decide feasibility of the PSD cone intersected with the affine set.
 
-    Douglas-Rachford splitting on the real coordinates ``z``: from
-    ``z = P_aff(0)``, each iteration takes the PSD iterate
-    ``y = vec(project_psd(devec(z)))`` and updates
-    ``z <- z + P_aff(2y - z) - y``. The candidate tracked for the verdict is
-    the PSD iterate, which is exactly positive semidefinite by construction,
-    so its affine residual ``r = M y - b`` alone measures distance from
-    feasibility. At iteration 1 and at every 1000-iteration checkpoint ``r``
-    gives multipliers ``lam = pinv^T g + (r - M g)`` with ``g = pinv r``;
+    Douglas-Rachford splitting on the constraint set's coordinates ``z``:
+    from ``z = P_aff(0)``, each iteration takes the PSD iterate
+    ``y = project_psd(z)`` (``candidate``) and updates
+    ``z <- z + P_aff(2y - z) - y``, with
+    ``P_aff`` the set's Euclidean projection (the pseudo-inverse of a dense
+    set, the closed form of a marginal one). The candidate tracked for the
+    verdict is the PSD iterate, which is exactly positive semidefinite by
+    construction, so its affine residual ``r = M y - b`` alone measures
+    distance from feasibility. At iteration 1 and at every 1000-iteration
+    checkpoint ``r`` gives multipliers ``lam = (M M^T)^+ r + (r - M M^+ r)``;
     when :func:`certificate_bound` proves every PSD X to have residual at
     least ``10 * eps_feas``, the solve stops not feasible with ``lam`` as its
     certificate. A plateau of the best residual between checkpoints, and
@@ -210,9 +432,7 @@ def solve(constraints: AffineConstraintSet, config: SolverConfig = SolverConfig(
     coordinates is decided at iteration 1: ``r = -b`` and ``lam = r``, whose
     bound is exactly ``||b||``.
     """
-    m, b, mp = constraints.matrix, constraints.rhs, constraints.pinv
-
-    z = mp @ b
+    z = constraints.start()
     best = np.inf
     best_candidate = None
     checkpoints: list[float] = []
@@ -223,10 +443,8 @@ def solve(constraints: AffineConstraintSet, config: SolverConfig = SolverConfig(
     infeasible_at = 10.0 * config.eps_feas
 
     for it in range(1, config.max_iter + 1):
-        y_mat = project_psd(devectorize_hermitian(z))
-        y = vectorize_hermitian(y_mat)
-        r = m @ y - b
-        r_aff = float(np.linalg.norm(r))
+        y_mat, y = constraints.candidate(z)
+        r_aff = constraints.misfit(y)
         if r_aff < best:
             best = r_aff
             best_candidate = y_mat
@@ -238,8 +456,7 @@ def solve(constraints: AffineConstraintSet, config: SolverConfig = SolverConfig(
             # The range part certifies a PSD cone that misses a consistent
             # affine set; the part orthogonal to M's range (M^T of it is 0)
             # certifies rows that are inconsistent on their own.
-            g = mp @ r
-            lam = mp.T @ g + (r - m @ g)
+            lam = constraints.multipliers(constraints.forward(y_mat) - constraints.rhs)
             if certificate_bound(constraints, lam) >= infeasible_at:
                 status, stop_reason = Status.NOT_FEASIBLE_AT_TOLERANCE, "certificate"
                 iterations, certificate = it, lam
@@ -250,8 +467,7 @@ def solve(constraints: AffineConstraintSet, config: SolverConfig = SolverConfig(
                 # Not infeasible: the best residual can fall again later.
                 stop_reason, iterations = "plateau", it
                 break
-        w = 2.0 * y - z
-        z = y - mp @ (m @ w - b)
+        z = y - constraints.correction(2.0 * y - z)
 
     # Residuals are re-measured from the candidate matrix itself, never from
     # solver internals.

@@ -5,8 +5,12 @@ over the Hermitian basis of the (small) target space. The oracle below is the
 earlier builder: it applies each forward map to every Hermitian basis
 element of the variable and stores column by column. Both must give the same
 matrix up to rounding, and the solver must reach the same verdict the same
-way on either. The forced support of a compatibility system is checked the
-same way, against the earlier construction from explicit null columns.
+way on either. A compatibility pair with no forced support gets the
+closed-form ``MarginalConstraintSet`` instead, which has no matrix: its
+forward map, projection, multipliers and trace coordinates are compared
+with the same oracle, also on targets whose A-marginals disagree. The forced
+support of a compatibility system is checked against the earlier
+construction from explicit null columns.
 """
 
 import numpy as np
@@ -15,8 +19,21 @@ import pytest
 from chancompat import analysis as an
 from chancompat import channels as ch
 from chancompat.channels import Channel
-from chancompat.feasibility import AffineConstraintSet, SolverConfig, Status, solve
-from chancompat.linalg import dag, devectorize_hermitian, partial_trace, vectorize_hermitian
+from chancompat.feasibility import (
+    AffineConstraintSet,
+    MarginalConstraintSet,
+    SolverConfig,
+    Status,
+    certificate_bound,
+    solve,
+)
+from chancompat.linalg import (
+    dag,
+    devectorize_hermitian,
+    partial_trace,
+    project_psd,
+    vectorize_hermitian,
+)
 
 CONFIG = SolverConfig()
 
@@ -124,10 +141,18 @@ def div_instances():
     return out
 
 
+def forward_columns(cons):
+    """The constraint matrix of any constraint set, one forward map per
+    basis element of its variable."""
+    basis = np.eye(cons.dim * cons.dim)
+    return np.column_stack([cons.forward(devectorize_hermitian(e)) for e in basis])
+
+
 def assert_parity(report, oracle):
     cons = report.constraints
-    assert cons.matrix.shape == oracle.matrix.shape
-    assert np.abs(cons.matrix - oracle.matrix).max() <= 1e-14
+    m = forward_columns(cons)
+    assert m.shape == oracle.matrix.shape
+    assert np.abs(m - oracle.matrix).max() <= 1e-14
     assert np.array_equal(cons.rhs, oracle.rhs)
     expected = solve(oracle, CONFIG)
     assert report.status is expected.status
@@ -173,7 +198,53 @@ def test_support_matches_null_column_oracle(psi, phi):
 @pytest.mark.parametrize("psi, phi", compat_instances())
 def test_compatibility_assembly_matches_oracle(psi, phi):
     report = an.check_compatibility(psi, phi, CONFIG).solver
+    # A pair with no forced support gets the closed-form marginal set.
+    frame_free = an._compat_support(psi, phi) is None
+    assert isinstance(report.constraints, MarginalConstraintSet) == frame_free
     assert_parity(report, compat_oracle(psi, phi))
+
+
+def marginal_pair(dims, shift):
+    """Both marginals of a random channel A -> B (x) C, with the first one's
+    A-marginal moved by ``shift * I_A``."""
+    da, db, dc = dims
+    joint = ch.random_channel(da, db * dc, np.random.default_rng(list(dims))).choi
+    first = partial_trace(joint, dims, (0, 1)) + shift * np.eye(da * db) / db
+    return first, partial_trace(joint, dims, (0, 2))
+
+
+# A shift of 1e-12 is the size of real disagreement (Choi operators agree to
+# rounding); at 1e-6 the least-squares targets move the projection by far
+# more than rounding, so dropping them fails the comparison.
+@pytest.mark.parametrize(
+    "shift", [0.0, 1e-12, 1e-6], ids=["consistent", "shift-1e-12", "shift-1e-6"]
+)
+@pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 4), (3, 3, 3)], ids=str)
+def test_marginal_set_matches_dense_oracle(dims, shift):
+    first, second = marginal_pair(dims, shift)
+    cons = MarginalConstraintSet(dims, first, second)
+    oracle = oracle_constraints(
+        cons.dim,
+        [
+            (lambda x: partial_trace(x, dims, (0, 1)), first),
+            (lambda x: partial_trace(x, dims, (0, 2)), second),
+        ],
+    )
+    assert np.abs(forward_columns(cons) - oracle.matrix).max() <= 1e-14
+    assert np.array_equal(cons.rhs, oracle.rhs)
+    assert np.abs(cons.trace_coordinates - oracle.trace_coordinates).max() <= 1e-13
+    rng = np.random.default_rng(1)
+    for _ in range(3):
+        g = rng.standard_normal((cons.dim,) * 2) + 1j * rng.standard_normal((cons.dim,) * 2)
+        x = g + dag(g)
+        assert np.abs(cons.project(x) - oracle.project(x)).max() <= 1e-13
+        assert abs(cons.residual(x) - oracle.residual(x)) <= 1e-13
+        r = cons.forward(project_psd(x)) - cons.rhs
+        lam = cons.multipliers(r)
+        assert np.abs(lam - oracle.multipliers(r)).max() <= 1e-13
+        assert np.abs(cons.adjoint(lam) - oracle.adjoint(lam)).max() <= 1e-13
+        bound = certificate_bound(cons, lam)
+        assert abs(bound - certificate_bound(oracle, lam)) <= 1e-12
 
 
 @pytest.mark.parametrize("psi, phi", div_instances())

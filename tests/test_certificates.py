@@ -1,6 +1,7 @@
 """Farkas certificates of infeasibility: soundness on feasible instances,
-certification of the known infeasible kinds, and invariance under local
-unitaries. Feasible instances near the PSD cone boundary never get a
+certification of the known infeasible kinds, invariance under local
+unitaries and under swapping the pair, and the depolarizing cloning
+threshold. Feasible instances near the PSD cone boundary never get a
 not-feasible verdict."""
 
 import numpy as np
@@ -9,8 +10,14 @@ import pytest
 from chancompat import analysis as an
 from chancompat import channels as ch
 from chancompat.channels import Channel, KrausSet
-from chancompat.feasibility import SolverConfig, Status, certificate_bound
-from chancompat.linalg import project_psd, vectorize_hermitian
+from chancompat.feasibility import (
+    MarginalConstraintSet,
+    SolverConfig,
+    Status,
+    certificate_bound,
+    solve,
+)
+from chancompat.linalg import partial_trace_adjoint, project_psd
 
 CONFIG = SolverConfig()
 
@@ -56,8 +63,7 @@ def test_feasible_instances_are_never_certified():
                 (cons.dim, cons.dim)
             )
             y = project_psd(0.5 * (g + g.conj().T))
-            r = cons.matrix @ vectorize_hermitian(y) - cons.rhs
-            lam = cons.pinv.T @ (cons.pinv @ r)
+            lam = cons.multipliers(cons.forward(y) - cons.rhs)
             assert certificate_bound(cons, lam) <= solver.residual_affine + 1e-12
     # The batch includes solves that attempted a certificate and went on.
     assert iterated >= 2
@@ -160,7 +166,68 @@ def test_full_rank_pairs_are_feasible_with_reverified_witness(d, env):
         cons = rep.solver.constraints
         n = cons.dim
         g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        r = cons.matrix @ vectorize_hermitian(project_psd(0.5 * (g + g.conj().T))) - cons.rhs
-        h = cons.pinv @ r
-        lam = cons.pinv.T @ h + (r - cons.matrix @ h)
+        lam = cons.multipliers(cons.forward(project_psd(0.5 * (g + g.conj().T))) - cons.rhs)
         assert certificate_bound(cons, lam) <= rep.solver.residual_affine + 1e-12
+
+
+def depolarizing(d: int, eta: float) -> Channel:
+    """rho -> eta rho + (1 - eta) Tr(rho) I / d."""
+    return Channel(d, d, eta * ch.identity(d).choi + (1 - eta) * ch.completely_depolarizing(d).choi)
+
+
+def dense_compat_constraints(psi: Channel, phi: Channel):
+    """The pair's marginal constraints as a dense system with a pinv."""
+    dims = (psi.dim_in, psi.dim_out, phi.dim_out)
+    specs = [
+        (lambda y: partial_trace_adjoint(y, dims, (0, 1)), psi.choi),
+        (lambda y: partial_trace_adjoint(y, dims, (0, 2)), phi.choi),
+    ]
+    return an.build_constraints(int(np.prod(dims)), specs)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_depolarizing_self_compatibility_brackets_cloning_threshold(d):
+    # Optimal universal 1 -> 2 cloning: the depolarizing channel is
+    # compatible with itself exactly when eta <= (d + 2) / (2 (d + 1)).
+    threshold = (d + 2) / (2 * (d + 1))
+    above = depolarizing(d, threshold + 1e-3)
+    rep = an.check_compatibility(above, above, CONFIG).solver
+    assert isinstance(rep.constraints, MarginalConstraintSet)
+    assert rep.status is Status.NOT_FEASIBLE_AT_TOLERANCE
+    assert rep.stop_reason == "certificate" and rep.iterations == 1
+    bound = certificate_bound(rep.constraints, rep.certificate)
+    assert bound >= 10 * CONFIG.eps_feas
+    dense = dense_compat_constraints(above, above)
+    assert abs(bound - certificate_bound(dense, rep.certificate)) <= 1e-12
+    oracle = solve(dense, CONFIG)
+    assert (oracle.stop_reason, oracle.iterations) == ("certificate", 1)
+    assert abs(bound - certificate_bound(dense, oracle.certificate)) <= 1e-12
+
+    below = depolarizing(d, threshold - 1e-3)
+    rep = an.check_compatibility(below, below, CONFIG)
+    assert rep.status is Status.FEASIBLE
+    assert joint_reverifies(rep.compatibilizer, below, below)
+
+
+def swap_pairs():
+    rng = np.random.default_rng(41)
+    psi, phi = thm1_pair(rng, 2, 2)
+    pairs = [pytest.param(noisy(psi, 0.01), noisy(phi, 0.01), id="noisy-d2-env2")]
+    pairs.append(pytest.param(*thm1_pair(rng, 2, 4), id="thm1-d2-env4"))
+    compatible = depolarizing(2, 0.8), depolarizing(2, 0.4)
+    pairs.append(pytest.param(*compatible, id="depolarizing-compatible"))
+    incompatible = depolarizing(3, 0.8), depolarizing(3, 0.5)
+    pairs.append(pytest.param(*incompatible, id="depolarizing-incompatible"))
+    return pairs
+
+
+@pytest.mark.parametrize("psi, phi", swap_pairs())
+def test_swapping_the_pair_keeps_the_verdict(psi, phi):
+    assert an._compat_support(psi, phi) is None
+    rep = an.check_compatibility(psi, phi, CONFIG)
+    swapped = an.check_compatibility(phi, psi, CONFIG)
+    assert swapped.status is rep.status
+    assert swapped.solver.stop_reason == rep.solver.stop_reason
+    if swapped.status is Status.FEASIBLE:
+        joint = ch.swap_output(swapped.compatibilizer, phi.dim_out, psi.dim_out)
+        assert joint_reverifies(joint, psi, phi)

@@ -6,7 +6,6 @@ from chancompat.feasibility import (
     SolverConfig,
     Status,
     certificate_bound,
-    project_affine,
     solve,
 )
 from chancompat.linalg import dag, frob, vectorize_hermitian
@@ -58,17 +57,17 @@ def test_project_affine_idempotent_and_exact():
     cons = trace_constraint(3, 2.0)
     g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     x = 0.5 * (g + dag(g))
-    p1 = project_affine(x, cons)
+    p1 = cons.project(x)
     assert abs(np.trace(p1).real - 2.0) < 1e-12
-    assert frob(project_affine(p1, cons) - p1) < 1e-12
+    assert frob(cons.project(p1) - p1) < 1e-12
     # points already in the set are untouched
     x_in = x + (2.0 - np.trace(x).real) * np.eye(3) / 3
-    assert frob(project_affine(x_in, cons) - x_in) < 1e-12
+    assert frob(cons.project(x_in) - x_in) < 1e-12
 
 
 def test_project_affine_least_norm_correction():
     cons = trace_constraint(2, 2.0)
-    out = project_affine(np.zeros((2, 2)), cons)
+    out = cons.project(np.zeros((2, 2)))
     assert frob(out - np.eye(2)) < 1e-12
 
 
