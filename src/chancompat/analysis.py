@@ -29,6 +29,7 @@ from . import channels as ch
 from .channels import Channel, KrausSet
 from .feasibility import (
     AffineConstraintSet,
+    CompositionConstraintSet,
     FeasibilityReport,
     MarginalConstraintSet,
     SolverConfig,
@@ -109,7 +110,7 @@ class CatalysisReport:
 
 
 # ---------------------------------------------------------------------------
-# Constraint assembly (single builder for marginal/composition systems)
+# Constraint assembly (dense systems: support-restricted compatibility)
 # ---------------------------------------------------------------------------
 
 
@@ -229,24 +230,19 @@ def check_divisibility(
 
     The variable is the Choi operator of theta: B -> C, constrained to be
     trace preserving and to satisfy the (linear) composition identity with
-    the fixed ``psi``.
+    the fixed ``psi``. Both constraints are products with the realigned Choi
+    operators, so the system is a :class:`CompositionConstraintSet`, which
+    projects in closed form from one SVD of psi's realigned Choi operator.
     """
     if psi.dim_in != phi.dim_in:
         raise ValueError("channels must share the input dimension")
     ch.validate_channel(psi, atol=ch.EPS_EQ, name="psi")
     ch.validate_channel(phi, atol=ch.EPS_EQ, name="phi")
-    db, dc = psi.dim_out, phi.dim_out
-    constraints = build_constraints(
-        db * dc,
-        [
-            (partial(partial_trace_adjoint, dims=(db, dc), keep=(0,)), np.eye(db, dtype=complex)),
-            (partial(ch.compose_choi_adjoint, psi), phi.choi),
-        ],
-    )
-    report = solve(constraints, config)
+    dims = (psi.dim_in, psi.dim_out, phi.dim_out)
+    report = solve(CompositionConstraintSet(dims, psi.choi, phi.choi), config)
     if report.status is not Status.FEASIBLE:
         return DivReport(report.status, None, None, report)
-    quotient = Channel(db, dc, report.solution)
+    quotient = Channel(psi.dim_out, phi.dim_out, report.solution)
     residual = frob(ch.compose_choi(psi, quotient).choi - phi.choi)
     return DivReport(report.status, quotient, residual, report)
 

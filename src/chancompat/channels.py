@@ -48,7 +48,6 @@ __all__ = [
     "kraus_from_isometry",
     "apply",
     "compose_choi",
-    "compose_choi_adjoint",
     "tensor",
     "complementary",
     "identity",
@@ -256,26 +255,6 @@ def compose_choi(psi: Channel, theta: Channel) -> Channel:
     out = np.einsum("ibjd,bcdn->icjn", jp, jt)
     side = psi.dim_in * theta.dim_out
     return Channel(psi.dim_in, theta.dim_out, out.reshape(side, side))
-
-
-def compose_choi_adjoint(psi: Channel, y: np.ndarray) -> np.ndarray:
-    """Adjoint of ``J_theta -> compose_choi(psi, theta).choi`` for fixed psi.
-
-    Maps Hermitian operators on H_in(psi) (x) H_out(theta), stacked along
-    leading batch axes, to operators on H_out(psi) (x) H_out(theta):
-    ``L*(Y)[b,c,d,n] = sum_ij conj(J_psi[i,b,j,d]) Y[i,c,j,n]``.
-    """
-    y = np.asarray(y)
-    da, db = psi.dim_in, psi.dim_out
-    dc = y.shape[-1] // da
-    if y.shape[-2:] != (da * dc, da * dc):
-        raise ValueError(f"operator shape {y.shape[-2:]} does not match input dim {da}")
-    lead = y.shape[:-2]
-    jp = psi.choi.reshape(da, db, da, db).conj()
-    out = np.einsum(
-        "ibjd,...icjn->...bcdn", jp, y.reshape(*lead, da, dc, da, dc), optimize=True
-    )
-    return out.reshape(*lead, db * dc, db * dc)
 
 
 def tensor(c1: Channel, c2: Channel) -> Channel:

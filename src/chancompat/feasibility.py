@@ -6,13 +6,16 @@ splitting reflects through the Frobenius-nearest PSD projection and the
 Euclidean projection onto the affine set, and its PSD iterates converge to a
 point of the intersection whenever one exists.
 
-Two constraint sets provide that projection. :class:`AffineConstraintSet`
+Three constraint sets provide that projection. :class:`AffineConstraintSet`
 holds a dense M and projects with its pseudo-inverse, factored once, on
 real coordinates. :class:`MarginalConstraintSet` is the compatibility system
 ``Tr_C X = J_psi, Tr_B X = J_phi`` on A (x) B (x) C, whose projection has a
-closed form; it iterates on the matrices themselves and factors nothing.
-Both state their residuals, multipliers and trace coordinates in the dense
-rows' coordinates, so a certificate means the same on either.
+closed form and factors nothing. :class:`CompositionConstraintSet` is the
+divisibility system ``Tr_C X = I_B, J_psi * X = J_phi`` on B (x) C, whose M
+splits into Kronecker blocks that one SVD of the realigned J_psi inverts.
+The last two iterate on the matrices themselves. All three state their
+residuals, multipliers and trace coordinates in the dense rows' coordinates,
+so a certificate means the same on each.
 
 Infeasible verdicts are certified. At iteration 1 and at every
 1000-iteration checkpoint the residual of the PSD iterate is turned into
@@ -51,6 +54,7 @@ __all__ = [
     "Status",
     "AffineConstraintSet",
     "MarginalConstraintSet",
+    "CompositionConstraintSet",
     "SolverConfig",
     "FeasibilityReport",
     "certificate_bound",
@@ -78,7 +82,7 @@ class Status(enum.Enum):
     INCONCLUSIVE = "inconclusive"
 
 
-# Both constraint sets provide, besides ``dim`` and ``rhs`` (b):
+# Every constraint set provides, besides ``dim`` and ``rhs`` (b):
 #   forward(X), adjoint(lam)  M vec(X), and devec(M^T lam) as a matrix
 #   residual(X), project(X)   ||M vec(X) - b||, and the Euclidean projection
 #   multipliers(r)            (M M^T)^+ r + (r - M M^+ r) for r = M vec(Y) - b
@@ -170,6 +174,24 @@ class AffineConstraintSet:
         return self.pinv @ (self.matrix @ w - self.rhs)
 
 
+def _check_operands(
+    dims: tuple[int, int, int], first: np.ndarray, second: np.ndarray
+) -> tuple[tuple[int, int, int], np.ndarray, np.ndarray]:
+    """Three positive dimensions ``(d_A, d_B, d_C)`` and two finite complex
+    operators, on A (x) B and on A (x) C."""
+    dims = tuple(int(d) for d in dims)
+    if len(dims) != 3 or min(dims) < 1:
+        raise ValueError(f"dims must be three positive dimensions, got {dims}")
+    a, b, c = dims
+    first = np.asarray(first, dtype=complex)
+    second = np.asarray(second, dtype=complex)
+    if first.shape != (a * b, a * b) or second.shape != (a * c, a * c):
+        raise ValueError(f"target shapes {first.shape}, {second.shape} do not match dims {dims}")
+    if not (np.isfinite(first).all() and np.isfinite(second).all()):
+        raise ValueError("constraints contain non-finite entries")
+    return dims, first, second
+
+
 @functools.cache
 def _marginal_indices(dims: tuple[int, int, int]) -> tuple[np.ndarray, ...]:
     """Flat gather/scatter indices of the marginal maps on A (x) B (x) C.
@@ -215,7 +237,29 @@ def _marginal_indices(dims: tuple[int, int, int]) -> tuple[np.ndarray, ...]:
     return out
 
 
-class MarginalConstraintSet:
+class _ClosedFormSet:
+    """What the closed-form constraint sets share. They iterate on the
+    matrices themselves, and their ``misfit`` takes Frobenius norms of the
+    Hermitian row blocks, which equal the norms of their coordinates."""
+
+    def residual(self, x: np.ndarray) -> float:
+        """Euclidean residual ||M vec(X) - b|| of a Hermitian matrix."""
+        return float(np.linalg.norm(self.forward(x) - self.rhs))
+
+    def project(self, x: np.ndarray) -> np.ndarray:
+        """Euclidean projection of a Hermitian matrix onto the (least-squares)
+        affine set."""
+        return x - self.correction(x)
+
+    def start(self) -> np.ndarray:
+        return self.project(np.zeros((self.dim, self.dim), dtype=complex))
+
+    def candidate(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        y = project_psd(z)
+        return y, y
+
+
+class MarginalConstraintSet(_ClosedFormSet):
     """The compatibility constraints ``Tr_C X = first``, ``Tr_B X = second``
     over Hermitian X on A (x) B (x) C, with ``dims = (d_A, d_B, d_C)``.
 
@@ -232,18 +276,8 @@ class MarginalConstraintSet:
     """
 
     def __init__(self, dims: tuple[int, int, int], first: np.ndarray, second: np.ndarray):
-        dims = tuple(int(d) for d in dims)
-        if len(dims) != 3 or min(dims) < 1:
-            raise ValueError(f"dims must be three positive dimensions, got {dims}")
+        dims, first, second = _check_operands(dims, first, second)
         a, b, c = dims
-        first = np.asarray(first, dtype=complex)
-        second = np.asarray(second, dtype=complex)
-        if first.shape != (a * b, a * b) or second.shape != (a * c, a * c):
-            raise ValueError(
-                f"target shapes {first.shape}, {second.shape} do not match dims {dims}"
-            )
-        if not (np.isfinite(first).all() and np.isfinite(second).all()):
-            raise ValueError("constraints contain non-finite entries")
         self.dims, self.first, self.second = dims, first, second
         self.dim = a * b * c
         self.rhs = np.concatenate([vectorize_hermitian(first), vectorize_hermitian(second)])
@@ -283,15 +317,6 @@ class MarginalConstraintSet:
             v, self.dims, (0, 2)
         )
 
-    def residual(self, x: np.ndarray) -> float:
-        """Euclidean residual ||M vec(X) - b|| of a Hermitian matrix."""
-        return float(np.linalg.norm(self.forward(x) - self.rhs))
-
-    def project(self, x: np.ndarray) -> np.ndarray:
-        """Euclidean projection of a Hermitian matrix onto the (least-squares)
-        marginal constraints."""
-        return x - self.correction(x)
-
     def multipliers(self, r: np.ndarray) -> np.ndarray:
         """``(M M^T)^+ r + (r - M M^+ r)`` in closed form.
 
@@ -320,15 +345,7 @@ class MarginalConstraintSet:
             [vectorize_hermitian(np.eye(a * b)) * c, vectorize_hermitian(np.eye(a * c)) * b]
         ) / (b + c)
 
-    def start(self) -> np.ndarray:
-        return self.project(np.zeros((self.dim, self.dim), dtype=complex))
-
-    def candidate(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        y = project_psd(z)
-        return y, y
-
     def misfit(self, y: np.ndarray) -> float:
-        # Frobenius norms of Hermitian blocks equal their coordinates' norms.
         return float(np.linalg.norm(self._traces(y)[: self._targets.size] - self._targets))
 
     def correction(self, w: np.ndarray) -> np.ndarray:
@@ -337,7 +354,123 @@ class MarginalConstraintSet:
         return (d[scatter] * weights).sum(axis=1).reshape(self.dim, self.dim)
 
 
-ConstraintSet = AffineConstraintSet | MarginalConstraintSet
+def _realign(x: np.ndarray, m: int, n: int) -> np.ndarray:
+    """``X[(i,k),(j,l)]`` of an operator on C^m (x) C^n as ``Xr[(i,j),(k,l)]``,
+    an ``m^2 x n^2`` matrix; ``_unalign`` undoes it. Both permute entries."""
+    return x.reshape(m, n, m, n).transpose(0, 2, 1, 3).reshape(m * m, n * n)
+
+
+def _unalign(xr: np.ndarray, m: int, n: int) -> np.ndarray:
+    return xr.reshape(m, m, n, n).transpose(0, 2, 1, 3).reshape(m * n, m * n)
+
+
+class CompositionConstraintSet(_ClosedFormSet):
+    """The divisibility constraints ``Tr_C X = I_B``, ``J_psi * X = J_phi``
+    over Hermitian X on B (x) C, where ``*`` composes X as the Choi operator
+    of a channel B -> C after psi (``channels.compose_choi``), with ``dims =
+    (d_A, d_B, d_C)``.
+
+    Equal to the :class:`AffineConstraintSet` whose rows are the
+    trace-preservation block and then the composition block, but M is never
+    formed. With X realigned to ``Xr`` (``d_B^2 x d_C^2``), composition is
+    ``K Xr`` for K the ``d_A^2 x d_B^2`` realignment of J_psi, and ``Tr_C X``
+    is ``sqrt(d_C) Xr u`` with ``u = vec(I_C) / sqrt(d_C)``. So M splits into
+    ``K`` acting on ``Xr (I - u u^T)`` and the stack ``N = [sqrt(d_C) I; K]``
+    acting on ``Xr u``, whose singular values ``sqrt(d_C + s^2)``, for K's
+    singular values s, are all at least ``sqrt(d_C)``. One SVD of K gives
+    both blocks' pseudo-inverses. K's singular values below ``_RCOND`` times
+    M's largest, ``sqrt(s_max^2 + d_C)``, are dropped, as the dense
+    pseudo-inverse drops them.
+    """
+
+    def __init__(self, dims: tuple[int, int, int], psi: np.ndarray, phi: np.ndarray):
+        dims, psi, phi = _check_operands(dims, psi, phi)
+        a, b, c = dims
+        self.dims, self.dim = dims, b * c
+        self.rhs = np.concatenate([vectorize_hermitian(np.eye(b)), vectorize_hermitian(phi)])
+        self._k = _realign(psi, a, b)
+        self._phi = _realign(phi, a, c)
+        self._eye = np.eye(b).ravel()
+        self._u = np.eye(c).ravel() / np.sqrt(c)
+        left, s, right = np.linalg.svd(self._k)
+        rank = int(np.count_nonzero(s > _RCOND * np.sqrt(s[0] ** 2 + c)))
+        s2 = np.zeros(b * b)
+        s2[: s.size] = s * s
+        # (N^dag N)^-1 = (d_C I + K^dag K)^-1, and K's kept singular triplets.
+        self._gram_inv = (right.conj().T / (c + s2)) @ right
+        self._left, self._s, self._right = left[:, :rank], s[:rank], right[:rank]
+        self._null = right[rank:]
+        # M^+ b, the projection of 0: N^+ on the u column, K^+ on the rest.
+        y_u = self._phi @ self._u
+        x_u = self._gram_inv @ (np.sqrt(c) * self._eye + self._k.conj().T @ y_u)
+        rest = self._left.conj().T @ (self._phi - np.outer(y_u, self._u)) / self._s[:, None]
+        self._x0 = _unalign(np.outer(x_u, self._u) + self._right.conj().T @ rest, b, c)
+
+    def _rows(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``vec(Tr_C X)`` and the realigned composition, unvectorized."""
+        _, b, c = self.dims
+        xr = _realign(x, b, c)
+        return np.sqrt(c) * (xr @ self._u), self._k @ xr
+
+    def _split(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The two row blocks of a vector in row coordinates, as ``vec(T)``
+        and the realigned ``Y``."""
+        a, b, c = self.dims
+        v = np.asarray(v, dtype=float)
+        return devectorize_hermitian(v[: b * b]).ravel(), _realign(
+            devectorize_hermitian(v[b * b :]), a, c
+        )
+
+    def _join(self, t: np.ndarray, yr: np.ndarray) -> np.ndarray:
+        a, b, c = self.dims
+        return np.concatenate(
+            [vectorize_hermitian(t.reshape(b, b)), vectorize_hermitian(_unalign(yr, a, c))]
+        )
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        return self._join(*self._rows(x))
+
+    def adjoint(self, lam: np.ndarray) -> np.ndarray:
+        _, b, c = self.dims
+        t, yr = self._split(lam)
+        return _unalign(np.sqrt(c) * np.outer(t, self._u) + self._k.conj().T @ yr, b, c)
+
+    def multipliers(self, r: np.ndarray) -> np.ndarray:
+        """``(M M^T)^+ r + (r - M M^+ r)`` blockwise: on K's block it is
+        ``Y`` with its part in K's kept range scaled by ``s^-2``; on ``N``'s,
+        with ``g = N^+ r_u``, it is ``r_u + N ((N^dag N)^-1 g - g)``."""
+        c = self.dims[2]
+        t, yr = self._split(r)
+        y_u = yr @ self._u
+        rest = yr - np.outer(y_u, self._u)
+        rest += self._left @ ((self._s**-2 - 1.0)[:, None] * (self._left.conj().T @ rest))
+        g = self._gram_inv @ (np.sqrt(c) * t + self._k.conj().T @ y_u)
+        h = self._gram_inv @ g - g
+        return self._join(t + np.sqrt(c) * h, rest + np.outer(y_u + self._k @ h, self._u))
+
+    @cached_property
+    def trace_coordinates(self) -> np.ndarray:
+        """``(M^+)^T vec(I)``, which always exists: ``vec(I)`` lies in N's
+        block, where M has full column rank. With ``h = (N^dag N)^-1
+        vec(I_B)`` it is ``(d_C h, K h vec(I_C)^T)``."""
+        c = self.dims[2]
+        h = self._gram_inv @ self._eye
+        return self._join(c * h, np.sqrt(c) * np.outer(self._k @ h, self._u))
+
+    def misfit(self, y: np.ndarray) -> float:
+        t, yr = self._rows(y)
+        return float(np.hypot(np.linalg.norm(t - self._eye), np.linalg.norm(yr - self._phi)))
+
+    def correction(self, w: np.ndarray) -> np.ndarray:
+        # P_aff(W) = M^+ b + W's part in M's null space, which is
+        # ``Xr (I - u u^T)`` projected onto K's null space.
+        _, b, c = self.dims
+        wr = _realign(w, b, c)
+        wr = wr - np.outer(wr @ self._u, self._u)
+        return w - self._x0 - _unalign(self._null.conj().T @ (self._null @ wr), b, c)
+
+
+ConstraintSet = AffineConstraintSet | MarginalConstraintSet | CompositionConstraintSet
 
 
 @dataclass(frozen=True)

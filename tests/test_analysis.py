@@ -16,32 +16,33 @@ def example2_pair():
 
 
 def test_constraint_builder_matches_direct_evaluation():
-    # M vec(X) must evaluate the declared linear maps exactly, for maps of
-    # both marginal and composition type. Constraints are declared by their
-    # adjoints; the check runs the forward maps.
+    # M vec(X) must evaluate the declared linear maps exactly, for marginal
+    # maps on the full space and through a support frame U (X -> Tr(U X U^dag)).
+    # Constraints are declared by their adjoints; the check runs the forward
+    # maps.
     rng = np.random.default_rng(0)
-    psi = ch.random_channel(2, 2, rng)
     dims = (2, 2, 2)
+    frame, _ = np.linalg.qr(rng.standard_normal((8, 5)) + 1j * rng.standard_normal((8, 5)))
 
     def marg(x):
         return partial_trace(x, dims, keep=(0, 1))
 
-    def compose(x):
-        return ch.compose_choi(psi, ch.Channel(2, 2, x)).choi
+    def framed(x):
+        return partial_trace(frame @ x @ frame.conj().T, dims, keep=(0, 2))
 
     marg_adjoint = partial(partial_trace_adjoint, dims=dims, keep=(0, 1))
-    compose_adjoint = partial(ch.compose_choi_adjoint, psi)
+    framed_adjoint = partial(partial_trace_adjoint, dims=dims, keep=(0, 2), frame=frame)
     cons_m = an.build_constraints(8, [(marg_adjoint, np.zeros((4, 4)))])
-    cons_c = an.build_constraints(4, [(compose_adjoint, np.zeros((4, 4)))])
+    cons_f = an.build_constraints(5, [(framed_adjoint, np.zeros((4, 4)))])
     for _ in range(5):
         g = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
         x = 0.5 * (g + g.conj().T)
         lhs = cons_m.matrix @ vectorize_hermitian(x)
         assert np.allclose(lhs, vectorize_hermitian(marg(x)), atol=1e-12)
-        g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        g = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
         y = 0.5 * (g + g.conj().T)
-        lhs = cons_c.matrix @ vectorize_hermitian(y)
-        assert np.allclose(lhs, vectorize_hermitian(compose(y)), atol=1e-12)
+        lhs = cons_f.matrix @ vectorize_hermitian(y)
+        assert np.allclose(lhs, vectorize_hermitian(framed(y)), atol=1e-12)
 
 
 def test_identity_is_not_self_compatible():

@@ -8,8 +8,12 @@ matrix up to rounding, and the solver must reach the same verdict the same
 way on either. A compatibility pair with no forced support gets the
 closed-form ``MarginalConstraintSet`` instead, which has no matrix: its
 forward map, projection, multipliers and trace coordinates are compared
-with the same oracle, also on targets whose A-marginals disagree. The forced
-support of a compatibility system is checked against the earlier
+with the same oracle, also on targets whose A-marginals disagree. Every
+divisibility system gets the ``CompositionConstraintSet``, which has no
+matrix either; it is compared with the dense oracle the same way, on
+dimensions with d_B != d_C and with a factor of dimension 1, and its solves
+on rank-deficient and inconsistent systems must match the oracle's. The
+forced support of a compatibility system is checked against the earlier
 construction from explicit null columns.
 """
 
@@ -21,6 +25,7 @@ from chancompat import channels as ch
 from chancompat.channels import Channel
 from chancompat.feasibility import (
     AffineConstraintSet,
+    CompositionConstraintSet,
     MarginalConstraintSet,
     SolverConfig,
     Status,
@@ -131,6 +136,13 @@ def compat_instances():
     return out
 
 
+def dressed(c, rng):
+    """c between random unitaries on its input and on its output."""
+    before = ch.unitary_channel(ch.random_unitary(c.dim_in, rng))
+    after = ch.unitary_channel(ch.random_unitary(c.dim_out, rng))
+    return ch.compose_choi(ch.compose_choi(before, c), after)
+
+
 def div_instances():
     rng = np.random.default_rng(606)
     out = []
@@ -138,6 +150,20 @@ def div_instances():
         psi = ch.random_channel(d, d, rng, dim_env=2)
         phi = ch.compose_choi(psi, ch.random_channel(d, d, rng, dim_env=d))
         out.append(pytest.param(psi, phi, id=f"div-d{d}"))
+    # Rows that are inconsistent on their own: certified with bound sqrt(6).
+    psi, phi, _ = ch.trace_out_pair(ch.completely_depolarizing(2), ch.identity(2))
+    out.append(pytest.param(psi, phi, id="example2"))
+    # Rank-deficient psi: amplitude damping's (anti-)degradability on either
+    # side of gamma = 1/2, its dressed version against the identity, and
+    # random psi of Kraus rank 2 or 3 against the identity.
+    for gamma in (0.3, 0.7):
+        kraus = ch.amplitude_damping(gamma)
+        psi, psi_c = ch.choi_from_kraus(kraus), ch.complementary(kraus)
+        out.append(pytest.param(psi, psi_c, id=f"degradable-ad-{gamma}"))
+        out.append(pytest.param(psi_c, psi, id=f"antidegradable-ad-{gamma}"))
+        out.append(pytest.param(dressed(psi, rng), ch.identity(2), id=f"dressed-ad-{gamma}-id"))
+    for d in (2, 3):
+        out.append(pytest.param(ch.random_channel(d, d, rng), ch.identity(d), id=f"random-d{d}-id"))
     return out
 
 
@@ -165,6 +191,7 @@ def assert_parity(report, oracle):
         # The solution is in the coordinates of the reported constraints.
         assert report.solution.shape == (cons.dim, cons.dim)
         assert cons.residual(report.solution) < CONFIG.eps_feas
+    return expected
 
 
 def support_instances():
@@ -250,4 +277,56 @@ def test_marginal_set_matches_dense_oracle(dims, shift):
 @pytest.mark.parametrize("psi, phi", div_instances())
 def test_divisibility_assembly_matches_oracle(psi, phi):
     report = an.check_divisibility(psi, phi, CONFIG).solver
-    assert_parity(report, div_oracle(psi, phi))
+    assert isinstance(report.constraints, CompositionConstraintSet)
+    expected = assert_parity(report, div_oracle(psi, phi))
+    if report.certificate is not None:
+        bound = certificate_bound(report.constraints, report.certificate)
+        assert abs(bound - certificate_bound(expected.constraints, expected.certificate)) <= 1e-12
+
+
+# d_B != d_C catches a transposed factor order; a dimension of 1 leaves the
+# composition block's complement of vec(I_C) empty (d_C = 1) or makes the
+# realigned psi a single row (d_A = 1) or column (d_B = 1).
+@pytest.mark.parametrize(
+    "dims", [(2, 2, 2), (3, 3, 3), (4, 4, 4), (2, 3, 2), (3, 2, 4), (2, 2, 1), (1, 3, 2)], ids=str
+)
+def test_composition_set_matches_dense_oracle(dims):
+    da, db, dc = dims
+    rng = np.random.default_rng(list(dims))
+    psi = ch.random_channel(da, db, rng, dim_env=2)
+    # A divisible target moved off M's range, so that the least-squares part
+    # of the projection and the multipliers orthogonal to M's range show.
+    g = rng.standard_normal((da * dc,) * 2) + 1j * rng.standard_normal((da * dc,) * 2)
+    phi = Channel(
+        da, dc, ch.compose_choi(psi, ch.random_channel(db, dc, rng)).choi + 1e-3 * (g + dag(g))
+    )
+    cons = CompositionConstraintSet(dims, psi.choi, phi.choi)
+    oracle = div_oracle(psi, phi)
+    assert np.abs(forward_columns(cons) - oracle.matrix).max() <= 1e-14
+    assert np.array_equal(cons.rhs, oracle.rhs)
+    assert np.abs(cons.trace_coordinates - oracle.trace_coordinates).max() <= 1e-13
+    assert np.abs(cons.start() - devectorize_hermitian(oracle.start())).max() <= 1e-13
+    for _ in range(3):
+        g = rng.standard_normal((cons.dim,) * 2) + 1j * rng.standard_normal((cons.dim,) * 2)
+        x = g + dag(g)
+        assert np.abs(cons.project(x) - oracle.project(x)).max() <= 1e-13
+        assert abs(cons.residual(x) - oracle.residual(x)) <= 1e-13
+        r = cons.forward(project_psd(x)) - cons.rhs
+        lam = cons.multipliers(r)
+        assert np.abs(lam - oracle.multipliers(r)).max() <= 1e-12 * np.linalg.norm(r)
+        assert np.abs(cons.adjoint(lam) - oracle.adjoint(lam)).max() <= 1e-13
+        bound = certificate_bound(cons, lam)
+        assert abs(bound - certificate_bound(oracle, lam)) <= 1e-12
+
+
+@pytest.mark.parametrize("d", [5, 6])
+def test_large_divisible_pairs_are_feasible_at_iteration_one(d):
+    # A dense M would be 650 x 625 (d=5) and 1332 x 1296 (d=6).
+    rng = np.random.default_rng(700 + d)
+    psi = ch.random_channel(d, d, rng, dim_env=2)
+    phi = ch.compose_choi(psi, ch.random_channel(d, d, rng, dim_env=d))
+    rep = an.check_divisibility(psi, phi, CONFIG)
+    assert rep.status is Status.FEASIBLE
+    assert rep.solver.iterations == 1
+    assert ch.choi_distance(ch.compose_choi(psi, rep.quotient), phi) < CONFIG.eps_feas
+    ch.validate_channel(rep.quotient, atol=1e-7)

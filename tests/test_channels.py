@@ -402,20 +402,3 @@ def test_unitary_complementary_collapses_environment():
     assert comp.dim_out == 1
     assert np.linalg.matrix_rank(comp.choi) <= 3
 
-
-@pytest.mark.parametrize("d", [2, 3, 4])
-def test_compose_choi_adjoint_identity(d):
-    # Re Tr(Y^dag L(X)) = Re Tr(L*(Y)^dag X) for L(X) = compose_choi(psi, X).
-    rng = np.random.default_rng(40 + d)
-    for dc in (2, d):
-        psi = ch.random_channel(d, d, rng)
-        for _ in range(3):
-            g = rng.standard_normal((d * dc, d * dc)) + 1j * rng.standard_normal((d * dc, d * dc))
-            x = 0.5 * (g + dag(g))
-            g = rng.standard_normal((d * dc, d * dc)) + 1j * rng.standard_normal((d * dc, d * dc))
-            y = 0.5 * (g + dag(g))
-            lhs = np.trace(dag(y) @ ch.compose_choi(psi, ch.Channel(d, dc, x)).choi).real
-            adj = ch.compose_choi_adjoint(psi, y)
-            assert abs(lhs - np.trace(dag(adj) @ x).real) < 1e-12
-            stacked = ch.compose_choi_adjoint(psi, np.stack([y, 2.0 * y]))
-            assert np.allclose(stacked, [adj, 2.0 * adj], atol=1e-14)
