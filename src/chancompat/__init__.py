@@ -25,7 +25,7 @@ from .channels import (
     unitary_channel,
     validate_channel,
 )
-from .feasibility import AffineConstraintSet, FeasibilityReport, SolverConfig, Status, solve
+from .feasibility import FeasibilityReport, SolverConfig, Status, solve
 from .analysis import (
     check_antidegradable,
     check_compatibility,

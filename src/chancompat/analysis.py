@@ -9,26 +9,30 @@ pipelines, which chain these checks and constructions on sampled instances,
 are in :mod:`chancompat.pipelines`. Every infeasible verdict comes from the
 solver with a certificate (``stop_reason`` ``"certificate"``): the report's
 Farkas multipliers prove, through
-:func:`chancompat.feasibility.certificate_bound`, that every candidate misses
-the constraints by at least ten times the tolerance. That holds also when the
-forced support leaves only the zero operator: the solver then runs on a
-system with no coordinates. A solve that stalls on a residual plateau
-without a certificate is reported as inconclusive.
+:func:`chancompat.feasibility.certificate_bound`, that every candidate of the
+solved system misses its constraints by at least ten times the tolerance. A
+solve that stalls on a residual plateau without a certificate is reported as
+inconclusive.
+
+Compatibility of a pair with a rank-deficient Choi operator is decided
+through Theorem 1: phi is compatible with psi exactly when phi = theta o
+psi_c for a channel theta from psi's environment, so the check is a
+divisibility check by the complementary channel of a minimal Kraus set, and
+the joint witness is a congruence of theta's Choi operator. Its solver
+report is in the coordinates of that quotient (see
+:func:`check_compatibility`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-from itertools import islice
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import channels as ch
 from .channels import Channel, KrausSet
 from .feasibility import (
-    AffineConstraintSet,
     CompositionConstraintSet,
     FeasibilityReport,
     MarginalConstraintSet,
@@ -36,14 +40,14 @@ from .feasibility import (
     Status,
     solve,
 )
-from .linalg import dag, frob, hermitian_basis, partial_trace_adjoint, vectorize_hermitian
+from .linalg import dag, frob
+from .linalg import hermitian_basis  # noqa: F401  (perfbench's tracer patches it here)
 
 __all__ = [
     "CompatReport",
     "DivReport",
     "DegradabilityReport",
     "CatalysisReport",
-    "build_constraints",
     "check_compatibility",
     "check_divisibility",
     "check_degradable",
@@ -64,9 +68,6 @@ __all__ = [
 # Largest Choi distance accepted from a (anti-)degrading witness before a
 # construction is built on it.
 _WITNESS_TOL = 1e-7
-# Constraint rows are assembled in chunks of at most this many matrix
-# entries, which bounds the temporaries alive next to the constraint matrix.
-_CHUNK_ENTRIES = 1 << 13
 
 
 # ---------------------------------------------------------------------------
@@ -75,7 +76,8 @@ _CHUNK_ENTRIES = 1 << 13
 
 # Each ``residual`` is the Choi distance that re-verifies the report's witness,
 # ``None`` without one; the self-degradability distance is always given.
-# ``solver.solution`` is in the coordinates of ``solver.constraints``.
+# ``solver.solution`` is in the coordinates of ``solver.constraints``: for a
+# compatibility check through Theorem 1, the quotient theta, not the joint.
 
 
 @dataclass(frozen=True)
@@ -109,71 +111,6 @@ class CatalysisReport:
     residual: float | None
 
 
-# ---------------------------------------------------------------------------
-# Constraint assembly (dense systems: support-restricted compatibility)
-# ---------------------------------------------------------------------------
-
-
-def build_constraints(
-    dim: int,
-    specs: Sequence[tuple[Callable[[np.ndarray], np.ndarray], np.ndarray]],
-) -> AffineConstraintSet:
-    """Assemble an affine system L_k(X) = T_k over Hermitian dim x dim X.
-
-    Each spec is a pair (adjoint, target) for a Hermitian-preserving linear
-    map L_k. The adjoint takes a stack ``(n, m, m)`` of Hermitian operators
-    on the target's space to the stack ``(n, dim, dim)`` of their images
-    under L_k*. Rows are built on the orthonormal Hermitian basis B_j of the
-    target's (small) space: ``<B_j, L(X)> = <L*(B_j), X>``, so the row is
-    ``vec(L*(B_j))`` and ``M vec(X)`` evaluates every map exactly by
-    linearity. The basis is consumed as an iterable, in chunks.
-    """
-    targets = [np.asarray(t) for _, t in specs]
-    cols = dim * dim
-    m = np.empty((sum(t.shape[0] ** 2 for t in targets), cols))
-    row = 0
-    # A variable with no coordinates leaves no entries to fill.
-    for (adjoint, _), target in zip(specs if cols else (), targets):
-        chunk = max(1, _CHUNK_ENTRIES // max(cols, target.size))
-        basis = iter(hermitian_basis(target.shape[0]))
-        while block := list(islice(basis, chunk)):
-            m[row : row + len(block)] = vectorize_hermitian(adjoint(np.stack(block)))
-            row += len(block)
-        del basis  # the basis stack need not outlive assembly into the pinv
-    b = np.concatenate([vectorize_hermitian(t) for t in targets])
-    return AffineConstraintSet(dim, m, b)
-
-
-def _kernel_columns(mat: np.ndarray) -> np.ndarray:
-    """Orthonormal eigenvectors of the Hermitian part whose eigenvalues are
-    below ``1e-9 * max(1, largest eigenvalue)``."""
-    h = 0.5 * (mat + dag(mat))
-    w, v = np.linalg.eigh(h)
-    cut = 1e-9 * max(1.0, float(w[-1]))
-    return v[:, w < cut]
-
-
-def _compat_support(psi: Channel, phi: Channel) -> np.ndarray | None:
-    """Orthonormal basis of the subspace a compatibilizer can be supported on.
-
-    A positive semidefinite operator whose partial trace has a kernel vector
-    must itself annihilate that vector tensored with anything on the traced
-    factor. With ``P`` the projector onto the kernel of each Choi operator,
-    the forced null space is the range of ``Tr_C*(P_psi) + Tr_B*(P_phi)``, so
-    the support is that operator's kernel. Restricting the search variable to
-    it turns the rank-deficient instances (whose feasible set lies entirely
-    on the cone boundary, stalling alternating projections) into
-    well-conditioned ones. Returns ``None`` when nothing is forced.
-    """
-    dims = (psi.dim_in, psi.dim_out, phi.dim_out)
-    k_psi, k_phi = _kernel_columns(psi.choi), _kernel_columns(phi.choi)
-    if k_psi.shape[1] + k_phi.shape[1] == 0:
-        return None
-    forced = partial_trace_adjoint(k_psi @ dag(k_psi), dims, keep=(0, 1))
-    forced += partial_trace_adjoint(k_phi @ dag(k_phi), dims, keep=(0, 2))
-    return _kernel_columns(forced)
-
-
 def marginal_distances(joint: Channel, psi: Channel, phi: Channel) -> tuple[float, float]:
     """Choi distances of the joint channel's two output marginals from psi and
     from phi."""
@@ -194,32 +131,49 @@ def check_compatibility(
 ) -> CompatReport:
     """Search for a joint channel whose output marginals are psi and phi.
 
-    The variable is the Choi operator of a channel A -> B (x) C, constrained
-    to reproduce ``psi`` when C is traced out and ``phi`` when B is traced
-    out; trace preservation follows from either marginal.
+    The joint is the Choi operator of a channel A -> B (x) C that reproduces
+    ``psi`` when C is traced out and ``phi`` when B is traced out. One
+    eigendecomposition of each Choi operator validates it and gives its
+    minimal Kraus set, whose length r is the Choi rank at ``EPS_RANK``.
+
+    When both Choi operators have full rank the variable is the joint itself,
+    constrained by a :class:`MarginalConstraintSet`. Otherwise the check
+    follows Theorem 1: every PSD joint with ``Tr_C W = R R^dag`` (R's columns
+    the vectorized Kraus operators) is ``(R (x) I_C) X (R (x) I_C)^dag`` for
+    exactly one PSD X, and its second marginal is then phi exactly when X is
+    the Choi operator of a channel theta: E -> C with phi = theta o psi_c.
+    So the variable is X, on the ``r d_C``-dimensional space E (x) C,
+    constrained by a :class:`CompositionConstraintSet`. Compatibility is
+    symmetric, so the route goes through whichever of psi_c and phi_c gives
+    the smaller space, and a witness found through phi_c has its outputs
+    swapped back. The report's ``solver.solution`` and ``certificate`` are
+    then those of the quotient system; the ``residual`` re-verifies the
+    joint against the given psi and phi, so it includes the eigenvalue
+    weight that the rank cut drops.
     """
     if psi.dim_in != phi.dim_in:
         raise ValueError("channels must share the input dimension")
-    ch.validate_channel(psi, atol=ch.EPS_EQ, name="psi")
-    ch.validate_channel(phi, atol=ch.EPS_EQ, name="phi")
+    k_psi = ch.validated_kraus(psi, atol=ch.EPS_EQ, name="psi")
+    k_phi = ch.validated_kraus(phi, atol=ch.EPS_EQ, name="phi")
     da, db, dc = psi.dim_in, psi.dim_out, phi.dim_out
-    dims = (da, db, dc)
-    frame = _compat_support(psi, phi)
-    if frame is None:
-        constraints = MarginalConstraintSet(dims, psi.choi, phi.choi)
+    side_psi, side_phi = k_psi.dim_env * dc, k_phi.dim_env * db
+    if min(side_psi, side_phi) == da * db * dc:
+        report = solve(MarginalConstraintSet((da, db, dc), psi.choi, phi.choi), config)
+        if report.status is not Status.FEASIBLE:
+            return CompatReport(report.status, None, None, report)
+        witness = Channel(da, db * dc, report.solution)
     else:
-        # With a support frame U the variable is Y in X = U Y U^dag, and the
-        # framed adjoints map into Y's space; only the witness is lifted to X.
-        specs = [
-            (partial(partial_trace_adjoint, dims=dims, keep=(0, 1), frame=frame), psi.choi),
-            (partial(partial_trace_adjoint, dims=dims, keep=(0, 2), frame=frame), phi.choi),
-        ]
-        constraints = build_constraints(frame.shape[1], specs)
-    report = solve(constraints, config)
-    if report.status is not Status.FEASIBLE:
-        return CompatReport(report.status, None, None, report)
-    x = report.solution if frame is None else frame @ report.solution @ dag(frame)
-    witness = Channel(da, db * dc, x)
+        swap = side_phi < side_psi
+        kraus, other = (k_phi, psi) if swap else (k_psi, phi)
+        env = ch.complementary(kraus)
+        dims = (da, kraus.dim_env, other.dim_out)
+        report = solve(CompositionConstraintSet(dims, env.choi, other.choi), config)
+        if report.status is not Status.FEASIBLE:
+            return CompatReport(report.status, None, None, report)
+        theta = Channel(kraus.dim_env, other.dim_out, report.solution)
+        witness = compatibilizer_from_postprocessing(kraus, theta)
+        if swap:
+            witness = ch.swap_output(witness, dc, db)
     return CompatReport(report.status, witness, max(marginal_distances(witness, psi, phi)), report)
 
 
@@ -353,15 +307,20 @@ def compatibilizer_from_postprocessing(psi_kraus: KrausSet, theta: Channel) -> C
     Applies theta to the environment leg of the dilation: the result maps
     A -> B (x) C, its first marginal is psi exactly and its second is
     theta composed with the complementary channel of this representation.
+    With R the matrix whose columns are the vectorized Kraus operators (in
+    the convention of :func:`channels.choi_from_kraus`), the dilation's Choi
+    operator is ``vec(R) vec(R)^dag`` on A (x) B (x) E, so the result is the
+    congruence ``(R (x) I_C) J_theta (R (x) I_C)^dag``.
     """
     if theta.dim_in != psi_kraus.dim_env:
         raise ValueError(
             f"post-processing input dim {theta.dim_in} does not match environment "
             f"dim {psi_kraus.dim_env}"
         )
-    v = ch.isometry_channel(ch.isometry_from_kraus(psi_kraus))  # A -> B (x) E
-    act_on_env = ch.tensor(ch.identity(psi_kraus.dim_out), theta)  # B (x) E -> B (x) C
-    return ch.compose_choi(v, act_on_env)
+    da, db = psi_kraus.dim_in, psi_kraus.dim_out
+    r = np.stack(psi_kraus.operators, axis=-1).transpose(1, 0, 2)  # R[a, b, i] = K_i[b, a]
+    lift = np.kron(r.reshape(da * db, -1), np.eye(theta.dim_out))
+    return Channel(da, db * theta.dim_out, lift @ theta.choi @ dag(lift))
 
 
 def quotient_via_degradability(

@@ -41,6 +41,7 @@ __all__ = [
     "StinespringIsometry",
     "cptp_defects",
     "validate_channel",
+    "validated_kraus",
     "choi_distance",
     "choi_from_kraus",
     "kraus_from_choi",
@@ -146,26 +147,48 @@ class StinespringIsometry:
         return frob(dag(self.v) @ self.v - np.eye(self.dim_in))
 
 
+def _hermitian_part(x: np.ndarray) -> np.ndarray:
+    return 0.5 * (x + dag(x))
+
+
+def _tp_defect(channel: Channel, h: np.ndarray) -> float:
+    d_in, d_out = channel.dim_in, channel.dim_out
+    marginal = np.trace(h.reshape(d_in, d_out, d_in, d_out), axis1=1, axis2=3)
+    return frob(marginal - np.eye(d_in))
+
+
 def cptp_defects(channel: Channel) -> tuple[float, float]:
     """(CP defect, TP defect): most negative eigenvalue magnitude and
     Frobenius distance of the output partial trace from the identity."""
-    h = 0.5 * (channel.choi + dag(channel.choi))
+    h = _hermitian_part(channel.choi)
     wmin = float(np.linalg.eigvalsh(h)[0])
-    cp = max(0.0, -wmin)
-    tp = frob(
-        partial_trace(h, (channel.dim_in, channel.dim_out), keep=(0,))
-        - np.eye(channel.dim_in)
-    )
-    return cp, tp
+    return max(0.0, -wmin), _tp_defect(channel, h)
 
 
-def validate_channel(channel: Channel, atol: float = EPS_PSD, name: str = "channel") -> None:
-    """Raise ``ValueError`` unless the channel is CPTP within ``atol``."""
-    cp, tp = cptp_defects(channel)
+def _raise_on_defects(cp: float, tp: float, atol: float, name: str) -> None:
     if cp > atol:
         raise ValueError(f"{name} is not completely positive: min eigenvalue -{cp:.3e}")
     if tp > atol:
         raise ValueError(f"{name} is not trace preserving: TP defect {tp:.3e}")
+
+
+def validate_channel(channel: Channel, atol: float = EPS_PSD, name: str = "channel") -> None:
+    """Raise ``ValueError`` unless the channel is CPTP within ``atol``."""
+    _raise_on_defects(*cptp_defects(channel), atol, name)
+
+
+def validated_kraus(channel: Channel, atol: float = EPS_PSD, name: str = "channel") -> KrausSet:
+    """:func:`validate_channel`, then :func:`kraus_from_choi`, from one
+    eigendecomposition of the Choi operator.
+
+    Raises as :func:`validate_channel` does; a negative eigenvalue within
+    ``atol`` is then dropped with the rest below ``EPS_RANK``. The length of
+    the returned set is the Choi rank at that cut.
+    """
+    h = _hermitian_part(channel.choi)
+    w, v = np.linalg.eigh(h)
+    _raise_on_defects(max(0.0, -float(w[0])), _tp_defect(channel, h), atol, name)
+    return _kraus_from_eigh(channel, w, v)
 
 
 def choi_distance(a: Channel, b: Channel) -> float:
@@ -204,16 +227,20 @@ def kraus_from_choi(c: Channel) -> KrausSet:
     eigenvalue below ``-EPS_PSD`` means the map is not completely positive
     and raises.
     """
-    h = 0.5 * (c.choi + dag(c.choi))
-    w, v = np.linalg.eigh(h)
+    w, v = np.linalg.eigh(_hermitian_part(c.choi))
     if w[0] < -EPS_PSD:
         raise ValueError(f"Choi operator has negative eigenvalue {w[0]:.3e}")
-    ops = []
-    for lam, vec in zip(w, v.T):
-        if lam > EPS_RANK:
-            ops.append(np.sqrt(lam) * vec.reshape(c.dim_in, c.dim_out).T)
-    if not ops:
+    return _kraus_from_eigh(c, w, v)
+
+
+def _kraus_from_eigh(c: Channel, w: np.ndarray, v: np.ndarray) -> KrausSet:
+    """``K_i = sqrt(w_i) v_i`` unvectorized, for each eigenpair above
+    ``EPS_RANK``, in ascending eigenvalue order."""
+    keep = w > EPS_RANK
+    if not keep.any():
         raise ValueError("Choi operator has no eigenvalue above the rank threshold")
+    cols = v[:, keep] * np.sqrt(w[keep])
+    ops = cols.T.reshape(-1, c.dim_in, c.dim_out).transpose(0, 2, 1)
     return KrausSet(c.dim_in, c.dim_out, tuple(ops))
 
 

@@ -6,16 +6,18 @@ splitting reflects through the Frobenius-nearest PSD projection and the
 Euclidean projection onto the affine set, and its PSD iterates converge to a
 point of the intersection whenever one exists.
 
-Three constraint sets provide that projection. :class:`AffineConstraintSet`
-holds a dense M and projects with its pseudo-inverse, factored once, on
-real coordinates. :class:`MarginalConstraintSet` is the compatibility system
-``Tr_C X = J_psi, Tr_B X = J_phi`` on A (x) B (x) C, whose projection has a
-closed form and factors nothing. :class:`CompositionConstraintSet` is the
+Two constraint sets provide that projection in closed form, and neither
+forms or factors M. :class:`MarginalConstraintSet` is the compatibility
+system ``Tr_C X = J_psi, Tr_B X = J_phi`` on A (x) B (x) C, used when both
+Choi operators have full rank. :class:`CompositionConstraintSet` is the
 divisibility system ``Tr_C X = I_B, J_psi * X = J_phi`` on B (x) C, whose M
-splits into Kronecker blocks that one SVD of the realigned J_psi inverts.
-The last two iterate on the matrices themselves. All three state their
-residuals, multipliers and trace coordinates in the dense rows' coordinates,
-so a certificate means the same on each.
+splits into Kronecker blocks that one SVD of the realigned J_psi inverts;
+compatibility of a rank-deficient pair is this system for a complementary
+channel (Theorem 1, see :func:`chancompat.analysis.check_compatibility`).
+Both iterate on the matrices themselves, and state their residuals,
+multipliers and trace coordinates in the coordinates of the dense rows (the
+stacked vectorized blocks), so a certificate means the same on each. The
+tests hold a dense set with a pseudo-inverse as the oracle both match.
 
 Infeasible verdicts are certified. At iteration 1 and at every
 1000-iteration checkpoint the residual of the PSD iterate is turned into
@@ -52,7 +54,6 @@ from .linalg import (
 __all__ = [
     "EPS_PLATEAU",
     "Status",
-    "AffineConstraintSet",
     "MarginalConstraintSet",
     "CompositionConstraintSet",
     "SolverConfig",
@@ -61,12 +62,9 @@ __all__ = [
     "solve",
 ]
 
-# Relative error within which M^T tau must reproduce vec(I) for tau to count
-# as the coordinates of the identity in M's row space.
-_ROW_SPACE_TOL = 1e-9
 # Singular values of M below this fraction of the largest are rank noise:
-# constraint matrices assembled from numerical channel data carry O(1e-15)
-# junk directions that would otherwise be inverted and wreck the projection.
+# constraint matrices built from numerical channel data carry O(1e-15) junk
+# directions that would otherwise be inverted and wreck the projection.
 _RCOND = 1e-10
 # The solver tries a certificate and tests for a plateau every this many
 # iterations.
@@ -86,92 +84,13 @@ class Status(enum.Enum):
 #   forward(X), adjoint(lam)  M vec(X), and devec(M^T lam) as a matrix
 #   residual(X), project(X)   ||M vec(X) - b||, and the Euclidean projection
 #   multipliers(r)            (M M^T)^+ r + (r - M M^+ r) for r = M vec(Y) - b
+#   residual_multipliers(Y)   multipliers(forward(Y) - b)
 #   trace_coordinates         tau with M^T tau = vec(I), or None
 # and, in the coordinates z that `solve` iterates on:
 #   start()                   P_aff(0)
 #   candidate(z)              the PSD iterate Y and its coordinates y
 #   misfit(y)                 ||M y - b||
 #   correction(w)             w - P_aff(w)
-
-
-@dataclass(frozen=True)
-class AffineConstraintSet:
-    """Affine constraints M vec(X) = b over Hermitian ``dim x dim`` matrices.
-
-    The pseudo-inverse of M is precomputed once; constraint rows need not be
-    linearly independent, and an inconsistent system simply projects onto its
-    least-squares affine set (the reported residual then never reaches the
-    feasibility tolerance). The solver's coordinates are the real ones of
-    :func:`vectorize_hermitian`.
-    """
-
-    dim: int
-    matrix: np.ndarray = field(repr=False)
-    rhs: np.ndarray = field(repr=False)
-    pinv: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        b = np.asarray(self.rhs, dtype=float)
-        if m.ndim != 2 or m.shape[1] != self.dim * self.dim:
-            raise ValueError(
-                f"constraint matrix shape {m.shape} does not match dim {self.dim}"
-            )
-        if m.shape[0] < 1:
-            raise ValueError("constraint set needs at least one row")
-        if b.shape != (m.shape[0],):
-            raise ValueError(f"rhs length {b.shape} does not match {m.shape[0]} rows")
-        if not (np.isfinite(m).all() and np.isfinite(b).all()):
-            raise ValueError("constraints contain non-finite entries")
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "rhs", b)
-        object.__setattr__(self, "pinv", np.linalg.pinv(m, rcond=_RCOND))
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        return self.matrix @ vectorize_hermitian(x)
-
-    def adjoint(self, lam: np.ndarray) -> np.ndarray:
-        return devectorize_hermitian(self.matrix.T @ lam)
-
-    def residual(self, x: np.ndarray) -> float:
-        """Euclidean residual ||M vec(X) - b|| of a Hermitian matrix."""
-        return float(np.linalg.norm(self.forward(x) - self.rhs))
-
-    def project(self, x: np.ndarray) -> np.ndarray:
-        """Euclidean projection of a Hermitian matrix onto {X : M vec(X) = b}."""
-        v = vectorize_hermitian(x)
-        return devectorize_hermitian(v - self.correction(v))
-
-    def multipliers(self, r: np.ndarray) -> np.ndarray:
-        # pinv^T pinv = (M M^T)^+, and r - M pinv r is r's part orthogonal
-        # to M's range.
-        g = self.pinv @ r
-        return self.pinv.T @ g + (r - self.matrix @ g)
-
-    @cached_property
-    def trace_coordinates(self) -> np.ndarray | None:
-        """Coordinates tau with ``M^T tau = vec(I)``, or ``None`` when the
-        identity is not in M's row space (the constraints do not fix Tr X).
-
-        Computed on first use only: most feasible solves never need it.
-        """
-        ident = vectorize_hermitian(np.eye(self.dim))
-        tau = self.pinv.T @ ident
-        defect = np.linalg.norm(self.matrix.T @ tau - ident)
-        return tau if defect <= _ROW_SPACE_TOL * np.linalg.norm(ident) else None
-
-    def start(self) -> np.ndarray:
-        return self.pinv @ self.rhs
-
-    def candidate(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        y = project_psd(devectorize_hermitian(z))
-        return y, vectorize_hermitian(y)
-
-    def misfit(self, y: np.ndarray) -> float:
-        return float(np.linalg.norm(self.matrix @ y - self.rhs))
-
-    def correction(self, w: np.ndarray) -> np.ndarray:
-        return self.pinv @ (self.matrix @ w - self.rhs)
 
 
 def _check_operands(
@@ -240,11 +159,12 @@ def _marginal_indices(dims: tuple[int, int, int]) -> tuple[np.ndarray, ...]:
 class _ClosedFormSet:
     """What the closed-form constraint sets share. They iterate on the
     matrices themselves, and their ``misfit`` takes Frobenius norms of the
-    Hermitian row blocks, which equal the norms of their coordinates."""
+    Hermitian row blocks, which equal the norms of their coordinates: so it
+    is also the residual of a Hermitian matrix."""
 
     def residual(self, x: np.ndarray) -> float:
         """Euclidean residual ||M vec(X) - b|| of a Hermitian matrix."""
-        return float(np.linalg.norm(self.forward(x) - self.rhs))
+        return self.misfit(x)
 
     def project(self, x: np.ndarray) -> np.ndarray:
         """Euclidean projection of a Hermitian matrix onto the (least-squares)
@@ -258,14 +178,27 @@ class _ClosedFormSet:
         y = project_psd(z)
         return y, y
 
+    # Row vectors are ``_join``ed from, and ``_split`` into, the two row
+    # blocks in matrix form, where the multipliers are computed: so the
+    # solver's residual needs no round trip through row coordinates.
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        return self._join(*self._rows(x))
+
+    def multipliers(self, r: np.ndarray) -> np.ndarray:
+        return self._join(*self._block_multipliers(*self._split(r)))
+
+    def residual_multipliers(self, y: np.ndarray) -> np.ndarray:
+        return self._join(*self._block_multipliers(*self._residual_blocks(y)))
+
 
 class MarginalConstraintSet(_ClosedFormSet):
     """The compatibility constraints ``Tr_C X = first``, ``Tr_B X = second``
     over Hermitian X on A (x) B (x) C, with ``dims = (d_A, d_B, d_C)``.
 
-    Equal to the :class:`AffineConstraintSet` whose rows are the two
-    marginals' (``M`` of two blocks, ``rhs`` the stacked vectorized targets),
-    but nothing is factored: with ``dP = P - Tr_C X``, ``dQ = Q - Tr_B X`` and
+    Equal to the dense system whose rows are the two marginals' (``M`` of
+    two blocks, ``rhs`` the stacked vectorized targets), but nothing is
+    factored: with ``dP = P - Tr_C X``, ``dQ = Q - Tr_B X`` and
     ``dR = Tr_B dP`` for targets (P, Q) with one A-marginal, the projection is
     ``X + dP (x) I_C / d_C + dQ I_B / d_B - dR (x) I_BC / (d_B d_C)``. The two
     given targets agree on A only to rounding, so the projection uses their
@@ -280,7 +213,6 @@ class MarginalConstraintSet(_ClosedFormSet):
         a, b, c = dims
         self.dims, self.first, self.second = dims, first, second
         self.dim = a * b * c
-        self.rhs = np.concatenate([vectorize_hermitian(first), vectorize_hermitian(second)])
         self._targets = np.concatenate([first.ravel(), second.ravel()])
         # The consistent targets, and their common A-marginal, that the
         # projection's (dP, dQ, dR) are taken from.
@@ -290,35 +222,44 @@ class MarginalConstraintSet(_ClosedFormSet):
         r = partial_trace(p, (a, b), (0,))
         self._anchor = np.concatenate([p.ravel(), q.ravel(), r.ravel()])
 
+    @cached_property
+    def rhs(self) -> np.ndarray:
+        return self._join(self.first, self.second)
+
     def _split(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The two row blocks of a vector in row coordinates, as matrices."""
         a, b, c = self.dims
+        v = np.asarray(v, dtype=float)
         cut = (a * b) ** 2
         return devectorize_hermitian(v[:cut]), devectorize_hermitian(v[cut:])
+
+    def _join(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+        return np.concatenate([vectorize_hermitian(p), vectorize_hermitian(q)])
 
     def _traces(self, x: np.ndarray) -> np.ndarray:
         """``Tr_C X``, ``Tr_B X`` and ``Tr_BC X``, flattened and stacked."""
         gather, starts, _, _ = _marginal_indices(self.dims)
         return np.add.reduceat(np.take(x, gather), starts)
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def _rows(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``Tr_C X`` and ``Tr_B X``."""
         a, b, c = self.dims
         t, cut = self._traces(x), (a * b) ** 2
-        return np.concatenate(
-            [
-                vectorize_hermitian(t[:cut].reshape(a * b, a * b)),
-                vectorize_hermitian(t[cut : self._targets.size].reshape(a * c, a * c)),
-            ]
-        )
+        return t[:cut].reshape(a * b, a * b), t[cut : self._targets.size].reshape(a * c, a * c)
+
+    def _residual_blocks(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        p, q = self._rows(y)
+        return p - self.first, q - self.second
 
     def adjoint(self, lam: np.ndarray) -> np.ndarray:
-        u, v = self._split(np.asarray(lam, dtype=float))
+        u, v = self._split(lam)
         return partial_trace_adjoint(u, self.dims, (0, 1)) + partial_trace_adjoint(
             v, self.dims, (0, 2)
         )
 
-    def multipliers(self, r: np.ndarray) -> np.ndarray:
-        """``(M M^T)^+ r + (r - M M^+ r)`` in closed form.
+    def _block_multipliers(self, p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(M M^T)^+ r + (r - M M^+ r)`` in closed form, for r in blocks
+        ``(P, Q)``.
 
         The rows' null space is spanned by the pairs ``(R (x) I_B, -R (x)
         I_C)``; r's part in it is ``(E (x) I_B, -E (x) I_C)`` with ``E = (Tr_B
@@ -327,14 +268,13 @@ class MarginalConstraintSet(_ClosedFormSet):
         (d_B + d_C)), Q' / d_B - R' (x) I_C / (d_B (d_B + d_C)))``.
         """
         a, b, c = self.dims
-        p, q = self._split(np.asarray(r, dtype=float))
         e = (partial_trace(p, (a, b), (0,)) - partial_trace(q, (a, c), (0,))) / (b + c)
         e_b, e_c = partial_trace_adjoint(e, (a, b), (0,)), partial_trace_adjoint(e, (a, c), (0,))
         p, q = p - e_b, q + e_c
         r_a = partial_trace(p, (a, b), (0,)) / (b + c)
         lam_p = (p - partial_trace_adjoint(r_a, (a, b), (0,))) / c + e_b
         lam_q = (q - partial_trace_adjoint(r_a, (a, c), (0,))) / b - e_c
-        return np.concatenate([vectorize_hermitian(lam_p), vectorize_hermitian(lam_q)])
+        return lam_p, lam_q
 
     @cached_property
     def trace_coordinates(self) -> np.ndarray:
@@ -370,9 +310,9 @@ class CompositionConstraintSet(_ClosedFormSet):
     of a channel B -> C after psi (``channels.compose_choi``), with ``dims =
     (d_A, d_B, d_C)``.
 
-    Equal to the :class:`AffineConstraintSet` whose rows are the
-    trace-preservation block and then the composition block, but M is never
-    formed. With X realigned to ``Xr`` (``d_B^2 x d_C^2``), composition is
+    Equal to the dense system whose rows are the trace-preservation block
+    and then the composition block, but M is never formed. With X realigned
+    to ``Xr`` (``d_B^2 x d_C^2``), composition is
     ``K Xr`` for K the ``d_A^2 x d_B^2`` realignment of J_psi, and ``Tr_C X``
     is ``sqrt(d_C) Xr u`` with ``u = vec(I_C) / sqrt(d_C)``. So M splits into
     ``K`` acting on ``Xr (I - u u^T)`` and the stack ``N = [sqrt(d_C) I; K]``
@@ -387,8 +327,8 @@ class CompositionConstraintSet(_ClosedFormSet):
         dims, psi, phi = _check_operands(dims, psi, phi)
         a, b, c = dims
         self.dims, self.dim = dims, b * c
-        self.rhs = np.concatenate([vectorize_hermitian(np.eye(b)), vectorize_hermitian(phi)])
         self._k = _realign(psi, a, b)
+        self._kh = self._k.conj().T
         self._phi = _realign(phi, a, c)
         self._eye = np.eye(b).ravel()
         self._u = np.eye(c).ravel() / np.sqrt(c)
@@ -402,15 +342,26 @@ class CompositionConstraintSet(_ClosedFormSet):
         self._null = right[rank:]
         # M^+ b, the projection of 0: N^+ on the u column, K^+ on the rest.
         y_u = self._phi @ self._u
-        x_u = self._gram_inv @ (np.sqrt(c) * self._eye + self._k.conj().T @ y_u)
+        x_u = self._gram_inv @ (np.sqrt(c) * self._eye + self._kh @ y_u)
         rest = self._left.conj().T @ (self._phi - np.outer(y_u, self._u)) / self._s[:, None]
         self._x0 = _unalign(np.outer(x_u, self._u) + self._right.conj().T @ rest, b, c)
+
+    @cached_property
+    def rhs(self) -> np.ndarray:
+        return self._join(self._eye, self._phi)
+
+    def start(self) -> np.ndarray:
+        return self._x0.copy()  # P_aff(0) = M^+ b, with no null-space part
 
     def _rows(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``vec(Tr_C X)`` and the realigned composition, unvectorized."""
         _, b, c = self.dims
         xr = _realign(x, b, c)
         return np.sqrt(c) * (xr @ self._u), self._k @ xr
+
+    def _residual_blocks(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        t, yr = self._rows(y)
+        return t - self._eye, yr - self._phi
 
     def _split(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The two row blocks of a vector in row coordinates, as ``vec(T)``
@@ -427,26 +378,23 @@ class CompositionConstraintSet(_ClosedFormSet):
             [vectorize_hermitian(t.reshape(b, b)), vectorize_hermitian(_unalign(yr, a, c))]
         )
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        return self._join(*self._rows(x))
-
     def adjoint(self, lam: np.ndarray) -> np.ndarray:
         _, b, c = self.dims
         t, yr = self._split(lam)
-        return _unalign(np.sqrt(c) * np.outer(t, self._u) + self._k.conj().T @ yr, b, c)
+        return _unalign(np.sqrt(c) * np.outer(t, self._u) + self._kh @ yr, b, c)
 
-    def multipliers(self, r: np.ndarray) -> np.ndarray:
-        """``(M M^T)^+ r + (r - M M^+ r)`` blockwise: on K's block it is
-        ``Y`` with its part in K's kept range scaled by ``s^-2``; on ``N``'s,
-        with ``g = N^+ r_u``, it is ``r_u + N ((N^dag N)^-1 g - g)``."""
+    def _block_multipliers(self, t: np.ndarray, yr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(M M^T)^+ r + (r - M M^+ r)`` blockwise, for r in blocks ``(vec
+        T, Yr)``: on K's block it is ``Yr`` with its part in K's kept range
+        scaled by ``s^-2``; on ``N``'s, with ``g = N^+ r_u``, it is ``r_u + N
+        ((N^dag N)^-1 g - g)``."""
         c = self.dims[2]
-        t, yr = self._split(r)
         y_u = yr @ self._u
         rest = yr - np.outer(y_u, self._u)
         rest += self._left @ ((self._s**-2 - 1.0)[:, None] * (self._left.conj().T @ rest))
-        g = self._gram_inv @ (np.sqrt(c) * t + self._k.conj().T @ y_u)
+        g = self._gram_inv @ (np.sqrt(c) * t + self._kh @ y_u)
         h = self._gram_inv @ g - g
-        return self._join(t + np.sqrt(c) * h, rest + np.outer(y_u + self._k @ h, self._u))
+        return t + np.sqrt(c) * h, rest + np.outer(y_u + self._k @ h, self._u)
 
     @cached_property
     def trace_coordinates(self) -> np.ndarray:
@@ -470,7 +418,7 @@ class CompositionConstraintSet(_ClosedFormSet):
         return w - self._x0 - _unalign(self._null.conj().T @ (self._null @ wr), b, c)
 
 
-ConstraintSet = AffineConstraintSet | MarginalConstraintSet | CompositionConstraintSet
+ConstraintSet = MarginalConstraintSet | CompositionConstraintSet
 
 
 @dataclass(frozen=True)
@@ -551,12 +499,11 @@ def solve(constraints: ConstraintSet, config: SolverConfig = SolverConfig()) -> 
     Douglas-Rachford splitting on the constraint set's coordinates ``z``:
     from ``z = P_aff(0)``, each iteration takes the PSD iterate
     ``y = project_psd(z)`` (``candidate``) and updates
-    ``z <- z + P_aff(2y - z) - y``, with
-    ``P_aff`` the set's Euclidean projection (the pseudo-inverse of a dense
-    set, the closed form of a marginal one). The candidate tracked for the
-    verdict is the PSD iterate, which is exactly positive semidefinite by
-    construction, so its affine residual ``r = M y - b`` alone measures
-    distance from feasibility. At iteration 1 and at every 1000-iteration
+    ``z <- z + P_aff(2y - z) - y``, with ``P_aff`` the set's Euclidean
+    projection, in closed form. The candidate tracked for the verdict is the
+    PSD iterate, which is exactly positive semidefinite by construction, so
+    its affine residual ``r = M y - b`` alone measures distance from
+    feasibility. At iteration 1 and at every 1000-iteration
     checkpoint ``r`` gives multipliers ``lam = (M M^T)^+ r + (r - M M^+ r)``;
     when :func:`certificate_bound` proves every PSD X to have residual at
     least ``10 * eps_feas``, the solve stops not feasible with ``lam`` as its
@@ -589,7 +536,7 @@ def solve(constraints: ConstraintSet, config: SolverConfig = SolverConfig()) -> 
             # The range part certifies a PSD cone that misses a consistent
             # affine set; the part orthogonal to M's range (M^T of it is 0)
             # certifies rows that are inconsistent on their own.
-            lam = constraints.multipliers(constraints.forward(y_mat) - constraints.rhs)
+            lam = constraints.residual_multipliers(y_mat)
             if certificate_bound(constraints, lam) >= infeasible_at:
                 status, stop_reason = Status.NOT_FEASIBLE_AT_TOLERANCE, "certificate"
                 iterations, certificate = it, lam

@@ -78,20 +78,12 @@ def partial_trace(x: np.ndarray, dims: Sequence[int], keep: Iterable[int]) -> np
     return t.reshape(side, side)
 
 
-def partial_trace_adjoint(
-    y: np.ndarray,
-    dims: Sequence[int],
-    keep: Iterable[int],
-    frame: np.ndarray | None = None,
-) -> np.ndarray:
+def partial_trace_adjoint(y: np.ndarray, dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:
     """Adjoint of :func:`partial_trace`: Y (x) I on the traced subsystems.
 
     ``y`` may carry leading batch axes: ``(..., k, k)`` with ``k`` the product
     of the kept dimensions, factors in sorted ``keep`` order. The identity
-    factors are placed back at the traced positions of ``dims``. With an
-    isometry ``frame`` U (``side x r``, orthonormal columns) the result is
-    ``U^dag (Y (x) I) U``, the adjoint of ``X -> partial_trace(U X U^dag)``,
-    computed with two matmuls and never forming a ``side x side`` matrix.
+    factors are placed back at the traced positions of ``dims``.
     """
     dims = tuple(int(d) for d in dims)
     n = len(dims)
@@ -106,15 +98,6 @@ def partial_trace_adjoint(
     if y.shape[-2:] != (k_side, k_side):
         raise ValueError(f"matrix shape {y.shape[-2:]} does not match kept dims")
     order = keep + traced
-    if frame is not None:
-        u = np.asarray(frame)
-        r = u.shape[1]
-        if u.shape[0] != k_side * t_side:
-            raise ValueError(f"frame shape {u.shape} does not match subsystem dims {dims}")
-        # Rows of U in (kept, traced) order: U[(k, t), q].
-        u = u.reshape(*dims, r).transpose(*order, n).reshape(k_side * t_side, r)
-        w = (y @ u.reshape(k_side, t_side * r)).reshape(*lead, k_side * t_side, r)
-        return dag(u) @ w
     z = y[..., :, None, :, None] * np.eye(t_side)[:, None, :]
     side = k_side * t_side
     sub = [dims[i] for i in order]
@@ -172,42 +155,59 @@ def _hermitian_indices(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return out
 
 
+@functools.cache
+def _hermitian_plan(d: int) -> tuple[np.ndarray, ...]:
+    """Index plans of :func:`vectorize_hermitian` and its inverse on the real
+    view of a flat ``d x d`` complex matrix, where entry k has its real part
+    at ``2k`` and its imaginary part at ``2k + 1``.
+
+    Returns ``(gather, scale, source, target, coef)``: coordinates are
+    ``view[gather] * scale``, and a matrix is ``view[target] = v[source] *
+    coef`` on zeros. Cached per dimension, read-only.
+    """
+    diag, upper, lower = _hermitian_indices(d)
+    m = upper.size
+    re, im = np.arange(d, d + m), np.arange(d + m, d + 2 * m)
+    half = np.full(m, 1.0 / _SQRT2)
+    out = (
+        np.concatenate([2 * diag, 2 * upper, 2 * upper + 1]),
+        np.concatenate([np.ones(d), np.full(2 * m, _SQRT2)]),
+        np.concatenate([np.arange(d), re, im, re, im]),
+        np.concatenate([2 * diag, 2 * upper, 2 * upper + 1, 2 * lower, 2 * lower + 1]),
+        np.concatenate([np.ones(d), half, half, half, -half]),
+    )
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
 def vectorize_hermitian(x: np.ndarray) -> np.ndarray:
     """Real coordinates of a Hermitian d x d matrix, length d^2.
 
     Uses an orthonormal basis of the Hermitian space: diagonal matrix units,
     then symmetric and antisymmetric off-diagonal pairs scaled by 1/sqrt(2),
     so Frobenius norms map to Euclidean norms exactly. Leading batch axes are
-    kept: a ``(..., d, d)`` stack gives ``(..., d^2)`` coordinates.
+    kept: a ``(..., d, d)`` stack gives ``(..., d^2)`` coordinates. One gather
+    from the real view of the matrix.
     """
     x = np.asarray(x)
     d = x.shape[-1]
-    diag, upper, _ = _hermitian_indices(d)
-    lead = x.shape[:-2]
-    flat = x.reshape(*lead, d * d)
-    out = np.empty((*lead, d * d))
-    out[..., :d] = np.real(flat[..., diag])
-    m = upper.size
-    off = flat[..., upper]
-    out[..., d : d + m] = _SQRT2 * np.real(off)
-    out[..., d + m :] = _SQRT2 * np.imag(off)
-    return out
+    gather, scale, _, _, _ = _hermitian_plan(d)
+    flat = np.ascontiguousarray(x, dtype=complex).reshape(*x.shape[:-2], d * d)
+    return flat.view(float)[..., gather] * scale
 
 
 def devectorize_hermitian(v: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`vectorize_hermitian`."""
+    """Inverse of :func:`vectorize_hermitian`: one scatter into the real view
+    of the matrix."""
     v = np.asarray(v, dtype=float)
     d = int(round(np.sqrt(v.size)))
     if d * d != v.size:
         raise ValueError(f"vector length {v.size} is not a perfect square")
-    diag, upper, lower = _hermitian_indices(d)
-    x = np.zeros(d * d, dtype=complex)
-    x[diag] = v[:d]
-    m = upper.size
-    off = (v[d : d + m] + 1j * v[d + m :]) / _SQRT2
-    x[upper] = off
-    x[lower] = off.conj()
-    return x.reshape(d, d)
+    _, _, source, target, coef = _hermitian_plan(d)
+    out = np.zeros(2 * d * d)
+    out[target] = v[source] * coef
+    return out.view(complex).reshape(d, d)
 
 
 def hermitian_basis(d: int) -> np.ndarray:

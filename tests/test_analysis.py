@@ -1,12 +1,16 @@
-from functools import partial
-
 import numpy as np
 import pytest
+from dense_oracle import compatibilizer_oracle
 
 from chancompat import analysis as an
 from chancompat import channels as ch
-from chancompat.feasibility import SolverConfig, Status
-from chancompat.linalg import frob, partial_trace, partial_trace_adjoint, vectorize_hermitian
+from chancompat.feasibility import (
+    CompositionConstraintSet,
+    MarginalConstraintSet,
+    SolverConfig,
+    Status,
+)
+from chancompat.linalg import frob, partial_trace, vectorize_hermitian
 
 TIGHT = SolverConfig(eps_feas=1e-10, max_iter=50000)
 
@@ -15,34 +19,39 @@ def example2_pair():
     return ch.trace_out_pair(ch.completely_depolarizing(2), ch.identity(2))
 
 
+def _random_hermitian(d, rng):
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return 0.5 * (g + g.conj().T)
+
+
 def test_constraint_builder_matches_direct_evaluation():
-    # M vec(X) must evaluate the declared linear maps exactly, for marginal
-    # maps on the full space and through a support frame U (X -> Tr(U X U^dag)).
-    # Constraints are declared by their adjoints; the check runs the forward
-    # maps.
+    # M vec(X) must evaluate the declared linear maps exactly: the two
+    # marginals of a joint on A (x) B (x) C, and the trace over C and the
+    # composition after psi of a quotient on B (x) C. The check runs the
+    # forward maps on channels.
     rng = np.random.default_rng(0)
-    dims = (2, 2, 2)
-    frame, _ = np.linalg.qr(rng.standard_normal((8, 5)) + 1j * rng.standard_normal((8, 5)))
-
-    def marg(x):
-        return partial_trace(x, dims, keep=(0, 1))
-
-    def framed(x):
-        return partial_trace(frame @ x @ frame.conj().T, dims, keep=(0, 2))
-
-    marg_adjoint = partial(partial_trace_adjoint, dims=dims, keep=(0, 1))
-    framed_adjoint = partial(partial_trace_adjoint, dims=dims, keep=(0, 2), frame=frame)
-    cons_m = an.build_constraints(8, [(marg_adjoint, np.zeros((4, 4)))])
-    cons_f = an.build_constraints(5, [(framed_adjoint, np.zeros((4, 4)))])
-    for _ in range(5):
-        g = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-        x = 0.5 * (g + g.conj().T)
-        lhs = cons_m.matrix @ vectorize_hermitian(x)
-        assert np.allclose(lhs, vectorize_hermitian(marg(x)), atol=1e-12)
-        g = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-        y = 0.5 * (g + g.conj().T)
-        lhs = cons_f.matrix @ vectorize_hermitian(y)
-        assert np.allclose(lhs, vectorize_hermitian(framed(y)), atol=1e-12)
+    for dims in ((2, 2, 2), (2, 3, 2)):
+        da, db, dc = dims
+        psi = ch.random_channel(da, db, rng)
+        marginal = MarginalConstraintSet(dims, np.eye(da * db), np.eye(da * dc))
+        composition = CompositionConstraintSet(dims, psi.choi, np.eye(da * dc))
+        for _ in range(5):
+            x = _random_hermitian(da * db * dc, rng)
+            expected = np.concatenate(
+                [
+                    vectorize_hermitian(partial_trace(x, dims, keep=(0, 1))),
+                    vectorize_hermitian(partial_trace(x, dims, keep=(0, 2))),
+                ]
+            )
+            assert np.allclose(marginal.forward(x), expected, atol=1e-12)
+            y = _random_hermitian(db * dc, rng)
+            expected = np.concatenate(
+                [
+                    vectorize_hermitian(partial_trace(y, (db, dc), keep=(0,))),
+                    vectorize_hermitian(ch.compose_choi(psi, ch.Channel(db, dc, y)).choi),
+                ]
+            )
+            assert np.allclose(composition.forward(y), expected, atol=1e-12)
 
 
 def test_identity_is_not_self_compatible():
@@ -245,6 +254,22 @@ def test_compatibilizer_from_postprocessing_marginals():
     phi = ch.compose_choi(psi_c, theta)
     assert ch.choi_distance(ch.output_marginal(built, (2, 2), (0,)), psi) < 1e-9
     assert ch.choi_distance(ch.output_marginal(built, (2, 2), (1,)), phi) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "d_in,d_out,env,d_c", [(2, 2, 2, 2), (3, 3, 3, 3), (2, 3, 4, 2), (3, 2, 5, 4)], ids=str
+)
+def test_compatibilizer_congruence_matches_dilation_oracle(d_in, d_out, env, d_c):
+    # The congruence (R (x) I_C) J_theta (R (x) I_C)^dag against theta
+    # applied to the environment leg of the Stinespring dilation by channel
+    # composition.
+    rng = np.random.default_rng([d_in, d_out, env, d_c])
+    kraus = ch.random_kraus(d_in, d_out, env, rng)
+    theta = ch.random_channel(env, d_c, rng, dim_env=3)
+    built = an.compatibilizer_from_postprocessing(kraus, theta)
+    expected = compatibilizer_oracle(kraus, theta)
+    assert (built.dim_in, built.dim_out) == (d_in, d_out * d_c)
+    assert np.abs(built.choi - expected.choi).max() <= 1e-12
 
 
 def test_quotient_via_degradability():

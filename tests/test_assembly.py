@@ -1,30 +1,29 @@
-"""Constraint assembly from adjoints against the column-by-column oracle.
+"""The closed-form constraint sets against dense oracles.
 
-``analysis.build_constraints`` builds row j of each block as vec(L*(B_j))
-over the Hermitian basis of the (small) target space. The oracle below is the
-earlier builder: it applies each forward map to every Hermitian basis
-element of the variable and stores column by column. Both must give the same
-matrix up to rounding, and the solver must reach the same verdict the same
-way on either. A compatibility pair with no forced support gets the
-closed-form ``MarginalConstraintSet`` instead, which has no matrix: its
-forward map, projection, multipliers and trace coordinates are compared
-with the same oracle, also on targets whose A-marginals disagree. Every
-divisibility system gets the ``CompositionConstraintSet``, which has no
-matrix either; it is compared with the dense oracle the same way, on
-dimensions with d_B != d_C and with a factor of dimension 1, and its solves
-on rank-deficient and inconsistent systems must match the oracle's. The
-forced support of a compatibility system is checked against the earlier
-construction from explicit null columns.
+The oracle (``dense_oracle.oracle_constraints``) applies each forward map to
+every Hermitian basis element of the variable and stores the constraint
+matrix column by column. A compatibility pair whose Choi operators both have
+full rank gets the closed-form ``MarginalConstraintSet``, which has no
+matrix: its forward map, projection, multipliers and trace coordinates are
+compared with the oracle, also on targets whose A-marginals disagree. Every
+divisibility system, and the compatibility system of a rank-deficient pair
+(the divisibility of the other channel by a complementary channel, through
+Theorem 1), gets the ``CompositionConstraintSet``, which has no matrix
+either; it is compared with the dense oracle the same way, on dimensions
+with d_B != d_C and with a factor of dimension 1, and its solves on
+rank-deficient and inconsistent systems must match the oracle's. The route's
+search space must contain the forced support of the pair, computed from
+explicit null columns.
 """
 
 import numpy as np
 import pytest
+from dense_oracle import div_oracle, marginal_oracle, oracle_constraints
 
 from chancompat import analysis as an
 from chancompat import channels as ch
 from chancompat.channels import Channel
 from chancompat.feasibility import (
-    AffineConstraintSet,
     CompositionConstraintSet,
     MarginalConstraintSet,
     SolverConfig,
@@ -41,20 +40,6 @@ from chancompat.linalg import (
 )
 
 CONFIG = SolverConfig()
-
-
-def oracle_constraints(dim, forward_specs):
-    """Column j is the concatenated vec(L_k(E_j)) over the variable's basis."""
-    targets = [np.asarray(t) for _, t in forward_specs]
-    m = np.empty((sum(t.shape[0] ** 2 for t in targets), dim * dim))
-    e = np.zeros(dim * dim)
-    for col in range(dim * dim):
-        e[col] = 1.0
-        basis_elem = devectorize_hermitian(e)
-        e[col] = 0.0
-        m[:, col] = np.concatenate([vectorize_hermitian(fn(basis_elem)) for fn, _ in forward_specs])
-    b = np.concatenate([vectorize_hermitian(t) for t in targets])
-    return AffineConstraintSet(dim, m, b)
 
 
 def support_oracle(psi, phi):
@@ -84,27 +69,16 @@ def support_oracle(psi, phi):
     return u[:, int(np.count_nonzero(s > 1e-10 * s[0])) :]
 
 
-def compat_oracle(psi, phi):
-    """Oracle system of check_compatibility, on its support frame's
-    coordinates (the full space when no support is forced)."""
-    dims = (psi.dim_in, psi.dim_out, phi.dim_out)
-    frame = an._compat_support(psi, phi)
-    if frame is None:
-        frame = np.eye(int(np.prod(dims)))
-    forward = [
-        (lambda x: partial_trace(frame @ x @ dag(frame), dims, (0, 1)), psi.choi),
-        (lambda x: partial_trace(frame @ x @ dag(frame), dims, (0, 2)), phi.choi),
-    ]
-    return oracle_constraints(frame.shape[1], forward)
-
-
-def div_oracle(psi, phi):
-    db, dc = psi.dim_out, phi.dim_out
-    forward = [
-        (lambda x: partial_trace(x, (db, dc), (0,)), np.eye(db)),
-        (lambda x: ch.compose_choi(psi, Channel(db, dc, x)).choi, phi.choi),
-    ]
-    return oracle_constraints(db * dc, forward)
+def route(psi, phi):
+    """The compatibility route the check should take: ``"marginal"`` when
+    both Choi operators have full rank, else ``"psi"`` or ``"phi"``, the
+    channel whose complementary gives the smaller quotient space (``"psi"``
+    on a tie), with that channel's minimal Kraus set."""
+    k_psi, k_phi = ch.kraus_from_choi(psi), ch.kraus_from_choi(phi)
+    side_psi, side_phi = k_psi.dim_env * phi.dim_out, k_phi.dim_env * psi.dim_out
+    if min(side_psi, side_phi) == psi.dim_in * psi.dim_out * phi.dim_out:
+        return "marginal", None
+    return ("phi", k_phi) if side_phi < side_psi else ("psi", k_psi)
 
 
 def thm1_pair(rng, d, env):
@@ -201,34 +175,78 @@ def support_instances():
     return compat_instances() + identities
 
 
+def route_oracle(psi, phi):
+    """Oracle system of the route ``check_compatibility`` takes."""
+    side, kraus = route(psi, phi)
+    if side == "marginal":
+        return marginal_oracle(psi, phi)
+    return div_oracle(ch.complementary(kraus), phi if side == "psi" else psi)
+
+
 def test_instances_cover_both_kinds_of_compatibility_system():
     pairs = {p.id: p.values for p in support_instances()}
-    framed = [an._compat_support(psi, phi) is not None for psi, phi in pairs.values()]
-    assert any(framed) and not all(framed)
-    # No-cloning: the identity's support with itself is zero-dimensional.
-    assert an._compat_support(*pairs["identity-d2"]).shape == (8, 0)
-    assert an._compat_support(*pairs["identity-d3"]).shape == (27, 0)
+    sides = {key: route(*pair)[0] for key, pair in pairs.items()}
+    assert {"marginal", "psi"} <= set(sides.values())
+    assert sides["thm1-d2-env2"] == sides["tensored-64"] == sides["identity-d2"] == "psi"
     psi, phi = pairs["tensored-64"]
     assert psi.dim_in * psi.dim_out * phi.dim_out == 64
+
+    # A rank-deficient psi goes through psi_c: the quotient maps psi's
+    # environment to C and its composition rows hold phi.
+    psi, phi = pairs["thm1-d2-env2"]
+    rank = len(ch.kraus_from_choi(psi).operators)
+    assert rank < 4 == len(ch.kraus_from_choi(phi).operators)
+    cons = an.check_compatibility(psi, phi, CONFIG).solver.constraints
+    assert isinstance(cons, CompositionConstraintSet) and cons.dims == (2, rank, 2)
+    assert np.array_equal(cons.rhs[rank * rank :], vectorize_hermitian(phi.choi))
+
+    # With the pair swapped, the full-rank first channel leaves the route to
+    # the second one's complementary, and the witness's outputs are swapped
+    # back from C (x) B.
+    rep = an.check_compatibility(phi, psi, CONFIG)
+    cons = rep.solver.constraints
+    assert isinstance(cons, CompositionConstraintSet) and cons.dims == (2, rank, 2)
+    assert np.array_equal(cons.rhs[rank * rank :], vectorize_hermitian(phi.choi))
+    lifted = an.compatibilizer_from_postprocessing(
+        ch.kraus_from_choi(psi), Channel(rank, 2, rep.solver.solution)
+    )
+    assert np.array_equal(rep.compatibilizer.choi, ch.swap_output(lifted, 2, 2).choi)
+
+    # Both full rank: the joint itself, under the marginal constraints.
+    psi, phi = pairs["noisy-d2-env2"]
+    cons = an.check_compatibility(psi, phi, CONFIG).solver.constraints
+    assert isinstance(cons, MarginalConstraintSet)
 
 
 @pytest.mark.parametrize("psi, phi", support_instances())
 def test_support_matches_null_column_oracle(psi, phi):
-    frame, expected = an._compat_support(psi, phi), support_oracle(psi, phi)
-    assert (frame is None) == (expected is None)
-    if frame is not None:
-        assert frame.shape == expected.shape
-        gap = frame @ dag(frame) - expected @ dag(expected)
-        assert np.abs(gap).max(initial=0.0) <= 1e-10
+    # Theorem 1 is exact: every PSD joint with the pair's marginals lies on
+    # the forced support, and that support lies in the range of the route's
+    # congruence, (R (x) I_C) for R the chosen channel's Kraus columns.
+    dims = (psi.dim_in, psi.dim_out, phi.dim_out)
+    expected = support_oracle(psi, phi)
+    side, kraus = route(psi, phi)
+    assert (side == "marginal") == (expected is None)
+    if expected is None:
+        return
+    r = np.stack(kraus.operators, axis=-1).transpose(1, 0, 2).reshape(dims[0] * kraus.dim_out, -1)
+    other = dims[2] if side == "psi" else dims[1]
+    lift = np.kron(r, np.eye(other))
+    if side == "phi":  # rows from A (x) C (x) B to A (x) B (x) C
+        lift = lift.reshape(dims[0], dims[2], dims[1], -1).transpose(0, 2, 1, 3)
+        lift = lift.reshape(int(np.prod(dims)), -1)
+    basis = np.linalg.qr(lift)[0]
+    gap = expected - basis @ (dag(basis) @ expected)
+    assert np.abs(gap).max(initial=0.0) <= 1e-10
 
 
 @pytest.mark.parametrize("psi, phi", compat_instances())
 def test_compatibility_assembly_matches_oracle(psi, phi):
     report = an.check_compatibility(psi, phi, CONFIG).solver
-    # A pair with no forced support gets the closed-form marginal set.
-    frame_free = an._compat_support(psi, phi) is None
-    assert isinstance(report.constraints, MarginalConstraintSet) == frame_free
-    assert_parity(report, compat_oracle(psi, phi))
+    routed = route(psi, phi)[0] != "marginal"
+    assert isinstance(report.constraints, CompositionConstraintSet) == routed
+    assert isinstance(report.constraints, MarginalConstraintSet) != routed
+    assert_parity(report, route_oracle(psi, phi))
 
 
 def marginal_pair(dims, shift):

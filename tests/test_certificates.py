@@ -6,18 +6,20 @@ not-feasible verdict."""
 
 import numpy as np
 import pytest
+from dense_oracle import div_oracle, marginal_oracle
 
 from chancompat import analysis as an
 from chancompat import channels as ch
 from chancompat.channels import Channel, KrausSet
 from chancompat.feasibility import (
+    CompositionConstraintSet,
     MarginalConstraintSet,
     SolverConfig,
     Status,
     certificate_bound,
     solve,
 )
-from chancompat.linalg import partial_trace_adjoint, project_psd
+from chancompat.linalg import project_psd
 
 CONFIG = SolverConfig()
 
@@ -102,15 +104,23 @@ def test_known_infeasible_kinds_are_certified_at_first_iteration(kind, kraus):
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_identity_self_compatibility_is_certified(d):
-    # No-cloning: the forced support of the pair is zero-dimensional, so the
-    # solver runs on a system with no coordinates and the bound is the norm
-    # of the two stacked Choi targets, sqrt(2) * d.
-    rep = an.check_compatibility(ch.identity(d), ch.identity(d), CONFIG).solver
+    # No-cloning. The identity's Choi operator has rank 1, so the check runs
+    # through Theorem 1: the complementary channel is the trace, and no
+    # channel after it gives back the identity. The certificate is stated on
+    # that quotient system, whose dense oracle gives the same bound, and
+    # solves the same way.
+    ident = ch.identity(d)
+    rep = an.check_compatibility(ident, ident, CONFIG).solver
     assert rep.status is Status.NOT_FEASIBLE_AT_TOLERANCE
     assert rep.stop_reason == "certificate" and rep.iterations == 1
-    assert rep.constraints.dim == 0
+    assert isinstance(rep.constraints, CompositionConstraintSet)
     bound = certificate_bound(rep.constraints, rep.certificate)
-    assert abs(bound - np.sqrt(2.0) * d) <= 1e-12
+    assert bound >= 10 * CONFIG.eps_feas
+    dense = div_oracle(ch.complementary(ch.kraus_from_choi(ident)), ident)
+    assert abs(bound - certificate_bound(dense, rep.certificate)) <= 1e-12
+    oracle = solve(dense, CONFIG)
+    assert (oracle.stop_reason, oracle.iterations) == ("certificate", 1)
+    assert abs(bound - certificate_bound(dense, oracle.certificate)) <= 1e-12
 
 
 def test_certified_verdict_survives_local_unitaries():
@@ -175,16 +185,6 @@ def depolarizing(d: int, eta: float) -> Channel:
     return Channel(d, d, eta * ch.identity(d).choi + (1 - eta) * ch.completely_depolarizing(d).choi)
 
 
-def dense_compat_constraints(psi: Channel, phi: Channel):
-    """The pair's marginal constraints as a dense system with a pinv."""
-    dims = (psi.dim_in, psi.dim_out, phi.dim_out)
-    specs = [
-        (lambda y: partial_trace_adjoint(y, dims, (0, 1)), psi.choi),
-        (lambda y: partial_trace_adjoint(y, dims, (0, 2)), phi.choi),
-    ]
-    return an.build_constraints(int(np.prod(dims)), specs)
-
-
 @pytest.mark.parametrize("d", [2, 3])
 def test_depolarizing_self_compatibility_brackets_cloning_threshold(d):
     # Optimal universal 1 -> 2 cloning: the depolarizing channel is
@@ -197,7 +197,7 @@ def test_depolarizing_self_compatibility_brackets_cloning_threshold(d):
     assert rep.stop_reason == "certificate" and rep.iterations == 1
     bound = certificate_bound(rep.constraints, rep.certificate)
     assert bound >= 10 * CONFIG.eps_feas
-    dense = dense_compat_constraints(above, above)
+    dense = marginal_oracle(above, above)
     assert abs(bound - certificate_bound(dense, rep.certificate)) <= 1e-12
     oracle = solve(dense, CONFIG)
     assert (oracle.stop_reason, oracle.iterations) == ("certificate", 1)
@@ -218,12 +218,16 @@ def swap_pairs():
     pairs.append(pytest.param(*compatible, id="depolarizing-compatible"))
     incompatible = depolarizing(3, 0.8), depolarizing(3, 0.5)
     pairs.append(pytest.param(*incompatible, id="depolarizing-incompatible"))
+    # Rank-deficient psi: the check goes through psi_c in this order and
+    # through the second channel's complementary in the other.
+    psi, phi = thm1_pair(rng, 2, 2)
+    pairs.append(pytest.param(psi, phi, id="thm1-d2-env2"))
+    pairs.append(pytest.param(phi, psi, id="thm1-d2-env2-reversed"))
     return pairs
 
 
 @pytest.mark.parametrize("psi, phi", swap_pairs())
 def test_swapping_the_pair_keeps_the_verdict(psi, phi):
-    assert an._compat_support(psi, phi) is None
     rep = an.check_compatibility(psi, phi, CONFIG)
     swapped = an.check_compatibility(phi, psi, CONFIG)
     assert swapped.status is rep.status
@@ -231,3 +235,18 @@ def test_swapping_the_pair_keeps_the_verdict(psi, phi):
     if swapped.status is Status.FEASIBLE:
         joint = ch.swap_output(swapped.compatibilizer, phi.dim_out, psi.dim_out)
         assert joint_reverifies(joint, psi, phi)
+
+
+def test_side_216_rank_deficient_pair_is_feasible():
+    # A Theorem-1 qubit pair tensored with the qutrit depolarizing channel at
+    # eta = 0.5, which is compatible with itself: A, B and C have dimension
+    # 6, so the joint's Choi operator has side 216. psi has Choi rank 18 of
+    # 36, and the quotient's side is 108.
+    rng = np.random.default_rng(216)
+    psi, phi = thm1_pair(rng, 2, 2)
+    noise = depolarizing(3, 0.5)
+    big_psi, big_phi = ch.tensor(psi, noise), ch.tensor(phi, noise)
+    rep = an.check_compatibility(big_psi, big_phi, CONFIG)
+    assert rep.status is Status.FEASIBLE
+    assert rep.solver.constraints.dims == (6, 18, 6)
+    assert joint_reverifies(rep.compatibilizer, big_psi, big_phi)

@@ -1,13 +1,11 @@
+"""The solver and the certificate bound on small dense systems, held by the
+test-side :class:`dense_oracle.AffineConstraintSet`."""
+
 import numpy as np
 import pytest
+from dense_oracle import AffineConstraintSet
 
-from chancompat.feasibility import (
-    AffineConstraintSet,
-    SolverConfig,
-    Status,
-    certificate_bound,
-    solve,
-)
+from chancompat.feasibility import SolverConfig, Status, certificate_bound, solve
 from chancompat.linalg import dag, frob, vectorize_hermitian
 
 
