@@ -337,9 +337,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _usage_error(args: argparse.Namespace) -> str | None:
     """Argument combinations the parser cannot reject by itself: wrong file
-    counts, and ``verify`` runs that would check nothing and so report a
-    vacuous success."""
-    if args.command == "check":
+    counts, ``make`` dimensions no channel file can carry, and ``verify``
+    runs that would check nothing and so report a vacuous success."""
+    if args.command == "make":
+        for flag, dim in (("--dim", args.dim), ("--dim-b", args.dim_b), ("--dim-c", args.dim_c)):
+            if dim < 1:
+                return f"make {flag} must be at least 1"
+    elif args.command == "check":
         need = 2 if args.what in ("compat", "div") else 1
         if len(args.channels) != need:
             return f"check {args.what} takes {need} channel file(s)"

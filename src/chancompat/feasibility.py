@@ -14,10 +14,11 @@ divisibility system ``Tr_C X = I_B, J_psi * X = J_phi`` on B (x) C, whose M
 splits into Kronecker blocks that one SVD of the realigned J_psi inverts;
 compatibility of a rank-deficient pair is this system for a complementary
 channel (Theorem 1, see :func:`chancompat.analysis.check_compatibility`).
-Both iterate on the matrices themselves, and state their residuals,
+Both hold only this affine geometry, on Hermitian matrices, and state their
 multipliers and trace coordinates in the coordinates of the dense rows (the
-stacked vectorized blocks), so a certificate means the same on each. The
-tests hold a dense set with a pseudo-inverse as the oracle both match.
+stacked vectorized blocks), so a certificate means the same on each; the PSD
+step is :func:`solve`'s own. The tests hold a dense set with a
+pseudo-inverse as the oracle both match.
 
 Infeasible verdicts are certified. At iteration 1 and at every
 1000-iteration checkpoint the residual of the PSD iterate is turned into
@@ -80,17 +81,16 @@ class Status(enum.Enum):
     INCONCLUSIVE = "inconclusive"
 
 
-# Every constraint set provides, besides ``dim`` and ``rhs`` (b):
+# Every constraint set provides, besides ``dim`` and ``rhs`` (b), on
+# Hermitian ``dim x dim`` matrices:
 #   forward(X), adjoint(lam)  M vec(X), and devec(M^T lam) as a matrix
-#   residual(X), project(X)   ||M vec(X) - b||, and the Euclidean projection
-#   multipliers(r)            (M M^T)^+ r + (r - M M^+ r) for r = M vec(Y) - b
-#   residual_multipliers(Y)   multipliers(forward(Y) - b)
+#   residual(X)               ||M vec(X) - b||
+#   start()                   P_aff(0), for P_aff the Euclidean projection
+#   correction(W)             W - P_aff(W)
+#   residual_multipliers(Y)   (M M^T)^+ r + (r - M M^+ r) for r = M vec(Y) - b
 #   trace_coordinates         tau with M^T tau = vec(I), or None
-# and, in the coordinates z that `solve` iterates on:
-#   start()                   P_aff(0)
-#   candidate(z)              the PSD iterate Y and its coordinates y
-#   misfit(y)                 ||M y - b||
-#   correction(w)             w - P_aff(w)
+# The library sets take residuals as Frobenius norms of the row blocks in
+# matrix form, which equal the norms of their real coordinates.
 
 
 def _check_operands(
@@ -156,43 +156,7 @@ def _marginal_indices(dims: tuple[int, int, int]) -> tuple[np.ndarray, ...]:
     return out
 
 
-class _ClosedFormSet:
-    """What the closed-form constraint sets share. They iterate on the
-    matrices themselves, and their ``misfit`` takes Frobenius norms of the
-    Hermitian row blocks, which equal the norms of their coordinates: so it
-    is also the residual of a Hermitian matrix."""
-
-    def residual(self, x: np.ndarray) -> float:
-        """Euclidean residual ||M vec(X) - b|| of a Hermitian matrix."""
-        return self.misfit(x)
-
-    def project(self, x: np.ndarray) -> np.ndarray:
-        """Euclidean projection of a Hermitian matrix onto the (least-squares)
-        affine set."""
-        return x - self.correction(x)
-
-    def start(self) -> np.ndarray:
-        return self.project(np.zeros((self.dim, self.dim), dtype=complex))
-
-    def candidate(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        y = project_psd(z)
-        return y, y
-
-    # Row vectors are ``_join``ed from, and ``_split`` into, the two row
-    # blocks in matrix form, where the multipliers are computed: so the
-    # solver's residual needs no round trip through row coordinates.
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        return self._join(*self._rows(x))
-
-    def multipliers(self, r: np.ndarray) -> np.ndarray:
-        return self._join(*self._block_multipliers(*self._split(r)))
-
-    def residual_multipliers(self, y: np.ndarray) -> np.ndarray:
-        return self._join(*self._block_multipliers(*self._residual_blocks(y)))
-
-
-class MarginalConstraintSet(_ClosedFormSet):
+class MarginalConstraintSet:
     """The compatibility constraints ``Tr_C X = first``, ``Tr_B X = second``
     over Hermitian X on A (x) B (x) C, with ``dims = (d_A, d_B, d_C)``.
 
@@ -205,7 +169,7 @@ class MarginalConstraintSet(_ClosedFormSet):
     least-squares consistent pair ``first - E (x) I_B`` and
     ``second + E (x) I_C`` with ``E = (Tr_B first - Tr_C second) / (d_B +
     d_C)``, as the pseudo-inverse does, while residuals are measured against
-    the given targets. The solver iterates on the matrices themselves.
+    the given targets.
     """
 
     def __init__(self, dims: tuple[int, int, int], first: np.ndarray, second: np.ndarray):
@@ -226,12 +190,11 @@ class MarginalConstraintSet(_ClosedFormSet):
     def rhs(self) -> np.ndarray:
         return self._join(self.first, self.second)
 
-    def _split(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The two row blocks of a vector in row coordinates, as matrices."""
-        a, b, c = self.dims
-        v = np.asarray(v, dtype=float)
-        cut = (a * b) ** 2
-        return devectorize_hermitian(v[:cut]), devectorize_hermitian(v[cut:])
+    def start(self) -> np.ndarray:
+        # Not ``-correction(zero)``: negating flips the sign of zero entries,
+        # which the Householder step of the first PSD projection reads.
+        zero = np.zeros((self.dim, self.dim), dtype=complex)
+        return zero - self.correction(zero)
 
     def _join(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
         return np.concatenate([vectorize_hermitian(p), vectorize_hermitian(q)])
@@ -247,19 +210,28 @@ class MarginalConstraintSet(_ClosedFormSet):
         t, cut = self._traces(x), (a * b) ** 2
         return t[:cut].reshape(a * b, a * b), t[cut : self._targets.size].reshape(a * c, a * c)
 
-    def _residual_blocks(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        p, q = self._rows(y)
-        return p - self.first, q - self.second
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        return self._join(*self._rows(x))
 
     def adjoint(self, lam: np.ndarray) -> np.ndarray:
-        u, v = self._split(lam)
+        a, b, _ = self.dims
+        lam, cut = np.asarray(lam, dtype=float), (a * b) ** 2
+        u, v = devectorize_hermitian(lam[:cut]), devectorize_hermitian(lam[cut:])
         return partial_trace_adjoint(u, self.dims, (0, 1)) + partial_trace_adjoint(
             v, self.dims, (0, 2)
         )
 
-    def _block_multipliers(self, p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(M M^T)^+ r + (r - M M^+ r)`` in closed form, for r in blocks
-        ``(P, Q)``.
+    def residual(self, x: np.ndarray) -> float:
+        return float(np.linalg.norm(self._traces(x)[: self._targets.size] - self._targets))
+
+    def correction(self, w: np.ndarray) -> np.ndarray:
+        _, _, scatter, weights = _marginal_indices(self.dims)
+        d = self._traces(w) - self._anchor
+        return (d[scatter] * weights).sum(axis=1).reshape(self.dim, self.dim)
+
+    def residual_multipliers(self, y: np.ndarray) -> np.ndarray:
+        """``(M M^T)^+ r + (r - M M^+ r)`` in closed form, for Y's residual r
+        in blocks ``(P, Q)``.
 
         The rows' null space is spanned by the pairs ``(R (x) I_B, -R (x)
         I_C)``; r's part in it is ``(E (x) I_B, -E (x) I_C)`` with ``E = (Tr_B
@@ -268,13 +240,15 @@ class MarginalConstraintSet(_ClosedFormSet):
         (d_B + d_C)), Q' / d_B - R' (x) I_C / (d_B (d_B + d_C)))``.
         """
         a, b, c = self.dims
+        p, q = self._rows(y)
+        p, q = p - self.first, q - self.second
         e = (partial_trace(p, (a, b), (0,)) - partial_trace(q, (a, c), (0,))) / (b + c)
         e_b, e_c = partial_trace_adjoint(e, (a, b), (0,)), partial_trace_adjoint(e, (a, c), (0,))
         p, q = p - e_b, q + e_c
         r_a = partial_trace(p, (a, b), (0,)) / (b + c)
         lam_p = (p - partial_trace_adjoint(r_a, (a, b), (0,))) / c + e_b
         lam_q = (q - partial_trace_adjoint(r_a, (a, c), (0,))) / b - e_c
-        return lam_p, lam_q
+        return self._join(lam_p, lam_q)
 
     @cached_property
     def trace_coordinates(self) -> np.ndarray:
@@ -284,14 +258,6 @@ class MarginalConstraintSet(_ClosedFormSet):
         return np.concatenate(
             [vectorize_hermitian(np.eye(a * b)) * c, vectorize_hermitian(np.eye(a * c)) * b]
         ) / (b + c)
-
-    def misfit(self, y: np.ndarray) -> float:
-        return float(np.linalg.norm(self._traces(y)[: self._targets.size] - self._targets))
-
-    def correction(self, w: np.ndarray) -> np.ndarray:
-        _, _, scatter, weights = _marginal_indices(self.dims)
-        d = self._traces(w) - self._anchor
-        return (d[scatter] * weights).sum(axis=1).reshape(self.dim, self.dim)
 
 
 def _realign(x: np.ndarray, m: int, n: int) -> np.ndarray:
@@ -304,7 +270,7 @@ def _unalign(xr: np.ndarray, m: int, n: int) -> np.ndarray:
     return xr.reshape(m, m, n, n).transpose(0, 2, 1, 3).reshape(m * n, m * n)
 
 
-class CompositionConstraintSet(_ClosedFormSet):
+class CompositionConstraintSet:
     """The divisibility constraints ``Tr_C X = I_B``, ``J_psi * X = J_phi``
     over Hermitian X on B (x) C, where ``*`` composes X as the Choi operator
     of a channel B -> C after psi (``channels.compose_choi``), with ``dims =
@@ -353,48 +319,54 @@ class CompositionConstraintSet(_ClosedFormSet):
     def start(self) -> np.ndarray:
         return self._x0.copy()  # P_aff(0) = M^+ b, with no null-space part
 
-    def _rows(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``vec(Tr_C X)`` and the realigned composition, unvectorized."""
-        _, b, c = self.dims
-        xr = _realign(x, b, c)
-        return np.sqrt(c) * (xr @ self._u), self._k @ xr
-
-    def _residual_blocks(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        t, yr = self._rows(y)
-        return t - self._eye, yr - self._phi
-
-    def _split(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The two row blocks of a vector in row coordinates, as ``vec(T)``
-        and the realigned ``Y``."""
-        a, b, c = self.dims
-        v = np.asarray(v, dtype=float)
-        return devectorize_hermitian(v[: b * b]).ravel(), _realign(
-            devectorize_hermitian(v[b * b :]), a, c
-        )
-
     def _join(self, t: np.ndarray, yr: np.ndarray) -> np.ndarray:
         a, b, c = self.dims
         return np.concatenate(
             [vectorize_hermitian(t.reshape(b, b)), vectorize_hermitian(_unalign(yr, a, c))]
         )
 
-    def adjoint(self, lam: np.ndarray) -> np.ndarray:
+    def _rows(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``vec(Tr_C X)`` and the realigned composition, unvectorized."""
         _, b, c = self.dims
-        t, yr = self._split(lam)
+        xr = _realign(x, b, c)
+        return np.sqrt(c) * (xr @ self._u), self._k @ xr
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        return self._join(*self._rows(x))
+
+    def adjoint(self, lam: np.ndarray) -> np.ndarray:
+        a, b, c = self.dims
+        lam = np.asarray(lam, dtype=float)
+        t = devectorize_hermitian(lam[: b * b]).ravel()
+        yr = _realign(devectorize_hermitian(lam[b * b :]), a, c)
         return _unalign(np.sqrt(c) * np.outer(t, self._u) + self._kh @ yr, b, c)
 
-    def _block_multipliers(self, t: np.ndarray, yr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(M M^T)^+ r + (r - M M^+ r)`` blockwise, for r in blocks ``(vec
-        T, Yr)``: on K's block it is ``Yr`` with its part in K's kept range
-        scaled by ``s^-2``; on ``N``'s, with ``g = N^+ r_u``, it is ``r_u + N
-        ((N^dag N)^-1 g - g)``."""
+    def residual(self, x: np.ndarray) -> float:
+        t, xr = self._rows(x)
+        return float(np.hypot(np.linalg.norm(t - self._eye), np.linalg.norm(xr - self._phi)))
+
+    def correction(self, w: np.ndarray) -> np.ndarray:
+        # P_aff(W) = M^+ b + W's part in M's null space, which is
+        # ``Xr (I - u u^T)`` projected onto K's null space.
+        _, b, c = self.dims
+        wr = _realign(w, b, c)
+        wr = wr - np.outer(wr @ self._u, self._u)
+        return w - self._x0 - _unalign(self._null.conj().T @ (self._null @ wr), b, c)
+
+    def residual_multipliers(self, y: np.ndarray) -> np.ndarray:
+        """``(M M^T)^+ r + (r - M M^+ r)`` blockwise, for Y's residual r in
+        blocks ``(vec T, Yr)``: on K's block it is ``Yr`` with its part in K's
+        kept range scaled by ``s^-2``; on ``N``'s, with ``g = N^+ r_u``, it is
+        ``r_u + N ((N^dag N)^-1 g - g)``."""
         c = self.dims[2]
+        t, yr = self._rows(y)
+        t, yr = t - self._eye, yr - self._phi
         y_u = yr @ self._u
         rest = yr - np.outer(y_u, self._u)
         rest += self._left @ ((self._s**-2 - 1.0)[:, None] * (self._left.conj().T @ rest))
         g = self._gram_inv @ (np.sqrt(c) * t + self._kh @ y_u)
         h = self._gram_inv @ g - g
-        return t + np.sqrt(c) * h, rest + np.outer(y_u + self._k @ h, self._u)
+        return self._join(t + np.sqrt(c) * h, rest + np.outer(y_u + self._k @ h, self._u))
 
     @cached_property
     def trace_coordinates(self) -> np.ndarray:
@@ -404,18 +376,6 @@ class CompositionConstraintSet(_ClosedFormSet):
         c = self.dims[2]
         h = self._gram_inv @ self._eye
         return self._join(c * h, np.sqrt(c) * np.outer(self._k @ h, self._u))
-
-    def misfit(self, y: np.ndarray) -> float:
-        t, yr = self._rows(y)
-        return float(np.hypot(np.linalg.norm(t - self._eye), np.linalg.norm(yr - self._phi)))
-
-    def correction(self, w: np.ndarray) -> np.ndarray:
-        # P_aff(W) = M^+ b + W's part in M's null space, which is
-        # ``Xr (I - u u^T)`` projected onto K's null space.
-        _, b, c = self.dims
-        wr = _realign(w, b, c)
-        wr = wr - np.outer(wr @ self._u, self._u)
-        return w - self._x0 - _unalign(self._null.conj().T @ (self._null @ wr), b, c)
 
 
 ConstraintSet = MarginalConstraintSet | CompositionConstraintSet
@@ -440,9 +400,9 @@ class FeasibilityReport:
     ``stop_reason`` is one of ``"tolerance"`` (feasible), ``"certificate"``
     (infeasible, ``certificate`` holds the Farkas multipliers), ``"plateau"``
     (best residual stopped improving; inconclusive) and ``"iteration-cap"``
-    (inconclusive). ``constraints`` is the system whose coordinates
-    ``solution`` and ``certificate`` are in; :func:`certificate_bound` needs
-    it to re-check the certificate.
+    (inconclusive). ``constraints`` is the system that ``solution`` (a
+    matrix X) and ``certificate`` (multipliers for its rows) belong to;
+    :func:`certificate_bound` needs it to re-check the certificate.
     """
 
     status: Status
@@ -496,20 +456,19 @@ def _psd_defect(x: np.ndarray) -> float:
 def solve(constraints: ConstraintSet, config: SolverConfig = SolverConfig()) -> FeasibilityReport:
     """Decide feasibility of the PSD cone intersected with the affine set.
 
-    Douglas-Rachford splitting on the constraint set's coordinates ``z``:
-    from ``z = P_aff(0)``, each iteration takes the PSD iterate
-    ``y = project_psd(z)`` (``candidate``) and updates
-    ``z <- z + P_aff(2y - z) - y``, with ``P_aff`` the set's Euclidean
-    projection, in closed form. The candidate tracked for the verdict is the
-    PSD iterate, which is exactly positive semidefinite by construction, so
-    its affine residual ``r = M y - b`` alone measures distance from
-    feasibility. At iteration 1 and at every 1000-iteration
+    Douglas-Rachford splitting on Hermitian matrices: from ``Z = P_aff(0)``
+    (``start``), each iteration takes the PSD iterate ``Y = project_psd(Z)``
+    and updates ``Z <- Z + P_aff(2Y - Z) - Y``, with ``P_aff`` the set's
+    Euclidean projection (``W - correction(W)``). The candidate tracked for
+    the verdict is the PSD iterate, which is exactly positive semidefinite by
+    construction, so its affine residual ``r = M vec(Y) - b`` alone measures
+    distance from feasibility. At iteration 1 and at every 1000-iteration
     checkpoint ``r`` gives multipliers ``lam = (M M^T)^+ r + (r - M M^+ r)``;
     when :func:`certificate_bound` proves every PSD X to have residual at
     least ``10 * eps_feas``, the solve stops not feasible with ``lam`` as its
     certificate. A plateau of the best residual between checkpoints, and
-    exhausting ``max_iter``, end the solve inconclusive. A system with no
-    coordinates is decided at iteration 1: ``r = -b`` and ``lam = r``, whose
+    exhausting ``max_iter``, end the solve inconclusive. A system on ``0 x 0``
+    matrices is decided at iteration 1: ``r = -b`` and ``lam = r``, whose
     bound is exactly ``||b||``.
     """
     z = constraints.start()
@@ -523,11 +482,11 @@ def solve(constraints: ConstraintSet, config: SolverConfig = SolverConfig()) -> 
     infeasible_at = 10.0 * config.eps_feas
 
     for it in range(1, config.max_iter + 1):
-        y_mat, y = constraints.candidate(z)
-        r_aff = constraints.misfit(y)
+        y = project_psd(z)
+        r_aff = constraints.residual(y)
         if r_aff < best:
             best = r_aff
-            best_candidate = y_mat
+            best_candidate = y
         if r_aff < config.eps_feas:
             status, stop_reason, iterations = Status.FEASIBLE, "tolerance", it
             break
@@ -536,7 +495,7 @@ def solve(constraints: ConstraintSet, config: SolverConfig = SolverConfig()) -> 
             # The range part certifies a PSD cone that misses a consistent
             # affine set; the part orthogonal to M's range (M^T of it is 0)
             # certifies rows that are inconsistent on their own.
-            lam = constraints.residual_multipliers(y_mat)
+            lam = constraints.residual_multipliers(y)
             if certificate_bound(constraints, lam) >= infeasible_at:
                 status, stop_reason = Status.NOT_FEASIBLE_AT_TOLERANCE, "certificate"
                 iterations, certificate = it, lam

@@ -36,9 +36,18 @@ def matrix_to_json(m: np.ndarray) -> list[list[list[float]]]:
     return [[[float(z.real), float(z.imag)] for z in row] for row in m]
 
 
+def _number(x: Any) -> Any:
+    """x itself, unless it is a JSON boolean, which Python counts as a number."""
+    if isinstance(x, bool):
+        raise TypeError("boolean where a number is expected")
+    return x
+
+
 def matrix_from_json(data: Any, what: str = "matrix") -> np.ndarray:
     try:
-        m = np.array([[complex(re, im) for re, im in row] for row in data], dtype=complex)
+        m = np.array(
+            [[complex(_number(re), _number(im)) for re, im in row] for row in data], dtype=complex
+        )
     except (TypeError, ValueError) as exc:
         raise LoadError(f"{what}: expected equal-length rows of [re, im] pairs") from exc
     if m.ndim != 2 or m.size == 0:
@@ -70,7 +79,7 @@ def channel_from_json(doc: Any, atol: float = 1e-9) -> tuple[Channel, KrausSet |
     if not isinstance(doc, dict):
         raise LoadError("channel document must be a JSON object")
     for key in ("dim_in", "dim_out"):
-        if not isinstance(doc.get(key), int) or doc[key] < 1:
+        if not isinstance(doc.get(key), int) or isinstance(doc[key], bool) or doc[key] < 1:
             raise LoadError(f"missing or invalid '{key}'")
     dim_in, dim_out = doc["dim_in"], doc["dim_out"]
     has_kraus, has_choi = "kraus" in doc, "choi" in doc

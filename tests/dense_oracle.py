@@ -24,7 +24,6 @@ from chancompat.channels import Channel, KrausSet
 from chancompat.linalg import (
     devectorize_hermitian,
     partial_trace,
-    project_psd,
     vectorize_hermitian,
 )
 
@@ -42,8 +41,9 @@ class AffineConstraintSet:
 
     The pseudo-inverse of M is precomputed once; constraint rows need not be
     linearly independent, and an inconsistent system simply projects onto its
-    least-squares affine set. The solver's coordinates are the real ones of
-    :func:`vectorize_hermitian`.
+    least-squares affine set. Columns of M are the real coordinates of
+    :func:`vectorize_hermitian`. ``project`` and ``multipliers`` are test
+    helpers outside the constraint-set protocol.
     """
 
     dim: int
@@ -78,8 +78,7 @@ class AffineConstraintSet:
         return float(np.linalg.norm(self.forward(x) - self.rhs))
 
     def project(self, x: np.ndarray) -> np.ndarray:
-        v = vectorize_hermitian(x)
-        return devectorize_hermitian(v - self.correction(v))
+        return x - self.correction(x)
 
     def multipliers(self, r: np.ndarray) -> np.ndarray:
         # pinv^T pinv = (M M^T)^+, and r - M pinv r is r's part orthogonal
@@ -98,17 +97,10 @@ class AffineConstraintSet:
         return tau if defect <= ROW_SPACE_TOL * np.linalg.norm(ident) else None
 
     def start(self) -> np.ndarray:
-        return self.pinv @ self.rhs
-
-    def candidate(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        y = project_psd(devectorize_hermitian(z))
-        return y, vectorize_hermitian(y)
-
-    def misfit(self, y: np.ndarray) -> float:
-        return float(np.linalg.norm(self.matrix @ y - self.rhs))
+        return devectorize_hermitian(self.pinv @ self.rhs)
 
     def correction(self, w: np.ndarray) -> np.ndarray:
-        return self.pinv @ (self.matrix @ w - self.rhs)
+        return devectorize_hermitian(self.pinv @ (self.forward(w) - self.rhs))
 
 
 def oracle_constraints(dim, forward_specs) -> AffineConstraintSet:

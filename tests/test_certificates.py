@@ -65,7 +65,7 @@ def test_feasible_instances_are_never_certified():
                 (cons.dim, cons.dim)
             )
             y = project_psd(0.5 * (g + g.conj().T))
-            lam = cons.multipliers(cons.forward(y) - cons.rhs)
+            lam = cons.residual_multipliers(y)
             assert certificate_bound(cons, lam) <= solver.residual_affine + 1e-12
     # The batch includes solves that attempted a certificate and went on.
     assert iterated >= 2
@@ -176,7 +176,7 @@ def test_full_rank_pairs_are_feasible_with_reverified_witness(d, env):
         cons = rep.solver.constraints
         n = cons.dim
         g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        lam = cons.multipliers(cons.forward(project_psd(0.5 * (g + g.conj().T))) - cons.rhs)
+        lam = cons.residual_multipliers(project_psd(0.5 * (g + g.conj().T)))
         assert certificate_bound(cons, lam) <= rep.solver.residual_affine + 1e-12
 
 

@@ -63,30 +63,40 @@ def test_load_rejects_invalid_documents(tmp_path, capsys):
     with pytest.raises(io.LoadError):
         io.load_channel(str(bad))
     # Non-finite entries, entries that are not [re, im] pairs, ragged rows,
-    # incomplete Kraus sets and a 'kraus' that is not a list are load errors:
-    # every check exits 3 with no report.
+    # incomplete Kraus sets, a 'kraus' that is not a list, and JSON booleans
+    # as dimensions or entries are load errors: every check exits 3 with no
+    # report.
     eye = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
     inf_kraus = [[[float("inf"), 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
     nan_choi = [[[float("nan"), 0.0]] * 4] + [[[0.0, 0.0]] * 4] * 3
     triple = [[[1.0, 0.0, 5.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
     half = [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]
-    for doc in (
-        {"dim_in": 2, "dim_out": 2, "kraus": [inf_kraus]},
-        {"dim_in": 2, "dim_out": 2, "choi": nan_choi},
-        {"dim_in": 2, "dim_out": 2, "kraus": [triple]},
-        {"dim_in": 2, "dim_out": 2, "kraus": [[[[1, 0], [0, 0]], [[0, 0]]]]},
-        {"dim_in": 2, "dim_out": 2, "kraus": [half]},
-        {"dim_in": 2, "dim_out": 2, "kraus": [eye, half]},
-        {"dim_in": 2, "dim_out": 2, "kraus": 5},
+    # The identity channel with true for 1 and false for 0.
+    bool_eye = [[[True, False], [0, 0]], [[0, 0], [True, False]]]
+    bool_choi = [[[bool(x), False] for x in row] for row in ch.identity(2).choi.real.tolist()]
+    for doc, key in (
+        ({"dim_in": 2, "dim_out": 2, "kraus": [inf_kraus]}, "kraus"),
+        ({"dim_in": 2, "dim_out": 2, "choi": nan_choi}, "choi"),
+        ({"dim_in": 2, "dim_out": 2, "kraus": [triple]}, "kraus"),
+        ({"dim_in": 2, "dim_out": 2, "kraus": [[[[1, 0], [0, 0]], [[0, 0]]]]}, "kraus"),
+        ({"dim_in": 2, "dim_out": 2, "kraus": [half]}, "kraus"),
+        ({"dim_in": 2, "dim_out": 2, "kraus": [eye, half]}, "kraus"),
+        ({"dim_in": 2, "dim_out": 2, "kraus": 5}, "kraus"),
+        ({"dim_in": True, "dim_out": 2, "kraus": [[[[1, 0]], [[0, 0]]], [[[0, 0]], [[1, 0]]]]}, "dim_in"),
+        ({"dim_in": True, "dim_out": True, "choi": [[[1, 0]]]}, "dim_in"),
+        ({"dim_in": 2, "dim_out": True, "choi": [[[1, 0]] * 2] * 2}, "dim_out"),
+        ({"dim_in": 2, "dim_out": 2, "kraus": [bool_eye]}, "kraus"),
+        ({"dim_in": 2, "dim_out": 2, "choi": bool_choi}, "choi"),
     ):
         bad.write_text(json.dumps(doc))
         with pytest.raises(io.LoadError):
             io.load_channel(str(bad))
-        assert main(["check", "selfdeg", str(bad)]) == 3
-        out, err = capsys.readouterr()
-        assert out == "" and err.startswith("error: "), err
-        # The message names the field at fault, not numpy's internals.
-        assert ("kraus" if "kraus" in doc else "choi") in err.lower(), err
+        for argv in (["check", "selfdeg", str(bad)], ["check", "compat", str(bad), str(bad)]):
+            assert main(argv) == 3
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("error: "), err
+            # The message names the field at fault, not numpy's internals.
+            assert key in err.lower(), err
 
 
 def test_make_and_check_compat_identity(tmp_path, capsys):
@@ -201,6 +211,27 @@ def test_usage_errors_exit_three(tmp_path, capsys):
     assert main(["check", "selfdeg", str(bad)]) == 3
     assert main(["check", "compat", str(bad)]) == 3  # wrong arity
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["make", "identity", "--dim", "0"],
+        ["make", "depolarizing", "--dim", "0"],
+        ["make", "unitary", "--dim", "0"],
+        ["make", "example2", "--dim-b", "0"],
+        ["make", "example2", "--dim-c", "-1"],
+    ],
+)
+def test_make_rejects_dimensions_below_one(tmp_path, capsys, argv):
+    # A channel file carries dimensions of at least 1, so a make that would
+    # write any other is a usage error, with no file written.
+    out = tmp_path / "z.json"
+    assert main([*argv, "-o", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: "), captured.err
+    assert "--dim" in captured.err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(

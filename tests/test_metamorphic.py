@@ -7,7 +7,11 @@ verdicts are.
   ask the same question.
 * A divisibility verdict is unchanged when the shared input and each output
   are conjugated by unitaries: theta divides the pair exactly when
-  ``V_C theta V_B^dag`` divides the dressed pair.
+  ``V_C theta V_B^dag`` divides the dressed pair. So is a compatibility
+  verdict: W is a joint of the pair exactly when ``(V_B (x) V_C) W U_A`` is
+  one of the dressed pair.
+* psi is compatible with itself exactly when it is anti-degradable
+  (Theorem 1 with phi = psi), and both checks solve the same system.
 """
 
 import numpy as np
@@ -15,7 +19,8 @@ import pytest
 
 from chancompat import analysis as an
 from chancompat import channels as ch
-from chancompat.feasibility import SolverConfig, Status
+from chancompat.feasibility import SolverConfig, Status, certificate_bound
+from test_certificates import depolarizing, joint_reverifies, thm1_pair
 
 CONFIG = SolverConfig()
 
@@ -67,3 +72,54 @@ def test_divisibility_verdict_is_invariant_under_unitary_dressing(divisible):
         # The bare quotient, dressed, divides the dressed pair too.
         moved = dress(bare.quotient, v_b.conj().T, v_c)
         assert ch.choi_distance(ch.compose_choi(psi_d, moved), phi_d) < 1e-6
+
+
+def compat_dressing_instances():
+    rng = np.random.default_rng(910)
+    eta = 2 / 3  # the qubit cloning threshold (d + 2) / (2 (d + 1))
+    return [
+        pytest.param(*thm1_pair(rng, 2, 2), id="thm1-rank-deficient"),
+        pytest.param(*thm1_pair(rng, 2, 4), id="thm1-full-rank"),
+        pytest.param(depolarizing(2, eta - 1e-3), depolarizing(2, eta - 1e-3), id="dep-below"),
+        pytest.param(depolarizing(2, eta + 1e-3), depolarizing(2, eta + 1e-3), id="dep-above"),
+        pytest.param(ch.identity(2), ch.identity(2), id="identity"),
+    ]
+
+
+@pytest.mark.parametrize("psi, phi", compat_dressing_instances())
+def test_compatibility_verdict_is_invariant_under_unitary_dressing(psi, phi):
+    rng = np.random.default_rng(911)
+    u_a, v_b, v_c = (ch.random_unitary(2, rng) for _ in range(3))
+    bare = an.check_compatibility(psi, phi, CONFIG)
+    psi_d, phi_d = dress(psi, u_a, v_b), dress(phi, u_a, v_c)
+    dressed = an.check_compatibility(psi_d, phi_d, CONFIG)
+    assert bare.status is not Status.INCONCLUSIVE
+    assert dressed.status is bare.status
+    assert dressed.solver.iterations == bare.solver.iterations
+    assert dressed.solver.stop_reason == bare.solver.stop_reason
+    assert (dressed.compatibilizer is None) == (bare.compatibilizer is None)
+    if bare.compatibilizer is not None:
+        assert joint_reverifies(dressed.compatibilizer, psi_d, phi_d)
+        # The bare joint, dressed, is a joint of the dressed pair too.
+        moved = dress(bare.compatibilizer, u_a, np.kron(v_b, v_c))
+        assert joint_reverifies(moved, psi_d, phi_d)
+
+
+@pytest.mark.parametrize("gamma", [0.1, 0.3, 0.45, 0.49, 0.499, 0.5, 0.501, 0.55, 0.7, 0.9])
+def test_self_compatibility_is_antidegradability(gamma):
+    # Amplitude damping is anti-degradable exactly for gamma >= 1/2.
+    kraus = ch.amplitude_damping(gamma)
+    psi = ch.choi_from_kraus(kraus)
+    compat = an.check_compatibility(psi, psi, CONFIG)
+    anti = an.check_antidegradable(psi, kraus, CONFIG)
+    assert anti.status is (Status.FEASIBLE if gamma >= 0.5 else Status.NOT_FEASIBLE_AT_TOLERANCE)
+    assert compat.status is anti.status
+    assert compat.solver.iterations == anti.solver.iterations
+    assert compat.solver.stop_reason == anti.solver.stop_reason
+    if anti.status is Status.FEASIBLE:
+        assert joint_reverifies(compat.compatibilizer, psi, psi)
+    else:
+        bound = certificate_bound(anti.solver.constraints, anti.solver.certificate)
+        compat_bound = certificate_bound(compat.solver.constraints, compat.solver.certificate)
+        assert bound >= 10 * CONFIG.eps_feas
+        assert abs(compat_bound - bound) <= 1e-9 * bound
