@@ -14,13 +14,15 @@ solved system misses its constraints by at least ten times the tolerance. A
 solve that stalls on a residual plateau without a certificate is reported as
 inconclusive.
 
-Compatibility of a pair with a rank-deficient Choi operator is decided
-through Theorem 1: phi is compatible with psi exactly when phi = theta o
-psi_c for a channel theta from psi's environment, so the check is a
-divisibility check by the complementary channel of a minimal Kraus set, and
-the joint witness is a congruence of theta's Choi operator. Its solver
-report is in the coordinates of that quotient (see
-:func:`check_compatibility`).
+Compatibility is decided on the same constraint set as divisibility (see
+:func:`check_compatibility`). A full-rank pair is decided on the joint,
+whose marginal ``Tr_B`` is a composition after ``rho -> rho (x) I_B``. A
+pair with a rank-deficient Choi operator is decided through Theorem 1: phi
+is compatible with psi exactly when phi = theta o psi_c for a channel theta
+from psi's environment, so the check is a divisibility check by the
+complementary channel of a minimal Kraus set, and the joint witness is a
+congruence of theta's Choi operator. Its solver report is in the
+coordinates of that quotient.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from .channels import Channel, KrausSet
 from .feasibility import (
     CompositionConstraintSet,
     FeasibilityReport,
-    MarginalConstraintSet,
     SolverConfig,
     Status,
     solve,
@@ -136,14 +137,18 @@ def check_compatibility(
     eigendecomposition of each Choi operator validates it and gives its
     minimal Kraus set, whose length r is the Choi rank at ``EPS_RANK``.
 
-    When both Choi operators have full rank the variable is the joint itself,
-    constrained by a :class:`MarginalConstraintSet`. Otherwise the check
-    follows Theorem 1: every PSD joint with ``Tr_C W = R R^dag`` (R's columns
+    Every route solves a :class:`CompositionConstraintSet`. When both Choi
+    operators have full rank the variable is the joint W itself: ``Tr_B W``
+    is the Choi operator of W composed after Gamma: ``rho -> rho (x) I_B``,
+    whose Choi operator is ``|I><I| (x) I_B``, so the marginal rows are the
+    set's rows for Gamma, with ``Tr_C W = J_psi`` as the first target in
+    place of trace preservation. Otherwise the check follows Theorem 1:
+    every PSD joint with ``Tr_C W = R R^dag`` (R's columns
     the vectorized Kraus operators) is ``(R (x) I_C) X (R (x) I_C)^dag`` for
     exactly one PSD X, and its second marginal is then phi exactly when X is
     the Choi operator of a channel theta: E -> C with phi = theta o psi_c.
     So the variable is X, on the ``r d_C``-dimensional space E (x) C,
-    constrained by a :class:`CompositionConstraintSet`. Compatibility is
+    under the divisibility rows of phi by psi_c. Compatibility is
     symmetric, so the route goes through whichever of psi_c and phi_c gives
     the smaller space, and a witness found through phi_c has its outputs
     swapped back. The report's ``solver.solution`` and ``certificate`` are
@@ -158,7 +163,9 @@ def check_compatibility(
     da, db, dc = psi.dim_in, psi.dim_out, phi.dim_out
     side_psi, side_phi = k_psi.dim_env * dc, k_phi.dim_env * db
     if min(side_psi, side_phi) == da * db * dc:
-        report = solve(MarginalConstraintSet((da, db, dc), psi.choi, phi.choi), config)
+        gamma = np.kron(ch.identity(da).choi, np.eye(db))
+        cons = CompositionConstraintSet((da, da * db, dc), gamma, phi.choi, first=psi.choi)
+        report = solve(cons, config)
         if report.status is not Status.FEASIBLE:
             return CompatReport(report.status, None, None, report)
         witness = Channel(da, db * dc, report.solution)

@@ -158,14 +158,19 @@ def _tp_defect(channel: Channel, h: np.ndarray) -> float:
 
 
 def cptp_defects(channel: Channel) -> tuple[float, float]:
-    """(CP defect, TP defect): most negative eigenvalue magnitude and
-    Frobenius distance of the output partial trace from the identity."""
+    """(CP defect, TP defect) of the Choi operator's Hermitian part: most
+    negative eigenvalue magnitude and Frobenius distance of the output
+    partial trace from the identity."""
     h = _hermitian_part(channel.choi)
     wmin = float(np.linalg.eigvalsh(h)[0])
     return max(0.0, -wmin), _tp_defect(channel, h)
 
 
-def _raise_on_defects(cp: float, tp: float, atol: float, name: str) -> None:
+def _raise_on_defects(channel: Channel, cp: float, tp: float, atol: float, name: str) -> None:
+    # cp and tp are measured on the Hermitian part, which hides the rest.
+    skew = float(np.abs(channel.choi - dag(channel.choi)).max())
+    if skew > atol:
+        raise ValueError(f"{name} has a non-Hermitian Choi operator: max |J - J^dag| = {skew:.3e}")
     if cp > atol:
         raise ValueError(f"{name} is not completely positive: min eigenvalue -{cp:.3e}")
     if tp > atol:
@@ -173,8 +178,9 @@ def _raise_on_defects(cp: float, tp: float, atol: float, name: str) -> None:
 
 
 def validate_channel(channel: Channel, atol: float = EPS_PSD, name: str = "channel") -> None:
-    """Raise ``ValueError`` unless the channel is CPTP within ``atol``."""
-    _raise_on_defects(*cptp_defects(channel), atol, name)
+    """Raise ``ValueError`` unless the channel's Choi operator is Hermitian
+    and the channel is CPTP, each within ``atol``."""
+    _raise_on_defects(channel, *cptp_defects(channel), atol, name)
 
 
 def validated_kraus(channel: Channel, atol: float = EPS_PSD, name: str = "channel") -> KrausSet:
@@ -187,7 +193,7 @@ def validated_kraus(channel: Channel, atol: float = EPS_PSD, name: str = "channe
     """
     h = _hermitian_part(channel.choi)
     w, v = np.linalg.eigh(h)
-    _raise_on_defects(max(0.0, -float(w[0])), _tp_defect(channel, h), atol, name)
+    _raise_on_defects(channel, max(0.0, -float(w[0])), _tp_defect(channel, h), atol, name)
     return _kraus_from_eigh(channel, w, v)
 
 
@@ -332,11 +338,14 @@ def unitary_channel(u: np.ndarray) -> Channel:
 
 
 def isometry_channel(v: StinespringIsometry) -> Channel:
-    """Channel rho -> V rho V^dag onto the full dilated space out (x) env."""
-    return choi_from_kraus(
-        KrausSet(v.dim_in, v.dim_out * v.dim_env, (v.v,)),
-        atol=max(EPS_TP, 10.0 * v.isometry_defect()),
-    )
+    """Map rho -> V rho V^dag onto the full dilated space out (x) env.
+
+    Its Choi operator is ``w w^dag`` with ``w = sum_i |i> (x) V|i>``, built
+    as is: V is not checked to be an isometry, so a V from a solver witness,
+    isometric only to the witness's tolerance, gives the map it defines.
+    """
+    w = v.v.T.reshape(-1)
+    return Channel(v.dim_in, v.dim_out * v.dim_env, np.outer(w, w.conj()))
 
 
 def trace_out_channel(dims: Sequence[int], keep: Sequence[int]) -> Channel:

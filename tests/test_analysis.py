@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 from dense_oracle import compatibilizer_oracle
+from test_assembly import marginal_set
 
 from chancompat import analysis as an
 from chancompat import channels as ch
 from chancompat.feasibility import (
     CompositionConstraintSet,
-    MarginalConstraintSet,
     SolverConfig,
     Status,
 )
@@ -33,7 +33,7 @@ def test_constraint_builder_matches_direct_evaluation():
     for dims in ((2, 2, 2), (2, 3, 2)):
         da, db, dc = dims
         psi = ch.random_channel(da, db, rng)
-        marginal = MarginalConstraintSet(dims, np.eye(da * db), np.eye(da * dc))
+        marginal = marginal_set(dims, np.eye(da * db), np.eye(da * dc))
         composition = CompositionConstraintSet(dims, psi.choi, np.eye(da * dc))
         for _ in range(5):
             x = _random_hermitian(da * db * dc, rng)

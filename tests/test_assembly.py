@@ -1,17 +1,19 @@
-"""The closed-form constraint sets against dense oracles.
+"""The closed-form constraint set against dense oracles.
 
 The oracle (``dense_oracle.oracle_constraints``) applies each forward map to
 every Hermitian basis element of the variable and stores the constraint
-matrix column by column. A compatibility pair whose Choi operators both have
-full rank gets the closed-form ``MarginalConstraintSet``, which has no
-matrix: its forward map, projection, multipliers and trace coordinates are
-compared with the oracle, also on targets whose A-marginals disagree. Every
-divisibility system, and the compatibility system of a rank-deficient pair
-(the divisibility of the other channel by a complementary channel, through
-Theorem 1), gets the ``CompositionConstraintSet``, which has no matrix
-either; it is compared with the dense oracle the same way, on dimensions
-with d_B != d_C and with a factor of dimension 1, and its solves on
-rank-deficient and inconsistent systems must match the oracle's. The route's
+matrix column by column. Every system gets the ``CompositionConstraintSet``,
+which has no matrix: its forward map, projection, multipliers and trace
+coordinates are compared with the oracle, and its solves must match the
+oracle's. A compatibility pair whose Choi operators both have full rank is
+the joint under its marginal rows, a composition after rho -> rho (x) I_B
+with ``J_psi`` as the first target; it is checked against the marginal
+oracle, also on targets whose A-marginals disagree and with a factor of
+dimension 1. Every divisibility system, and the compatibility system of a
+rank-deficient pair (the divisibility of the other channel by a
+complementary channel, through Theorem 1), is checked against the
+divisibility oracle, on dimensions with d_B != d_C and with a factor of
+dimension 1, including rank-deficient and inconsistent systems. The route's
 search space must contain the forced support of the pair, computed from
 explicit null columns.
 """
@@ -25,7 +27,6 @@ from chancompat import channels as ch
 from chancompat.channels import Channel
 from chancompat.feasibility import (
     CompositionConstraintSet,
-    MarginalConstraintSet,
     SolverConfig,
     Status,
     certificate_bound,
@@ -212,10 +213,12 @@ def test_instances_cover_both_kinds_of_compatibility_system():
     )
     assert np.array_equal(rep.compatibilizer.choi, ch.swap_output(lifted, 2, 2).choi)
 
-    # Both full rank: the joint itself, under the marginal constraints.
+    # Both full rank: the joint itself, under the marginal constraints as a
+    # composition with rho -> rho (x) I_B whose first target is J_psi.
     psi, phi = pairs["noisy-d2-env2"]
     cons = an.check_compatibility(psi, phi, CONFIG).solver.constraints
-    assert isinstance(cons, MarginalConstraintSet)
+    assert isinstance(cons, CompositionConstraintSet) and cons.dims == (2, 4, 2)
+    assert np.array_equal(cons.rhs, marginal_oracle(psi, phi).rhs)
 
 
 @pytest.mark.parametrize("psi, phi", support_instances())
@@ -243,10 +246,17 @@ def test_support_matches_null_column_oracle(psi, phi):
 @pytest.mark.parametrize("psi, phi", compat_instances())
 def test_compatibility_assembly_matches_oracle(psi, phi):
     report = an.check_compatibility(psi, phi, CONFIG).solver
-    routed = route(psi, phi)[0] != "marginal"
-    assert isinstance(report.constraints, CompositionConstraintSet) == routed
-    assert isinstance(report.constraints, MarginalConstraintSet) != routed
+    assert isinstance(report.constraints, CompositionConstraintSet)
     assert_parity(report, route_oracle(psi, phi))
+
+
+def marginal_set(dims, first, second):
+    """``Tr_C X = first``, ``Tr_B X = second`` on A (x) B (x) C, as
+    ``check_compatibility`` builds it for a full-rank pair: the composition
+    with rho -> rho (x) I_B, whose Choi operator is ``|I><I| (x) I_B``."""
+    da, db, dc = dims
+    gamma = np.kron(ch.identity(da).choi, np.eye(db))
+    return CompositionConstraintSet((da, da * db, dc), gamma, second, first=first)
 
 
 def marginal_pair(dims, shift):
@@ -264,10 +274,14 @@ def marginal_pair(dims, shift):
 @pytest.mark.parametrize(
     "shift", [0.0, 1e-12, 1e-6], ids=["consistent", "shift-1e-12", "shift-1e-6"]
 )
-@pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 4), (3, 3, 3)], ids=str)
+# A dimension of 1 makes the joint a channel with a trivial input (d_A = 1)
+# or a trivial output factor (d_B = 1, d_C = 1).
+@pytest.mark.parametrize(
+    "dims", [(2, 2, 2), (2, 3, 4), (3, 3, 3), (1, 2, 3), (2, 1, 3), (2, 3, 1)], ids=str
+)
 def test_marginal_set_matches_dense_oracle(dims, shift):
     first, second = marginal_pair(dims, shift)
-    cons = MarginalConstraintSet(dims, first, second)
+    cons = marginal_set(dims, first, second)
     oracle = oracle_constraints(
         cons.dim,
         [

@@ -13,7 +13,6 @@ from chancompat import channels as ch
 from chancompat.channels import Channel, KrausSet
 from chancompat.feasibility import (
     CompositionConstraintSet,
-    MarginalConstraintSet,
     SolverConfig,
     Status,
     certificate_bound,
@@ -192,7 +191,8 @@ def test_depolarizing_self_compatibility_brackets_cloning_threshold(d):
     threshold = (d + 2) / (2 * (d + 1))
     above = depolarizing(d, threshold + 1e-3)
     rep = an.check_compatibility(above, above, CONFIG).solver
-    assert isinstance(rep.constraints, MarginalConstraintSet)
+    assert isinstance(rep.constraints, CompositionConstraintSet)
+    assert rep.constraints.dims == (d, d * d, d)  # the joint, under its marginals
     assert rep.status is Status.NOT_FEASIBLE_AT_TOLERANCE
     assert rep.stop_reason == "certificate" and rep.iterations == 1
     bound = certificate_bound(rep.constraints, rep.certificate)

@@ -124,6 +124,18 @@ def test_isometry_reproduces_kraus_action():
     assert frob(direct - dilated) < 1e-12
 
 
+def test_isometry_channel_applies_v_without_validating():
+    rng = np.random.default_rng(3)
+    v = ch.isometry_from_kraus(ch.random_kraus(2, 3, 2, rng))
+    rho = np.array([[0.7, 0.1j], [-0.1j, 0.3]])
+    exact = ch.isometry_channel(v)
+    assert frob(ch.apply(exact, rho) - v.v @ rho @ dag(v.v)) < 1e-12
+    assert frob(exact.choi - ch.choi_from_kraus(ch.KrausSet(2, 6, (v.v,))).choi) < 1e-14
+    # 1.1 V is no isometry; the map is still rho -> (1.1 V) rho (1.1 V)^dag.
+    scaled = ch.StinespringIsometry(2, 3, 2, 1.1 * v.v)
+    assert frob(ch.apply(ch.isometry_channel(scaled), rho) - 1.21 * v.v @ rho @ dag(v.v)) < 1e-12
+
+
 def test_apply_identity_and_depolarizing():
     rng = np.random.default_rng(4)
     g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
@@ -392,6 +404,15 @@ def test_validate_channel_flags_violations():
     bad_tp = ch.Channel(2, 2, np.eye(4, dtype=complex))
     with pytest.raises(ValueError):
         ch.validate_channel(bad_tp)
+    # An anti-Hermitian part leaves the CP and TP defects, which read the
+    # Hermitian part, at zero.
+    skew = 0.5 * ch.identity(2).choi + 0.25 * np.eye(4)
+    skew[0, 1], skew[1, 0] = 0.3, -0.3
+    bad_herm = ch.Channel(2, 2, skew)
+    assert ch.cptp_defects(bad_herm) == pytest.approx((0.0, 0.0), abs=1e-15)
+    for validate in (ch.validate_channel, ch.validated_kraus):
+        with pytest.raises(ValueError, match="non-Hermitian Choi operator"):
+            validate(bad_herm)
 
 
 def test_unitary_complementary_collapses_environment():

@@ -74,6 +74,10 @@ def test_load_rejects_invalid_documents(tmp_path, capsys):
     # The identity channel with true for 1 and false for 0.
     bool_eye = [[[True, False], [0, 0]], [[0, 0], [True, False]]]
     bool_choi = [[[bool(x), False] for x in row] for row in ch.identity(2).choi.real.tolist()]
+    # A CPTP Hermitian part plus an anti-Hermitian 0.3 at (0, 1): it used to
+    # load, and then `check div` called it divisible by itself.
+    skew = 0.5 * ch.identity(2).choi + 0.25 * np.eye(4)
+    skew[0, 1], skew[1, 0] = 0.3, -0.3
     for doc, key in (
         ({"dim_in": 2, "dim_out": 2, "kraus": [inf_kraus]}, "kraus"),
         ({"dim_in": 2, "dim_out": 2, "choi": nan_choi}, "choi"),
@@ -87,6 +91,7 @@ def test_load_rejects_invalid_documents(tmp_path, capsys):
         ({"dim_in": 2, "dim_out": True, "choi": [[[1, 0]] * 2] * 2}, "dim_out"),
         ({"dim_in": 2, "dim_out": 2, "kraus": [bool_eye]}, "kraus"),
         ({"dim_in": 2, "dim_out": 2, "choi": bool_choi}, "choi"),
+        ({"dim_in": 2, "dim_out": 2, "choi": io.matrix_to_json(skew)}, "choi"),
     ):
         bad.write_text(json.dumps(doc))
         with pytest.raises(io.LoadError):

@@ -12,6 +12,10 @@ verdicts are.
   one of the dressed pair.
 * psi is compatible with itself exactly when it is anti-degradable
   (Theorem 1 with phi = psi), and both checks solve the same system.
+* For a self-degradable psi the two notions coincide: phi is compatible
+  with psi exactly when psi divides phi (the paper's main result).
+* Depolarizing noise far below the tolerance, on either channel or on both,
+  moves no verdict.
 """
 
 import numpy as np
@@ -20,7 +24,7 @@ import pytest
 from chancompat import analysis as an
 from chancompat import channels as ch
 from chancompat.feasibility import SolverConfig, Status, certificate_bound
-from test_certificates import depolarizing, joint_reverifies, thm1_pair
+from test_certificates import depolarizing, joint_reverifies, noisy, thm1_pair
 
 CONFIG = SolverConfig()
 
@@ -123,3 +127,53 @@ def test_self_compatibility_is_antidegradability(gamma):
         compat_bound = certificate_bound(compat.solver.constraints, compat.solver.certificate)
         assert bound >= 10 * CONFIG.eps_feas
         assert abs(compat_bound - bound) <= 1e-9 * bound
+
+
+def test_self_degradable_compatibility_is_divisibility():
+    # psi equals its complementary channel for this Kraus set, so by Theorem
+    # 1 phi is compatible with psi exactly when phi = theta o psi. The grid
+    # crosses the eta above which a depolarizing phi is neither.
+    psi = ch.choi_from_kraus(ch.self_complementary_qubit(1, 0.0, 0.0))
+    seen = set()
+    for eta in (0.0, 0.2, 0.3, 0.33, 0.332, 0.335, 0.34, 0.4, 0.6, 1.0):
+        phi = depolarizing(2, eta)
+        compat = an.check_compatibility(psi, phi, CONFIG)
+        div = an.check_divisibility(psi, phi, CONFIG)
+        assert div.status is not Status.INCONCLUSIVE, eta
+        assert compat.status is div.status, eta
+        seen.add(div.status)
+    assert seen == {Status.FEASIBLE, Status.NOT_FEASIBLE_AT_TOLERANCE}
+
+
+def noise_instances():
+    rng = np.random.default_rng(1212)
+    base = thm1_pair(rng, 2, 2)
+    kraus = ch.amplitude_damping(0.7)
+    below, above = depolarizing(2, 2 / 3 - 1e-3), depolarizing(2, 2 / 3 + 1e-3)
+    above_d3 = depolarizing(3, 5 / 8 + 1e-3)
+    example2 = ch.trace_out_pair(ch.completely_depolarizing(2), ch.identity(2))[:2]
+    return [
+        pytest.param(*base, id="thm1-rank-deficient"),
+        pytest.param(noisy(base[0], 0.01), noisy(base[1], 0.01), id="thm1-noisy-0.01"),
+        pytest.param(*thm1_pair(rng, 2, 4), id="thm1-full-rank"),
+        pytest.param(below, below, id="dep-below"),
+        pytest.param(above, above, id="dep-above"),
+        pytest.param(above_d3, above_d3, id="dep-d3-above"),
+        pytest.param(ch.identity(2), ch.identity(2), id="identity"),
+        pytest.param(*example2, id="example2"),
+        pytest.param(ch.choi_from_kraus(kraus), ch.complementary(kraus), id="ad-0.7-complementary"),
+    ]
+
+
+@pytest.mark.parametrize("psi, phi", noise_instances())
+def test_verdicts_are_stable_under_noise_far_below_tolerance(psi, phi):
+    for check in (an.check_compatibility, an.check_divisibility):
+        status = check(psi, phi, CONFIG).status
+        assert status is not Status.INCONCLUSIVE
+        for eps in (1e-12, 1e-10):
+            for psi_e, phi_e in (
+                (noisy(psi, eps), phi),
+                (psi, noisy(phi, eps)),
+                (noisy(psi, eps), noisy(phi, eps)),
+            ):
+                assert check(psi_e, phi_e, CONFIG).status is status, (check.__name__, eps)
