@@ -15,6 +15,7 @@ inconclusive.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -280,7 +281,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 _GLOBAL_DEFAULTS = {"eps": None, "max_iter": 20000, "seed": 0, "quiet": False}
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Shared by every main call. That leaks nothing between calls because
+    # parse_args returns a new namespace and main fills in the defaults.
     # Global flags live on a parent parser so they are accepted both before
     # and after the subcommand name. Defaults are suppressed so the subparser
     # cannot clobber a value given before the subcommand; they are filled in
@@ -360,8 +364,12 @@ def _usage_error(args: argparse.Namespace) -> str | None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """Run one command and return its exit code.
+
+    The argument parser is built once per process, on the first call, and
+    reused by every later call.
+    """
+    args = _build_parser().parse_args(argv)
     for key, value in _GLOBAL_DEFAULTS.items():
         if not hasattr(args, key):
             setattr(args, key, value)

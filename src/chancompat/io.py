@@ -33,7 +33,7 @@ class LoadError(ValueError):
 
 def matrix_to_json(m: np.ndarray) -> list[list[list[float]]]:
     m = np.asarray(m, dtype=complex)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
+    return np.stack((m.real, m.imag), axis=-1).tolist()
 
 
 def _number(x: Any) -> Any:
@@ -111,7 +111,10 @@ def load_channel(path: str, atol: float = 1e-9) -> tuple[Channel, KrausSet | Non
         raise LoadError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise LoadError(f"{path}: malformed JSON ({exc})") from exc
-    channel, kraus = channel_from_json(doc, atol=atol)
+    try:
+        channel, kraus = channel_from_json(doc, atol=atol)
+    except LoadError as exc:
+        raise LoadError(f"{path}: {exc}") from exc
     label = doc.get("label") if isinstance(doc.get("label"), str) else None
     return channel, kraus, label
 

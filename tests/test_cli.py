@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from chancompat import channels as ch, io
+from chancompat import channels as ch, cli, io
 from chancompat.cli import main
 from chancompat.linalg import frob
 
@@ -19,16 +19,37 @@ def run(capsys, *argv):
 def test_channel_file_roundtrip_exact(tmp_path):
     rng = np.random.default_rng(0)
     c = ch.random_channel(2, 3, rng)
+    # Negative zeros (the diagonal's imaginary parts) keep their sign.
+    c.choi.imag[np.diag_indices(6)] = -0.0
     path = tmp_path / "c.json"
     io.save_channel(str(path), c, label="sample")
     loaded, kraus, label = io.load_channel(str(path))
     assert kraus is None
     assert label == "sample"
-    assert np.array_equal(loaded.choi, c.choi)
+    for a, b in ((loaded.choi.real, c.choi.real), (loaded.choi.imag, c.choi.imag)):
+        assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
     # save -> load -> save is byte-identical
     path2 = tmp_path / "c2.json"
     io.save_channel(str(path2), loaded, label="sample")
     assert path.read_text() == path2.read_text()
+
+
+def _per_entry_matrix_to_json(m):
+    """The entry-by-entry encoding that matrix_to_json must reproduce."""
+    m = np.asarray(m, dtype=complex)
+    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
+
+
+@pytest.mark.parametrize("side", [1, 2, 3, 16, 64])
+def test_matrix_to_json_matches_per_entry_encoding(side):
+    rng = np.random.default_rng(side)
+    z = rng.normal(size=(side, side)) + 1j * rng.normal(size=(side, side))
+    signed_zeros = np.zeros((side, side), dtype=complex)
+    signed_zeros.real[::2] = -0.0
+    signed_zeros.imag[:, ::2] = -0.0
+    for m in (z, z.real, rng.integers(-3, 4, size=(side, side)), signed_zeros):
+        assert json.dumps(io.matrix_to_json(m)) == json.dumps(_per_entry_matrix_to_json(m))
+    assert "-0.0" in json.dumps(io.matrix_to_json(signed_zeros))
 
 
 def test_kraus_file_roundtrip(tmp_path):
@@ -100,7 +121,9 @@ def test_load_rejects_invalid_documents(tmp_path, capsys):
             assert main(argv) == 3
             out, err = capsys.readouterr()
             assert out == "" and err.startswith("error: "), err
-            # The message names the field at fault, not numpy's internals.
+            # The message names the file and the field at fault, not numpy's
+            # internals.
+            assert str(bad) in err, err
             assert key in err.lower(), err
 
 
@@ -272,6 +295,27 @@ def test_quiet_flag_position_independent(tmp_path, capsys):
     _, doc1 = run(capsys, "--quiet", "check", "div", id_path, id_path)
     _, doc2 = run(capsys, "check", "div", id_path, id_path, "--quiet")
     assert "witness" not in doc1 and "witness" not in doc2
+
+
+def test_parser_is_built_once_and_calls_do_not_leak(tmp_path, capsys):
+    assert cli._build_parser() is cli._build_parser()
+    id_path = str(tmp_path / "id2.json")
+    main(["make", "identity", "--dim", "2", "-o", id_path])
+    capsys.readouterr()
+    # A global flag given to one call does not carry over to the next.
+    _, doc = run(capsys, "--eps", "1e-6", "check", "div", id_path, id_path)
+    assert doc["config"]["eps_feas"] == 1e-6
+    _, doc = run(capsys, "check", "div", id_path, id_path)
+    assert doc["config"]["eps_feas"] == 1e-7
+    _, doc = run(capsys, "--quiet", "check", "div", id_path, id_path)
+    assert "witness" not in doc
+    _, doc = run(capsys, "check", "div", id_path, id_path)
+    assert "witness" in doc
+    # Nor does a usage error.
+    assert main(["check", "div", id_path]) == 3
+    capsys.readouterr()
+    code, doc = run(capsys, "check", "div", id_path, id_path)
+    assert code == 0 and doc["status"] == "feasible"
 
 
 def test_make_unitary_from_matrix_file(tmp_path, capsys):

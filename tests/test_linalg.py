@@ -5,6 +5,8 @@ import pytest
 
 from chancompat import channels as ch
 from chancompat.linalg import (
+    EPS_HERM,
+    _symmetrize,
     dag,
     devectorize_hermitian,
     frob,
@@ -149,6 +151,19 @@ def test_project_psd_rejects_non_hermitian():
     x = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(ValueError):
         project_psd(x)
+
+
+def test_hermiticity_guard_is_relative_to_the_largest_entry():
+    # |x|_max = 1e3, so the guard accepts a defect up to EPS_HERM * 1e3.
+    for defect, accepted in ((0.9 * EPS_HERM * 1e3, True), (1.1 * EPS_HERM * 1e3, False)):
+        x = np.diag([1e3, 0.0]).astype(complex)
+        x[0, 1] = defect
+        if accepted:
+            assert np.array_equal(_symmetrize(x), 0.5 * (x + x.conj().T))
+            project_psd(x)
+        else:
+            with pytest.raises(ValueError):
+                project_psd(x)
 
 
 def test_vectorize_identity():
