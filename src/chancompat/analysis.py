@@ -14,15 +14,12 @@ solved system misses its constraints by at least ten times the tolerance. A
 solve that stalls on a residual plateau without a certificate is reported as
 inconclusive.
 
-Compatibility is decided on the same constraint set as divisibility (see
-:func:`check_compatibility`). A full-rank pair is decided on the joint,
-whose marginal ``Tr_B`` is a composition after ``rho -> rho (x) I_B``. A
-pair with a rank-deficient Choi operator is decided through Theorem 1: phi
-is compatible with psi exactly when phi = theta o psi_c for a channel theta
-from psi's environment, so the check is a divisibility check by the
-complementary channel of a minimal Kraus set, and the joint witness is a
-congruence of theta's Choi operator. Its solver report is in the
-coordinates of that quotient.
+Compatibility is decided through Theorem 1 (see :func:`check_compatibility`):
+phi is compatible with psi exactly when phi = theta o psi_c for a channel
+theta from the environment of a dilation of psi. So the check dilates,
+divides phi by the complementary channel, and lifts theta to the joint by a
+congruence, on whose coordinates its solver report is stated. A full-rank
+pair takes the identity dilation, whose theta is the joint itself.
 """
 
 from __future__ import annotations
@@ -78,7 +75,7 @@ _WITNESS_TOL = 1e-7
 # Each ``residual`` is the Choi distance that re-verifies the report's witness,
 # ``None`` without one; the self-degradability distance is always given.
 # ``solver.solution`` is in the coordinates of ``solver.constraints``: for a
-# compatibility check through Theorem 1, the quotient theta, not the joint.
+# compatibility check, the X of its dilation (see ``check_compatibility``).
 
 
 @dataclass(frozen=True)
@@ -137,24 +134,24 @@ def check_compatibility(
     eigendecomposition of each Choi operator validates it and gives its
     minimal Kraus set, whose length r is the Choi rank at ``EPS_RANK``.
 
-    Every route solves a :class:`CompositionConstraintSet`. When both Choi
-    operators have full rank the variable is the joint W itself: ``Tr_B W``
-    is the Choi operator of W composed after Gamma: ``rho -> rho (x) I_B``,
-    whose Choi operator is ``|I><I| (x) I_B``, so the marginal rows are the
-    set's rows for Gamma, with ``Tr_C W = J_psi`` as the first target in
-    place of trace preservation. Otherwise the check follows Theorem 1:
-    every PSD joint with ``Tr_C W = R R^dag`` (R's columns
-    the vectorized Kraus operators) is ``(R (x) I_C) X (R (x) I_C)^dag`` for
-    exactly one PSD X, and its second marginal is then phi exactly when X is
-    the Choi operator of a channel theta: E -> C with phi = theta o psi_c.
-    So the variable is X, on the ``r d_C``-dimensional space E (x) C,
-    under the divisibility rows of phi by psi_c. Compatibility is
-    symmetric, so the route goes through whichever of psi_c and phi_c gives
-    the smaller space, and a witness found through phi_c has its outputs
-    swapped back. The report's ``solver.solution`` and ``certificate`` are
-    then those of the quotient system; the ``residual`` re-verifies the
-    joint against the given psi and phi, so it includes the eigenvalue
-    weight that the rank cut drops.
+    The check follows Theorem 1: dilate, divide, lift. For R the matrix of
+    vectorized Kraus operators of a set whose range covers J_psi's, every
+    PSD joint with ``Tr_C W = J_psi`` is ``(R (x) I_C) X (R (x) I_C)^dag``
+    for exactly one PSD X on E (x) C, with ``Tr_C X = R^+ J_psi R^+dag``;
+    its second marginal is phi exactly when X composed after the set's
+    complementary channel psi_c is phi. So X is solved for on a
+    :class:`CompositionConstraintSet`, and the witness is its lift
+    (:func:`compatibilizer_from_postprocessing`). For a minimal Kraus set,
+    ``J_psi = R R^dag`` and the system is the divisibility of phi by psi_c.
+    Compatibility is symmetric, so the check dilates whichever of psi and
+    phi gives the smaller space ``r d_other``, and swaps the outputs of a
+    witness found through phi back. When that space is all of A (x) B (x) C
+    (both Choi operators have full rank), it takes the identity dilation
+    ``|b><a|`` instead: R = I, psi_c is ``rho -> rho (x) I_B``, the first
+    target is J_psi, and X is the joint itself. ``solver.solution`` and
+    ``certificate`` are in the coordinates of X; the ``residual``
+    re-verifies the joint against the given psi and phi, so it includes the
+    eigenvalue weight that the rank cut drops.
     """
     if psi.dim_in != phi.dim_in:
         raise ValueError("channels must share the input dimension")
@@ -162,25 +159,22 @@ def check_compatibility(
     k_phi = ch.validated_kraus(phi, atol=ch.EPS_EQ, name="phi")
     da, db, dc = psi.dim_in, psi.dim_out, phi.dim_out
     side_psi, side_phi = k_psi.dim_env * dc, k_phi.dim_env * db
-    if min(side_psi, side_phi) == da * db * dc:
-        gamma = np.kron(ch.identity(da).choi, np.eye(db))
-        cons = CompositionConstraintSet((da, da * db, dc), gamma, phi.choi, first=psi.choi)
-        report = solve(cons, config)
-        if report.status is not Status.FEASIBLE:
-            return CompatReport(report.status, None, None, report)
-        witness = Channel(da, db * dc, report.solution)
-    else:
-        swap = side_phi < side_psi
-        kraus, other = (k_phi, psi) if swap else (k_psi, phi)
-        env = ch.complementary(kraus)
-        dims = (da, kraus.dim_env, other.dim_out)
-        report = solve(CompositionConstraintSet(dims, env.choi, other.choi), config)
-        if report.status is not Status.FEASIBLE:
-            return CompatReport(report.status, None, None, report)
-        theta = Channel(kraus.dim_env, other.dim_out, report.solution)
-        witness = compatibilizer_from_postprocessing(kraus, theta)
-        if swap:
-            witness = ch.swap_output(witness, dc, db)
+    swap = side_phi < side_psi
+    kraus, other = (k_phi, psi) if swap else (k_psi, phi)
+    first = None
+    if kraus.dim_env * other.dim_out == da * db * dc:
+        # Operator a d_B + b is |b><a|; nothing below needs trace preservation.
+        ops = np.eye(da * db, dtype=complex).reshape(-1, da, db).transpose(0, 2, 1)
+        kraus, first = KrausSet(da, db, tuple(ops)), psi.choi
+    env = ch.complementary(kraus)
+    dims = (da, kraus.dim_env, other.dim_out)
+    report = solve(CompositionConstraintSet(dims, env.choi, other.choi, first=first), config)
+    if report.status is not Status.FEASIBLE:
+        return CompatReport(report.status, None, None, report)
+    theta = Channel(kraus.dim_env, other.dim_out, report.solution)
+    witness = compatibilizer_from_postprocessing(kraus, theta)
+    if swap:
+        witness = ch.swap_output(witness, dc, db)
     return CompatReport(report.status, witness, max(marginal_distances(witness, psi, phi)), report)
 
 

@@ -367,9 +367,13 @@ def main(argv: list[str] | None = None) -> int:
     """Run one command and return its exit code.
 
     The argument parser is built once per process, on the first call, and
-    reused by every later call.
+    reused by every later call. Errors the parser rejects (after printing
+    the usage to stderr) return 3, as every usage error does; ``--help`` 0.
     """
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return 3 if exc.code else 0
     for key, value in _GLOBAL_DEFAULTS.items():
         if not hasattr(args, key):
             setattr(args, key, value)

@@ -10,15 +10,14 @@ One constraint set provides that projection in closed form without
 forming or factoring M: :class:`CompositionConstraintSet`, the system
 ``Tr_C X = T, J_psi * X = J_phi`` on B (x) C, whose M splits into Kronecker
 blocks that one SVD of the realigned J_psi inverts. With ``T = I_B`` it is
-the divisibility of phi by psi. Both kinds of compatibility are this system
-too (see :func:`chancompat.analysis.check_compatibility`): a full-rank pair
-is the joint W under its marginals, since ``Tr_B W`` is the composition of
-W after ``rho -> rho (x) I_B`` and ``T = J_psi``; a rank-deficient pair is
-a divisibility by a complementary channel (Theorem 1). The set holds only
-this affine geometry, on Hermitian matrices, and states its multipliers and
-trace coordinates in the coordinates of the dense rows (the stacked
-vectorized blocks); the PSD step is :func:`solve`'s own. The tests hold a
-dense set with a pseudo-inverse as the oracle it matches.
+the divisibility of phi by psi. Compatibility is this system too (see
+:func:`chancompat.analysis.check_compatibility`): through Theorem 1, it is
+the divisibility of one channel by the complementary channel of a dilation
+of the other, with ``T = J_psi`` for the identity dilation. The set holds
+only this affine geometry, on Hermitian matrices, and states its
+multipliers and trace coordinates in the coordinates of the dense rows (the
+stacked vectorized blocks); the PSD step is :func:`solve`'s own. The tests
+hold a dense set with a pseudo-inverse as the oracle it matches.
 
 Infeasible verdicts are certified. At iteration 1 and at every
 1000-iteration checkpoint the residual of the PSD iterate is turned into
@@ -127,7 +126,9 @@ class CompositionConstraintSet:
     on B (x) C, where ``*`` composes X as the Choi operator of a map B -> C
     after psi (``channels.compose_choi``), with ``dims = (d_A, d_B, d_C)``.
     The first target T (``first``) defaults to ``I_B``: trace preservation,
-    so that the system is the divisibility of phi by psi.
+    so that the system is the divisibility of phi by psi. Compatibility
+    passes ``J_psi`` when it divides by the identity dilation's
+    complementary channel ``rho -> rho (x) I_B``, whose quotient is the joint.
 
     Equal to the dense system whose rows are the ``Tr_C`` block and then the
     composition block, but M is never formed. With X realigned
@@ -292,8 +293,8 @@ class FeasibilityReport:
     residual_psd: float
     iterations: int
     stop_reason: str
-    certificate: np.ndarray | None = field(default=None, repr=False)
-    constraints: CompositionConstraintSet | None = field(default=None, repr=False, compare=False)
+    certificate: np.ndarray | None = field(repr=False)
+    constraints: CompositionConstraintSet = field(repr=False, compare=False)
 
 
 def certificate_bound(constraints: CompositionConstraintSet, lam: np.ndarray) -> float:
@@ -350,9 +351,7 @@ def solve(
     when :func:`certificate_bound` proves every PSD X to have residual at
     least ``10 * eps_feas``, the solve stops not feasible with ``lam`` as its
     certificate. A plateau of the best residual between checkpoints, and
-    exhausting ``max_iter``, end the solve inconclusive. A system on ``0 x 0``
-    matrices is decided at iteration 1: ``r = -b`` and ``lam = r``, whose
-    bound is exactly ``||b||``.
+    exhausting ``max_iter``, end the solve inconclusive.
     """
     z = constraints.start()
     best = np.inf

@@ -103,7 +103,7 @@ def channel_from_json(doc: Any, atol: float = 1e-9) -> tuple[Channel, KrausSet |
         raise LoadError(str(exc)) from exc
 
 
-def load_channel(path: str, atol: float = 1e-9) -> tuple[Channel, KrausSet | None, str | None]:
+def load_channel(path: str) -> tuple[Channel, KrausSet | None, str | None]:
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -112,7 +112,7 @@ def load_channel(path: str, atol: float = 1e-9) -> tuple[Channel, KrausSet | Non
     except json.JSONDecodeError as exc:
         raise LoadError(f"{path}: malformed JSON ({exc})") from exc
     try:
-        channel, kraus = channel_from_json(doc, atol=atol)
+        channel, kraus = channel_from_json(doc)
     except LoadError as exc:
         raise LoadError(f"{path}: {exc}") from exc
     label = doc.get("label") if isinstance(doc.get("label"), str) else None

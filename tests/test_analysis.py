@@ -9,6 +9,7 @@ from chancompat.feasibility import (
     CompositionConstraintSet,
     SolverConfig,
     Status,
+    solve,
 )
 from chancompat.linalg import frob, partial_trace, vectorize_hermitian
 
@@ -104,6 +105,45 @@ def test_compatibility_input_validation():
         an.check_compatibility(bad, ch.identity(2))
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_full_rank_pair_is_theorem_1_with_the_identity_dilation(d):
+    # Depolarizing self-compatibility just below the cloning threshold: both
+    # Choi operators have full rank, so the check divides by the identity
+    # dilation's complementary channel rho -> rho (x) I_B with J_psi as the
+    # first target, which is the joint under its marginal rows, and the
+    # identity lift returns the solution unchanged.
+    eta = (d + 2) / (2 * (d + 1)) - 1e-3
+    dep = ch.Channel(d, d, eta * ch.identity(d).choi + (1 - eta) * np.eye(d * d) / d)
+    rep = an.check_compatibility(dep, dep)
+    assert rep.status is Status.FEASIBLE
+    assert np.array_equal(rep.compatibilizer.choi, rep.solver.solution)
+    marginal = marginal_set((d, d, d), dep.choi, dep.choi)
+    rng = np.random.default_rng(d)
+    for _ in range(3):
+        x = _random_hermitian(d**3, rng)
+        assert np.array_equal(rep.solver.constraints.forward(x), marginal.forward(x))
+    direct = solve(marginal)
+    assert direct.iterations == rep.solver.iterations
+    assert np.array_equal(direct.solution, rep.solver.solution)
+
+
+def test_input_checks_raise():
+    id2, id3 = ch.identity(2), ch.identity(3)
+    ad = ch.amplitude_damping(0.3)
+    with pytest.raises(ValueError, match="input dimension"):
+        an.check_divisibility(id2, id3)
+    with pytest.raises(ValueError, match="output factors"):
+        an.postprocessing_from_compatibilizer(ch.identity(4), 3, 2)
+    with pytest.raises(ValueError, match="does not match environment"):
+        an.compatibilizer_from_postprocessing(ad, id3)
+    # Weak amplitude damping is not anti-degradable, so the identity is no
+    # anti-degrading map for it.
+    with pytest.raises(ValueError, match="anti-degradability witness"):
+        an.compatibilizer_via_antidegradability(ad, id2, id2)
+    with pytest.raises(ValueError, match="input dimension"):
+        an.verify_no_catalysis(id2, id3, id2)
+
+
 def test_identity_divides_itself_with_identity_quotient():
     rep = an.check_divisibility(ch.identity(2), ch.identity(2))
     assert rep.status is Status.FEASIBLE
@@ -184,6 +224,8 @@ def test_degradable_rejects_mismatched_kraus():
     kraus = ch.amplitude_damping(0.3)
     with pytest.raises(ValueError):
         an.check_degradable(ch.identity(2), kraus)
+    with pytest.raises(ValueError, match="dimensions do not match"):
+        an.check_degradable(ch.identity(3), kraus)
 
 
 def test_self_degradable_family_point():
@@ -203,6 +245,12 @@ def test_self_degradable_rejects_unitary_and_depolarizing():
     dep = an.check_self_degradable(ch.kraus_from_choi(ch.completely_depolarizing(2)))
     assert dep.status is Status.NOT_FEASIBLE_AT_TOLERANCE
     assert dep.residual > 1e-3
+    # Output and environment are both qubits here, so the distance to the
+    # complementary channel is finite; for gamma = 0.3 it is far from 0.
+    ad = an.check_self_degradable(ch.amplitude_damping(0.3))
+    assert ad.status is Status.NOT_FEASIBLE_AT_TOLERANCE
+    assert ad.degrading is None
+    assert abs(ad.residual - 0.698) < 1e-3
 
 
 def test_postprocessing_from_compatibilizer_on_example2():

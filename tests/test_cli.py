@@ -244,6 +244,30 @@ def test_usage_errors_exit_three(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
+        ["check", "bogus", "x.json"],
+        ["--eps", "abc", "verify", "thm1"],
+        ["check", "compat"],
+    ],
+    ids=["invalid-choice", "non-numeric-eps", "missing-positional"],
+)
+def test_parser_errors_return_three(capsys, argv):
+    # The parser's own rejections are usage errors too: main returns 3
+    # (argparse would exit 2, the inconclusive code), and the usage
+    # message goes to stderr only.
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage:" in captured.err
+
+
+def test_help_returns_zero(capsys):
+    assert main(["--help"]) == 0
+    assert "usage:" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["make", "identity", "--dim", "0"],
         ["make", "depolarizing", "--dim", "0"],
         ["make", "unitary", "--dim", "0"],
