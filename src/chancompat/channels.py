@@ -12,6 +12,7 @@ Kraus set because it depends on the chosen dilation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -360,9 +361,9 @@ def trace_out_channel(dims: Sequence[int], keep: Sequence[int]) -> Channel:
     keep = tuple(sorted(set(keep)))
     if any(k < 0 or k >= len(dims) for k in keep):
         raise ValueError(f"keep indices {keep} out of range for {len(dims)} subsystems")
-    d_out = int(np.prod([dims[k] for k in keep]))
+    d_out = math.prod(dims[k] for k in keep)
     j = partial_trace_adjoint(identity(d_out).choi, (*dims, d_out), keep=(*keep, len(dims)))
-    return Channel(int(np.prod(dims)), d_out, j)
+    return Channel(math.prod(dims), d_out, j)
 
 
 def output_marginal(c: Channel, out_dims: Sequence[int], keep: Sequence[int]) -> Channel:
@@ -373,12 +374,12 @@ def output_marginal(c: Channel, out_dims: Sequence[int], keep: Sequence[int]) ->
     factors.
     """
     out_dims = tuple(out_dims)
-    if int(np.prod(out_dims)) != c.dim_out:
+    if math.prod(out_dims) != c.dim_out:
         raise ValueError("out_dims do not factor the output dimension")
     keep = tuple(sorted(set(keep)))
     dims = (c.dim_in,) + out_dims
     keep_full = (0,) + tuple(1 + k for k in keep)
-    d_out = int(np.prod([out_dims[k] for k in keep])) if keep else 1
+    d_out = math.prod(out_dims[k] for k in keep)
     return Channel(c.dim_in, d_out, partial_trace(c.choi, dims, keep_full))
 
 
@@ -467,7 +468,7 @@ def catalysis_reduction(theta_joint: Channel, out_dims: Sequence[int], d_anc: in
     out_dims = tuple(out_dims)
     if len(out_dims) != 4:
         raise ValueError("out_dims must be (dB, dB', dC, dB'')")
-    if int(np.prod(out_dims)) != theta_joint.dim_out:
+    if math.prod(out_dims) != theta_joint.dim_out:
         raise ValueError("out_dims do not factor the joint output dimension")
     if theta_joint.dim_in % d_anc != 0:
         raise ValueError("ancilla dimension does not divide the joint input dimension")

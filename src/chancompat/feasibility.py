@@ -14,9 +14,9 @@ the divisibility of phi by psi. Compatibility is this system too (see
 :func:`chancompat.analysis.check_compatibility`): through Theorem 1, it is
 the divisibility of one channel by the complementary channel of a dilation
 of the other, with ``T = J_psi`` for the identity dilation. The set holds
-only this affine geometry, on Hermitian matrices, and states its
-multipliers and trace coordinates in the coordinates of the dense rows (the
-stacked vectorized blocks); the PSD step is :func:`solve`'s own. The tests
+only this affine geometry, on Hermitian matrices, and keeps rows and
+multipliers as its two row blocks in matrix form (the ``Tr_C`` block and the
+realigned composition block); the PSD step is :func:`solve`'s own. The tests
 hold a dense set with a pseudo-inverse as the oracle it matches.
 
 Infeasible verdicts are certified. At iteration 1 and at every
@@ -44,6 +44,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .channels import EPS_EQ
 from .linalg import (
     devectorize_hermitian,
     project_psd,
@@ -78,16 +79,25 @@ class Status(enum.Enum):
     INCONCLUSIVE = "inconclusive"
 
 
-# Every constraint set provides, besides ``dim`` and ``rhs`` (b), on
-# Hermitian ``dim x dim`` matrices:
-#   forward(X), adjoint(lam)  M vec(X), and devec(M^T lam) as a matrix
-#   residual(X)               ||M vec(X) - b||
-#   start()                   P_aff(0), for P_aff the Euclidean projection
-#   correction(W)             W - P_aff(W)
-#   residual_multipliers(Y)   (M M^T)^+ r + (r - M M^+ r) for r = M vec(Y) - b
-#   trace_coordinates         tau with M^T tau = vec(I), or None
-# The library set takes residuals as Frobenius norms of the row blocks in
-# matrix form, which equal the norms of their real coordinates.
+# Every constraint set provides, besides ``dim``, on Hermitian ``dim x dim``
+# matrices:
+#   start(), correction(W)    P_aff(0) and W - P_aff(W), for P_aff the
+#                             Euclidean projection onto the affine set
+#   residual_rows(X)          r = M vec(X) - b
+# and on rows held as a tuple of row blocks, arrays whose entries are the
+# dense rows' coordinates up to an isometry (see ``_dot``):
+#   rhs_blocks, adjoint(lam)  b, and devec(M^T lam) as a matrix
+#   residual_multipliers(r)   (M M^T)^+ r + (r - M M^+ r)
+#   trace_scalars             (b . tau, ||tau||) for M^T tau = vec(I), or None
+#   split(v), join(lam)       a dense-row vector to blocks, and back
+# The bound is taken on blocks with the two tau scalars (``_bound``), which
+# skips the eigensolve of an attempt that cannot certify; a report's
+# certificate is the one dense-row vector, joined once.
+
+
+def _dot(x: tuple, y: tuple) -> float:
+    """The dense rows' dot product of two block tuples: sum_k Re <x_k, y_k>."""
+    return float(sum(map(np.vdot, x, y)).real)
 
 
 def _realign(x: np.ndarray, m: int, n: int) -> np.ndarray:
@@ -98,6 +108,19 @@ def _realign(x: np.ndarray, m: int, n: int) -> np.ndarray:
 
 def _unalign(xr: np.ndarray, m: int, n: int) -> np.ndarray:
     return xr.reshape(m, m, n, n).transpose(0, 2, 1, 3).reshape(m * n, m * n)
+
+
+def _target(name: str, m: np.ndarray, side: int) -> np.ndarray:
+    """A target's Hermitian part, which blocks (whole matrices) and their
+    vectorization (upper triangles) agree on; m itself if exactly Hermitian."""
+    m = np.asarray(m, dtype=complex)
+    if m.shape != (side, side) or not np.isfinite(m).all():
+        raise ValueError(f"{name} must be a finite {side} x {side} matrix, got {m.shape}")
+    mh = m.conj().T
+    skew = float(np.abs(m - mh).max(initial=0.0))
+    if skew > EPS_EQ:
+        raise ValueError(f"{name} is not Hermitian: max |X - X^dag| = {skew:.3e}")
+    return 0.5 * (m + mh) if skew else m
 
 
 @functools.cache
@@ -156,35 +179,30 @@ class CompositionConstraintSet:
         if len(dims) != 3 or min(dims) < 1:
             raise ValueError(f"dims must be three positive dimensions, got {dims}")
         a, b, c = dims
-        first = np.eye(b) if first is None else first
-        psi, phi, first = (np.asarray(m, dtype=complex) for m in (psi, phi, first))
-        if psi.shape != (a * b, a * b) or phi.shape != (a * c, a * c) or first.shape != (b, b):
-            raise ValueError(
-                f"target shapes {psi.shape}, {phi.shape}, {first.shape} do not match dims {dims}"
-            )
-        if not all(np.isfinite(m).all() for m in (psi, phi, first)):
-            raise ValueError("constraints contain non-finite entries")
+        psi, phi = _target("psi", psi, a * b), _target("phi", phi, a * c)
+        first = np.eye(b, dtype=complex) if first is None else _target("first", first, b)
         self.dims, self.dim = dims, b * c
         # Xr @ vec(I_C) is vec(Tr_C X), and Xr @ (I - u u^T) is Xr off u.
         self._there, self._back, self._trace_c, self._u, self._off_u = _plan(b, c)
         self._k = _realign(psi, a, b)
         self._kh = self._k.conj().T
-        self._phi = _realign(phi, a, c)
-        self._first = first.ravel()
+        self.rhs_blocks = self._first, self._phi = first.ravel(), _realign(phi, a, c)
         self._thin = 2 * a * a <= b * b
         left, s, right = np.linalg.svd(self._k, full_matrices=not self._thin)
         rank = int(np.count_nonzero(s > _RCOND * np.sqrt(s[0] ** 2 + c)))
         # What _gram_solve needs of every singular triplet, and K's kept ones.
         self._gram = right[: s.size].conj().T, s * s / (c * (c + s * s)), right[: s.size]
         self._left, self._s, self._right = left[:, :rank], s[:rank], right[:rank]
+        self._left_h = self._left.conj().T
         # The basis that ``correction`` projects onto: the kept or the null one.
         self._basis = self._right if self._thin else right[rank:]
         self._basis_h = self._basis.conj().T
         # M^+ b, the projection of 0: N^+ on the u column, K^+ on the rest.
+        # ``a[:, None] * u`` is ``np.outer(a, u)``.
         y_u = self._phi @ self._u
-        x_u = self._gram_solve(np.sqrt(c) * self._first + self._kh @ y_u)
-        rest = self._left.conj().T @ (self._phi - np.outer(y_u, self._u)) / self._s[:, None]
-        self._x0r = np.outer(x_u, self._u) + self._right.conj().T @ rest
+        x_u = self._gram_solve(math.sqrt(c) * self._first + self._kh @ y_u)
+        rest = self._left_h @ (self._phi - y_u[:, None] * self._u) / self._s[:, None]
+        self._x0r = x_u[:, None] * self._u + self._right.conj().T @ rest
 
     def _gram_solve(self, v: np.ndarray) -> np.ndarray:
         """``(N^dag N)^-1 v = (d_C I + K^dag K)^-1 v``, which is
@@ -193,39 +211,34 @@ class CompositionConstraintSet:
         right_h, weights, right = self._gram
         return v / self.dims[2] - right_h @ (weights * (right @ v))
 
-    @cached_property
-    def rhs(self) -> np.ndarray:
-        return self._join(self._first, self._phi)
-
     def start(self) -> np.ndarray:
         return self._x0r.take(self._back)  # P_aff(0) = M^+ b, with no null-space part
 
-    def _join(self, t: np.ndarray, yr: np.ndarray) -> np.ndarray:
+    def join(self, lam: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+        """The dense-row vector of blocks ``(vec T, Yr)``; ``split`` undoes it."""
         a, b, c = self.dims
+        t, yr = lam
         return np.concatenate(
             [vectorize_hermitian(t.reshape(b, b)), vectorize_hermitian(_unalign(yr, a, c))]
         )
 
-    def _rows(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``vec(Tr_C X)`` and the realigned composition, unvectorized."""
-        xr = x.take(self._there)
-        return xr @ self._trace_c, self._k @ xr
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        return self._join(*self._rows(x))
-
-    def adjoint(self, lam: np.ndarray) -> np.ndarray:
+    def split(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         a, b, c = self.dims
-        lam = np.asarray(lam, dtype=float)
-        t = devectorize_hermitian(lam[: b * b]).ravel()
-        yr = _realign(devectorize_hermitian(lam[b * b :]), a, c)
-        return (np.sqrt(c) * np.outer(t, self._u) + self._kh @ yr).take(self._back)
+        t, yr = devectorize_hermitian(v[: b * b]), devectorize_hermitian(v[b * b :])
+        return t.ravel(), _realign(yr, a, c)
 
-    def residual(self, x: np.ndarray) -> float:
-        t, yr = self._rows(x)
+    def residual_rows(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``vec(Tr_C X - T)`` and the realigned ``J_psi * X - J_phi``."""
+        xr = x.take(self._there)
+        t, yr = xr @ self._trace_c, self._k @ xr
         t -= self._first
         yr -= self._phi
-        return math.sqrt(np.vdot(t, t).real + np.vdot(yr, yr).real)
+        return t, yr
+
+    def adjoint(self, lam: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+        t, yr = lam
+        g = math.sqrt(self.dims[2]) * (t[:, None] * self._u) + self._kh @ yr
+        return g.take(self._back)
 
     def correction(self, w: np.ndarray) -> np.ndarray:
         # P_aff(W) = M^+ b + W's part in M's null space, which is
@@ -238,29 +251,32 @@ class CompositionConstraintSet:
         part += self._x0r
         return w - part.take(self._back)
 
-    def residual_multipliers(self, y: np.ndarray) -> np.ndarray:
-        """``(M M^T)^+ r + (r - M M^+ r)`` blockwise, for Y's residual r in
+    def residual_multipliers(self, r: tuple) -> tuple[np.ndarray, np.ndarray]:
+        """``(M M^T)^+ r + (r - M M^+ r)`` blockwise, for residual rows r in
         blocks ``(vec T, Yr)``: on K's block it is ``Yr`` with its part in K's
         kept range scaled by ``s^-2``; on ``N``'s, with ``g = N^+ r_u``, it is
         ``r_u + N ((N^dag N)^-1 g - g)``."""
         c = self.dims[2]
-        t, yr = self._rows(y)
-        t, yr = t - self._first, yr - self._phi
+        t, yr = r
         y_u = yr @ self._u
-        rest = yr - np.outer(y_u, self._u)
-        rest += self._left @ ((self._s**-2 - 1.0)[:, None] * (self._left.conj().T @ rest))
-        g = self._gram_solve(np.sqrt(c) * t + self._kh @ y_u)
+        rest = yr - y_u[:, None] * self._u
+        rest += self._left @ ((self._s**-2 - 1.0)[:, None] * (self._left_h @ rest))
+        g = self._gram_solve(math.sqrt(c) * t + self._kh @ y_u)
         h = self._gram_solve(g) - g
-        return self._join(t + np.sqrt(c) * h, rest + np.outer(y_u + self._k @ h, self._u))
+        return t + math.sqrt(c) * h, rest + (y_u + self._k @ h)[:, None] * self._u
 
     @cached_property
-    def trace_coordinates(self) -> np.ndarray:
-        """``(M^+)^T vec(I)``, which always exists: ``vec(I)`` lies in N's
-        block, where M has full column rank. With ``h = (N^dag N)^-1
-        vec(I_B)`` it is ``(d_C h, K h vec(I_C)^T)``."""
+    def trace_scalars(self) -> tuple[float, float]:
+        """``b . tau`` and ``||tau||`` for ``tau = (M^+)^T vec(I)``, which
+        always exists: ``vec(I)`` lies in N's block, where M has full column
+        rank. With ``h = (N^dag N)^-1 vec(I_B)``, tau is ``(d_C h, K h
+        vec(I_C)^T)``."""
         b, c = self.dims[1:]
         h = self._gram_solve(np.eye(b).ravel())
-        return self._join(c * h, np.sqrt(c) * np.outer(self._k @ h, self._u))
+        kh = self._k @ h
+        b_tau = c * np.vdot(h, self._first).real
+        b_tau += math.sqrt(c) * np.vdot(kh, self._phi @ self._u).real
+        return float(b_tau), math.sqrt(c * c * np.vdot(h, h).real + c * np.vdot(kh, kh).real)
 
 
 @dataclass(frozen=True)
@@ -297,6 +313,24 @@ class FeasibilityReport:
     constraints: CompositionConstraintSet = field(repr=False, compare=False)
 
 
+def _bound(constraints, lam: tuple, floor: float) -> float:
+    """:func:`certificate_bound` on multipliers in row blocks. When ``b . tau
+    >= 0`` or no tau exists, the bound is at most ``-b . lam / ||lam||``; a
+    cap below ``floor`` returns 0.0 before G is formed."""
+    delta = -_dot(constraints.rhs_blocks, lam)
+    scale = math.sqrt(_dot(lam, lam))
+    trace = constraints.trace_scalars
+    if (trace is None or trace[0] >= 0.0) and (delta <= 0.0 or delta / scale < floor):
+        return 0.0
+    mu = float(np.linalg.eigvalsh(constraints.adjoint(lam)).min(initial=0.0))
+    if mu < 0.0:
+        if trace is None:
+            return 0.0
+        delta += mu * trace[0]
+        scale -= mu * trace[1]
+    return delta / scale if delta > 0.0 else 0.0
+
+
 def certificate_bound(constraints: CompositionConstraintSet, lam: np.ndarray) -> float:
     """Lower bound on ``||M vec(X) - b||`` over every PSD X, from multipliers lam.
 
@@ -306,28 +340,19 @@ def certificate_bound(constraints: CompositionConstraintSet, lam: np.ndarray) ->
     ``(lam - mu tau) . (M vec(X) - b) >= delta = mu b . tau - b . lam`` and
     Cauchy-Schwarz gives ``||M vec(X) - b|| >= delta / (||lam|| + |mu| ||tau||)``.
     Returns 0.0 (no bound) when that is not positive, or when ``mu < 0`` and
-    the constraints do not fix Tr X. One ``eigvalsh``; nothing from the solve
-    that produced lam is used.
+    the constraints do not fix Tr X. The dense-row vector lam is split into
+    the set's row blocks once; one ``eigvalsh``. Nothing from the solve that
+    produced lam is used.
     """
-    lam = np.asarray(lam, dtype=float)
-    if lam.shape != constraints.rhs.shape:
-        raise ValueError(
-            f"multiplier shape {lam.shape} does not match {constraints.rhs.shape[0]} rows"
-        )
+    lam = np.asarray(lam)
+    if np.iscomplexobj(lam):
+        raise ValueError("multipliers must be real")
+    lam, rows = lam.astype(float), sum(b.size for b in constraints.rhs_blocks)
+    if lam.shape != (rows,):
+        raise ValueError(f"multiplier shape {lam.shape} does not match {rows} rows")
     if not np.isfinite(lam).all():
         raise ValueError("multipliers contain non-finite entries")
-    b = constraints.rhs
-    g = constraints.adjoint(lam)
-    mu = float(np.linalg.eigvalsh(g).min(initial=0.0))
-    delta = -float(b @ lam)
-    scale = float(np.linalg.norm(lam))
-    if mu < 0.0:
-        tau = constraints.trace_coordinates
-        if tau is None:
-            return 0.0
-        delta += mu * float(b @ tau)
-        scale -= mu * float(np.linalg.norm(tau))
-    return delta / scale if delta > 0.0 else 0.0
+    return _bound(constraints, constraints.split(lam), 0.0)
 
 
 def _psd_defect(x: np.ndarray) -> float:
@@ -347,9 +372,10 @@ def solve(
     the verdict is the PSD iterate, which is exactly positive semidefinite by
     construction, so its affine residual ``r = M vec(Y) - b`` alone measures
     distance from feasibility. At iteration 1 and at every 1000-iteration
-    checkpoint ``r`` gives multipliers ``lam = (M M^T)^+ r + (r - M M^+ r)``;
-    when :func:`certificate_bound` proves every PSD X to have residual at
-    least ``10 * eps_feas``, the solve stops not feasible with ``lam`` as its
+    checkpoint ``r`` gives multipliers ``lam = (M M^T)^+ r + (r - M M^+ r)``
+    in row blocks; when the bound of :func:`certificate_bound` on them
+    proves every PSD X to have residual at least ``10 * eps_feas``, the solve
+    stops not feasible with ``lam``, joined into one dense-row vector, as its
     certificate. A plateau of the best residual between checkpoints, and
     exhausting ``max_iter``, end the solve inconclusive.
     """
@@ -365,7 +391,8 @@ def solve(
 
     for it in range(1, config.max_iter + 1):
         y = project_psd(z)
-        r_aff = constraints.residual(y)
+        r = constraints.residual_rows(y)
+        r_aff = math.sqrt(_dot(r, r))
         if r_aff < best:
             best = r_aff
             best_candidate = y
@@ -377,10 +404,10 @@ def solve(
             # The range part certifies a PSD cone that misses a consistent
             # affine set; the part orthogonal to M's range (M^T of it is 0)
             # certifies rows that are inconsistent on their own.
-            lam = constraints.residual_multipliers(y)
-            if certificate_bound(constraints, lam) >= infeasible_at:
+            lam = constraints.residual_multipliers(r)
+            if _bound(constraints, lam, infeasible_at) >= infeasible_at:
                 status, stop_reason = Status.NOT_FEASIBLE_AT_TOLERANCE, "certificate"
-                iterations, certificate = it, lam
+                iterations, certificate = it, constraints.join(lam)
                 break
         if checkpoint:
             checkpoints.append(best)
@@ -393,7 +420,8 @@ def solve(
     # Residuals are re-measured from the candidate matrix itself, never from
     # solver internals.
     candidate = best_candidate
-    r_aff = constraints.residual(candidate)
+    r = constraints.residual_rows(candidate)
+    r_aff = math.sqrt(_dot(r, r))
     r_psd = _psd_defect(candidate)
     solution = candidate if status is Status.FEASIBLE else None
     if status is Status.FEASIBLE and not (r_aff < config.eps_feas and r_psd < config.eps_feas):

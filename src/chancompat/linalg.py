@@ -9,6 +9,7 @@ factor index varies slowest, which is exactly the ordering produced by
 from __future__ import annotations
 
 import functools
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -49,7 +50,7 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _check_square(x: np.ndarray, dims: Sequence[int]) -> tuple[np.ndarray, int]:
     x = np.asarray(x)
-    side = int(np.prod(dims))
+    side = math.prod(dims)
     if x.shape != (side, side):
         raise ValueError(f"matrix shape {x.shape} does not match subsystem dims {tuple(dims)}")
     return x, side
@@ -74,7 +75,7 @@ def partial_trace(x: np.ndarray, dims: Sequence[int], keep: Iterable[int]) -> np
     for sub in sorted((i for i in range(n) if i not in keep), reverse=True):
         t = np.trace(t, axis1=sub, axis2=sub + n - removed)
         removed += 1
-    side = int(np.prod([dims[k] for k in keep])) if keep else 1
+    side = math.prod(dims[k] for k in keep)
     return t.reshape(side, side)
 
 
@@ -91,8 +92,8 @@ def partial_trace_adjoint(y: np.ndarray, dims: Sequence[int], keep: Iterable[int
     if any(k < 0 or k >= n for k in keep):
         raise ValueError(f"keep indices {keep} out of range for {n} subsystems")
     traced = [i for i in range(n) if i not in keep]
-    k_side = int(np.prod([dims[i] for i in keep]))
-    t_side = int(np.prod([dims[i] for i in traced]))
+    k_side = math.prod(dims[i] for i in keep)
+    t_side = math.prod(dims[i] for i in traced)
     y = np.asarray(y)
     lead = y.shape[:-2]
     if y.shape[-2:] != (k_side, k_side):

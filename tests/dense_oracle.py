@@ -3,9 +3,12 @@ tested against.
 
 :class:`AffineConstraintSet` holds an explicit constraint matrix M and
 projects with its pseudo-inverse; it follows the constraint-set protocol of
-:mod:`chancompat.feasibility`, so :func:`chancompat.feasibility.solve` and
+:mod:`chancompat.feasibility`, with its dense rows as a single block, so
+:func:`chancompat.feasibility.solve` and
 :func:`chancompat.feasibility.certificate_bound` run on it as on the library's
-sets. :func:`oracle_constraints` builds M column by column from forward maps,
+sets. :func:`residual_norm`, :func:`dense_rhs` and :func:`dense_forward`
+are ``||M vec(X) - b||``, b and ``M vec(X)`` of any set, in dense rows.
+:func:`oracle_constraints` builds M column by column from forward maps,
 and :func:`marginal_oracle` and :func:`div_oracle` are the compatibility and
 divisibility systems built that way.
 :func:`compatibilizer_oracle` is the joint channel of Theorem 1 built by
@@ -42,8 +45,10 @@ class AffineConstraintSet:
     The pseudo-inverse of M is precomputed once; constraint rows need not be
     linearly independent, and an inconsistent system simply projects onto its
     least-squares affine set. Columns of M are the real coordinates of
-    :func:`vectorize_hermitian`. ``project`` and ``multipliers`` are test
-    helpers outside the constraint-set protocol.
+    :func:`vectorize_hermitian`. Rows and multipliers are one block, the
+    dense vector. ``forward``, ``project``, ``multipliers`` and
+    ``trace_coordinates`` are test helpers outside the constraint-set
+    protocol.
     """
 
     dim: int
@@ -71,11 +76,21 @@ class AffineConstraintSet:
     def forward(self, x: np.ndarray) -> np.ndarray:
         return self.matrix @ vectorize_hermitian(x)
 
-    def adjoint(self, lam: np.ndarray) -> np.ndarray:
-        return devectorize_hermitian(self.matrix.T @ lam)
+    @property
+    def rhs_blocks(self) -> tuple[np.ndarray]:
+        return (self.rhs,)
 
-    def residual(self, x: np.ndarray) -> float:
-        return float(np.linalg.norm(self.forward(x) - self.rhs))
+    def split(self, v: np.ndarray) -> tuple[np.ndarray]:
+        return (v,)
+
+    def join(self, lam: tuple[np.ndarray]) -> np.ndarray:
+        return lam[0]
+
+    def adjoint(self, lam: tuple[np.ndarray]) -> np.ndarray:
+        return devectorize_hermitian(self.matrix.T @ lam[0])
+
+    def residual_rows(self, x: np.ndarray) -> tuple[np.ndarray]:
+        return (self.forward(x) - self.rhs,)
 
     def project(self, x: np.ndarray) -> np.ndarray:
         return x - self.correction(x)
@@ -86,8 +101,8 @@ class AffineConstraintSet:
         g = self.pinv @ r
         return self.pinv.T @ g + (r - self.matrix @ g)
 
-    def residual_multipliers(self, y: np.ndarray) -> np.ndarray:
-        return self.multipliers(self.forward(y) - self.rhs)
+    def residual_multipliers(self, r: tuple[np.ndarray]) -> tuple[np.ndarray]:
+        return (self.multipliers(r[0]),)
 
     @cached_property
     def trace_coordinates(self) -> np.ndarray | None:
@@ -96,6 +111,11 @@ class AffineConstraintSet:
         defect = np.linalg.norm(self.matrix.T @ tau - ident)
         return tau if defect <= ROW_SPACE_TOL * np.linalg.norm(ident) else None
 
+    @cached_property
+    def trace_scalars(self) -> tuple[float, float] | None:
+        tau = self.trace_coordinates
+        return None if tau is None else (float(self.rhs @ tau), float(np.linalg.norm(tau)))
+
     def start(self) -> np.ndarray:
         return devectorize_hermitian(self.pinv @ self.rhs)
 
@@ -103,10 +123,24 @@ class AffineConstraintSet:
         return devectorize_hermitian(self.pinv @ (self.forward(w) - self.rhs))
 
 
+def residual_norm(cons, x: np.ndarray) -> float:
+    """``||M vec(X) - b||`` from a set's residual rows."""
+    return float(np.sqrt(sum(np.vdot(r, r).real for r in cons.residual_rows(x))))
+
+
+def dense_rhs(cons) -> np.ndarray:
+    return cons.join(cons.rhs_blocks)
+
+
+def dense_forward(cons, x: np.ndarray) -> np.ndarray:
+    return cons.join(cons.residual_rows(x)) + dense_rhs(cons)
+
+
 def oracle_constraints(dim, forward_specs) -> AffineConstraintSet:
     """Column j is the concatenated vec(L_k(E_j)) over the variable's basis,
-    for (forward map L_k, target T_k) pairs."""
-    targets = [np.asarray(t) for _, t in forward_specs]
+    for (forward map L_k, target T_k) pairs. Each T_k enters as its
+    Hermitian part, whose coordinates b holds, as the library's sets do."""
+    targets = [0.5 * (np.asarray(t) + np.asarray(t).conj().T) for _, t in forward_specs]
     m = np.empty((sum(t.shape[0] ** 2 for t in targets), dim * dim))
     e = np.zeros(dim * dim)
     for col in range(dim * dim):

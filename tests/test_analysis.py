@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from dense_oracle import compatibilizer_oracle
+from dense_oracle import compatibilizer_oracle, dense_forward
 from test_assembly import marginal_set
 
 from chancompat import analysis as an
@@ -44,7 +44,7 @@ def test_constraint_builder_matches_direct_evaluation():
                     vectorize_hermitian(partial_trace(x, dims, keep=(0, 2))),
                 ]
             )
-            assert np.allclose(marginal.forward(x), expected, atol=1e-12)
+            assert np.allclose(dense_forward(marginal, x), expected, atol=1e-12)
             y = _random_hermitian(db * dc, rng)
             expected = np.concatenate(
                 [
@@ -52,7 +52,7 @@ def test_constraint_builder_matches_direct_evaluation():
                     vectorize_hermitian(ch.compose_choi(psi, ch.Channel(db, dc, y)).choi),
                 ]
             )
-            assert np.allclose(composition.forward(y), expected, atol=1e-12)
+            assert np.allclose(dense_forward(composition, y), expected, atol=1e-12)
 
 
 def test_identity_is_not_self_compatible():
@@ -121,7 +121,7 @@ def test_full_rank_pair_is_theorem_1_with_the_identity_dilation(d):
     rng = np.random.default_rng(d)
     for _ in range(3):
         x = _random_hermitian(d**3, rng)
-        assert np.array_equal(rep.solver.constraints.forward(x), marginal.forward(x))
+        assert np.array_equal(dense_forward(rep.solver.constraints, x), dense_forward(marginal, x))
     direct = solve(marginal)
     assert direct.iterations == rep.solver.iterations
     assert np.array_equal(direct.solution, rep.solver.solution)

@@ -20,10 +20,18 @@ explicit null columns.
 
 import numpy as np
 import pytest
-from dense_oracle import div_oracle, marginal_oracle, oracle_constraints
+from dense_oracle import (
+    dense_forward,
+    dense_rhs,
+    div_oracle,
+    marginal_oracle,
+    oracle_constraints,
+    residual_norm,
+)
 
 from chancompat import analysis as an
 from chancompat import channels as ch
+from chancompat import feasibility as fz
 from chancompat.channels import Channel
 from chancompat.feasibility import (
     CompositionConstraintSet,
@@ -146,7 +154,7 @@ def forward_columns(cons):
     """The constraint matrix of any constraint set, one forward map per
     basis element of its variable."""
     basis = np.eye(cons.dim * cons.dim)
-    return np.column_stack([cons.forward(devectorize_hermitian(e)) for e in basis])
+    return np.column_stack([dense_forward(cons, devectorize_hermitian(e)) for e in basis])
 
 
 def assert_parity(report, oracle):
@@ -154,7 +162,7 @@ def assert_parity(report, oracle):
     m = forward_columns(cons)
     assert m.shape == oracle.matrix.shape
     assert np.abs(m - oracle.matrix).max() <= 1e-14
-    assert np.array_equal(cons.rhs, oracle.rhs)
+    assert np.array_equal(dense_rhs(cons), oracle.rhs)
     expected = solve(oracle, CONFIG)
     assert report.status is expected.status
     assert report.iterations == expected.iterations
@@ -165,8 +173,13 @@ def assert_parity(report, oracle):
     if report.status is Status.FEASIBLE:
         # The solution is in the coordinates of the reported constraints.
         assert report.solution.shape == (cons.dim, cons.dim)
-        assert cons.residual(report.solution) < CONFIG.eps_feas
+        assert residual_norm(cons, report.solution) < CONFIG.eps_feas
     return expected
+
+
+def hermitian_part(m):
+    """The target a constraint set builds its rows from."""
+    return 0.5 * (m + dag(m))
 
 
 def support_instances():
@@ -199,7 +212,8 @@ def test_instances_cover_both_kinds_of_compatibility_system():
     assert rank < 4 == len(ch.kraus_from_choi(phi).operators)
     cons = an.check_compatibility(psi, phi, CONFIG).solver.constraints
     assert isinstance(cons, CompositionConstraintSet) and cons.dims == (2, rank, 2)
-    assert np.array_equal(cons.rhs[rank * rank :], vectorize_hermitian(phi.choi))
+    rows = vectorize_hermitian(hermitian_part(phi.choi))
+    assert np.array_equal(dense_rhs(cons)[rank * rank :], rows)
 
     # With the pair swapped, the full-rank first channel leaves the route to
     # the second one's complementary, and the witness's outputs are swapped
@@ -207,7 +221,8 @@ def test_instances_cover_both_kinds_of_compatibility_system():
     rep = an.check_compatibility(phi, psi, CONFIG)
     cons = rep.solver.constraints
     assert isinstance(cons, CompositionConstraintSet) and cons.dims == (2, rank, 2)
-    assert np.array_equal(cons.rhs[rank * rank :], vectorize_hermitian(phi.choi))
+    rows = vectorize_hermitian(hermitian_part(phi.choi))
+    assert np.array_equal(dense_rhs(cons)[rank * rank :], rows)
     lifted = an.compatibilizer_from_postprocessing(
         ch.kraus_from_choi(psi), Channel(rank, 2, rep.solver.solution)
     )
@@ -218,7 +233,7 @@ def test_instances_cover_both_kinds_of_compatibility_system():
     psi, phi = pairs["noisy-d2-env2"]
     cons = an.check_compatibility(psi, phi, CONFIG).solver.constraints
     assert isinstance(cons, CompositionConstraintSet) and cons.dims == (2, 4, 2)
-    assert np.array_equal(cons.rhs, marginal_oracle(psi, phi).rhs)
+    assert np.array_equal(dense_rhs(cons), marginal_oracle(psi, phi).rhs)
 
 
 @pytest.mark.parametrize("psi, phi", support_instances())
@@ -268,6 +283,22 @@ def marginal_pair(dims, shift):
     return first, partial_trace(joint, dims, (0, 2))
 
 
+def assert_multiplier_parity(cons, oracle, y, tol):
+    """The set's multipliers for Y, in blocks, against the oracle's dense
+    vector within ``tol``; G and the bound from the blocks and from the
+    joined vector against the oracle's."""
+    lam = cons.residual_multipliers(cons.residual_rows(y))
+    dense = oracle.residual_multipliers(oracle.residual_rows(y))
+    vec = cons.join(lam)
+    assert np.abs(vec - oracle.join(dense)).max() <= tol
+    g = oracle.adjoint(oracle.split(vec))
+    assert np.abs(cons.adjoint(lam) - g).max() <= 1e-13
+    assert np.abs(cons.adjoint(cons.split(vec)) - g).max() <= 1e-13
+    bound = certificate_bound(cons, vec)
+    assert abs(bound - certificate_bound(oracle, vec)) <= 1e-12
+    assert abs(bound - fz._bound(cons, lam, 0.0)) <= 1e-12 * max(1.0, bound)
+
+
 # A shift of 1e-12 is the size of real disagreement (Choi operators agree to
 # rounding); at 1e-6 the least-squares targets move the projection by far
 # more than rounding, so dropping them fails the comparison.
@@ -290,19 +321,15 @@ def test_marginal_set_matches_dense_oracle(dims, shift):
         ],
     )
     assert np.abs(forward_columns(cons) - oracle.matrix).max() <= 1e-14
-    assert np.array_equal(cons.rhs, oracle.rhs)
-    assert np.abs(cons.trace_coordinates - oracle.trace_coordinates).max() <= 1e-13
+    assert np.array_equal(dense_rhs(cons), oracle.rhs)
+    assert np.abs(np.subtract(cons.trace_scalars, oracle.trace_scalars)).max() <= 1e-13
     rng = np.random.default_rng(1)
     for _ in range(3):
         g = rng.standard_normal((cons.dim,) * 2) + 1j * rng.standard_normal((cons.dim,) * 2)
         x = g + dag(g)
         assert np.abs(cons.correction(x) - oracle.correction(x)).max() <= 1e-13
-        assert abs(cons.residual(x) - oracle.residual(x)) <= 1e-13
-        lam = cons.residual_multipliers(project_psd(x))
-        assert np.abs(lam - oracle.residual_multipliers(project_psd(x))).max() <= 1e-13
-        assert np.abs(cons.adjoint(lam) - oracle.adjoint(lam)).max() <= 1e-13
-        bound = certificate_bound(cons, lam)
-        assert abs(bound - certificate_bound(oracle, lam)) <= 1e-12
+        assert abs(residual_norm(cons, x) - residual_norm(oracle, x)) <= 1e-13
+        assert_multiplier_parity(cons, oracle, project_psd(x), 1e-13)
 
 
 @pytest.mark.parametrize("psi, phi", div_instances())
@@ -334,21 +361,53 @@ def test_composition_set_matches_dense_oracle(dims):
     cons = CompositionConstraintSet(dims, psi.choi, phi.choi)
     oracle = div_oracle(psi, phi)
     assert np.abs(forward_columns(cons) - oracle.matrix).max() <= 1e-14
-    assert np.array_equal(cons.rhs, oracle.rhs)
-    assert np.abs(cons.trace_coordinates - oracle.trace_coordinates).max() <= 1e-13
+    assert np.array_equal(dense_rhs(cons), oracle.rhs)
+    assert np.abs(np.subtract(cons.trace_scalars, oracle.trace_scalars)).max() <= 1e-13
     assert np.abs(cons.start() - oracle.start()).max() <= 1e-13
     for _ in range(3):
         g = rng.standard_normal((cons.dim,) * 2) + 1j * rng.standard_normal((cons.dim,) * 2)
         x = g + dag(g)
         assert np.abs(cons.correction(x) - oracle.correction(x)).max() <= 1e-13
-        assert abs(cons.residual(x) - oracle.residual(x)) <= 1e-13
+        assert abs(residual_norm(cons, x) - residual_norm(oracle, x)) <= 1e-13
         y = project_psd(x)
-        lam = cons.residual_multipliers(y)
-        bound = 1e-12 * np.linalg.norm(cons.forward(y) - cons.rhs)
-        assert np.abs(lam - oracle.residual_multipliers(y)).max() <= bound
-        assert np.abs(cons.adjoint(lam) - oracle.adjoint(lam)).max() <= 1e-13
-        bound = certificate_bound(cons, lam)
-        assert abs(bound - certificate_bound(oracle, lam)) <= 1e-12
+        tol = 1e-12 * residual_norm(cons, y)
+        assert_multiplier_parity(cons, oracle, y, tol)
+
+
+def test_composition_set_builds_rows_from_hermitian_targets():
+    rng = np.random.default_rng(8)
+    psi = ch.random_channel(2, 2, rng, dim_env=2)
+    phi = ch.compose_choi(psi, ch.random_channel(2, 2, rng)).choi
+    # Anti-Hermitian parts of 5e-10, within the channel loader's 1e-9.
+    skew = np.zeros((4, 4), dtype=complex)
+    skew[0, 1], skew[1, 0] = 5e-10, -5e-10
+    first = np.eye(2) + skew[:2, :2]
+    cons = CompositionConstraintSet((2, 2, 2), psi.choi + skew, phi + 1j * np.abs(skew), first)
+    herm = CompositionConstraintSet(
+        (2, 2, 2), hermitian_part(psi.choi), hermitian_part(phi), hermitian_part(first)
+    )
+    assert np.array_equal(dense_rhs(cons), dense_rhs(herm))
+    assert np.array_equal(cons.start(), herm.start())
+    project_psd(cons.start())  # a Hermitian start point
+    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    assert np.array_equal(cons.correction(g + dag(g)), herm.correction(g + dag(g)))
+
+    # Exactly Hermitian targets are taken bit for bit, signs of zeros too.
+    exact = hermitian_part(phi)
+    exact.imag[np.diag_indices(4)] = -0.0
+    cons = CompositionConstraintSet((2, 2, 2), psi.choi, exact)
+    realigned = exact.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
+    assert cons.rhs_blocks[1].tobytes() == realigned.tobytes()
+
+    for kwargs, name in (
+        ({"first": [[1.0, 0.5], [0.0, 1.0]]}, "first is not Hermitian"),
+        ({"phi": phi + 1e-7 * skew / 5e-10}, "phi is not Hermitian"),
+        ({"psi": np.full((4, 4), np.nan)}, "psi must be a finite 4 x 4"),
+        ({"phi": np.eye(3)}, "phi must be a finite 4 x 4"),
+    ):
+        args = {"psi": psi.choi, "phi": phi, **kwargs}
+        with pytest.raises(ValueError, match=name):
+            CompositionConstraintSet((2, 2, 2), **args)
 
 
 @pytest.mark.parametrize("d", [5, 6])

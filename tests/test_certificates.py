@@ -2,14 +2,19 @@
 certification of the known infeasible kinds, invariance under local
 unitaries and under swapping the pair, and the depolarizing cloning
 threshold. Feasible instances near the PSD cone boundary never get a
-not-feasible verdict."""
+not-feasible verdict. The bound that stops a solve, taken on the set's row
+blocks, is the one that the report's dense multipliers re-check to, and an
+attempt skipped before its eigensolve could not have certified."""
+
+import warnings
 
 import numpy as np
 import pytest
-from dense_oracle import div_oracle, marginal_oracle
+from dense_oracle import AffineConstraintSet, div_oracle, marginal_oracle
 
 from chancompat import analysis as an
 from chancompat import channels as ch
+from chancompat import feasibility as fz
 from chancompat.channels import Channel, KrausSet
 from chancompat.feasibility import (
     CompositionConstraintSet,
@@ -18,7 +23,7 @@ from chancompat.feasibility import (
     certificate_bound,
     solve,
 )
-from chancompat.linalg import project_psd
+from chancompat.linalg import project_psd, vectorize_hermitian
 
 CONFIG = SolverConfig()
 
@@ -64,7 +69,7 @@ def test_feasible_instances_are_never_certified():
                 (cons.dim, cons.dim)
             )
             y = project_psd(0.5 * (g + g.conj().T))
-            lam = cons.residual_multipliers(y)
+            lam = cons.join(cons.residual_multipliers(cons.residual_rows(y)))
             assert certificate_bound(cons, lam) <= solver.residual_affine + 1e-12
     # The batch includes solves that attempted a certificate and went on.
     assert iterated >= 2
@@ -175,8 +180,8 @@ def test_full_rank_pairs_are_feasible_with_reverified_witness(d, env):
         cons = rep.solver.constraints
         n = cons.dim
         g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        lam = cons.residual_multipliers(project_psd(0.5 * (g + g.conj().T)))
-        assert certificate_bound(cons, lam) <= rep.solver.residual_affine + 1e-12
+        lam = cons.residual_multipliers(cons.residual_rows(project_psd(0.5 * (g + g.conj().T))))
+        assert certificate_bound(cons, cons.join(lam)) <= rep.solver.residual_affine + 1e-12
 
 
 def depolarizing(d: int, eta: float) -> Channel:
@@ -250,3 +255,184 @@ def test_side_216_rank_deficient_pair_is_feasible():
     assert rep.status is Status.FEASIBLE
     assert rep.solver.constraints.dims == (6, 18, 6)
     assert joint_reverifies(rep.compatibilizer, big_psi, big_phi)
+
+
+def certified_pool():
+    """Seeded certified solves, each with the dense oracle of its system:
+    amplitude damping on the wrong side of gamma = 1/2, identity
+    self-compatibility, dressed amplitude damping against the identity,
+    example-2 divisibility and ``Tr X = -1``."""
+    rng = np.random.default_rng(59)
+    pool = []
+    for gamma in rng.uniform(0.55, 0.9, size=2):
+        kraus = ch.amplitude_damping(float(gamma))
+        psi, psi_c = ch.choi_from_kraus(kraus), ch.complementary(kraus)
+        solve_it = lambda psi=psi, kraus=kraus: an.check_degradable(psi, kraus, CONFIG).solver
+        pool.append(pytest.param(solve_it, div_oracle(psi, psi_c), id=f"degradable-{gamma:.2f}"))
+    for gamma in rng.uniform(0.1, 0.45, size=2):
+        kraus = ch.amplitude_damping(float(gamma))
+        psi, psi_c = ch.choi_from_kraus(kraus), ch.complementary(kraus)
+        solve_it = lambda psi=psi, kraus=kraus: an.check_antidegradable(psi, kraus, CONFIG).solver
+        pool.append(pytest.param(solve_it, div_oracle(psi_c, psi), id=f"anti-{gamma:.2f}"))
+    for d in (2, 3):
+        ident = ch.identity(d)
+        solve_it = lambda ident=ident: an.check_compatibility(ident, ident, CONFIG).solver
+        oracle = div_oracle(ch.complementary(ch.kraus_from_choi(ident)), ident)
+        pool.append(pytest.param(solve_it, oracle, id=f"identity-self-d{d}"))
+    for gamma in rng.uniform(0.2, 0.5, size=2):
+        u_in, u_out = ch.random_unitary(2, rng), ch.random_unitary(2, rng)
+        ops = ch.amplitude_damping(float(gamma)).operators
+        psi = ch.choi_from_kraus(KrausSet(2, 2, tuple(u_out @ op @ u_in for op in ops)))
+        solve_it = lambda psi=psi: an.check_divisibility(psi, ch.identity(2), CONFIG).solver
+        oracle = div_oracle(psi, ch.identity(2))
+        pool.append(pytest.param(solve_it, oracle, id=f"div-dressed-ad-{gamma:.2f}-id"))
+    psi, phi, _ = ch.trace_out_pair(ch.completely_depolarizing(2), ch.identity(2))
+    solve_it = lambda: an.check_divisibility(psi, phi, CONFIG).solver
+    pool.append(pytest.param(solve_it, div_oracle(psi, phi), id="example2-div"))
+    negative = AffineConstraintSet(2, vectorize_hermitian(np.eye(2))[None], np.array([-1.0]))
+    pool.append(pytest.param(lambda: solve(negative, CONFIG), negative, id="trace-minus-one"))
+    return pool
+
+
+def recording_bound(monkeypatch):
+    """Every ``(floor, bound)`` of the solver's certificate attempts."""
+    calls = []
+
+    def record(constraints, lam, floor):
+        value = bound(constraints, lam, floor)
+        calls.append((floor, value))
+        return value
+
+    bound = fz._bound
+    monkeypatch.setattr(fz, "_bound", record)
+    return calls
+
+
+@pytest.mark.parametrize("solve_it, oracle", certified_pool())
+def test_stopping_bound_is_the_recheck_bound(solve_it, oracle, monkeypatch):
+    attempts = recording_bound(monkeypatch)
+    rep = solve_it()
+    assert rep.stop_reason == "certificate"
+    floor, stopped = attempts[-1]
+    assert floor == 10 * CONFIG.eps_feas <= stopped
+    monkeypatch.undo()
+    recheck = certificate_bound(rep.constraints, rep.certificate)
+    assert abs(stopped - recheck) <= 1e-12 * stopped
+    assert abs(stopped - certificate_bound(oracle, rep.certificate)) <= 1e-12
+
+
+def counting_vectorize(monkeypatch):
+    calls = []
+
+    def count(x):
+        calls.append(np.shape(x))
+        return vectorize(x)
+
+    vectorize = fz.vectorize_hermitian
+    monkeypatch.setattr(fz, "vectorize_hermitian", count)
+    return calls
+
+
+@pytest.mark.parametrize("solve_it, oracle", certified_pool())
+def test_certified_solve_vectorizes_only_the_kept_multipliers(solve_it, oracle, monkeypatch):
+    calls = counting_vectorize(monkeypatch)
+    rep = solve_it()
+    if isinstance(rep.constraints, CompositionConstraintSet):
+        b = rep.constraints.dims[1]
+        # One gather per row block of the certificate, and nothing else.
+        assert len(calls) == 2 and calls[0] == (b, b)
+        assert sum(int(np.prod(shape)) for shape in calls) == rep.certificate.size
+    else:
+        assert calls == []
+
+
+def test_failed_attempts_do_not_vectorize(monkeypatch):
+    # Depolarizing self-compatibility just below the cloning threshold: the
+    # attempt at iteration 1 fails and the solve goes on to a feasible end.
+    below = depolarizing(2, 2 / 3 - 1e-3)
+    attempts = recording_bound(monkeypatch)
+    calls = counting_vectorize(monkeypatch)
+    rep = an.check_compatibility(below, below, CONFIG)
+    assert rep.status is Status.FEASIBLE and rep.solver.iterations > 1
+    assert attempts and all(value < floor for floor, value in attempts)
+    assert calls == []
+
+
+def counting_adjoint(monkeypatch, cls):
+    calls = []
+
+    def count(self, lam):
+        calls.append(1)
+        return adjoint(self, lam)
+
+    adjoint = cls.adjoint
+    monkeypatch.setattr(cls, "adjoint", count)
+    return calls
+
+
+def test_skip_never_fires_when_b_tau_is_negative(monkeypatch):
+    # Tr X = -1, and a composition system whose first target is -I_B: both
+    # fix a negative trace, so b . tau < 0 and every attempt takes the
+    # eigensolve, however far below the floor its cap is.
+    rng = np.random.default_rng(3)
+    psi = ch.random_channel(2, 2, rng, dim_env=2)
+    phi = ch.compose_choi(psi, ch.random_channel(2, 2, rng))
+    sets = [
+        AffineConstraintSet(2, vectorize_hermitian(np.eye(2))[None], np.array([-1.0])),
+        CompositionConstraintSet((2, 2, 2), psi.choi, phi.choi, first=-np.eye(2)),
+    ]
+    for cons in sets:
+        assert cons.trace_scalars[0] < 0
+        calls = counting_adjoint(monkeypatch, type(cons))
+        for _ in range(5):
+            g = rng.standard_normal((cons.dim,) * 2) + 1j * rng.standard_normal((cons.dim,) * 2)
+            lam = cons.residual_multipliers(cons.residual_rows(project_psd(g + g.conj().T)))
+            lam = tuple(-x for x in lam)  # b . lam > 0: the cap is negative
+            before = len(calls)
+            fz._bound(cons, lam, 1.0)
+            assert len(calls) == before + 1
+        rep = solve(cons, CONFIG)
+        assert rep.stop_reason == "certificate" and len(calls) == 5 + rep.iterations
+
+
+@pytest.mark.parametrize("solve_it, oracle", certified_pool())
+def test_skip_never_skips_an_attempt_that_certifies(solve_it, oracle, monkeypatch):
+    # Multipliers from the residuals of random PSD points and of the solve's
+    # own certificate, at floors on both sides of their full bound: a floored
+    # bound is the full one whenever that reaches the floor, and otherwise
+    # either the full one or the 0.0 of a skipped attempt.
+    rep = solve_it()
+    cons = rep.constraints
+    rng = np.random.default_rng(17)
+    lams = [cons.split(rep.certificate)]
+    for _ in range(6):
+        g = rng.standard_normal((cons.dim,) * 2) + 1j * rng.standard_normal((cons.dim,) * 2)
+        lams.append(cons.residual_multipliers(cons.residual_rows(project_psd(g + g.conj().T))))
+    calls = counting_adjoint(monkeypatch, type(cons))
+    skipped = 0
+    for lam in lams:
+        full = fz._bound(cons, lam, 0.0)
+        floors = [10 * CONFIG.eps_feas, 0.5 * full, full, 2 * full + 1.0]
+        floors += [np.nextafter(full, 0.0), np.nextafter(full, np.inf)]
+        for floor in floors:
+            before = len(calls)
+            value = fz._bound(cons, lam, floor)
+            if full >= floor:
+                assert value == full
+            else:
+                assert value in (0.0, full)
+            skipped += len(calls) == before
+    # Floors above a cap skip the eigensolve, unless b . tau < 0.
+    assert (skipped > 0) == (cons.trace_scalars[0] >= 0.0)
+
+
+def test_certificate_bound_rejects_complex_multipliers():
+    ident = ch.identity(2)
+    rep = an.check_compatibility(ident, ident, CONFIG).solver
+    lam = rep.certificate
+    assert certificate_bound(rep.constraints, lam) >= 10 * CONFIG.eps_feas
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no ComplexWarning on the way
+        for bad in (lam + 1j * lam, lam + 0j):
+            with pytest.raises(ValueError, match="real"):
+                certificate_bound(rep.constraints, bad)

@@ -449,6 +449,24 @@ def test_inconsistent_rows_are_certified(tmp_path, capsys):
     assert doc["warnings"] == []
 
 
+def test_choi_file_within_load_skew_is_decided(tmp_path, capsys):
+    # The loader accepts an anti-Hermitian part up to 1e-9. The constraint
+    # set builds its rows from the Hermitian parts of such targets, so the
+    # solver starts from a Hermitian point and decides both orders.
+    choi = ch.choi_from_kraus(ch.amplitude_damping(0.3)).choi.copy()
+    choi[0, 1] += 5e-10
+    choi[1, 0] -= 5e-10
+    skew, ad05 = str(tmp_path / "skew.json"), str(tmp_path / "ad05.json")
+    with open(skew, "w") as fh:
+        json.dump({"dim_in": 2, "dim_out": 2, "choi": io.matrix_to_json(choi)}, fh)
+    io.save_channel(ad05, ch.amplitude_damping(0.5))
+    code, doc = run(capsys, "check", "div", skew, ad05, "--quiet")
+    assert code == 0 and doc["status"] == "feasible"
+    code, doc = run(capsys, "check", "div", ad05, skew, "--quiet")
+    assert code == 1 and doc["stop_reason"] == "certificate"
+    assert doc["certificate"]["residual_lower_bound"] >= 10 * doc["config"]["eps_feas"]
+
+
 def test_verify_reports_solver_iterations(tmp_path, capsys):
     id_path = str(tmp_path / "id2.json")
     main(["make", "identity", "--dim", "2", "-o", id_path])
