@@ -8,6 +8,11 @@ on H_in (x) H_out with the input index major, so ``Tr J = dim_in`` and trace
 preservation reads ``Tr_out J = I_in``. Kraus and Stinespring forms are
 derived views; the complementary channel is always computed from an explicit
 Kraus set because it depends on the chosen dilation.
+
+Contractions are matrix products: of Choi operators realigned by
+``linalg.realign`` in :func:`apply` and :func:`compose_choi`, and of stacked
+Kraus operators in :func:`choi_from_kraus` and :func:`complementary`, which
+return the Hermitian part of their product and so are exactly Hermitian.
 """
 
 from __future__ import annotations
@@ -24,7 +29,9 @@ from .linalg import (
     kron,
     partial_trace,
     partial_trace_adjoint,
+    realign,
     swap_unitary,  # noqa: F401  (kept importable as channels.swap_unitary)
+    unalign,
 )
 
 EPS_PSD = 1e-9
@@ -122,8 +129,8 @@ class KrausSet:
         return len(self.operators)
 
     def completeness_defect(self) -> float:
-        s = sum(dag(k) @ k for k in self.operators)
-        return frob(s - np.eye(self.dim_in))
+        v = np.concatenate(self.operators)  # sum_i K_i^dag K_i = V^dag V
+        return frob(dag(v) @ v - np.eye(self.dim_in))
 
 
 @dataclass(frozen=True)
@@ -149,7 +156,10 @@ class StinespringIsometry:
 
 
 def _hermitian_part(x: np.ndarray) -> np.ndarray:
-    return 0.5 * (x + dag(x))
+    h = np.conjugate(x.T, order="C")  # 0.5 (x + x^dag) with one transposed pass
+    h += x
+    h *= 0.5
+    return h
 
 
 def _tp_defect(channel: Channel, h: np.ndarray) -> float:
@@ -212,19 +222,14 @@ def choi_distance(a: Channel, b: Channel) -> float:
 def choi_from_kraus(k: KrausSet, atol: float = EPS_TP) -> Channel:
     """Choi operator of the channel with Kraus operators ``k``.
 
-    Each Kraus operator contributes the rank-one term w w^dag with
-    w = sum_i |i> (x) K|i>. Raises if the set is not trace preserving
-    within ``atol``.
+    ``J = W W^dag``, for W the columns w = sum_i |i> (x) K|i>, one per Kraus
+    operator. Raises if the set is not trace preserving within ``atol``.
     """
     defect = k.completeness_defect()
     if defect > atol:
         raise ValueError(f"Kraus set violates completeness: defect {defect:.3e}")
-    side = k.dim_in * k.dim_out
-    j = np.zeros((side, side), dtype=complex)
-    for op in k.operators:
-        w = op.T.reshape(-1)
-        j += np.outer(w, w.conj())
-    return Channel(k.dim_in, k.dim_out, j)
+    w = np.stack(k.operators).transpose(2, 1, 0).reshape(-1, k.dim_env)
+    return Channel(k.dim_in, k.dim_out, _hermitian_part(w @ dag(w)))
 
 
 def kraus_from_choi(c: Channel) -> KrausSet:
@@ -270,25 +275,24 @@ def kraus_from_isometry(v: StinespringIsometry) -> KrausSet:
 
 
 def apply(c: Channel, rho: np.ndarray) -> np.ndarray:
-    """Evaluate the channel on an operator via its Choi blocks."""
+    """Evaluate the channel on an operator: ``vec(rho)^T realign(J)``."""
     rho = np.asarray(rho)
     if rho.shape != (c.dim_in, c.dim_in):
         raise ValueError(f"operator shape {rho.shape} does not match dim_in {c.dim_in}")
-    jt = c.choi.reshape(c.dim_in, c.dim_out, c.dim_in, c.dim_out)
-    return np.einsum("imjn,ij->mn", jt, rho)
+    out = rho.reshape(-1) @ realign(c.choi, c.dim_in, c.dim_out)
+    return out.reshape(c.dim_out, c.dim_out)
 
 
 def compose_choi(psi: Channel, theta: Channel) -> Channel:
-    """Choi operator of the sequential composition theta o psi."""
+    """Choi operator of theta o psi: ``realign(J_theta o psi) = realign(J_psi)
+    @ realign(J_theta)``, not symmetrized, as operands need not be Hermitian."""
     if psi.dim_out != theta.dim_in:
         raise ValueError(
             f"cannot compose: first output dim {psi.dim_out} != second input dim {theta.dim_in}"
         )
-    jp = psi.choi.reshape(psi.dim_in, psi.dim_out, psi.dim_in, psi.dim_out)
-    jt = theta.choi.reshape(theta.dim_in, theta.dim_out, theta.dim_in, theta.dim_out)
-    out = np.einsum("ibjd,bcdn->icjn", jp, jt)
-    side = psi.dim_in * theta.dim_out
-    return Channel(psi.dim_in, theta.dim_out, out.reshape(side, side))
+    a, b, c = psi.dim_in, psi.dim_out, theta.dim_out
+    out = realign(psi.choi, a, b) @ realign(theta.choi, b, c)
+    return Channel(a, c, unalign(out, a, c))
 
 
 def tensor(c1: Channel, c2: Channel) -> Channel:
@@ -307,12 +311,11 @@ def complementary(k: KrausSet) -> Channel:
 
     Implements psi_c(rho) = sum_ij Tr[K_i^dag K_j rho] |j><i| on an
     environment of dimension ``len(k.operators)``; equals tracing the system
-    out of the Stinespring dilation built from the same operators.
+    out of the Stinespring dilation built from the same operators. Its Choi
+    operator is ``S^T conj(S)`` for ``S[m, (a, j)] = K_j[m, a]``.
     """
-    stack = np.stack(k.operators)  # (env, out, in)
-    out = np.einsum("jma,imb->ajbi", stack, stack.conj())
-    side = k.dim_in * k.dim_env
-    return Channel(k.dim_in, k.dim_env, out.reshape(side, side))
+    s = np.stack(k.operators).transpose(1, 2, 0).reshape(k.dim_out, -1)
+    return Channel(k.dim_in, k.dim_env, _hermitian_part(s.T @ s.conj()))
 
 
 # ---------------------------------------------------------------------------

@@ -45,11 +45,7 @@ from functools import cached_property
 import numpy as np
 
 from .channels import EPS_EQ
-from .linalg import (
-    devectorize_hermitian,
-    project_psd,
-    vectorize_hermitian,
-)
+from .linalg import devectorize_hermitian, project_psd, realign, unalign, vectorize_hermitian
 
 __all__ = [
     "EPS_PLATEAU",
@@ -100,16 +96,6 @@ def _dot(x: tuple, y: tuple) -> float:
     return float(sum(map(np.vdot, x, y)).real)
 
 
-def _realign(x: np.ndarray, m: int, n: int) -> np.ndarray:
-    """``X[(i,k),(j,l)]`` of an operator on C^m (x) C^n as ``Xr[(i,j),(k,l)]``,
-    an ``m^2 x n^2`` matrix; ``_unalign`` undoes it. Both permute entries."""
-    return x.reshape(m, n, m, n).transpose(0, 2, 1, 3).reshape(m * m, n * n)
-
-
-def _unalign(xr: np.ndarray, m: int, n: int) -> np.ndarray:
-    return xr.reshape(m, m, n, n).transpose(0, 2, 1, 3).reshape(m * n, m * n)
-
-
 def _target(name: str, m: np.ndarray, side: int) -> np.ndarray:
     """A target's Hermitian part, which blocks (whole matrices) and their
     vectorization (upper triangles) agree on; m itself if exactly Hermitian."""
@@ -126,15 +112,15 @@ def _target(name: str, m: np.ndarray, side: int) -> np.ndarray:
 @functools.cache
 def _plan(b: int, c: int) -> tuple[np.ndarray, ...]:
     """What a set on B (x) C needs of its shape alone, cached per shape and
-    read-only: the flat indices with ``x.take(there) == _realign(x, b, c)``
-    and ``xr.take(back) == _unalign(xr, b, c)``, ``vec(I_C)``, ``u =
+    read-only: the flat indices with ``x.take(there) == realign(x, b, c)``
+    and ``xr.take(back) == unalign(xr, b, c)``, ``vec(I_C)``, ``u =
     vec(I_C) / sqrt(d_C)`` and ``I - u u^T``."""
     flat = np.arange(b * b * c * c)
     trace_c = np.eye(c).ravel()
     u = trace_c / np.sqrt(c)
     out = (
-        _realign(flat.reshape(b * c, b * c), b, c),
-        _unalign(flat.reshape(b * b, c * c), b, c),
+        realign(flat.reshape(b * c, b * c), b, c),
+        unalign(flat.reshape(b * b, c * c), b, c),
         trace_c,
         u,
         np.eye(c * c) - np.outer(u, u),
@@ -154,10 +140,11 @@ class CompositionConstraintSet:
     complementary channel ``rho -> rho (x) I_B``, whose quotient is the joint.
 
     Equal to the dense system whose rows are the ``Tr_C`` block and then the
-    composition block, but M is never formed. With X realigned
-    to ``Xr`` (``d_B^2 x d_C^2``), composition is
-    ``K Xr`` for K the ``d_A^2 x d_B^2`` realignment of J_psi, and ``Tr_C X``
-    is ``sqrt(d_C) Xr u`` with ``u = vec(I_C) / sqrt(d_C)``. So M splits into
+    composition block, but M is never formed. With X realigned to ``Xr``
+    (``d_B^2 x d_C^2``, ``linalg.realign``), composition is ``K Xr`` for K
+    the ``d_A^2 x d_B^2`` realignment of J_psi, the identity that
+    ``channels.compose_choi`` states and computes by, and ``Tr_C X`` is
+    ``sqrt(d_C) Xr u`` with ``u = vec(I_C) / sqrt(d_C)``. So M splits into
     ``K`` acting on ``Xr (I - u u^T)`` and the stack ``N = [sqrt(d_C) I; K]``
     acting on ``Xr u``, whose singular values ``sqrt(d_C + s^2)``, for K's
     singular values s, are all at least ``sqrt(d_C)``. One SVD of K gives
@@ -184,9 +171,9 @@ class CompositionConstraintSet:
         self.dims, self.dim = dims, b * c
         # Xr @ vec(I_C) is vec(Tr_C X), and Xr @ (I - u u^T) is Xr off u.
         self._there, self._back, self._trace_c, self._u, self._off_u = _plan(b, c)
-        self._k = _realign(psi, a, b)
+        self._k = realign(psi, a, b)
         self._kh = self._k.conj().T
-        self.rhs_blocks = self._first, self._phi = first.ravel(), _realign(phi, a, c)
+        self.rhs_blocks = self._first, self._phi = first.ravel(), realign(phi, a, c)
         self._thin = 2 * a * a <= b * b
         left, s, right = np.linalg.svd(self._k, full_matrices=not self._thin)
         rank = int(np.count_nonzero(s > _RCOND * np.sqrt(s[0] ** 2 + c)))
@@ -219,13 +206,13 @@ class CompositionConstraintSet:
         a, b, c = self.dims
         t, yr = lam
         return np.concatenate(
-            [vectorize_hermitian(t.reshape(b, b)), vectorize_hermitian(_unalign(yr, a, c))]
+            [vectorize_hermitian(t.reshape(b, b)), vectorize_hermitian(unalign(yr, a, c))]
         )
 
     def split(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         a, b, c = self.dims
         t, yr = devectorize_hermitian(v[: b * b]), devectorize_hermitian(v[b * b :])
-        return t.ravel(), _realign(yr, a, c)
+        return t.ravel(), realign(yr, a, c)
 
     def residual_rows(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``vec(Tr_C X - T)`` and the realigned ``J_psi * X - J_phi``."""
@@ -417,17 +404,14 @@ def solve(
                 break
         z = y - constraints.correction(2.0 * y - z)
 
-    # Residuals are re-measured from the candidate matrix itself, never from
-    # solver internals.
-    candidate = best_candidate
-    r = constraints.residual_rows(candidate)
-    r_aff = math.sqrt(_dot(r, r))
-    r_psd = _psd_defect(candidate)
-    solution = candidate if status is Status.FEASIBLE else None
-    if status is Status.FEASIBLE and not (r_aff < config.eps_feas and r_psd < config.eps_feas):
+    # ``best`` is the candidate matrix's own affine residual, measured by
+    # ``residual_rows`` in the loop; its PSD defect is measured here.
+    r_psd = _psd_defect(best_candidate)
+    solution = best_candidate if status is Status.FEASIBLE else None
+    if status is Status.FEASIBLE and not (best < config.eps_feas and r_psd < config.eps_feas):
         # Defensive: the PSD-projected candidate should always satisfy both.
         status = Status.INCONCLUSIVE
         solution = None
     return FeasibilityReport(
-        status, solution, r_aff, r_psd, iterations, stop_reason, certificate, constraints
+        status, solution, best, r_psd, iterations, stop_reason, certificate, constraints
     )

@@ -24,6 +24,8 @@ __all__ = [
     "partial_trace",
     "partial_trace_adjoint",
     "partial_transpose",
+    "realign",
+    "unalign",
     "project_psd",
     "vectorize_hermitian",
     "devectorize_hermitian",
@@ -118,6 +120,16 @@ def partial_transpose(x: np.ndarray, dims: Sequence[int], subsystem: int) -> np.
     t = x.reshape(tuple(dims) * 2)
     t = np.swapaxes(t, subsystem, subsystem + n)
     return t.reshape(side, side)
+
+
+def realign(x: np.ndarray, m: int, n: int) -> np.ndarray:
+    """``X[(i,k),(j,l)]`` of an operator on C^m (x) C^n as ``Xr[(i,j),(k,l)]``,
+    an ``m^2 x n^2`` matrix; :func:`unalign` undoes it. Both permute entries."""
+    return x.reshape(m, n, m, n).transpose(0, 2, 1, 3).reshape(m * m, n * n)
+
+
+def unalign(xr: np.ndarray, m: int, n: int) -> np.ndarray:
+    return xr.reshape(m, m, n, n).transpose(0, 2, 1, 3).reshape(m * n, m * n)
 
 
 def _symmetrize(x: np.ndarray) -> np.ndarray:

@@ -6,6 +6,7 @@ not-feasible verdict. The bound that stops a solve, taken on the set's row
 blocks, is the one that the report's dense multipliers re-check to, and an
 attempt skipped before its eigensolve could not have certified."""
 
+import math
 import warnings
 
 import numpy as np
@@ -344,6 +345,29 @@ def test_certified_solve_vectorizes_only_the_kept_multipliers(solve_it, oracle, 
         assert sum(int(np.prod(shape)) for shape in calls) == rep.certificate.size
     else:
         assert calls == []
+
+
+def test_residual_rows_run_once_per_iteration(monkeypatch):
+    # The report's affine residual is the loop's own measurement of the
+    # candidate, not a second one after the loop.
+    calls = []
+    rows = CompositionConstraintSet.residual_rows
+
+    def counted(self, x):
+        calls.append(x)
+        return rows(self, x)
+
+    monkeypatch.setattr(CompositionConstraintSet, "residual_rows", counted)
+    for eta, status in ((2 / 3 - 1e-3, Status.FEASIBLE), (0.7, Status.NOT_FEASIBLE_AT_TOLERANCE)):
+        calls.clear()
+        dep = depolarizing(2, eta)
+        rep = an.check_compatibility(dep, dep, CONFIG).solver
+        assert rep.status is status
+        assert len(calls) == rep.iterations
+        if status is Status.FEASIBLE:
+            assert rep.iterations > 1
+            r = rows(rep.constraints, rep.solution)
+            assert rep.residual_affine == math.sqrt(fz._dot(r, r))
 
 
 def test_failed_attempts_do_not_vectorize(monkeypatch):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from chancompat import channels as ch
-from chancompat.linalg import dag, frob, kron, partial_trace
+from chancompat.feasibility import CompositionConstraintSet
+from chancompat.linalg import dag, frob, kron, partial_trace, realign
 
 
 def hermitian_units(d):
@@ -212,8 +213,10 @@ def test_compose_matches_link_product_formula():
 
 
 def test_compose_dimension_mismatch():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="first output dim 2 != second input dim 3"):
         ch.compose_choi(ch.identity(2), ch.identity(3))
+    with pytest.raises(ValueError, match=r"operator shape \(3, 3\) does not match dim_in 2"):
+        ch.apply(ch.identity(2), np.eye(3))
 
 
 def test_tensor_identities():
@@ -423,3 +426,101 @@ def test_unitary_complementary_collapses_environment():
     assert comp.dim_out == 1
     assert np.linalg.matrix_rank(comp.choi) <= 3
 
+
+# ---------------------------------------------------------------------------
+# The matrix-product kernels against their index-loop forms
+# ---------------------------------------------------------------------------
+
+
+def einsum_compose(jp, jt, a, b, c):
+    out = np.einsum("ibjd,bcdn->icjn", jp.reshape(a, b, a, b), jt.reshape(b, c, b, c))
+    return out.reshape(a * c, a * c)
+
+
+def einsum_apply(j, rho, a, b):
+    return np.einsum("imjn,ij->mn", j.reshape(a, b, a, b), rho)
+
+
+def outer_choi(k):
+    side = k.dim_in * k.dim_out
+    j = np.zeros((side, side), dtype=complex)
+    for op in k.operators:
+        w = op.T.reshape(-1)
+        j += np.outer(w, w.conj())
+    return j
+
+
+def einsum_complementary(k):
+    stack = np.stack(k.operators)
+    out = np.einsum("jma,imb->ajbi", stack, stack.conj())
+    return out.reshape(k.dim_in * k.dim_env, k.dim_in * k.dim_env)
+
+
+def assert_rel_close(actual, expected, rtol=1e-13):
+    assert actual.shape == expected.shape
+    assert np.abs(actual - expected).max() <= rtol * np.abs(expected).max()
+
+
+def complex_gaussian(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+DIMS = [(2, 3, 5), (3, 2, 4), (5, 3, 2), (1, 2, 3), (2, 1, 3), (3, 3, 1), (4, 16, 16)]
+
+
+@pytest.mark.parametrize("dims", DIMS)
+def test_compose_and_apply_match_index_loops_on_arbitrary_operators(dims):
+    # Non-Hermitian, non-CP operands: composition and evaluation are linear
+    # in the Choi operator and must not assume anything of it.
+    a, b, c = dims
+    rng = np.random.default_rng(sum(d * 10**i for i, d in enumerate(dims)))
+    jp, jt = complex_gaussian(rng, (a * b, a * b)), complex_gaussian(rng, (b * c, b * c))
+    out = ch.compose_choi(ch.Channel(a, b, jp), ch.Channel(b, c, jt))
+    assert (out.dim_in, out.dim_out) == (a, c)
+    assert_rel_close(out.choi, einsum_compose(jp, jt, a, b, c))
+    rho = complex_gaussian(rng, (a, a))
+    assert_rel_close(ch.apply(ch.Channel(a, b, jp), rho), einsum_apply(jp, rho, a, b))
+    # Real operators evaluate as complex ones do.
+    assert_rel_close(ch.apply(ch.Channel(a, b, jp), rho.real), einsum_apply(jp, rho.real, a, b))
+
+
+@pytest.mark.parametrize("dims", DIMS)
+def test_gram_constructions_match_index_loops(dims):
+    d_in, d_out, env = dims
+    k = ch.random_kraus(d_in, d_out, env, np.random.default_rng(d_in + 7 * d_out + 49 * env))
+    assert_rel_close(ch.choi_from_kraus(k).choi, outer_choi(k))
+    comp = ch.complementary(k)
+    assert (comp.dim_in, comp.dim_out) == (d_in, env)
+    assert_rel_close(comp.choi, einsum_complementary(k))
+
+
+@pytest.mark.parametrize("dims", [(2, 3, 4), (3, 9, 3), (4, 16, 16)])
+def test_composition_set_rows_are_compose_choi(dims):
+    # The set's composition block is compose_choi's product, realigned.
+    a, b, c = dims
+    rng = np.random.default_rng(b)
+    psi, x = ch.random_channel(a, b, rng), ch.random_channel(b, c, rng)
+    cons = CompositionConstraintSet(dims, psi.choi, np.zeros((a * c, a * c)))
+    expected = realign(ch.compose_choi(psi, x).choi, a, c)
+    assert_rel_close(cons.residual_rows(x.choi)[1], expected, rtol=1e-15)
+
+
+def test_gram_constructions_are_exactly_hermitian():
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        a, b, c = (int(x) for x in rng.integers(1, 5, size=3))
+        k = ch.random_kraus(a, b, max(c, -(-a // b)), rng)
+        made = [
+            ch.choi_from_kraus(k),
+            ch.complementary(k),
+            ch.random_channel(b, a, rng, dim_env=b),
+            ch.unitary_channel(ch.random_unitary(a, rng)),
+        ]
+        for j in (m.choi for m in made):
+            assert np.array_equal(j, j.conj().T)
+        # A set built on exactly Hermitian targets keeps them bit for bit.
+        psi, phi = made[0], made[1]
+        first = ch.random_channel(1, psi.dim_out, rng).choi
+        cons = CompositionConstraintSet((a, psi.dim_out, phi.dim_out), psi.choi, phi.choi, first)
+        assert cons.rhs_blocks[0].tobytes() == first.tobytes()
+        assert cons.rhs_blocks[1].tobytes() == realign(phi.choi, a, phi.dim_out).tobytes()
