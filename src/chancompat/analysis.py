@@ -308,20 +308,19 @@ def compatibilizer_from_postprocessing(psi_kraus: KrausSet, theta: Channel) -> C
     Applies theta to the environment leg of the dilation: the result maps
     A -> B (x) C, its first marginal is psi exactly and its second is
     theta composed with the complementary channel of this representation.
-    With R the matrix whose columns are the vectorized Kraus operators (in
-    the convention of :func:`channels.choi_from_kraus`), the dilation's Choi
-    operator is ``vec(R) vec(R)^dag`` on A (x) B (x) E, so the result is the
-    congruence ``(R (x) I_C) J_theta (R (x) I_C)^dag``.
+    With R the matrix whose columns are the vectorized Kraus operators
+    (:meth:`channels.KrausSet.columns`), the dilation's Choi operator is
+    ``vec(R) vec(R)^dag`` on A (x) B (x) E, so the result is the congruence
+    ``(R (x) I_C) J_theta (R (x) I_C)^dag``.
     """
     if theta.dim_in != psi_kraus.dim_env:
         raise ValueError(
             f"post-processing input dim {theta.dim_in} does not match environment "
             f"dim {psi_kraus.dim_env}"
         )
-    da, db = psi_kraus.dim_in, psi_kraus.dim_out
-    r = np.stack(psi_kraus.operators, axis=-1).transpose(1, 0, 2)  # R[a, b, i] = K_i[b, a]
-    lift = np.kron(r.reshape(da * db, -1), np.eye(theta.dim_out))
-    return Channel(da, db * theta.dim_out, lift @ theta.choi @ dag(lift))
+    lift = np.kron(psi_kraus.columns(), np.eye(theta.dim_out))
+    d_out = psi_kraus.dim_out * theta.dim_out
+    return Channel(psi_kraus.dim_in, d_out, lift @ theta.choi @ dag(lift))
 
 
 def quotient_via_degradability(

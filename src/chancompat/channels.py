@@ -23,16 +23,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import (
-    dag,
-    frob,
-    kron,
-    partial_trace,
-    partial_trace_adjoint,
-    realign,
-    swap_unitary,  # noqa: F401  (kept importable as channels.swap_unitary)
-    unalign,
-)
+from .linalg import dag, frob, hermitian_part, partial_trace, partial_trace_adjoint, realign
+from .linalg import skew, unalign
+from .linalg import swap_unitary  # noqa: F401  (kept importable as channels.swap_unitary)
 
 EPS_PSD = 1e-9
 EPS_TP = 1e-9
@@ -128,6 +121,11 @@ class KrausSet:
     def dim_env(self) -> int:
         return len(self.operators)
 
+    def columns(self) -> np.ndarray:
+        """R, whose column i is ``vec K_i = sum_a |a> (x) K_i|a>``: the
+        ``(dim_in*dim_out) x dim_env`` matrix ``R[(a, b), i] = K_i[b, a]``."""
+        return np.stack(self.operators).transpose(2, 1, 0).reshape(-1, self.dim_env)
+
     def completeness_defect(self) -> float:
         v = np.concatenate(self.operators)  # sum_i K_i^dag K_i = V^dag V
         return frob(dag(v) @ v - np.eye(self.dim_in))
@@ -155,33 +153,27 @@ class StinespringIsometry:
         return frob(dag(self.v) @ self.v - np.eye(self.dim_in))
 
 
-def _hermitian_part(x: np.ndarray) -> np.ndarray:
-    h = np.conjugate(x.T, order="C")  # 0.5 (x + x^dag) with one transposed pass
-    h += x
-    h *= 0.5
-    return h
-
-
 def _tp_defect(channel: Channel, h: np.ndarray) -> float:
-    d_in, d_out = channel.dim_in, channel.dim_out
-    marginal = np.trace(h.reshape(d_in, d_out, d_in, d_out), axis1=1, axis2=3)
-    return frob(marginal - np.eye(d_in))
+    marginal = partial_trace(h, (channel.dim_in, channel.dim_out), keep=(0,))
+    return frob(marginal - np.eye(channel.dim_in))
 
 
 def cptp_defects(channel: Channel) -> tuple[float, float]:
     """(CP defect, TP defect) of the Choi operator's Hermitian part: most
     negative eigenvalue magnitude and Frobenius distance of the output
     partial trace from the identity."""
-    h = _hermitian_part(channel.choi)
+    h = hermitian_part(channel.choi)
     wmin = float(np.linalg.eigvalsh(h)[0])
     return max(0.0, -wmin), _tp_defect(channel, h)
 
 
 def _raise_on_defects(channel: Channel, cp: float, tp: float, atol: float, name: str) -> None:
     # cp and tp are measured on the Hermitian part, which hides the rest.
-    skew = float(np.abs(channel.choi - dag(channel.choi)).max())
-    if skew > atol:
-        raise ValueError(f"{name} has a non-Hermitian Choi operator: max |J - J^dag| = {skew:.3e}")
+    defect = skew(channel.choi)
+    if defect > atol:
+        raise ValueError(
+            f"{name} has a non-Hermitian Choi operator: max |J - J^dag| = {defect:.3e}"
+        )
     if cp > atol:
         raise ValueError(f"{name} is not completely positive: min eigenvalue -{cp:.3e}")
     if tp > atol:
@@ -202,7 +194,7 @@ def validated_kraus(channel: Channel, atol: float = EPS_PSD, name: str = "channe
     ``atol`` is then dropped with the rest below ``EPS_RANK``. The length of
     the returned set is the Choi rank at that cut.
     """
-    h = _hermitian_part(channel.choi)
+    h = hermitian_part(channel.choi)
     w, v = np.linalg.eigh(h)
     _raise_on_defects(channel, max(0.0, -float(w[0])), _tp_defect(channel, h), atol, name)
     return _kraus_from_eigh(channel, w, v)
@@ -222,14 +214,14 @@ def choi_distance(a: Channel, b: Channel) -> float:
 def choi_from_kraus(k: KrausSet, atol: float = EPS_TP) -> Channel:
     """Choi operator of the channel with Kraus operators ``k``.
 
-    ``J = W W^dag``, for W the columns w = sum_i |i> (x) K|i>, one per Kraus
-    operator. Raises if the set is not trace preserving within ``atol``.
+    ``J = R R^dag`` for R = :meth:`KrausSet.columns`. Raises if the set is not
+    trace preserving within ``atol``.
     """
     defect = k.completeness_defect()
     if defect > atol:
         raise ValueError(f"Kraus set violates completeness: defect {defect:.3e}")
-    w = np.stack(k.operators).transpose(2, 1, 0).reshape(-1, k.dim_env)
-    return Channel(k.dim_in, k.dim_out, _hermitian_part(w @ dag(w)))
+    r = k.columns()
+    return Channel(k.dim_in, k.dim_out, hermitian_part(r @ dag(r)))
 
 
 def kraus_from_choi(c: Channel) -> KrausSet:
@@ -239,7 +231,7 @@ def kraus_from_choi(c: Channel) -> KrausSet:
     eigenvalue below ``-EPS_PSD`` means the map is not completely positive
     and raises.
     """
-    w, v = np.linalg.eigh(_hermitian_part(c.choi))
+    w, v = np.linalg.eigh(hermitian_part(c.choi))
     if w[0] < -EPS_PSD:
         raise ValueError(f"Choi operator has negative eigenvalue {w[0]:.3e}")
     return _kraus_from_eigh(c, w, v)
@@ -315,7 +307,7 @@ def complementary(k: KrausSet) -> Channel:
     operator is ``S^T conj(S)`` for ``S[m, (a, j)] = K_j[m, a]``.
     """
     s = np.stack(k.operators).transpose(1, 2, 0).reshape(k.dim_out, -1)
-    return Channel(k.dim_in, k.dim_env, _hermitian_part(s.T @ s.conj()))
+    return Channel(k.dim_in, k.dim_env, hermitian_part(s.T @ s.conj()))
 
 
 # ---------------------------------------------------------------------------
@@ -334,10 +326,11 @@ def completely_depolarizing(d: int) -> Channel:
 
 
 def unitary_channel(u: np.ndarray) -> Channel:
+    """rho -> U rho U^dag; :func:`choi_from_kraus` rejects a non-unitary U."""
     u = np.asarray(u, dtype=complex)
     d = u.shape[0]
-    if u.shape != (d, d) or frob(dag(u) @ u - np.eye(d)) > 1e-9:
-        raise ValueError("input is not unitary")
+    if u.shape != (d, d):
+        raise ValueError(f"unitary matrix must be square, got shape {u.shape}")
     return choi_from_kraus(KrausSet(d, d, (u,)))
 
 
@@ -434,7 +427,7 @@ def self_complementary_qubit(family: int, alpha: float, beta: float) -> KrausSet
 def constant_channel(sigma: np.ndarray, dim_in: int) -> Channel:
     """Preparation map rho -> Tr(rho) sigma; self-compatible by construction."""
     sigma = np.asarray(sigma, dtype=complex)
-    return Channel(dim_in, sigma.shape[0], kron(np.eye(dim_in), sigma))
+    return Channel(dim_in, sigma.shape[0], np.kron(np.eye(dim_in), sigma))
 
 
 def random_measure_prepare(dim: int, rng: np.random.Generator) -> KrausSet:

@@ -35,8 +35,11 @@ EXTRACTED_WARNING = (
 
 _EXIT_CODES = {Status.FEASIBLE: 0, Status.NOT_FEASIBLE_AT_TOLERANCE: 1, Status.INCONCLUSIVE: 2}
 
+# The default --eps of ``verify``; ``check`` takes ``SolverConfig``'s.
+_VERIFY_EPS = 1e-9
 
-def _config(args: argparse.Namespace, default_eps: float = 1e-7) -> SolverConfig:
+
+def _config(args: argparse.Namespace, default_eps: float = SolverConfig.eps_feas) -> SolverConfig:
     eps = args.eps if args.eps is not None else default_eps
     return SolverConfig(eps_feas=eps, max_iter=args.max_iter)
 
@@ -132,12 +135,14 @@ def cmd_make(args: argparse.Namespace) -> int:
         )
     elif kind == "unitary":
         if args.matrix is not None:
-            with open(args.matrix) as fh:
-                u = io.matrix_from_json(json.load(fh), "unitary matrix")
+            channel = io.load_json(
+                args.matrix,
+                lambda doc: ch.unitary_channel(io.matrix_from_json(doc, "unitary matrix")),
+            )
         else:
-            rng = np.random.default_rng(args.seed)
-            u = ch.random_unitary(args.dim, rng)
-        _write_or_print(ch.unitary_channel(u), args.output, "unitary")
+            u = ch.random_unitary(args.dim, np.random.default_rng(args.seed))
+            channel = ch.unitary_channel(u)
+        _write_or_print(channel, args.output, "unitary")
     elif kind == "selfcomp":
         kraus = ch.self_complementary_qubit(args.family, args.alpha, args.beta)
         _write_or_print(
@@ -246,7 +251,7 @@ def _step_json(step: pipelines.Step) -> dict[str, Any]:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    config = _config(args, default_eps=1e-9)
+    config = _config(args, default_eps=_VERIFY_EPS)
     rng = np.random.default_rng(args.seed)
     if args.pipeline == "family":
         if args.inputs:
@@ -278,7 +283,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-_GLOBAL_DEFAULTS = {"eps": None, "max_iter": 20000, "seed": 0, "quiet": False}
+_GLOBAL_DEFAULTS = {"eps": None, "max_iter": SolverConfig.max_iter, "seed": 0, "quiet": False}
 
 
 @functools.cache

@@ -45,7 +45,8 @@ from functools import cached_property
 import numpy as np
 
 from .channels import EPS_EQ
-from .linalg import devectorize_hermitian, project_psd, realign, unalign, vectorize_hermitian
+from .linalg import devectorize_hermitian, hermitian_part, project_psd, realign, skew, unalign
+from .linalg import vectorize_hermitian
 
 __all__ = [
     "EPS_PLATEAU",
@@ -102,11 +103,10 @@ def _target(name: str, m: np.ndarray, side: int) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.shape != (side, side) or not np.isfinite(m).all():
         raise ValueError(f"{name} must be a finite {side} x {side} matrix, got {m.shape}")
-    mh = m.conj().T
-    skew = float(np.abs(m - mh).max(initial=0.0))
-    if skew > EPS_EQ:
-        raise ValueError(f"{name} is not Hermitian: max |X - X^dag| = {skew:.3e}")
-    return 0.5 * (m + mh) if skew else m
+    defect = skew(m)
+    if defect > EPS_EQ:
+        raise ValueError(f"{name} is not Hermitian: max |X - X^dag| = {defect:.3e}")
+    return hermitian_part(m) if defect else m
 
 
 @functools.cache
@@ -343,7 +343,7 @@ def certificate_bound(constraints: CompositionConstraintSet, lam: np.ndarray) ->
 
 
 def _psd_defect(x: np.ndarray) -> float:
-    w = np.linalg.eigvalsh(0.5 * (x + x.conj().T))
+    w = np.linalg.eigvalsh(hermitian_part(x))
     return max(0.0, -float(w.min(initial=0.0)))
 
 

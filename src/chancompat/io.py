@@ -10,7 +10,7 @@ so a load/save/load cycle is entrywise exact.
 from __future__ import annotations
 
 import json
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -21,6 +21,7 @@ __all__ = [
     "matrix_from_json",
     "channel_to_json",
     "channel_from_json",
+    "load_json",
     "load_channel",
     "save_channel",
     "LoadError",
@@ -28,7 +29,7 @@ __all__ = [
 
 
 class LoadError(ValueError):
-    """Malformed or invalid channel file."""
+    """Malformed or invalid channel or matrix file."""
 
 
 def matrix_to_json(m: np.ndarray) -> list[list[list[float]]]:
@@ -103,7 +104,10 @@ def channel_from_json(doc: Any, atol: float = 1e-9) -> tuple[Channel, KrausSet |
         raise LoadError(str(exc)) from exc
 
 
-def load_channel(path: str) -> tuple[Channel, KrausSet | None, str | None]:
+def load_json(path: str, decode: Callable[[Any], Any]) -> Any:
+    """``decode`` of the JSON document in the file ``path``. Every error,
+    including a ``ValueError`` from ``decode``, is a :class:`LoadError` that
+    names the file."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -112,11 +116,19 @@ def load_channel(path: str) -> tuple[Channel, KrausSet | None, str | None]:
     except json.JSONDecodeError as exc:
         raise LoadError(f"{path}: malformed JSON ({exc})") from exc
     try:
-        channel, kraus = channel_from_json(doc)
-    except LoadError as exc:
+        return decode(doc)
+    except ValueError as exc:
         raise LoadError(f"{path}: {exc}") from exc
+
+
+def _channel_with_label(doc: Any) -> tuple[Channel, KrausSet | None, str | None]:
+    channel, kraus = channel_from_json(doc)
     label = doc.get("label") if isinstance(doc.get("label"), str) else None
     return channel, kraus, label
+
+
+def load_channel(path: str) -> tuple[Channel, KrausSet | None, str | None]:
+    return load_json(path, _channel_with_label)
 
 
 def save_channel(path: str, obj: Channel | KrausSet, label: str | None = None) -> None:

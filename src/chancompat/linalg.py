@@ -20,10 +20,10 @@ _SQRT2 = float(np.sqrt(2.0))
 __all__ = [
     "EPS_HERM",
     "dag",
-    "kron",
+    "hermitian_part",
+    "skew",
     "partial_trace",
     "partial_trace_adjoint",
-    "partial_transpose",
     "realign",
     "unalign",
     "project_psd",
@@ -45,17 +45,18 @@ def frob(x: np.ndarray) -> float:
     return float(np.linalg.norm(x))
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with the left factor major (slowest index)."""
-    return np.kron(np.asarray(a), np.asarray(b))
+def hermitian_part(x: np.ndarray) -> np.ndarray:
+    """``0.5 (X + X^dag)`` bit for bit, from one transposed pass, for a square
+    floating-point X; a new C-ordered array."""
+    h = np.conjugate(x.T, order="C")
+    h += x
+    h *= 0.5
+    return h
 
 
-def _check_square(x: np.ndarray, dims: Sequence[int]) -> tuple[np.ndarray, int]:
-    x = np.asarray(x)
-    side = math.prod(dims)
-    if x.shape != (side, side):
-        raise ValueError(f"matrix shape {x.shape} does not match subsystem dims {tuple(dims)}")
-    return x, side
+def skew(x: np.ndarray) -> float:
+    """``max |X - X^dag|``: 0.0 exactly when X is Hermitian (or empty)."""
+    return float(np.abs(x - dag(x)).max(initial=0.0))
 
 
 def partial_trace(x: np.ndarray, dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:
@@ -65,28 +66,29 @@ def partial_trace(x: np.ndarray, dims: Sequence[int], keep: Iterable[int]) -> np
     of subsystem indices whose relative order is preserved in the output.
     Preserves the scalar trace, and Hermiticity for Hermitian input.
     """
-    x, _ = _check_square(x, dims)
-    n = len(dims)
+    dims = tuple(dims)
+    n, side = len(dims), math.prod(dims)
+    x = np.asarray(x)
+    if x.shape != (side, side):
+        raise ValueError(f"matrix shape {x.shape} does not match subsystem dims {dims}")
     keep = sorted(set(keep))
-    if any(k < 0 or k >= n for k in keep):
+    if keep and (keep[0] < 0 or keep[-1] >= n):
         raise ValueError(f"keep indices {keep} out of range for {n} subsystems")
-    t = x.reshape(tuple(dims) * 2)
+    t = x.reshape(dims * 2)
     # Contract row/column axes of each traced subsystem, highest index first
     # so remaining axis numbers stay valid.
-    removed = 0
-    for sub in sorted((i for i in range(n) if i not in keep), reverse=True):
+    for removed, sub in enumerate(i for i in range(n - 1, -1, -1) if i not in keep):
         t = np.trace(t, axis1=sub, axis2=sub + n - removed)
-        removed += 1
-    side = math.prod(dims[k] for k in keep)
+    side = math.isqrt(t.size)
     return t.reshape(side, side)
 
 
 def partial_trace_adjoint(y: np.ndarray, dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:
     """Adjoint of :func:`partial_trace`: Y (x) I on the traced subsystems.
 
-    ``y`` may carry leading batch axes: ``(..., k, k)`` with ``k`` the product
-    of the kept dimensions, factors in sorted ``keep`` order. The identity
-    factors are placed back at the traced positions of ``dims``.
+    ``y`` is ``k x k`` with ``k`` the product of the kept dimensions, factors
+    in sorted ``keep`` order. The identity factors are placed back at the
+    traced positions of ``dims``.
     """
     dims = tuple(int(d) for d in dims)
     n = len(dims)
@@ -97,29 +99,14 @@ def partial_trace_adjoint(y: np.ndarray, dims: Sequence[int], keep: Iterable[int
     k_side = math.prod(dims[i] for i in keep)
     t_side = math.prod(dims[i] for i in traced)
     y = np.asarray(y)
-    lead = y.shape[:-2]
-    if y.shape[-2:] != (k_side, k_side):
-        raise ValueError(f"matrix shape {y.shape[-2:]} does not match kept dims")
+    if y.shape != (k_side, k_side):
+        raise ValueError(f"matrix shape {y.shape} does not match kept dims")
     order = keep + traced
-    z = y[..., :, None, :, None] * np.eye(t_side)[:, None, :]
-    side = k_side * t_side
+    z = y[:, None, :, None] * np.eye(t_side)[:, None, :]
     sub = [dims[i] for i in order]
-    z = z.reshape(*lead, *sub, *sub)
     inverse = [order.index(i) for i in range(n)]
-    lb = len(lead)
-    axes = [*range(lb), *(lb + i for i in inverse), *(lb + n + i for i in inverse)]
-    return z.transpose(axes).reshape(*lead, side, side)
-
-
-def partial_transpose(x: np.ndarray, dims: Sequence[int], subsystem: int) -> np.ndarray:
-    """Transpose the indices of one subsystem only; involutive."""
-    x, side = _check_square(x, dims)
-    n = len(dims)
-    if subsystem < 0 or subsystem >= n:
-        raise ValueError(f"subsystem {subsystem} out of range for {n} subsystems")
-    t = x.reshape(tuple(dims) * 2)
-    t = np.swapaxes(t, subsystem, subsystem + n)
-    return t.reshape(side, side)
+    z = z.reshape(*sub, *sub).transpose(*inverse, *(n + i for i in inverse))
+    return z.reshape(k_side * t_side, k_side * t_side)
 
 
 def realign(x: np.ndarray, m: int, n: int) -> np.ndarray:
@@ -136,12 +123,11 @@ def _symmetrize(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=complex)
     if x.ndim != 2 or x.shape[0] != x.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {x.shape}")
-    xh = dag(x)
-    defect = float(np.abs(x - xh).max(initial=0.0))
+    defect = skew(x)
     # The scale is at least 1, so a defect within EPS_HERM passes without it.
     if defect > EPS_HERM and defect > EPS_HERM * max(1.0, float(np.abs(x).max(initial=0.0))):
         raise ValueError(f"matrix is not Hermitian: max |X - X^dag| = {defect:.3e}")
-    return 0.5 * (x + xh)
+    return hermitian_part(x)
 
 
 def project_psd(x: np.ndarray) -> np.ndarray:

@@ -5,7 +5,7 @@ import pytest
 
 from chancompat import channels as ch
 from chancompat.feasibility import CompositionConstraintSet
-from chancompat.linalg import dag, frob, kron, partial_trace, realign
+from chancompat.linalg import dag, frob, partial_trace, realign
 
 
 def hermitian_units(d):
@@ -34,7 +34,7 @@ def test_depolarizing_choi_matches_direct_construction():
         for j in range(d):
             e = np.zeros((d, d), dtype=complex)
             e[i, j] = 1.0
-            expected += kron(e, np.trace(e) * np.eye(d) / d)
+            expected += np.kron(e, np.trace(e) * np.eye(d) / d)
     assert np.allclose(expected, np.eye(4) / 2, atol=1e-15)
     assert np.allclose(ch.completely_depolarizing(2).choi, expected, atol=1e-14)
 
@@ -50,7 +50,7 @@ def test_unitary_channel_choi_rank_one():
 
 
 def test_unitary_channel_rejects_non_unitary():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="completeness"):
         ch.unitary_channel(np.array([[1.0, 0.0], [0.0, 2.0]]))
 
 
@@ -180,7 +180,7 @@ def test_compose_into_depolarizing_is_absorbing():
     rng = np.random.default_rng(7)
     psi = ch.random_channel(3, 2, rng)
     out = ch.compose_choi(psi, ch.completely_depolarizing(2))
-    expected = ch.Channel(3, 2, kron(np.eye(3), np.eye(2) / 2))
+    expected = ch.Channel(3, 2, np.kron(np.eye(3), np.eye(2) / 2))
     assert frob(out.choi - expected.choi) < 1e-12
 
 
@@ -197,17 +197,54 @@ def test_compose_agrees_with_sequential_apply():
         assert worst < 1e-10
 
 
+def partial_transpose(x, dims, subsystem):
+    """Transpose the indices of one subsystem only; involutive."""
+    side = int(np.prod(dims))
+    assert x.shape == (side, side) and 0 <= subsystem < len(dims)
+    t = np.swapaxes(x.reshape(tuple(dims) * 2), subsystem, subsystem + len(dims))
+    return t.reshape(side, side)
+
+
+def random_hermitian(d, rng):
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return 0.5 * (g + dag(g))
+
+
+def test_partial_transpose_swap():
+    w = np.eye(2).reshape(-1)
+    rho = np.outer(w, w)  # sum_ij |ii><jj|
+    swap = np.zeros((4, 4))
+    for i in range(2):
+        for j in range(2):
+            swap[i * 2 + j, j * 2 + i] = 1.0
+    assert np.allclose(partial_transpose(rho, (2, 2), 1), swap, atol=1e-14)
+
+
+def test_partial_transpose_product_operator():
+    rng = np.random.default_rng(3)
+    a = random_hermitian(2, rng)
+    b = random_hermitian(3, rng)
+    out = partial_transpose(np.kron(a, b), (2, 3), 1)
+    assert np.allclose(out, np.kron(a, b.T), atol=1e-13)
+
+
+def test_partial_transpose_involution():
+    rng = np.random.default_rng(4)
+    x = random_hermitian(6, rng)
+    once = partial_transpose(x, (2, 3), 0)
+    twice = partial_transpose(once, (2, 3), 0)
+    assert np.array_equal(twice, x)
+
+
 def test_compose_matches_link_product_formula():
     # Independent oracle: evaluate the partial-trace/partial-transpose form
     # of the composition directly.
-    from chancompat.linalg import partial_transpose
-
     rng = np.random.default_rng(9)
     psi = ch.random_channel(2, 2, rng)
     theta = ch.random_channel(2, 3, rng)
     da, db, dc = 2, 2, 3
     jp_tb = partial_transpose(psi.choi, (da, db), 1)
-    big = kron(jp_tb, np.eye(dc)) @ kron(np.eye(da), theta.choi)
+    big = np.kron(jp_tb, np.eye(dc)) @ np.kron(np.eye(da), theta.choi)
     oracle = partial_trace(big, (da, db, dc), keep=(0, 2))
     assert frob(oracle - ch.compose_choi(psi, theta).choi) < 1e-10
 
@@ -235,8 +272,8 @@ def test_tensor_factorizes_on_product_inputs():
         a = 0.5 * (a + dag(a))
         b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         b = 0.5 * (b + dag(b))
-        lhs = ch.apply(t, kron(a, b))
-        rhs = kron(ch.apply(c1, a), ch.apply(c2, b))
+        lhs = ch.apply(t, np.kron(a, b))
+        rhs = np.kron(ch.apply(c1, a), ch.apply(c2, b))
         assert frob(lhs - rhs) < 1e-10
 
 
@@ -332,7 +369,7 @@ def test_append_maximally_mixed_action():
         c = ch.append_maximally_mixed(d_sys, d_anc)
         assert (c.dim_in, c.dim_out) == (d_sys, d_sys * d_anc)
         for e in hermitian_units(d_sys):
-            want = kron(e, np.eye(d_anc) / d_anc)
+            want = np.kron(e, np.eye(d_anc) / d_anc)
             assert np.abs(ch.apply(c, e) - want).max() <= 1e-15, (d_sys, d_anc)
 
 
@@ -351,7 +388,7 @@ def test_catalysis_reduction_strips_product_ancilla():
     phi_local = ch.identity(2)
     psi, phi, compat = ch.trace_out_pair(psi_local, phi_local)
     sigma = np.eye(2) / 2
-    xi = ch.constant_channel(kron(sigma, sigma), 2)  # A' -> B' B''
+    xi = ch.constant_channel(np.kron(sigma, sigma), 2)  # A' -> B' B''
     joint0 = ch.tensor(compat, xi)  # (A A') -> (B C) (B' B'')
     # permute output (B, C, B', B'') -> (B, B', C, B'')
     perm = (0, 2, 1, 3)

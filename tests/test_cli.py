@@ -353,6 +353,25 @@ def test_make_unitary_from_matrix_file(tmp_path, capsys):
     assert ch.choi_distance(c, ch.unitary_channel(flip)) < 1e-12
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[[[1, 0], [0, 0]]", "malformed JSON"),
+        (json.dumps([[[1, 0], [0, 0]], [[0, 0]]]), "unitary matrix: expected equal-length rows"),
+        (json.dumps([[[1, 0], [0, 0]], [[0, 0], [2, 0]]]), "Kraus set violates completeness"),
+        (json.dumps([[[1, 0], [0, 0]]]), "unitary matrix must be square"),
+    ],
+)
+def test_make_unitary_matrix_errors_name_the_file(tmp_path, capsys, text, message):
+    u_mat = tmp_path / "u_mat.json"
+    u_mat.write_text(text)
+    out = tmp_path / "u.json"
+    assert main(["make", "unitary", "--matrix", str(u_mat), "-o", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.startswith(f"error: {u_mat}: ") and message in captured.err
+
+
 def test_complement_of_choi_form_extracts_kraus(tmp_path, capsys):
     dep = str(tmp_path / "dep.json")
     out = str(tmp_path / "depc.json")

@@ -11,11 +11,11 @@ from chancompat.linalg import (
     devectorize_hermitian,
     frob,
     hermitian_basis,
-    kron,
+    hermitian_part,
     partial_trace,
     partial_trace_adjoint,
-    partial_transpose,
     project_psd,
+    skew,
     swap_unitary,
     vectorize_hermitian,
 )
@@ -32,8 +32,9 @@ def ket(i, d):
     return v
 
 
+# The A-major basis ordering of composite spaces is numpy.kron's.
 def test_kron_identity():
-    assert np.array_equal(kron(np.eye(2), np.eye(2)), np.eye(4))
+    assert np.array_equal(np.kron(np.eye(2), np.eye(2)), np.eye(4))
 
 
 def test_kron_basis_projector():
@@ -41,11 +42,11 @@ def test_kron_basis_projector():
     p1 = np.outer(ket(1, 2), ket(1, 2))
     expected = np.zeros((4, 4))
     expected[1, 1] = 1.0  # |01><01|
-    assert np.array_equal(kron(p0, p1), expected)
+    assert np.array_equal(np.kron(p0, p1), expected)
 
 
 def test_kron_diagonal():
-    out = kron(np.diag([1.0, 2.0]), np.diag([3.0, 4.0]))
+    out = np.kron(np.diag([1.0, 2.0]), np.diag([3.0, 4.0]))
     assert np.array_equal(out, np.diag([3.0, 4.0, 6.0, 8.0]))
 
 
@@ -66,7 +67,7 @@ def test_partial_trace_maximally_entangled_gives_identity():
 def test_partial_trace_normalized_ancilla():
     rng = np.random.default_rng(0)
     rho_a = random_hermitian(3, rng)
-    x = kron(rho_a, np.eye(2) / 2)
+    x = np.kron(rho_a, np.eye(2) / 2)
     assert np.allclose(partial_trace(x, (3, 2), keep=(0,)), rho_a, atol=1e-12)
 
 
@@ -82,41 +83,15 @@ def test_partial_trace_kron_marginal_random():
     for _ in range(10):
         a = random_hermitian(2, rng)
         b = random_hermitian(3, rng)
-        out = partial_trace(kron(a, b), (2, 3), keep=(0,))
+        out = partial_trace(np.kron(a, b), (2, 3), keep=(0,))
         assert frob(out - np.trace(b) * a) < 1e-12
-        out2 = partial_trace(kron(a, b), (2, 3), keep=(1,))
+        out2 = partial_trace(np.kron(a, b), (2, 3), keep=(1,))
         assert frob(out2 - np.trace(a) * b) < 1e-12
 
 
 def test_partial_trace_dimension_mismatch():
     with pytest.raises(ValueError):
         partial_trace(np.eye(4), (2, 3), keep=(0,))
-
-
-def test_partial_transpose_swap():
-    w = np.eye(2).reshape(-1)
-    rho = np.outer(w, w)  # sum_ij |ii><jj|
-    swap = np.zeros((4, 4))
-    for i in range(2):
-        for j in range(2):
-            swap[i * 2 + j, j * 2 + i] = 1.0
-    assert np.allclose(partial_transpose(rho, (2, 2), 1), swap, atol=1e-14)
-
-
-def test_partial_transpose_product_operator():
-    rng = np.random.default_rng(3)
-    a = random_hermitian(2, rng)
-    b = random_hermitian(3, rng)
-    out = partial_transpose(kron(a, b), (2, 3), 1)
-    assert np.allclose(out, kron(a, b.T), atol=1e-13)
-
-
-def test_partial_transpose_involution():
-    rng = np.random.default_rng(4)
-    x = random_hermitian(6, rng)
-    once = partial_transpose(x, (2, 3), 0)
-    twice = partial_transpose(once, (2, 3), 0)
-    assert np.array_equal(twice, x)
 
 
 def test_project_psd_eigenvalue_clipping():
@@ -164,6 +139,67 @@ def test_hermiticity_guard_is_relative_to_the_largest_entry():
         else:
             with pytest.raises(ValueError):
                 project_psd(x)
+
+
+def _same_bits(a, b):
+    """Equal entries with equal signs of zero, in real and imaginary parts."""
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    return (
+        np.array_equal(a, b)
+        and np.array_equal(np.signbit(a.real), np.signbit(b.real))
+        and np.array_equal(np.signbit(a.imag), np.signbit(b.imag))
+    )
+
+
+def _with_signed_zeros(x):
+    """x with some entries (and, if complex, imaginary parts) set to -0.0."""
+    x = x.copy()
+    x.flat[::3] = -0.0
+    if np.iscomplexobj(x):
+        x.imag.flat[1::5] = -0.0
+    return x
+
+
+@pytest.mark.parametrize("side", [1, 4, 27, 64, 256])
+def test_hermitian_part_is_the_average_bit_for_bit(side):
+    rng = np.random.default_rng(side)
+    g = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
+    c_order = _with_signed_zeros(g)
+    real = _with_signed_zeros(g.real)
+    for x in (c_order, c_order.T, c_order.conj().T, real, real.T):
+        before = x.copy()
+        h = hermitian_part(x)
+        assert _same_bits(h, 0.5 * (x + x.conj().T))
+        assert h.dtype == x.dtype and h.flags.c_contiguous
+        assert _same_bits(x, before)  # the input is not modified
+    # Exactly Hermitian input keeps its values, though not always its signs
+    # of zero: feasibility's targets therefore skip the average when skew is 0.
+    herm = hermitian_part(c_order)
+    assert np.array_equal(hermitian_part(herm), herm)
+
+
+@pytest.mark.parametrize("side", [1, 4, 27, 64])
+def test_skew_is_the_largest_anti_hermitian_entry(side):
+    rng = np.random.default_rng(100 + side)
+    x = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
+    for m in (x, x.T, x.real):
+        assert skew(m) == float(np.abs(m - m.conj().T).max(initial=0.0))
+    h = hermitian_part(x)
+    assert skew(h) == 0.0 and skew(h.real) == 0.0 and skew(np.eye(side)) == 0.0
+    assert skew(np.zeros((0, 0))) == 0.0
+    y = h.copy()
+    y[0, -1] += 1e-12j
+    assert skew(y) > 0.0
+
+
+@pytest.mark.parametrize("d_in, d_out, env", [(2, 3, 5), (3, 2, 2), (1, 4, 3), (4, 1, 4)])
+def test_kraus_columns_match_an_einsum_oracle(d_in, d_out, env):
+    # R[(a, b), i] = K_i[b, a]: column i is vec K_i = sum_a |a> (x) K_i|a>.
+    k = ch.random_kraus(d_in, d_out, env, np.random.default_rng(d_in + 10 * d_out + 100 * env))
+    r = k.columns()
+    oracle = np.einsum("iba->abi", np.array(k.operators)).reshape(d_in * d_out, env)
+    assert r.shape == (d_in * d_out, env) and np.array_equal(r, oracle)
+    assert np.array_equal(ch.choi_from_kraus(k).choi, hermitian_part(oracle @ dag(oracle)))
 
 
 def test_vectorize_identity():
@@ -234,36 +270,36 @@ def test_vectorize_keeps_batch_axes():
 
 
 @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 2), (3, 3, 3)])
-@pytest.mark.parametrize("batched", [False, True])
-def test_partial_trace_adjoint_identity(dims, batched):
+def test_partial_trace_adjoint_identity(dims):
     # Re Tr(Y^dag L(X)) = Re Tr(L*(Y)^dag X) for every choice of kept
-    # subsystems, with L the partial trace, for one Y or a stack of them.
-    rng = np.random.default_rng(sum(dims) + batched)
+    # subsystems, with L the partial trace.
+    rng = np.random.default_rng(sum(dims))
     side = int(np.prod(dims))
     for r in range(len(dims) + 1):
         for keep in itertools.combinations(range(len(dims)), r):
             k_side = int(np.prod([dims[i] for i in keep]))
             for _ in range(3):
                 x = random_hermitian(side, rng)
-                ys = np.array([random_hermitian(k_side, rng) for _ in range(3 if batched else 1)])
-                adj = partial_trace_adjoint(ys if batched else ys[0], dims, keep)
-                assert adj.shape == ((3,) if batched else ()) + (side, side)
-                for y, a in zip(ys, adj if batched else [adj]):
-                    lhs = np.trace(dag(y) @ partial_trace(x, dims, keep)).real
-                    assert abs(lhs - np.trace(dag(a) @ x).real) < 1e-12
+                y = random_hermitian(k_side, rng)
+                adj = partial_trace_adjoint(y, dims, keep)
+                assert adj.shape == (side, side)
+                lhs = np.trace(dag(y) @ partial_trace(x, dims, keep)).real
+                assert abs(lhs - np.trace(dag(adj) @ x).real) < 1e-12
 
 
 def test_partial_trace_adjoint_is_kron_with_identity():
     rng = np.random.default_rng(12)
     a = random_hermitian(2, rng)
     # Keeping subsystem 1 of (3, 2): the identity goes on the left.
-    assert np.allclose(partial_trace_adjoint(a, (3, 2), (1,)), kron(np.eye(3), a), atol=1e-15)
-    stack = np.array([random_hermitian(2, rng) for _ in range(3)])
-    out = partial_trace_adjoint(stack, (2, 3), (0,))
-    for k in range(3):
-        assert np.allclose(out[k], kron(stack[k], np.eye(3)), atol=1e-15)
+    assert np.allclose(partial_trace_adjoint(a, (3, 2), (1,)), np.kron(np.eye(3), a), atol=1e-15)
+    # Keeping subsystem 0 of (2, 3): the identity goes on the right.
+    b = random_hermitian(2, rng)
+    assert np.allclose(partial_trace_adjoint(b, (2, 3), (0,)), np.kron(b, np.eye(3)), atol=1e-15)
     with pytest.raises(ValueError):
         partial_trace_adjoint(np.eye(3), (2, 3), (0,))
+    # One k x k matrix only: a stack of them is rejected.
+    with pytest.raises(ValueError):
+        partial_trace_adjoint(np.array([b, b]), (2, 3), (0,))
 
 
 def test_swap_unitary_moves_factors():
@@ -272,8 +308,8 @@ def test_swap_unitary_moves_factors():
         a = random_hermitian(d1, rng)
         b = random_hermitian(d2, rng)
         p = swap_unitary(d1, d2)
-        assert np.allclose(p @ kron(a, b) @ p.T, kron(b, a), atol=1e-13)
+        assert np.allclose(p @ np.kron(a, b) @ p.T, np.kron(b, a), atol=1e-13)
         # swap_output is conjugation of the output by the same unitary.
         c = ch.random_channel(2, d1 * d2, rng)
-        conj = kron(np.eye(2), p)
+        conj = np.kron(np.eye(2), p)
         assert np.array_equal(ch.swap_output(c, d1, d2).choi, conj @ c.choi @ conj.T)
