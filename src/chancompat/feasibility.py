@@ -6,6 +6,18 @@ splitting reflects through the Frobenius-nearest PSD projection and the
 Euclidean projection onto the affine set, and its PSD iterates converge to a
 point of the intersection whenever one exists.
 
+The splitting is a fixed-point iteration ``z <- T(z)``, and :func:`solve`
+accelerates it by type-II Anderson acceleration with memory 2 (Walker & Ni,
+SIAM J. Numer. Anal. 2011; Fu, Zhang & Boyd, SIAM J. Sci. Comput. 2020):
+each next point mixes the last three values of T by a least-squares fit of
+the differences ``T(z) - z``. A safeguard ends it: when an extrapolated
+point's ``||T(z) - z||`` exceeds that of the point it was extrapolated
+from, the solve steps back to that point's plain step and runs plain
+Douglas-Rachford from there. Acceleration changes only which iterates are
+visited; every verdict rule below applies to every iterate. Every
+evaluation of T, a rejected point's included, is one iteration and one PSD
+projection.
+
 One constraint set provides that projection in closed form without
 forming or factoring M: :class:`CompositionConstraintSet`, the system
 ``Tr_C X = T, J_psi * X = J_phi`` on B (x) C, whose M splits into Kronecker
@@ -68,6 +80,9 @@ _CHECKPOINT = 1000
 # A best residual that falls by less than this between two checkpoints has
 # plateaued.
 EPS_PLATEAU = 1e-12
+# Two differences of Anderson's fit count as one when the sine of their angle
+# is below the square root of this.
+_COLLINEAR = 1e-12
 
 
 class Status(enum.Enum):
@@ -342,6 +357,80 @@ def certificate_bound(constraints: CompositionConstraintSet, lam: np.ndarray) ->
     return _bound(constraints, constraints.split(lam), 0.0)
 
 
+class _Anderson:
+    """Type-II Anderson acceleration of the Douglas-Rachford map T with
+    memory 2 (Walker & Ni, SIAM J. Numer. Anal. 2011), and its safeguard.
+
+    Built from the first point z and ``T(z)``; then ``step(z, T(z))`` gives
+    the point after each later z. With ``g = T(z) - z`` and the last two
+    differences ``dg_k``, ``dt_k`` of g and of T between consecutive points,
+    gamma minimises ``||g - sum_k gamma_k dg_k||`` through its 2 x 2 normal
+    equations, solved in scalars (on the newer difference alone when the two
+    are collinear or only one exists), and the next point is the Hermitian
+    part of ``T(z) - sum_k gamma_k dt_k``. Inner products are the real ones
+    of the matrices' real views.
+
+    The safeguard: an extrapolated point whose ``||g||`` exceeds that of the
+    point it was extrapolated from (its base) is rejected. The step returns
+    the base's plain step ``T(z_base)``, and ``on`` turns false, so that the
+    rest of the solve is plain Douglas-Rachford.
+    """
+
+    def __init__(self, z: np.ndarray, t: np.ndarray):
+        self.on = True
+        # Rows of the real views: two differences of g and the last g, whose
+        # roles rotate (``_roles``: older difference, newer, g); the two
+        # differences of T by slot; the last T.
+        self._g = np.zeros((3, 2 * t.size))
+        self._dt = np.zeros((2, 2 * t.size))
+        self._g_rows = list(self._g)
+        self._g_mats = [row.view(complex).reshape(t.shape) for row in self._g]
+        self._dt_mats = [row.view(complex).reshape(t.shape) for row in self._dt]
+        self._roles, self._slot, self._a22 = (0, 1, 2), 0, 0.0
+        np.subtract(t, z, out=self._g_mats[2])
+        self._t = t
+        self._base = None  # (T(z_base), ||g_base||^2) while z is extrapolated
+
+    def step(self, z: np.ndarray, t: np.ndarray) -> np.ndarray:
+        old, new, g = self._roles
+        # g(z) overwrites the older difference, and g(z) - g(z_prev) the
+        # previous g: the newer difference becomes the older.
+        np.subtract(t, z, out=self._g_mats[old])
+        rows = self._g_rows
+        np.subtract(rows[old], rows[g], out=rows[g])
+        self._roles = old, new, g = new, g, old
+        # Five inner products from two products with the rows of g and of the
+        # newer difference, and ||dg_old||^2 kept from the step before. Not
+        # the Gram matrix ``G G^T``: BLAS takes that as a rank-k update,
+        # several times slower on three rows.
+        by_g, by_new = (self._g @ rows[g]).tolist(), (self._g @ rows[new]).tolist()
+        a11, a12, a22, self._a22 = self._a22, by_new[old], by_new[new], by_new[new]
+        gg = by_g[g]
+        if self._base is not None and not gg <= self._base[1]:  # also for nan
+            self.on = False
+            return self._base[0]
+        slot = self._slot
+        np.subtract(t, self._t, out=self._dt_mats[slot])
+        self._t, self._slot = t, 1 - slot
+        b1, b2 = by_g[old], by_g[new]
+        det = a11 * a22 - a12 * a12
+        if det > _COLLINEAR * a11 * a22:
+            gammas = [(a22 * b1 - a12 * b2) / det, (a11 * b2 - a12 * b1) / det]
+        elif a22 > 0.0:
+            gammas = [0.0, b2 / a22]
+        else:
+            gammas = None  # g did not change: nothing to fit
+        if gammas is None or not math.isfinite(gammas[0] + gammas[1]):
+            self._base = None
+            return t
+        # The newer difference of T is in ``slot``, the older in the other.
+        if slot == 0:
+            gammas.reverse()
+        self._base = t, gg
+        shift = (np.array(gammas) @ self._dt).view(complex).reshape(t.shape)
+        return hermitian_part(t - shift)
+
+
 def _psd_defect(x: np.ndarray) -> float:
     w = np.linalg.eigvalsh(hermitian_part(x))
     return max(0.0, -float(w.min(initial=0.0)))
@@ -354,9 +443,17 @@ def solve(
 
     Douglas-Rachford splitting on Hermitian matrices: from ``Z = P_aff(0)``
     (``start``), each iteration takes the PSD iterate ``Y = project_psd(Z)``
-    and updates ``Z <- Z + P_aff(2Y - Z) - Y``, with ``P_aff`` the set's
-    Euclidean projection (``W - correction(W)``). The candidate tracked for
-    the verdict is the PSD iterate, which is exactly positive semidefinite by
+    and evaluates the map ``T(Z) = Z + P_aff(2Y - Z) - Y``, with ``P_aff``
+    the set's Euclidean projection (``W - correction(W)``). From iteration 2
+    on, the next point is not ``T(Z)`` but its Anderson extrapolation with
+    memory 2: the Hermitian part of ``T(Z) - sum_k gamma_k dT_k`` over the
+    last two differences of T, with gamma the least-squares fit of ``g =
+    T(Z) - Z`` by the differences of g. An extrapolated point whose ``||g||``
+    exceeds that of its base is rejected; the solve goes on from the base's
+    plain step ``T(Z_base)`` and stays plain Douglas-Rachford to its end.
+    ``iterations`` counts evaluations of T, one PSD projection each, a
+    rejected point's included. The candidate tracked for the verdict is the
+    PSD iterate, which is exactly positive semidefinite by
     construction, so its affine residual ``r = M vec(Y) - b`` alone measures
     distance from feasibility. At iteration 1 and at every 1000-iteration
     checkpoint ``r`` gives multipliers ``lam = (M M^T)^+ r + (r - M M^+ r)``
@@ -375,6 +472,7 @@ def solve(
     iterations = config.max_iter
     certificate = None
     infeasible_at = 10.0 * config.eps_feas
+    anderson = None
 
     for it in range(1, config.max_iter + 1):
         y = project_psd(z)
@@ -402,7 +500,12 @@ def solve(
                 # Not infeasible: the best residual can fall again later.
                 stop_reason, iterations = "plateau", it
                 break
-        z = y - constraints.correction(2.0 * y - z)
+        t = y - constraints.correction(2.0 * y - z)  # T(z)
+        if anderson is None:
+            # Built here, so that a solve decided at iteration 1 never builds it.
+            anderson, z = _Anderson(z, t), t
+        else:
+            z = anderson.step(z, t) if anderson.on else t
 
     # ``best`` is the candidate matrix's own affine residual, measured by
     # ``residual_rows`` in the loop; its PSD defect is measured here.

@@ -1,7 +1,9 @@
 """Farkas certificates of infeasibility: soundness on feasible instances,
 certification of the known infeasible kinds, invariance under local
 unitaries and under swapping the pair, and the depolarizing cloning
-threshold. Feasible instances near the PSD cone boundary never get a
+threshold, decided within 1e-6 of it. The safeguard of the accelerated solve
+ends the acceleration at a rejected point, at the cost of one projection.
+Feasible instances near the PSD cone boundary never get a
 not-feasible verdict. The bound that stops a solve, taken on the set's row
 blocks, is the one that the report's dense multipliers re-check to, and an
 attempt skipped before its eigensolve could not have certified."""
@@ -215,6 +217,38 @@ def test_depolarizing_self_compatibility_brackets_cloning_threshold(d):
     assert joint_reverifies(rep.compatibilizer, below, below)
 
 
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_depolarizing_self_compatibility_decided_within_1e6_of_cloning_threshold(d):
+    # Plain Douglas-Rachford plateaus at 2 000 iterations below the
+    # threshold from eta* - 1e-4 on; the accelerated solve is feasible in 4.
+    threshold = (d + 2) / (2 * (d + 1))
+    below = depolarizing(d, threshold - 1e-6)
+    rep = an.check_compatibility(below, below, CONFIG)
+    assert rep.status is Status.FEASIBLE and rep.solver.iterations <= 4
+    assert joint_reverifies(rep.compatibilizer, below, below)
+
+    above = depolarizing(d, threshold + 1e-6)
+    rep = an.check_compatibility(above, above, CONFIG).solver
+    assert rep.stop_reason == "certificate" and rep.iterations == 1
+    bound = certificate_bound(marginal_oracle(above, above), rep.certificate)
+    assert bound >= 10 * CONFIG.eps_feas
+
+
+def test_rejected_extrapolation_ends_acceleration():
+    # Anti-degradability of the qutrit depolarizing channel just below
+    # eta*: the safeguard rejects an extrapolated point here. Acceleration
+    # that stays on after it needs 556 iterations; plain Douglas-Rachford
+    # needs 331, and this solve no more.
+    d = 3
+    psi = depolarizing(d, (d + 2) / (2 * (d + 1)) - 1e-3)
+    kraus = ch.kraus_from_choi(psi)
+    rep = an.check_antidegradable(psi, kraus, CONFIG)
+    assert rep.status is Status.FEASIBLE and rep.solver.iterations <= 331
+    cp, tp = ch.cptp_defects(rep.degrading)
+    assert cp <= 1e-8 and tp <= 1e-6
+    assert ch.choi_distance(ch.compose_choi(ch.complementary(kraus), rep.degrading), psi) <= 1e-6
+
+
 def swap_pairs():
     rng = np.random.default_rng(41)
     psi, phi = thm1_pair(rng, 2, 2)
@@ -368,6 +402,33 @@ def test_residual_rows_run_once_per_iteration(monkeypatch):
             assert rep.iterations > 1
             r = rows(rep.constraints, rep.solution)
             assert rep.residual_affine == math.sqrt(fz._dot(r, r))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_one_projection_per_iteration_when_the_safeguard_fires(d, monkeypatch):
+    # A rejected extrapolated point costs one iteration, its own
+    # projection; the step back to its base's plain step costs none.
+    projections, rejections = [], []
+    project, step = fz.project_psd, fz._Anderson.step
+
+    def counted(x):
+        projections.append(1)
+        return project(x)
+
+    def watched(self, z, t):
+        on = self.on
+        out = step(self, z, t)
+        if on and not self.on:
+            rejections.append(1)
+        return out
+
+    monkeypatch.setattr(fz, "project_psd", counted)
+    monkeypatch.setattr(fz._Anderson, "step", watched)
+    psi = depolarizing(d, (d + 2) / (2 * (d + 1)) - 1e-2)
+    rep = an.check_antidegradable(psi, ch.kraus_from_choi(psi), CONFIG).solver
+    assert rep.status is Status.FEASIBLE
+    assert rejections == [1]
+    assert len(projections) == rep.iterations
 
 
 def test_failed_attempts_do_not_vectorize(monkeypatch):
