@@ -129,11 +129,15 @@ def _symmetrize(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=complex)
     if x.ndim != 2 or x.shape[0] != x.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {x.shape}")
-    defect = skew(x)
+    # skew(x) and hermitian_part(x), bit for bit, from one conjugate transpose.
+    h = np.conjugate(x.T, order="C")
+    defect = float(np.abs(x - h).max(initial=0.0))
     # The scale is at least 1, so a defect within EPS_HERM passes without it.
     if defect > EPS_HERM and defect > EPS_HERM * max(1.0, float(np.abs(x).max(initial=0.0))):
         raise ValueError(f"matrix is not Hermitian: max |X - X^dag| = {defect:.3e}")
-    return hermitian_part(x)
+    h += x
+    h *= 0.5
+    return h
 
 
 def project_psd(x: np.ndarray) -> np.ndarray:

@@ -4,7 +4,9 @@ unitaries and under swapping the pair, and the depolarizing cloning
 threshold, decided within 1e-6 of it. The safeguard of the accelerated solve
 ends the acceleration at a rejected point, at the cost of one projection.
 Feasible instances near the PSD cone boundary never get a
-not-feasible verdict. The bound that stops a solve, taken on the set's row
+not-feasible verdict, and the positive-definite affine point that ends the
+noisy and near-threshold solves is the solution, while inconsistent rows
+never accept it. The bound that stops a solve, taken on the set's row
 blocks, is the one that the report's dense multipliers re-check to, and an
 attempt skipped before its eigensolve could not have certified."""
 
@@ -26,7 +28,7 @@ from chancompat.feasibility import (
     certificate_bound,
     solve,
 )
-from chancompat.linalg import project_psd, vectorize_hermitian
+from chancompat.linalg import project_psd, skew, vectorize_hermitian
 
 CONFIG = SolverConfig()
 
@@ -407,7 +409,10 @@ def test_residual_rows_run_once_per_iteration(monkeypatch):
 @pytest.mark.parametrize("d", [2, 3])
 def test_one_projection_per_iteration_when_the_safeguard_fires(d, monkeypatch):
     # A rejected extrapolated point costs one iteration, its own
-    # projection; the step back to its base's plain step costs none.
+    # projection; the step back to its base's plain step costs none. Just
+    # above eta* no affine point ends the solve: the safeguard rejects the
+    # point evaluated at iteration 17 (d = 2) or 23 (d = 3), and the plateau
+    # ends the solve.
     projections, rejections = [], []
     project, step = fz.project_psd, fz._Anderson.step
 
@@ -424,11 +429,141 @@ def test_one_projection_per_iteration_when_the_safeguard_fires(d, monkeypatch):
 
     monkeypatch.setattr(fz, "project_psd", counted)
     monkeypatch.setattr(fz._Anderson, "step", watched)
-    psi = depolarizing(d, (d + 2) / (2 * (d + 1)) - 1e-2)
+    psi = depolarizing(d, (d + 2) / (2 * (d + 1)) + 1e-7)
     rep = an.check_antidegradable(psi, ch.kraus_from_choi(psi), CONFIG).solver
-    assert rep.status is Status.FEASIBLE
+    assert rep.status is Status.INCONCLUSIVE and rep.stop_reason == "plateau"
     assert rejections == [1]
     assert len(projections) == rep.iterations
+
+
+def stopping_candidates(monkeypatch):
+    """The matrices whose rows the solve measures, and its PSD iterates."""
+    measured, projected = [], []
+    rows, project = CompositionConstraintSet.residual_rows, fz.project_psd
+
+    def measure(self, x):
+        measured.append(x)
+        return rows(self, x)
+
+    def psd(x):
+        projected.append(project(x))
+        return projected[-1]
+
+    monkeypatch.setattr(CompositionConstraintSet, "residual_rows", measure)
+    monkeypatch.setattr(fz, "project_psd", psd)
+    return measured, projected
+
+
+def affine_stop_instances():
+    rng = np.random.default_rng(4)
+    psi, phi = (noisy(c, 1e-4) for c in thm1_pair(rng, 2, 2))
+    yield pytest.param(lambda: an.check_compatibility(psi, phi, CONFIG), id="noisy-1e-4")
+    full = thm1_pair(np.random.default_rng(17), 2, 4)
+    yield pytest.param(lambda: an.check_compatibility(*full, CONFIG), id="full-rank-d2")
+    dep = depolarizing(3, 5 / 8 - 1e-4)
+    yield pytest.param(
+        lambda: an.check_antidegradable(dep, ch.kraus_from_choi(dep), CONFIG), id="antidegradable-d3"
+    )
+
+
+@pytest.mark.parametrize("check", affine_stop_instances())
+def test_a_solve_that_stops_on_the_affine_point_returns_it(check, monkeypatch):
+    # The affine point P_aff(2Y - Z) satisfies the rows to rounding; it ends
+    # the solve when it has a Cholesky factor and its own rows' residual is
+    # below eps_feas. It is then the solution, exactly Hermitian, and its
+    # residuals are its own.
+    measured, projected = stopping_candidates(monkeypatch)
+    rep = check().solver
+    x = rep.solution
+    assert rep.status is Status.FEASIBLE and rep.stop_reason == "tolerance"
+    assert rep.iterations > 1
+    # Every PSD iterate's rows once, then the accepted point's.
+    assert len(measured) == rep.iterations + 1 and x is measured[-1]
+    assert len(projected) == rep.iterations
+    assert not any(x is y for y in projected)
+    assert skew(x) == 0.0
+    np.linalg.cholesky(x)
+    assert rep.residual_psd == 0.0
+    r = rep.constraints.residual_rows(x)
+    assert rep.residual_affine == math.sqrt(fz._dot(r, r)) < CONFIG.eps_feas
+
+
+def test_inconsistent_rows_never_accept_the_affine_point(monkeypatch):
+    # Example 2's divisibility rows are inconsistent, so the affine point is
+    # only a least-squares point, with residual sqrt(6). It is certified at
+    # iteration 1, before the affine point is formed.
+    psi, phi = ch.trace_out_pair(ch.completely_depolarizing(2), ch.identity(2))[:2]
+    rep = an.check_divisibility(psi, phi, CONFIG).solver
+    assert rep.status is Status.NOT_FEASIBLE_AT_TOLERANCE
+    assert (rep.stop_reason, rep.iterations) == ("certificate", 1)
+    # With certificates off, the affine point is positive definite at every
+    # iteration, and its rows still refuse it to the iteration cap.
+    factored = []
+    positive_definite = fz._positive_definite
+    monkeypatch.setattr(fz, "_bound", lambda *args: 0.0)
+    monkeypatch.setattr(
+        fz, "_positive_definite", lambda x: factored.append(positive_definite(x)) or factored[-1]
+    )
+    rep = an.check_divisibility(psi, phi, SolverConfig(max_iter=50)).solver
+    assert rep.status is Status.INCONCLUSIVE and rep.stop_reason == "iteration-cap"
+    assert rep.solution is None and rep.residual_affine >= 1.0
+    assert factored == [True] * 50
+
+
+@pytest.mark.parametrize("seed", [3, 7])
+@pytest.mark.parametrize("eps", [1e-6, 1e-4])
+def test_noisy_theorem_1_pairs_are_feasible(eps, seed):
+    # The noisy pairs of the benchmark's seed-defects probe (rng [seed,
+    # round]): the PSD iterate's residual stalls near 0.87 eps, so a solve
+    # that tested it alone ended them inconclusive on the plateau.
+    for r in range(4):
+        psi, phi = (noisy(c, eps) for c in thm1_pair(np.random.default_rng([seed, r]), 2, 2))
+        rep = an.check_compatibility(psi, phi, CONFIG)
+        assert rep.status is Status.FEASIBLE and rep.solver.iterations < 2000
+        cp, tp = ch.cptp_defects(rep.compatibilizer)
+        assert cp <= 1e-8 and tp <= 1e-6
+        assert max(an.marginal_distances(rep.compatibilizer, psi, phi)) <= 1e-6
+
+
+@pytest.mark.parametrize("seed, index", [(107, 5), (110, 5), (116, 4)])
+def test_nearly_singular_full_rank_pairs_are_feasible(seed, index):
+    # Random d = 3 / env = 9 Theorem-1 pairs whose psi has lambda_min between
+    # 2e-6 and 5e-5: the PSD iterate's residual stalls, and a solve that
+    # tested it alone ended them on the plateau.
+    rng = np.random.default_rng(seed)
+    for _ in range(index + 1):
+        psi, phi = thm1_pair(rng, 3, 9)
+    rep = an.check_compatibility(psi, phi, CONFIG)
+    assert rep.status is Status.FEASIBLE and rep.solver.iterations < 1000
+    assert joint_reverifies(rep.compatibilizer, psi, phi)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("delta", [1e-4, 1e-6])
+def test_depolarizing_antidegradable_just_below_threshold(d, delta):
+    # Anti-degradability on the minimal dilation, which took 1 375 iterations
+    # (d = 2, delta = 1e-4) or plateaued before the affine point could stop
+    # the solve.
+    psi = depolarizing(d, (d + 2) / (2 * (d + 1)) - delta)
+    kraus = ch.kraus_from_choi(psi)
+    rep = an.check_antidegradable(psi, kraus, CONFIG)
+    assert rep.status is Status.FEASIBLE and rep.solver.iterations < 100
+    cp, tp = ch.cptp_defects(rep.degrading)
+    assert cp <= 1e-8 and tp <= 1e-6
+    assert ch.choi_distance(ch.compose_choi(ch.complementary(kraus), rep.degrading), psi) <= 1e-6
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_affine_stop_is_sound_just_above_threshold(d):
+    # At eta* + 1e-7 no bound reaches 10 * eps_feas, so the solves run on
+    # past iteration 1 (eta* + 1e-6 is certified there, see above); neither
+    # self-compatibility nor anti-degradability ends feasible.
+    near = depolarizing(d, (d + 2) / (2 * (d + 1)) + 1e-7)
+    for rep in (
+        an.check_compatibility(near, near, CONFIG),
+        an.check_antidegradable(near, ch.kraus_from_choi(near), CONFIG),
+    ):
+        assert rep.status is not Status.FEASIBLE and rep.solver.solution is None
 
 
 def test_failed_attempts_do_not_vectorize(monkeypatch):

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from chancompat import channels as ch, cli, io
+from chancompat import analysis as an, channels as ch, cli, io
 from chancompat.cli import main
 from chancompat.linalg import frob
 
@@ -445,14 +445,34 @@ def test_certified_infeasible_report(tmp_path, capsys):
 
 
 def test_uncertified_plateau_is_inconclusive(tmp_path, capsys):
-    # Feasible by construction, but the best residual stalls near 1e-4 for
-    # thousands of iterations: without a certificate the plateau decides
+    # Depolarizing self-compatibility 1e-7 above the cloning threshold 2/3:
+    # not compatible, but no bound reaches 10 * eps_feas, so the best
+    # residual plateaus, and without a certificate the plateau decides
     # nothing.
-    psi, phi = thm1_files(tmp_path, np.random.default_rng(4), 2, 2, eps=1e-4)
-    code, doc = run(capsys, "check", "compat", psi, phi, "--quiet")
+    eta = 2 / 3 + 1e-7
+    dep = ch.Channel(2, 2, eta * ch.identity(2).choi + (1 - eta) * ch.completely_depolarizing(2).choi)
+    path = str(tmp_path / "dep.json")
+    io.save_channel(path, dep)
+    code, doc = run(capsys, "check", "compat", path, path, "--quiet")
     assert code == 2 and doc["status"] == "inconclusive"
     assert doc["stop_reason"] == "plateau" and "certificate" not in doc
     assert doc["warnings"] == []
+
+
+def test_noisy_pair_is_feasible_with_reverified_witness(tmp_path, capsys):
+    # Compatible by construction, with 1e-4 of noise. The PSD iterate's
+    # residual stalls near 1e-4 for thousands of iterations; the affine
+    # point is positive definite early and ends the solve.
+    psi_path, phi_path = thm1_files(tmp_path, np.random.default_rng(4), 2, 2, eps=1e-4)
+    code, doc = run(capsys, "check", "compat", psi_path, phi_path)
+    assert code == 0 and doc["status"] == "feasible" and doc["stop_reason"] == "tolerance"
+    assert doc["iterations"] < 1000
+    witness, _ = io.channel_from_json(doc["witness"], atol=1e-6)
+    psi, _, _ = io.load_channel(psi_path)
+    phi, _, _ = io.load_channel(phi_path)
+    cp, tp = ch.cptp_defects(witness)
+    assert cp <= 1e-8 and tp <= 1e-6
+    assert max(an.marginal_distances(witness, psi, phi)) <= 1e-6
 
 
 def test_inconsistent_rows_are_certified(tmp_path, capsys):
