@@ -38,7 +38,7 @@ from .feasibility import (
     Status,
     solve,
 )
-from .linalg import dag, frob
+from .linalg import frob
 from .linalg import hermitian_basis  # noqa: F401  (perfbench's tracer patches it here)
 
 __all__ = [
@@ -111,12 +111,21 @@ class CatalysisReport:
 
 def marginal_distances(joint: Channel, psi: Channel, phi: Channel) -> tuple[float, float]:
     """Choi distances of the joint channel's two output marginals from psi and
-    from phi."""
-    dims = (psi.dim_out, phi.dim_out)
-    return (
-        ch.choi_distance(ch.output_marginal(joint, dims, (0,)), psi),
-        ch.choi_distance(ch.output_marginal(joint, dims, (1,)), phi),
-    )
+    from phi.
+
+    Both marginals are traces of one reshape of the joint's Choi operator on
+    A (x) B (x) C, the same ``trace`` calls that ``linalg.partial_trace`` makes
+    for :func:`channels.output_marginal`, and raise as that path does.
+    """
+    a, b, c = joint.dim_in, psi.dim_out, phi.dim_out
+    if b * c != joint.dim_out:
+        raise ValueError("out_dims do not factor the output dimension")
+    if psi.dim_in != a or phi.dim_in != a:
+        raise ValueError("channel dimensions differ")
+    t = joint.choi.reshape(a, b, c, a, b, c)
+    marginal_b = t.trace(axis1=2, axis2=5).reshape(a * b, a * b)
+    marginal_c = t.trace(axis1=1, axis2=4).reshape(a * c, a * c)
+    return frob(marginal_b - psi.choi), frob(marginal_c - phi.choi)
 
 
 # ---------------------------------------------------------------------------
@@ -312,15 +321,24 @@ def compatibilizer_from_postprocessing(psi_kraus: KrausSet, theta: Channel) -> C
     (:meth:`channels.KrausSet.columns`), the dilation's Choi operator is
     ``vec(R) vec(R)^dag`` on A (x) B (x) E, so the result is the congruence
     ``(R (x) I_C) J_theta (R (x) I_C)^dag``.
+
+    Computed without forming ``R (x) I_C``, as two products with R: R acts on
+    the E index of J_theta's rows, ``N = (R (x) I_C) J_theta``, and then on
+    those of ``N^dag``, whose conjugate transpose is the result. Equal to the
+    Kronecker form up to the summation order of the products.
     """
     if theta.dim_in != psi_kraus.dim_env:
         raise ValueError(
             f"post-processing input dim {theta.dim_in} does not match environment "
             f"dim {psi_kraus.dim_env}"
         )
-    lift = np.kron(psi_kraus.columns(), np.eye(theta.dim_out))
-    d_out = psi_kraus.dim_out * theta.dim_out
-    return Channel(psi_kraus.dim_in, d_out, lift @ theta.choi @ dag(lift))
+    r = psi_kraus.columns()
+    e, c = psi_kraus.dim_env, theta.dim_out
+    side = r.shape[0] * c
+    n = (r @ theta.choi.reshape(e, -1)).reshape(side, e * c)
+    lifted = r @ np.conjugate(n.T, order="C").reshape(e, -1)
+    joint = np.conjugate(lifted.reshape(side, side).T, order="C")
+    return Channel(psi_kraus.dim_in, psi_kraus.dim_out * c, joint)
 
 
 def quotient_via_degradability(

@@ -23,8 +23,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import dag, frob, hermitian_part, partial_trace, partial_trace_adjoint, realign
-from .linalg import skew, unalign
+from .linalg import dag, frob, hermitian_part, hermitian_part_and_skew, partial_trace
+from .linalg import partial_trace_adjoint, realign, unalign
 from .linalg import swap_unitary  # noqa: F401  (kept importable as channels.swap_unitary)
 
 EPS_PSD = 1e-9
@@ -167,15 +167,19 @@ def cptp_defects(channel: Channel) -> tuple[float, float]:
     return max(0.0, -wmin), _tp_defect(channel, h)
 
 
-def _raise_on_defects(channel: Channel, cp: float, tp: float, atol: float, name: str) -> None:
-    # cp and tp are measured on the Hermitian part, which hides the rest.
-    defect = skew(channel.choi)
+def _raise_on_defects(
+    channel: Channel, h: np.ndarray, defect: float, wmin: float, atol: float, name: str
+) -> None:
+    # h is the Choi operator's Hermitian part and wmin its least eigenvalue,
+    # on which the CP and TP defects are measured; defect is the skew they hide.
     if defect > atol:
         raise ValueError(
             f"{name} has a non-Hermitian Choi operator: max |J - J^dag| = {defect:.3e}"
         )
+    cp = max(0.0, -wmin)
     if cp > atol:
         raise ValueError(f"{name} is not completely positive: min eigenvalue -{cp:.3e}")
+    tp = _tp_defect(channel, h)
     if tp > atol:
         raise ValueError(f"{name} is not trace preserving: TP defect {tp:.3e}")
 
@@ -183,7 +187,8 @@ def _raise_on_defects(channel: Channel, cp: float, tp: float, atol: float, name:
 def validate_channel(channel: Channel, atol: float = EPS_PSD, name: str = "channel") -> None:
     """Raise ``ValueError`` unless the channel's Choi operator is Hermitian
     and the channel is CPTP, each within ``atol``."""
-    _raise_on_defects(channel, *cptp_defects(channel), atol, name)
+    h, defect = hermitian_part_and_skew(channel.choi)
+    _raise_on_defects(channel, h, defect, float(np.linalg.eigvalsh(h)[0]), atol, name)
 
 
 def validated_kraus(channel: Channel, atol: float = EPS_PSD, name: str = "channel") -> KrausSet:
@@ -194,9 +199,9 @@ def validated_kraus(channel: Channel, atol: float = EPS_PSD, name: str = "channe
     ``atol`` is then dropped with the rest below ``EPS_RANK``. The length of
     the returned set is the Choi rank at that cut.
     """
-    h = hermitian_part(channel.choi)
+    h, defect = hermitian_part_and_skew(channel.choi)
     w, v = np.linalg.eigh(h)
-    _raise_on_defects(channel, max(0.0, -float(w[0])), _tp_defect(channel, h), atol, name)
+    _raise_on_defects(channel, h, defect, float(w[0]), atol, name)
     return _kraus_from_eigh(channel, w, v)
 
 

@@ -71,8 +71,8 @@ from functools import cached_property
 import numpy as np
 
 from .channels import EPS_EQ
-from .linalg import devectorize_hermitian, hermitian_part, project_psd, realign, skew, unalign
-from .linalg import vectorize_hermitian
+from .linalg import devectorize_hermitian, hermitian_part, hermitian_part_and_skew
+from .linalg import project_psd, realign, unalign, vectorize_hermitian
 
 __all__ = [
     "EPS_PLATEAU",
@@ -132,10 +132,10 @@ def _target(name: str, m: np.ndarray, side: int) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.shape != (side, side) or not np.isfinite(m).all():
         raise ValueError(f"{name} must be a finite {side} x {side} matrix, got {m.shape}")
-    defect = skew(m)
+    h, defect = hermitian_part_and_skew(m)
     if defect > EPS_EQ:
         raise ValueError(f"{name} is not Hermitian: max |X - X^dag| = {defect:.3e}")
-    return hermitian_part(m) if defect else m
+    return h if defect else m
 
 
 @functools.cache

@@ -21,6 +21,7 @@ __all__ = [
     "EPS_HERM",
     "dag",
     "hermitian_part",
+    "hermitian_part_and_skew",
     "skew",
     "partial_trace",
     "partial_trace_adjoint",
@@ -54,9 +55,19 @@ def hermitian_part(x: np.ndarray) -> np.ndarray:
     return h
 
 
+def hermitian_part_and_skew(x: np.ndarray) -> tuple[np.ndarray, float]:
+    """``(hermitian_part(X), skew(X))`` bit for bit, from one conjugate
+    transpose, for a square floating-point X."""
+    h = np.conjugate(x.T, order="C")
+    defect = float(np.abs(x - h).max(initial=0.0))
+    h += x
+    h *= 0.5
+    return h, defect
+
+
 def skew(x: np.ndarray) -> float:
     """``max |X - X^dag|``: 0.0 exactly when X is Hermitian (or empty)."""
-    return float(np.abs(x - dag(x)).max(initial=0.0))
+    return hermitian_part_and_skew(x)[1]
 
 
 def partial_trace(x: np.ndarray, dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:
@@ -129,14 +140,10 @@ def _symmetrize(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=complex)
     if x.ndim != 2 or x.shape[0] != x.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {x.shape}")
-    # skew(x) and hermitian_part(x), bit for bit, from one conjugate transpose.
-    h = np.conjugate(x.T, order="C")
-    defect = float(np.abs(x - h).max(initial=0.0))
+    h, defect = hermitian_part_and_skew(x)
     # The scale is at least 1, so a defect within EPS_HERM passes without it.
     if defect > EPS_HERM and defect > EPS_HERM * max(1.0, float(np.abs(x).max(initial=0.0))):
         raise ValueError(f"matrix is not Hermitian: max |X - X^dag| = {defect:.3e}")
-    h += x
-    h *= 0.5
     return h
 
 

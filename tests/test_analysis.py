@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from dense_oracle import compatibilizer_oracle, dense_forward
@@ -318,6 +320,92 @@ def test_compatibilizer_congruence_matches_dilation_oracle(d_in, d_out, env, d_c
     expected = compatibilizer_oracle(kraus, theta)
     assert (built.dim_in, built.dim_out) == (d_in, d_out * d_c)
     assert np.abs(built.choi - expected.choi).max() <= 1e-12
+
+
+def kron_lift(kraus, theta):
+    """The congruence through the Kronecker product ``R (x) I_C``."""
+    lift = np.kron(kraus.columns(), np.eye(theta.dim_out))
+    return lift @ theta.choi @ lift.conj().T
+
+
+@pytest.mark.parametrize(
+    "d_in,d_out,env,d_c",
+    [
+        (2, 2, 1, 2),
+        (3, 3, 1, 2),
+        (2, 3, 2, 2),
+        (3, 2, 4, 2),
+        (2, 2, 2, 4),
+        (2, 2, 4, 4),
+        (4, 4, 4, 4),
+    ],
+    ids=str,
+)
+def test_compatibilizer_congruence_matches_the_kronecker_lift(d_in, d_out, env, d_c):
+    # Environment dimension 1, d_A != d_B, C != B, and a side-16 joint; the
+    # congruence is linear, so a non-Hermitian J_theta is lifted too.
+    rng = np.random.default_rng([7, d_in, d_out, env, d_c])
+    kraus = ch.random_kraus(d_in, d_out, env, rng)
+    theta = ch.random_channel(env, d_c, rng, dim_env=2)
+    side = env * d_c
+    g = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
+    for choi in (theta.choi, g):
+        built = an.compatibilizer_from_postprocessing(kraus, ch.Channel(env, d_c, choi))
+        expected = kron_lift(kraus, ch.Channel(env, d_c, choi))
+        assert (built.dim_in, built.dim_out) == (d_in, d_out * d_c)
+        assert built.choi.flags.c_contiguous
+        assert np.abs(built.choi - expected).max() <= 1e-15 * max(1.0, np.abs(expected).max())
+
+
+def test_swapped_compatibility_witness_is_the_kronecker_lift():
+    # Example 2: phi has Choi rank 2 of 8, so the check dilates phi, lifts
+    # through its non-square R and swaps the outputs back.
+    psi, phi, _ = example2_pair()
+    rep = an.check_compatibility(psi, phi)
+    assert rep.status is Status.FEASIBLE
+    kraus = ch.validated_kraus(phi, atol=ch.EPS_EQ)
+    assert rep.solver.constraints.dims == (4, kraus.dim_env, psi.dim_out)
+    theta = ch.Channel(kraus.dim_env, psi.dim_out, rep.solver.solution)
+    joint = ch.Channel(4, phi.dim_out * psi.dim_out, kron_lift(kraus, theta))
+    expected = ch.swap_output(joint, phi.dim_out, psi.dim_out).choi
+    assert np.abs(rep.compatibilizer.choi - expected).max() <= 1e-15
+    assert rep.residual <= 1e-7
+
+
+def output_marginal_distances(joint, psi, phi):
+    """Both marginal distances through two ``output_marginal`` channels."""
+    dims = (psi.dim_out, phi.dim_out)
+    return (
+        ch.choi_distance(ch.output_marginal(joint, dims, (0,)), psi),
+        ch.choi_distance(ch.output_marginal(joint, dims, (1,)), phi),
+    )
+
+
+@pytest.mark.parametrize("d_a,d_b,d_c", [(1, 2, 3), (2, 2, 2), (2, 3, 4), (3, 2, 2), (4, 4, 1)])
+def test_marginal_distances_match_the_output_marginals_bit_for_bit(d_a, d_b, d_c):
+    rng = np.random.default_rng([d_a, d_b, d_c])
+    joint = ch.random_channel(d_a, d_b * d_c, rng, dim_env=4)
+    psi = ch.random_channel(d_a, d_b, rng, dim_env=4)
+    phi = ch.random_channel(d_a, d_c, rng, dim_env=4)
+    assert an.marginal_distances(joint, psi, phi) == output_marginal_distances(joint, psi, phi)
+    psi_m, phi_m = (ch.output_marginal(joint, (d_b, d_c), (k,)) for k in (0, 1))
+    assert an.marginal_distances(joint, psi_m, phi_m) == (0.0, 0.0)
+
+
+def test_marginal_distances_raise_on_mismatched_dimensions():
+    rng = np.random.default_rng(5)
+    joint = ch.random_channel(2, 6, rng)
+    psi, phi = ch.random_channel(2, 2, rng), ch.random_channel(2, 3, rng)
+    cases = [
+        (joint, psi, ch.random_channel(2, 2, rng)),  # output dims 2 * 2 != 6
+        (joint, ch.random_channel(3, 2, rng), phi),  # psi's input
+        (joint, psi, ch.random_channel(3, 3, rng)),  # phi's input
+    ]
+    for args in cases:
+        with pytest.raises(ValueError) as expected:
+            output_marginal_distances(*args)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$"):
+            an.marginal_distances(*args)
 
 
 def test_quotient_via_degradability():

@@ -236,19 +236,29 @@ def test_depolarizing_self_compatibility_decided_within_1e6_of_cloning_threshold
     assert bound >= 10 * CONFIG.eps_feas
 
 
-def test_rejected_extrapolation_ends_acceleration():
-    # Anti-degradability of the qutrit depolarizing channel just below
-    # eta*: the safeguard rejects an extrapolated point here. Acceleration
-    # that stays on after it needs 556 iterations; plain Douglas-Rachford
-    # needs 331, and this solve no more.
-    d = 3
-    psi = depolarizing(d, (d + 2) / (2 * (d + 1)) - 1e-3)
-    kraus = ch.kraus_from_choi(psi)
-    rep = an.check_antidegradable(psi, kraus, CONFIG)
-    assert rep.status is Status.FEASIBLE and rep.solver.iterations <= 331
-    cp, tp = ch.cptp_defects(rep.degrading)
+def test_rejected_extrapolation_ends_acceleration(monkeypatch):
+    # A noisy qutrit Theorem-1 pair (psi unitary, phi a constant channel):
+    # the safeguard rejects one extrapolated point, and the solve ends
+    # feasible after 18 iterations. Acceleration that stays on after the
+    # rejection needs 28; plain Douglas-Rachford needs 45.
+    rejections, step = [], fz._Anderson.step
+
+    def watched(self, z, t):
+        on = self.on
+        out = step(self, z, t)
+        if on and not self.on:
+            rejections.append(1)
+        return out
+
+    monkeypatch.setattr(fz._Anderson, "step", watched)
+    psi, phi = thm1_pair(np.random.default_rng(3), 3, 1)
+    psi, phi = noisy(psi, 5.7e-3), noisy(phi, 5.7e-3)
+    rep = an.check_compatibility(psi, phi, CONFIG)
+    assert rejections == [1]
+    assert rep.status is Status.FEASIBLE and rep.solver.iterations <= 20
+    cp, tp = ch.cptp_defects(rep.compatibilizer)
     assert cp <= 1e-8 and tp <= 1e-6
-    assert ch.choi_distance(ch.compose_choi(ch.complementary(kraus), rep.degrading), psi) <= 1e-6
+    assert joint_reverifies(rep.compatibilizer, psi, phi)
 
 
 def swap_pairs():

@@ -5,7 +5,7 @@ import pytest
 
 from chancompat import channels as ch
 from chancompat.feasibility import CompositionConstraintSet
-from chancompat.linalg import dag, frob, partial_trace, realign
+from chancompat.linalg import dag, frob, hermitian_part_and_skew, partial_trace, realign
 
 
 def hermitian_units(d):
@@ -453,6 +453,52 @@ def test_validate_channel_flags_violations():
     for validate in (ch.validate_channel, ch.validated_kraus):
         with pytest.raises(ValueError, match="non-Hermitian Choi operator"):
             validate(bad_herm)
+
+
+def two_pass_defects(c, name):
+    """The skew, CP and TP defects from a separate conjugate transpose each
+    for the Hermitian part and the skew, and the message that each defect
+    raises."""
+    h = 0.5 * (c.choi + dag(c.choi))
+    skew = float(np.abs(c.choi - dag(c.choi)).max(initial=0.0))
+    cp = max(0.0, -float(np.linalg.eigvalsh(h)[0]))
+    tp = frob(partial_trace(h, (c.dim_in, c.dim_out), (0,)) - np.eye(c.dim_in))
+    return (skew, cp, tp), (
+        f"{name} has a non-Hermitian Choi operator: max |J - J^dag| = {skew:.3e}",
+        f"{name} is not completely positive: min eigenvalue -{cp:.3e}",
+        f"{name} is not trace preserving: TP defect {tp:.3e}",
+    )
+
+
+def defective_channels():
+    rng = np.random.default_rng(31)
+    good = ch.random_channel(2, 3, rng)
+    noise = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    skewed = good.choi + 1e-6 * (noise - dag(noise))
+    shifted = good.choi - 1e-6 * np.eye(6)  # not CP, and not TP
+    scaled = good.choi * (1 + 1e-6)  # CP, not TP
+    return [ch.Channel(2, 3, m) for m in (good.choi, skewed, shifted, scaled)]
+
+
+def test_one_pass_validation_matches_the_two_pass_defects():
+    # A valid channel, then one that fails each check first: the skew, CP
+    # and TP tests, in the order in which validation raises.
+    first_failures = []
+    for c in defective_channels():
+        (skew, cp, tp), messages = two_pass_defects(c, "psi")
+        h, defect = hermitian_part_and_skew(c.choi)
+        assert np.array_equal(h, 0.5 * (c.choi + dag(c.choi))) and defect == skew
+        assert ch.cptp_defects(c) == (cp, tp)
+        failed = [k for k, d in enumerate((skew, cp, tp)) if d > 1e-9]
+        first_failures.append(failed[0] if failed else None)
+        for validate in (ch.validate_channel, ch.validated_kraus):
+            if failed:
+                with pytest.raises(ValueError) as err:
+                    validate(c, atol=1e-9, name="psi")
+                assert str(err.value) == messages[failed[0]]
+            else:
+                validate(c, atol=1e-9, name="psi")
+    assert first_failures == [None, 0, 1, 2]
 
 
 def test_unitary_complementary_collapses_environment():

@@ -12,6 +12,7 @@ from chancompat.linalg import (
     frob,
     hermitian_basis,
     hermitian_part,
+    hermitian_part_and_skew,
     partial_trace,
     partial_trace_adjoint,
     project_psd,
@@ -176,6 +177,23 @@ def test_hermitian_part_is_the_average_bit_for_bit(side):
     # of zero: feasibility's targets therefore skip the average when skew is 0.
     herm = hermitian_part(c_order)
     assert np.array_equal(hermitian_part(herm), herm)
+
+
+@pytest.mark.parametrize("side", [1, 4, 27, 64])
+def test_hermitian_part_and_skew_are_the_two_pass_values_bit_for_bit(side):
+    rng = np.random.default_rng(200 + side)
+    g = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
+    c_order = _with_signed_zeros(g)
+    real = _with_signed_zeros(g.real)
+    for x in (c_order, c_order.T, real, hermitian_part(c_order)):
+        before = x.copy()
+        h, defect = hermitian_part_and_skew(x)
+        assert _same_bits(h, hermitian_part(x)) and h.flags.c_contiguous
+        assert defect == float(np.abs(x - x.conj().T).max(initial=0.0))
+        assert _same_bits(x, before)
+    # project_psd's guard is the same pair, raising on the skew.
+    herm = c_order + c_order.conj().T
+    assert _same_bits(_symmetrize(herm), hermitian_part(herm))
 
 
 @pytest.mark.parametrize("side", [1, 4, 27, 64])
