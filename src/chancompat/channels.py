@@ -99,11 +99,18 @@ class Channel:
 
 @dataclass(frozen=True)
 class KrausSet:
-    """Kraus operators {K_i}, each ``dim_out x dim_in``."""
+    """Kraus operators {K_i}, each ``dim_out x dim_in``.
+
+    The operators are stacked once, into the read-only ``(dim_env, dim_out,
+    dim_in)`` array ``stack``, and ``operators`` are its views; every other
+    arrangement of them (:meth:`columns`, :func:`complementary`,
+    :func:`isometry_from_kraus`) is a reshape of that stack.
+    """
 
     dim_in: int
     dim_out: int
     operators: tuple[np.ndarray, ...] = field(repr=False)
+    stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ops = tuple(np.asarray(k, dtype=complex) for k in self.operators)
@@ -115,7 +122,10 @@ class KrausSet:
                     f"Kraus operator shape {k.shape} does not match "
                     f"{self.dim_out}x{self.dim_in}"
                 )
-        object.__setattr__(self, "operators", ops)
+        stack = np.array(ops)
+        stack.setflags(write=False)
+        object.__setattr__(self, "stack", stack)
+        object.__setattr__(self, "operators", tuple(stack))
 
     @property
     def dim_env(self) -> int:
@@ -124,11 +134,13 @@ class KrausSet:
     def columns(self) -> np.ndarray:
         """R, whose column i is ``vec K_i = sum_a |a> (x) K_i|a>``: the
         ``(dim_in*dim_out) x dim_env`` matrix ``R[(a, b), i] = K_i[b, a]``."""
-        return np.stack(self.operators).transpose(2, 1, 0).reshape(-1, self.dim_env)
+        return self.stack.transpose(2, 1, 0).reshape(-1, self.dim_env)
 
     def completeness_defect(self) -> float:
-        v = np.concatenate(self.operators)  # sum_i K_i^dag K_i = V^dag V
-        return frob(dag(v) @ v - np.eye(self.dim_in))
+        """``||sum_i K_i^dag K_i - I||_F``: ``V^dag V`` for V the operators
+        stacked as rows."""
+        v = self.stack.reshape(-1, self.dim_in)
+        return _identity_defect(dag(v) @ v)
 
 
 @dataclass(frozen=True)
@@ -150,12 +162,22 @@ class StinespringIsometry:
         object.__setattr__(self, "v", v)
 
     def isometry_defect(self) -> float:
-        return frob(dag(self.v) @ self.v - np.eye(self.dim_in))
+        return _identity_defect(dag(self.v) @ self.v)
+
+
+def _identity_defect(g: np.ndarray) -> float:
+    """``frob(G - I)`` bit for bit, for a new square G that it overwrites:
+    the identity is subtracted on the diagonal in place."""
+    diagonal = g.reshape(-1)[:: g.shape[0] + 1]
+    diagonal -= 1.0
+    return frob(g)
 
 
 def _tp_defect(channel: Channel, h: np.ndarray) -> float:
-    marginal = partial_trace(h, (channel.dim_in, channel.dim_out), keep=(0,))
-    return frob(marginal - np.eye(channel.dim_in))
+    """Distance of ``Tr_out h`` from ``I_in``; the trace is the one that
+    ``linalg.partial_trace`` takes over the output factor."""
+    d_in, d_out = channel.dim_in, channel.dim_out
+    return _identity_defect(h.reshape(d_in, d_out, d_in, d_out).trace(axis1=1, axis2=3))
 
 
 def cptp_defects(channel: Channel) -> tuple[float, float]:
@@ -255,7 +277,7 @@ def _kraus_from_eigh(c: Channel, w: np.ndarray, v: np.ndarray) -> KrausSet:
 
 def isometry_from_kraus(k: KrausSet) -> StinespringIsometry:
     """Stack Kraus operators into V = sum_i K_i (x) |i>_env."""
-    v = np.stack(k.operators, axis=1).reshape(k.dim_out * k.dim_env, k.dim_in)
+    v = k.stack.transpose(1, 0, 2).reshape(k.dim_out * k.dim_env, k.dim_in)
     return StinespringIsometry(k.dim_in, k.dim_out, k.dim_env, v)
 
 
@@ -311,7 +333,7 @@ def complementary(k: KrausSet) -> Channel:
     out of the Stinespring dilation built from the same operators. Its Choi
     operator is ``S^T conj(S)`` for ``S[m, (a, j)] = K_j[m, a]``.
     """
-    s = np.stack(k.operators).transpose(1, 2, 0).reshape(k.dim_out, -1)
+    s = k.stack.transpose(1, 2, 0).reshape(k.dim_out, -1)
     return Channel(k.dim_in, k.dim_env, hermitian_part(s.T @ s.conj()))
 
 

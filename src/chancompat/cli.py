@@ -19,7 +19,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import asdict
+from dataclasses import fields
 from typing import Any
 
 import numpy as np
@@ -242,8 +242,10 @@ _SAMPLED = {
 
 
 def _step_json(step: pipelines.Step) -> dict[str, Any]:
-    """A step's fields in declaration order; unset (``None``) ones dropped."""
-    doc = {k: v for k, v in asdict(step).items() if v is not None}
+    """A step's fields in declaration order; unset (``None``) ones dropped.
+    Every field is a scalar, so the dict is read off the fields directly
+    rather than deep-copied by ``dataclasses.asdict``."""
+    doc = {f.name: v for f in fields(step) if (v := getattr(step, f.name)) is not None}
     doc["status"] = step.status.value
     if "residual" in doc:
         doc["residual"] = _finite(step.residual)

@@ -143,7 +143,8 @@ def _plan(b: int, c: int) -> tuple[np.ndarray, ...]:
     """What a set on B (x) C needs of its shape alone, cached per shape and
     read-only: the flat indices with ``x.take(there) == realign(x, b, c)``
     and ``xr.take(back) == unalign(xr, b, c)``, ``vec(I_C)``, ``u =
-    vec(I_C) / sqrt(d_C)`` and ``I - u u^T``."""
+    vec(I_C) / sqrt(d_C)``, ``I - u u^T`` and the complex ``vec(I_B)``, the
+    default first target."""
     flat = np.arange(b * b * c * c)
     trace_c = np.eye(c).ravel()
     u = trace_c / np.sqrt(c)
@@ -153,6 +154,7 @@ def _plan(b: int, c: int) -> tuple[np.ndarray, ...]:
         trace_c,
         u,
         np.eye(c * c) - np.outer(u, u),
+        np.eye(b, dtype=complex).ravel(),
     )
     for arr in out:
         arr.setflags(write=False)
@@ -196,16 +198,16 @@ class CompositionConstraintSet:
             raise ValueError(f"dims must be three positive dimensions, got {dims}")
         a, b, c = dims
         psi, phi = _target("psi", psi, a * b), _target("phi", phi, a * c)
-        first = np.eye(b, dtype=complex) if first is None else _target("first", first, b)
         self.dims, self.dim = dims, b * c
         # Xr @ vec(I_C) is vec(Tr_C X), and Xr @ (I - u u^T) is Xr off u.
-        self._there, self._back, self._trace_c, self._u, self._off_u = _plan(b, c)
+        self._there, self._back, self._trace_c, self._u, self._off_u, self._vec_i = _plan(b, c)
+        first = self._vec_i if first is None else _target("first", first, b).ravel()
         self._k = realign(psi, a, b)
         self._kh = self._k.conj().T
-        self.rhs_blocks = self._first, self._phi = first.ravel(), realign(phi, a, c)
+        self.rhs_blocks = self._first, self._phi = first, realign(phi, a, c)
         self._thin = 2 * a * a <= b * b
         left, s, right = np.linalg.svd(self._k, full_matrices=not self._thin)
-        rank = int(np.count_nonzero(s > _RCOND * np.sqrt(s[0] ** 2 + c)))
+        rank = int(np.count_nonzero(s > _RCOND * math.sqrt(float(s[0]) ** 2 + c)))
         # What _gram_solve needs of every singular triplet, and K's kept ones.
         self._gram = right[: s.size].conj().T, s * s / (c * (c + s * s)), right[: s.size]
         self._left, self._s, self._right = left[:, :rank], s[:rank], right[:rank]
@@ -287,8 +289,8 @@ class CompositionConstraintSet:
         always exists: ``vec(I)`` lies in N's block, where M has full column
         rank. With ``h = (N^dag N)^-1 vec(I_B)``, tau is ``(d_C h, K h
         vec(I_C)^T)``."""
-        b, c = self.dims[1:]
-        h = self._gram_solve(np.eye(b).ravel())
+        c = self.dims[2]
+        h = self._gram_solve(self._vec_i)
         kh = self._k @ h
         b_tau = c * np.vdot(h, self._first).real
         b_tau += math.sqrt(c) * np.vdot(kh, self._phi @ self._u).real

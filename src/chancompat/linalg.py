@@ -42,8 +42,17 @@ def dag(x: np.ndarray) -> np.ndarray:
 
 
 def frob(x: np.ndarray) -> float:
-    """Frobenius norm."""
-    return float(np.linalg.norm(x))
+    """Frobenius norm: ``np.linalg.norm(x)`` bit for bit, for double-precision
+    and integer x, from the same sums without its argument handling. As
+    there, a dtype that is not inexact is cast to float first."""
+    x = np.asarray(x)
+    if x.dtype.kind not in "fc":
+        x = x.astype(float)
+    x = x.ravel(order="K")
+    if x.dtype.kind == "c":
+        re, im = x.real, x.imag
+        return math.sqrt(re.dot(re) + im.dot(im))
+    return math.sqrt(x.dot(x))
 
 
 def hermitian_part(x: np.ndarray) -> np.ndarray:
@@ -156,7 +165,7 @@ def project_psd(x: np.ndarray) -> np.ndarray:
     """
     h = _symmetrize(x)
     w, v = np.linalg.eigh(h)
-    w = np.maximum(w, 0.0)
+    np.maximum(w, 0.0, out=w)
     return (v * w) @ dag(v)
 
 

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from chancompat import channels as ch
+from chancompat import channels as ch, io
 from chancompat.feasibility import CompositionConstraintSet
 from chancompat.linalg import dag, frob, hermitian_part_and_skew, partial_trace, realign
 
@@ -607,3 +607,138 @@ def test_gram_constructions_are_exactly_hermitian():
         cons = CompositionConstraintSet((a, psi.dim_out, phi.dim_out), psi.choi, phi.choi, first)
         assert cons.rhs_blocks[0].tobytes() == first.tobytes()
         assert cons.rhs_blocks[1].tobytes() == realign(phi.choi, a, phi.dim_out).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Defects and Kraus arrangements against their generic forms
+# ---------------------------------------------------------------------------
+
+DEFECT_DIMS = [(1, 3), (2, 2), (3, 2), (4, 4)]
+
+
+def norm(x):
+    return float(np.linalg.norm(x))
+
+
+def generic_tp_defect(h, d_in, d_out):
+    return norm(partial_trace(h, (d_in, d_out), (0,)) - np.eye(d_in))
+
+
+def generic_completeness_defect(ops, d_in):
+    v = np.concatenate(ops)
+    return norm(dag(v) @ v - np.eye(d_in))
+
+
+def defect_instances(d_in, d_out):
+    """Kraus sets on (d_in, d_out), complete or scaled off completeness, with
+    their Choi operators: CPTP, CP and not TP, and with a skew part."""
+    rng = np.random.default_rng(7 * d_in + d_out)
+    for env in (1, 2, 5):
+        if d_out * env < d_in:
+            continue
+        k = ch.random_kraus(d_in, d_out, env, rng)
+        for scale in (1.0, 1 + 1e-6, 0.5):
+            ks = ch.KrausSet(d_in, d_out, tuple(scale * op for op in k.operators))
+            r = ks.columns()
+            choi = r @ dag(r)
+            noise = rng.standard_normal(choi.shape) + 1j * rng.standard_normal(choi.shape)
+            for j in (choi, choi + 1e-7 * noise):
+                yield ks, ch.Channel(d_in, d_out, j)
+
+
+@pytest.mark.parametrize("d_in, d_out", DEFECT_DIMS)
+def test_tp_and_completeness_defects_match_the_partial_trace_forms(d_in, d_out):
+    for k, c in defect_instances(d_in, d_out):
+        h = 0.5 * (c.choi + dag(c.choi))
+        tp = generic_tp_defect(h, d_in, d_out)
+        assert ch._tp_defect(c, h) == tp
+        cp = max(0.0, -float(np.linalg.eigvalsh(h)[0]))
+        assert ch.cptp_defects(c) == (cp, tp)
+        ops = [np.array(op) for op in k.operators]
+        assert k.completeness_defect() == generic_completeness_defect(ops, d_in)
+        v = ch.isometry_from_kraus(k)
+        assert v.isometry_defect() == norm(dag(v.v) @ v.v - np.eye(d_in))
+
+
+def stacked_forms(k):
+    """columns, complementary, completeness defect and isometry of a Kraus set
+    from ``np.stack``/``np.concatenate`` of copies of its operators."""
+    ops = [np.array(op) for op in k.operators]
+    stack = np.stack(ops)
+    s = stack.transpose(1, 2, 0).reshape(k.dim_out, -1)
+    return (
+        stack.transpose(2, 1, 0).reshape(-1, len(ops)),
+        0.5 * (s.T @ s.conj() + dag(s.T @ s.conj())),
+        generic_completeness_defect(ops, k.dim_in),
+        np.stack(ops, axis=1).reshape(k.dim_out * len(ops), k.dim_in),
+    )
+
+
+def kraus_stack_cases(tmp_path):
+    rng = np.random.default_rng(61)
+    unitary = ch.KrausSet(3, 3, (ch.random_unitary(3, rng),))  # r = 1
+    wide = ch.random_kraus(2, 2, 5, rng)  # r > d_out
+    rect = ch.random_kraus(3, 2, 4, rng)
+    path = tmp_path / "wide.json"
+    io.save_channel(str(path), wide)
+    _, reloaded, _ = io.load_channel(str(path))
+    extracted = ch.kraus_from_choi(ch.choi_from_kraus(rect))
+    return [unitary, wide, rect, reloaded, extracted]
+
+
+def test_kraus_arrangements_are_the_stacked_forms_bit_for_bit(tmp_path):
+    for k in kraus_stack_cases(tmp_path):
+        columns, comp, defect, iso = stacked_forms(k)
+        assert np.array_equal(k.columns(), columns)
+        assert k.columns().tobytes() == columns.tobytes()
+        assert ch.complementary(k).choi.tobytes() == comp.tobytes()
+        assert k.completeness_defect() == defect
+        assert ch.isometry_from_kraus(k).v.tobytes() == iso.tobytes()
+        gram = columns @ dag(columns)
+        assert ch.choi_from_kraus(k).choi.tobytes() == (0.5 * (gram + dag(gram))).tobytes()
+
+
+def test_kraus_operators_are_read_only_views_of_one_stack(tmp_path):
+    for k in kraus_stack_cases(tmp_path):
+        assert k.stack.shape == (k.dim_env, k.dim_out, k.dim_in)
+        assert all(np.shares_memory(op, k.stack) for op in k.operators)
+        with pytest.raises(ValueError, match="read-only"):
+            k.operators[-1][0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            k.stack[0, 0, 0] = 1.0
+    # The stack is a copy: writing into the arrays a set was built from
+    # leaves the set and its arrangements unchanged.
+    ops = [np.array(op) for op in ch.amplitude_damping(0.3).operators]
+    k = ch.KrausSet(2, 2, ops)
+    before = k.columns().copy()
+    ops[0][:] = 0.0
+    assert np.array_equal(k.columns(), before) and k.completeness_defect() < 1e-15
+
+
+def generic_trace_scalars(cons):
+    """``trace_scalars`` from a fresh real ``vec(I_B)``, as it was formed
+    before the set took the cached complex one."""
+    b, c = cons.dims[1:]
+    h = cons._gram_solve(np.eye(b).ravel())
+    kh = cons._k @ h
+    b_tau = c * np.vdot(h, cons.rhs_blocks[0]).real
+    b_tau += np.sqrt(c) * np.vdot(kh, cons.rhs_blocks[1] @ (np.eye(c).ravel() / np.sqrt(c))).real
+    return float(b_tau), float(np.sqrt(c * c * np.vdot(h, h).real + c * np.vdot(kh, kh).real))
+
+
+@pytest.mark.parametrize("dims", [(1, 1, 1), (2, 2, 2), (2, 3, 4), (3, 9, 3), (4, 2, 16)])
+def test_default_first_target_is_the_identity_bit_for_bit(dims):
+    a, b, c = dims
+    rng = np.random.default_rng(sum(dims))
+    psi, phi = ch.random_channel(a, b, rng), ch.random_channel(a, c, rng)
+    default = CompositionConstraintSet(dims, psi.choi, phi.choi)
+    given = CompositionConstraintSet(dims, psi.choi, phi.choi, first=np.eye(b))
+    for x, y in zip(default.rhs_blocks, given.rhs_blocks, strict=True):
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+    assert default.start().tobytes() == given.start().tobytes()
+    assert default.trace_scalars == given.trace_scalars == generic_trace_scalars(given)
+    # The default target is shared by every set of its shape: it is read-only.
+    with pytest.raises(ValueError, match="read-only"):
+        default.rhs_blocks[0][0] = 2.0
+    again = CompositionConstraintSet(dims, psi.choi, phi.choi)
+    assert again.rhs_blocks[0].tobytes() == np.eye(b, dtype=complex).tobytes()

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -5,8 +6,9 @@ import sys
 import numpy as np
 import pytest
 
-from chancompat import analysis as an, channels as ch, cli, io
+from chancompat import analysis as an, channels as ch, cli, io, pipelines
 from chancompat.cli import main
+from chancompat.feasibility import SolverConfig, Status
 from chancompat.linalg import frob
 
 
@@ -546,3 +548,65 @@ def test_verify_survives_reload_of_checks():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert json.loads(proc.stdout)["status"] == "feasible"
+
+
+def asdict_step_json(step):
+    """``cli._step_json`` as it was built from ``dataclasses.asdict``."""
+    doc = {k: v for k, v in dataclasses.asdict(step).items() if v is not None}
+    doc["status"] = step.status.value
+    if "residual" in doc:
+        doc["residual"] = cli._finite(step.residual)
+    return doc
+
+
+def test_step_json_matches_the_asdict_form_for_every_pipeline():
+    config = SolverConfig(eps_feas=cli._VERIFY_EPS)
+    rng = np.random.default_rng(5)
+    steps = []
+    for run_pipeline in cli._SAMPLED.values():
+        steps += run_pipeline(rng, 1, config)[0]
+    kraus = ch.self_complementary_qubit(1, 0.0, 0.0)
+    steps += pipelines.corollary(kraus, rng, 1, config)[0]
+    family = pipelines.power_family(ch.random_channel(2, 2, rng, dim_env=2), 3)
+    steps += pipelines.family(family, config)[0]
+    # Steps with unset fields and non-finite residuals.
+    steps += [
+        pipelines.Step("bare", Status.INCONCLUSIVE),
+        pipelines.Step("inf", Status.NOT_FEASIBLE_AT_TOLERANCE, float("inf"), iterations=0),
+        pipelines.Step("nan", Status.FEASIBLE, float("nan"), "tolerance", 3),
+    ]
+    assert {s.name.split("-")[0] for s in steps} >= {"reverse", "degradable", "antidegrading"}
+    for step in steps:
+        doc = cli._step_json(step)
+        assert list(doc.items()) == list(asdict_step_json(step).items())
+        assert json.dumps(doc) == json.dumps(asdict_step_json(step))
+
+
+def scaled_ad_files(tmp_path):
+    """A Choi file of AD(0.3) scaled by 1 + 1e-6 (CP, not trace preserving),
+    a Kraus file of its operators scaled the same way (incomplete), and a
+    valid AD(0.5) file."""
+    ad = ch.amplitude_damping(0.3)
+    names = ("ad03-choi.json", "ad03-kraus.json", "ad05.json")
+    choi, kraus, good = (str(tmp_path / n) for n in names)
+    scaled = ch.Channel(2, 2, ch.choi_from_kraus(ad).choi * (1 + 1e-6))
+    io.save_channel(choi, scaled)
+    with open(kraus, "w") as fh:
+        ops = [io.matrix_to_json(op * (1 + 1e-6)) for op in ad.operators]
+        json.dump({"dim_in": 2, "dim_out": 2, "kraus": ops}, fh)
+    io.save_channel(good, ch.amplitude_damping(0.5))
+    return choi, kraus, good
+
+
+def test_loader_tp_and_completeness_errors_exit_three(tmp_path, capsys):
+    choi, kraus, good = scaled_ad_files(tmp_path)
+    for bad, message in ((choi, "not trace preserving"), (kraus, "violates completeness")):
+        for argv in (
+            ["check", "div", bad, good],
+            ["check", "div", good, bad],
+            ["check", "degradable", bad],
+        ):
+            assert main(argv) == 3
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith(f"error: {bad}: "), err
+            assert message in err, err

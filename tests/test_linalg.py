@@ -210,6 +210,25 @@ def test_skew_is_the_largest_anti_hermitian_entry(side):
     assert skew(y) > 0.0
 
 
+def frob_inputs(rng):
+    z = rng.standard_normal((7, 5)) + 1j * rng.standard_normal((7, 5))
+    big = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+    yield from (z, z.real, z.T, z.real.T, z[1::2, ::3], z.T[::2], z.imag[:, 1:4])
+    yield from (big, big.T, big[::3, 1::2], big.reshape(4, 8, 8)[:, ::2].transpose(2, 0, 1))
+    yield from (rng.integers(-9, 10, size=(6, 6)), rng.integers(-9, 10, size=(6, 6)).T)
+    yield from (np.arange(12, dtype=np.int8).reshape(3, 4)[:, ::2], np.eye(3, dtype=bool))
+    yield from (np.zeros((0, 0)), np.zeros((0, 3), dtype=complex), np.zeros(0, dtype=int))
+    yield from (np.array(-2.5), np.array(3 - 4j), [[1.0, 2.0], [3.0, 4.0]], 5)
+
+
+def test_frob_is_numpy_norm_bit_for_bit():
+    # The generic form is the oracle: the same sums, with its argument handling.
+    rng = np.random.default_rng(44)
+    for x in frob_inputs(rng):
+        got, want = frob(x), float(np.linalg.norm(x))
+        assert type(got) is float and got.hex() == want.hex(), x
+
+
 @pytest.mark.parametrize("d_in, d_out, env", [(2, 3, 5), (3, 2, 2), (1, 4, 3), (4, 1, 4)])
 def test_kraus_columns_match_an_einsum_oracle(d_in, d_out, env):
     # R[(a, b), i] = K_i[b, a]: column i is vec K_i = sum_a |a> (x) K_i|a>.
