@@ -42,6 +42,7 @@ from .linalg import frob
 from .linalg import hermitian_basis  # noqa: F401  (perfbench's tracer patches it here)
 
 __all__ = [
+    "WITNESS_TOL",
     "CompatReport",
     "DivReport",
     "DegradabilityReport",
@@ -63,9 +64,11 @@ __all__ = [
     "sample_antidegradable_kraus",
 ]
 
-# Largest Choi distance accepted from a (anti-)degrading witness before a
-# construction is built on it.
-_WITNESS_TOL = 1e-7
+# Largest Choi distance at which a solved or constructed witness reproduces
+# its identity: a (anti-)degrading map before a construction is built on it,
+# and the constructions of the paper's pipelines. It equals the default
+# ``SolverConfig.eps_feas``, so that witnesses solved at that tolerance pass.
+WITNESS_TOL = 1e-7
 
 
 # ---------------------------------------------------------------------------
@@ -164,8 +167,8 @@ def check_compatibility(
     """
     if psi.dim_in != phi.dim_in:
         raise ValueError("channels must share the input dimension")
-    k_psi = ch.validated_kraus(psi, atol=ch.EPS_EQ, name="psi")
-    k_phi = ch.validated_kraus(phi, atol=ch.EPS_EQ, name="phi")
+    k_psi = ch.validated_kraus(psi, name="psi")
+    k_phi = ch.validated_kraus(phi, name="phi")
     da, db, dc = psi.dim_in, psi.dim_out, phi.dim_out
     side_psi, side_phi = k_psi.dim_env * dc, k_phi.dim_env * db
     swap = side_phi < side_psi
@@ -200,8 +203,8 @@ def check_divisibility(
     """
     if psi.dim_in != phi.dim_in:
         raise ValueError("channels must share the input dimension")
-    ch.validate_channel(psi, atol=ch.EPS_EQ, name="psi")
-    ch.validate_channel(phi, atol=ch.EPS_EQ, name="phi")
+    ch.validate_channel(psi, name="psi")
+    ch.validate_channel(phi, name="phi")
     dims = (psi.dim_in, psi.dim_out, phi.dim_out)
     report = solve(CompositionConstraintSet(dims, psi.choi, phi.choi), config)
     if report.status is not Status.FEASIBLE:
@@ -214,8 +217,9 @@ def check_divisibility(
 def _check_kraus_matches(psi: Channel, kraus: KrausSet) -> None:
     if (kraus.dim_in, kraus.dim_out) != (psi.dim_in, psi.dim_out):
         raise ValueError("Kraus set dimensions do not match the channel")
+    ch.require_finite(psi.choi, "psi")
     dist = frob(ch.choi_from_kraus(kraus).choi - psi.choi)
-    if dist > ch.EPS_EQ:
+    if not dist <= ch.EPS_EQ:
         raise ValueError(f"Kraus set does not represent the channel: Choi distance {dist:.3e}")
 
 
@@ -341,6 +345,13 @@ def compatibilizer_from_postprocessing(psi_kraus: KrausSet, theta: Channel) -> C
     return Channel(psi_kraus.dim_in, psi_kraus.dim_out * c, joint)
 
 
+def _require_finite_channels(**channels: Channel) -> None:
+    """``channels.require_finite`` on each keyword's Choi operator, named by
+    its keyword."""
+    for name, c in channels.items():
+        ch.require_finite(c.choi, name)
+
+
 def quotient_via_degradability(
     psi: Channel,
     psi_c: Channel,
@@ -350,13 +361,14 @@ def quotient_via_degradability(
     """Quotient for phi = theta_ce o psi_c built from a degrading map.
 
     Requires the degradability witness to hold: degrading o psi must equal
-    the given complementary channel within Choi distance ``1e-7``. The
-    returned channel is theta_ce o degrading, which divides psi into phi.
+    the given complementary channel within Choi distance ``WITNESS_TOL``.
+    The returned channel is theta_ce o degrading, which divides psi into phi.
     """
+    _require_finite_channels(psi=psi, psi_c=psi_c, degrading=degrading, theta_ce=theta_ce)
     defect = ch.choi_distance(ch.compose_choi(psi, degrading), psi_c)
-    if defect > _WITNESS_TOL:
+    if not defect <= WITNESS_TOL:
         raise ValueError(
-            f"invalid degradability witness: residual {defect:.3e} > {_WITNESS_TOL:.1e}"
+            f"invalid degradability witness: residual {defect:.3e} > {WITNESS_TOL:.1e}"
         )
     return ch.compose_choi(degrading, theta_ce)
 
@@ -368,16 +380,18 @@ def compatibilizer_via_antidegradability(
 ) -> Channel:
     """Compatibilizer for (psi, theta_cb o psi) built from an anti-degrading map.
 
-    Requires antidegrading o psi_c = psi within Choi distance ``1e-7`` for the
-    complementary of this representation; the environment post-processing
-    theta_cb o antidegrading then feeds the joint construction.
+    Requires antidegrading o psi_c = psi within Choi distance
+    ``WITNESS_TOL`` for the complementary of this representation; the
+    environment post-processing theta_cb o antidegrading then feeds the joint
+    construction.
     """
+    _require_finite_channels(antidegrading=antidegrading, theta_cb=theta_cb)
     psi = ch.choi_from_kraus(psi_kraus)
     psi_c = ch.complementary(psi_kraus)
     defect = ch.choi_distance(ch.compose_choi(psi_c, antidegrading), psi)
-    if defect > _WITNESS_TOL:
+    if not defect <= WITNESS_TOL:
         raise ValueError(
-            f"invalid anti-degradability witness: residual {defect:.3e} > {_WITNESS_TOL:.1e}"
+            f"invalid anti-degradability witness: residual {defect:.3e} > {WITNESS_TOL:.1e}"
         )
     theta_ce = ch.compose_choi(antidegrading, theta_cb)  # E -> B -> C
     return compatibilizer_from_postprocessing(psi_kraus, theta_ce)

@@ -27,20 +27,25 @@ from .linalg import dag, frob, hermitian_part, hermitian_part_and_skew, partial_
 from .linalg import partial_trace_adjoint, realign, unalign
 from .linalg import swap_unitary  # noqa: F401  (kept importable as channels.swap_unitary)
 
-EPS_PSD = 1e-9
-EPS_TP = 1e-9
+# Channel data are valid within this bound, wherever they enter: the skew,
+# the CP defect (least eigenvalue) and the TP defect of a Choi operator, and
+# the completeness defect of a Kraus set.
+EPS_VALID = 1e-9
+# Eigenvalues of a Choi operator at or below this are dropped from its Kraus
+# sets.
 EPS_RANK = 1e-9
+# Two channels are equal when their Choi distance is below this.
 EPS_EQ = 1e-8
 
 __all__ = [
-    "EPS_PSD",
-    "EPS_TP",
+    "EPS_VALID",
     "EPS_RANK",
     "EPS_EQ",
     "Channel",
     "KrausSet",
     "StinespringIsometry",
     "cptp_defects",
+    "require_finite",
     "validate_channel",
     "validated_kraus",
     "choi_distance",
@@ -189,41 +194,53 @@ def cptp_defects(channel: Channel) -> tuple[float, float]:
     return max(0.0, -wmin), _tp_defect(channel, h)
 
 
+def require_finite(m: np.ndarray, name: str) -> None:
+    """Raise ``ValueError`` unless every entry of ``m`` is finite.
+
+    Validators call it before any arithmetic on their data, which would carry
+    a NaN or inf into every defect, and could warn on the way, so that the
+    error names the cause."""
+    if not np.isfinite(m).all():
+        raise ValueError(f"{name} has a non-finite entry")
+
+
 def _raise_on_defects(
     channel: Channel, h: np.ndarray, defect: float, wmin: float, atol: float, name: str
 ) -> None:
     # h is the Choi operator's Hermitian part and wmin its least eigenvalue,
     # on which the CP and TP defects are measured; defect is the skew they hide.
-    if defect > atol:
+    if not defect <= atol:
         raise ValueError(
             f"{name} has a non-Hermitian Choi operator: max |J - J^dag| = {defect:.3e}"
         )
     cp = max(0.0, -wmin)
-    if cp > atol:
+    if not cp <= atol:
         raise ValueError(f"{name} is not completely positive: min eigenvalue -{cp:.3e}")
     tp = _tp_defect(channel, h)
-    if tp > atol:
+    if not tp <= atol:
         raise ValueError(f"{name} is not trace preserving: TP defect {tp:.3e}")
 
 
-def validate_channel(channel: Channel, atol: float = EPS_PSD, name: str = "channel") -> None:
-    """Raise ``ValueError`` unless the channel's Choi operator is Hermitian
-    and the channel is CPTP, each within ``atol``."""
+def validate_channel(channel: Channel, atol: float = EPS_VALID, name: str = "channel") -> None:
+    """Raise ``ValueError`` unless the channel's Choi operator is finite and
+    Hermitian and the channel is CPTP, each within ``atol``."""
+    require_finite(channel.choi, name)
     h, defect = hermitian_part_and_skew(channel.choi)
     _raise_on_defects(channel, h, defect, float(np.linalg.eigvalsh(h)[0]), atol, name)
 
 
-def validated_kraus(channel: Channel, atol: float = EPS_PSD, name: str = "channel") -> KrausSet:
-    """:func:`validate_channel`, then :func:`kraus_from_choi`, from one
-    eigendecomposition of the Choi operator.
+def validated_kraus(channel: Channel, name: str = "channel") -> KrausSet:
+    """:func:`validate_channel` at ``EPS_VALID``, then :func:`kraus_from_choi`,
+    from one eigendecomposition of the Choi operator.
 
     Raises as :func:`validate_channel` does; a negative eigenvalue within
-    ``atol`` is then dropped with the rest below ``EPS_RANK``. The length of
-    the returned set is the Choi rank at that cut.
+    ``EPS_VALID`` is then dropped with the rest below ``EPS_RANK``. The length
+    of the returned set is the Choi rank at that cut.
     """
+    require_finite(channel.choi, name)
     h, defect = hermitian_part_and_skew(channel.choi)
     w, v = np.linalg.eigh(h)
-    _raise_on_defects(channel, h, defect, float(w[0]), atol, name)
+    _raise_on_defects(channel, h, defect, float(w[0]), EPS_VALID, name)
     return _kraus_from_eigh(channel, w, v)
 
 
@@ -238,14 +255,16 @@ def choi_distance(a: Channel, b: Channel) -> float:
 # ---------------------------------------------------------------------------
 
 
-def choi_from_kraus(k: KrausSet, atol: float = EPS_TP) -> Channel:
+def choi_from_kraus(k: KrausSet, atol: float = EPS_VALID) -> Channel:
     """Choi operator of the channel with Kraus operators ``k``.
 
-    ``J = R R^dag`` for R = :meth:`KrausSet.columns`. Raises if the set is not
-    trace preserving within ``atol``.
+    ``J = R R^dag`` for R = :meth:`KrausSet.columns`. Raises if an operator
+    has a non-finite entry or the set is not trace preserving within
+    ``atol``.
     """
+    require_finite(k.stack, "Kraus set")
     defect = k.completeness_defect()
-    if defect > atol:
+    if not defect <= atol:
         raise ValueError(f"Kraus set violates completeness: defect {defect:.3e}")
     r = k.columns()
     return Channel(k.dim_in, k.dim_out, hermitian_part(r @ dag(r)))
@@ -254,23 +273,25 @@ def choi_from_kraus(k: KrausSet, atol: float = EPS_TP) -> Channel:
 def kraus_from_choi(c: Channel) -> KrausSet:
     """Canonical Kraus set from the Choi eigendecomposition.
 
-    Eigenpairs with eigenvalue above ``EPS_RANK`` are kept; a negative
-    eigenvalue below ``-EPS_PSD`` means the map is not completely positive
-    and raises.
+    Eigenpairs with eigenvalue above ``EPS_RANK`` are kept. A non-finite
+    entry raises, and so does a negative eigenvalue below ``-EPS_VALID``,
+    which means the map is not completely positive.
     """
+    require_finite(c.choi, "Choi operator")
     w, v = np.linalg.eigh(hermitian_part(c.choi))
-    if w[0] < -EPS_PSD:
+    if not w[0] >= -EPS_VALID:
         raise ValueError(f"Choi operator has negative eigenvalue {w[0]:.3e}")
     return _kraus_from_eigh(c, w, v)
 
 
 def _kraus_from_eigh(c: Channel, w: np.ndarray, v: np.ndarray) -> KrausSet:
     """``K_i = sqrt(w_i) v_i`` unvectorized, for each eigenpair above
-    ``EPS_RANK``, in ascending eigenvalue order."""
-    keep = w > EPS_RANK
-    if not keep.any():
+    ``EPS_RANK``, in ascending eigenvalue order. ``eigh`` returns ``w`` in
+    ascending order, so those pairs are a suffix; ``w`` must be finite."""
+    start = int(np.searchsorted(w, EPS_RANK, side="right"))
+    if start == len(w):
         raise ValueError("Choi operator has no eigenvalue above the rank threshold")
-    cols = v[:, keep] * np.sqrt(w[keep])
+    cols = v[:, start:] * np.sqrt(w[start:])
     ops = cols.T.reshape(-1, c.dim_in, c.dim_out).transpose(0, 2, 1)
     return KrausSet(c.dim_in, c.dim_out, tuple(ops))
 

@@ -70,7 +70,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .channels import EPS_EQ
+from .channels import EPS_VALID
 from .linalg import devectorize_hermitian, hermitian_part, hermitian_part_and_skew
 from .linalg import project_psd, realign, unalign, vectorize_hermitian
 
@@ -85,8 +85,9 @@ __all__ = [
 ]
 
 # Singular values of M below this fraction of the largest are rank noise:
-# constraint matrices built from numerical channel data carry O(1e-15) junk
-# directions that would otherwise be inverted and wreck the projection.
+# constraint matrices built from numerical channel data carry junk directions,
+# of the order of machine epsilon, that would otherwise be inverted and wreck
+# the projection.
 _RCOND = 1e-10
 # The solver tries a certificate and tests for a plateau every this many
 # iterations.
@@ -128,12 +129,14 @@ def _dot(x: tuple, y: tuple) -> float:
 
 def _target(name: str, m: np.ndarray, side: int) -> np.ndarray:
     """A target's Hermitian part, which blocks (whole matrices) and their
-    vectorization (upper triangles) agree on; m itself if exactly Hermitian."""
+    vectorization (upper triangles) agree on; m itself if exactly Hermitian.
+    A skew above ``channels.EPS_VALID``, the bound at which channel data are
+    valid, raises."""
     m = np.asarray(m, dtype=complex)
     if m.shape != (side, side) or not np.isfinite(m).all():
         raise ValueError(f"{name} must be a finite {side} x {side} matrix, got {m.shape}")
     h, defect = hermitian_part_and_skew(m)
-    if defect > EPS_EQ:
+    if defect > EPS_VALID:
         raise ValueError(f"{name} is not Hermitian: max |X - X^dag| = {defect:.3e}")
     return h if defect else m
 

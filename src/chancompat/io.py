@@ -14,7 +14,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .channels import Channel, KrausSet, choi_from_kraus, validate_channel
+from .channels import EPS_VALID, Channel, KrausSet, choi_from_kraus, validate_channel
 
 __all__ = [
     "matrix_to_json",
@@ -71,7 +71,7 @@ def channel_to_json(
     return doc
 
 
-def channel_from_json(doc: Any, atol: float = 1e-9) -> tuple[Channel, KrausSet | None]:
+def channel_from_json(doc: Any, atol: float = EPS_VALID) -> tuple[Channel, KrausSet | None]:
     """Decode and CPTP-validate a channel document.
 
     Returns the channel together with its Kraus set when the document carried

@@ -104,13 +104,14 @@ def thm1(rng: np.random.Generator, trials: int, config: SolverConfig) -> Outcome
         comp = analysis.compatibilizer_from_postprocessing(kraus, theta)
         phi = ch.compose_choi(ch.complementary(kraus), theta)
         residual = max(analysis.marginal_distances(comp, psi, phi))
-        steps.append(_exact(f"reverse-{t}", residual, 1e-9))
+        steps.append(_exact(f"reverse-{t}", residual, ch.EPS_VALID))
         compat = analysis.check_compatibility(psi, phi, config)
         if compat.status is not feasibility.Status.FEASIBLE:
             steps.append(_solved(f"forward-{t}", compat))
             continue
         _, _, residual = analysis.postprocessing_from_compatibilizer(compat.compatibilizer, 2, 2)
-        steps.append(_exact(f"forward-{t}", residual, 1e-7, compat.solver.iterations))
+        iterations = compat.solver.iterations
+        steps.append(_exact(f"forward-{t}", residual, analysis.WITNESS_TOL, iterations))
         witness = compat.compatibilizer
     return steps, witness
 
@@ -134,7 +135,7 @@ def thm2i(rng: np.random.Generator, trials: int, config: SolverConfig) -> Outcom
         steps.append(_solved(f"divisible-{t}", div))
         quotient = analysis.quotient_via_degradability(psi, psi_c, deg.degrading, theta)
         residual = ch.choi_distance(ch.compose_choi(psi, quotient), phi)
-        steps.append(_exact(f"quotient-{t}", residual, 1e-7))
+        steps.append(_exact(f"quotient-{t}", residual, analysis.WITNESS_TOL))
         witness = div.quotient or quotient
     return steps, witness
 
@@ -157,7 +158,7 @@ def thm2ii(rng: np.random.Generator, trials: int, config: SolverConfig) -> Outco
         steps.append(_solved(f"compatible-{t}", compat))
         built = analysis.compatibilizer_via_antidegradability(kraus, anti.degrading, theta_cb)
         residual = max(analysis.marginal_distances(built, psi, phi))
-        steps.append(_exact(f"construction-{t}", residual, 1e-7))
+        steps.append(_exact(f"construction-{t}", residual, analysis.WITNESS_TOL))
         witness = compat.compatibilizer or built
     return steps, witness
 
@@ -206,7 +207,7 @@ def prop1(rng: np.random.Generator, trials: int, config: SolverConfig) -> Outcom
         phi_c, theta_be, _ = analysis.postprocessing_from_compatibilizer(swapped, 2, 2)
         anti = analysis.antidegrading_map_from_compat_and_div(div.quotient, theta_be)
         residual = ch.choi_distance(ch.compose_choi(phi_c, anti), phi)
-        steps.append(_exact(f"antidegrading-{t}", residual, 1e-7, iterations))
+        steps.append(_exact(f"antidegrading-{t}", residual, analysis.WITNESS_TOL, iterations))
         witness = anti
     return steps, witness
 
@@ -229,7 +230,7 @@ def nocatalysis(rng: np.random.Generator, trials: int, config: SolverConfig) -> 
             steps.append(_solved(f"instance-{t}", report.tensored))
             continue
         iterations = report.tensored.solver.iterations
-        steps.append(_exact(f"reduction-{t}", report.residual, 1e-8, iterations))
+        steps.append(_exact(f"reduction-{t}", report.residual, ch.EPS_EQ, iterations))
         witness = report.reduced
     return steps, witness
 

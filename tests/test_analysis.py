@@ -363,7 +363,7 @@ def test_swapped_compatibility_witness_is_the_kronecker_lift():
     psi, phi, _ = example2_pair()
     rep = an.check_compatibility(psi, phi)
     assert rep.status is Status.FEASIBLE
-    kraus = ch.validated_kraus(phi, atol=ch.EPS_EQ)
+    kraus = ch.validated_kraus(phi)
     assert rep.solver.constraints.dims == (4, kraus.dim_env, psi.dim_out)
     theta = ch.Channel(kraus.dim_env, psi.dim_out, rep.solver.solution)
     joint = ch.Channel(4, phi.dim_out * psi.dim_out, kron_lift(kraus, theta))
@@ -431,6 +431,52 @@ def test_quotient_via_degradability_rejects_bad_witness():
     psi_c = ch.complementary(kraus)
     with pytest.raises(ValueError):
         an.quotient_via_degradability(psi, psi_c, ch.identity(2), ch.identity(2))
+
+
+def nan_channel(d_in, d_out):
+    return ch.Channel(d_in, d_out, np.full((d_in * d_out,) * 2, np.nan, dtype=complex))
+
+
+# The checks below test finiteness before any arithmetic, so non-finite data
+# raise an error that names them, and no RuntimeWarning.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("check", [an.check_degradable, an.check_antidegradable])
+def test_kraus_match_rejects_non_finite_data(check):
+    kraus = ch.amplitude_damping(0.3)
+    inf_choi = ch.choi_from_kraus(kraus).choi.copy()
+    inf_choi[0, 0] = np.inf
+    for psi in (nan_channel(2, 2), ch.Channel(2, 2, inf_choi)):
+        with pytest.raises(ValueError, match="^psi has a non-finite entry$"):
+            check(psi, kraus)
+    nan_kraus = ch.KrausSet(2, 2, (np.full((2, 2), np.nan),))
+    with pytest.raises(ValueError, match="^Kraus set has a non-finite entry$"):
+        check(ch.choi_from_kraus(kraus), nan_kraus)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_quotient_via_degradability_rejects_a_non_finite_witness():
+    kraus = ch.self_complementary_qubit(1, 0.4, 1.1)
+    psi, psi_c, lam = ch.choi_from_kraus(kraus), ch.complementary(kraus), ch.identity(2)
+    theta = ch.random_channel(2, 2, np.random.default_rng(7), dim_env=4)
+    args = {"psi": psi, "psi_c": psi_c, "degrading": lam, "theta_ce": theta}
+    for name, value in args.items():
+        bad = dict(args, **{name: nan_channel(value.dim_in, value.dim_out)})
+        with pytest.raises(ValueError, match=f"^{name} has a non-finite entry$"):
+            an.quotient_via_degradability(**bad)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_compatibilizer_via_antidegradability_rejects_a_non_finite_witness():
+    kraus = ch.kraus_from_choi(ch.completely_depolarizing(2))
+    anti = an.check_antidegradable(ch.choi_from_kraus(kraus), kraus, TIGHT).degrading
+    theta_cb = ch.random_channel(2, 2, np.random.default_rng(8), dim_env=4)
+    with pytest.raises(ValueError, match="^antidegrading has a non-finite entry$"):
+        an.compatibilizer_via_antidegradability(kraus, nan_channel(4, 2), theta_cb)
+    with pytest.raises(ValueError, match="^theta_cb has a non-finite entry$"):
+        an.compatibilizer_via_antidegradability(kraus, anti, nan_channel(2, 2))
+    nan_kraus = ch.KrausSet(2, 2, (np.full((2, 2), np.nan),) * 4)
+    with pytest.raises(ValueError, match="^Kraus set has a non-finite entry$"):
+        an.compatibilizer_via_antidegradability(nan_kraus, anti, theta_cb)
 
 
 def test_compatibilizer_via_antidegradability():

@@ -5,7 +5,8 @@ import pytest
 
 from chancompat import channels as ch, io
 from chancompat.feasibility import CompositionConstraintSet
-from chancompat.linalg import dag, frob, hermitian_part_and_skew, partial_trace, realign
+from chancompat.linalg import dag, frob, hermitian_part, hermitian_part_and_skew, partial_trace
+from chancompat.linalg import realign
 
 
 def hermitian_units(d):
@@ -90,6 +91,77 @@ def test_choi_from_kraus_rejects_incomplete():
     half = ch.KrausSet(2, 2, (np.eye(2) / 2,))
     with pytest.raises(ValueError):
         ch.choi_from_kraus(half)
+
+
+def nonfinite_chois():
+    """AD(0.3)'s Choi operator with a NaN pair off the diagonal, with an inf
+    on the diagonal (still Hermitian), and all NaN."""
+    good = ch.choi_from_kraus(ch.amplitude_damping(0.3)).choi
+    nan_pair, inf_diag = good.copy(), good.copy()
+    nan_pair[1, 2] = nan_pair[2, 1] = np.nan
+    inf_diag[0, 0] = np.inf
+    all_nan = np.full((4, 4), np.nan, dtype=complex)
+    return [ch.Channel(2, 2, m) for m in (nan_pair, inf_diag, all_nan)]
+
+
+# Each validator tests finiteness before any arithmetic, so a non-finite entry
+# raises its own error and no RuntimeWarning.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("validate", [ch.validate_channel, ch.validated_kraus])
+def test_validation_rejects_a_non_finite_choi_operator(validate):
+    for c in nonfinite_chois():
+        with pytest.raises(ValueError, match="^psi has a non-finite entry$"):
+            validate(c, name="psi")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_kraus_from_choi_rejects_a_non_finite_choi_operator():
+    for c in nonfinite_chois():
+        with pytest.raises(ValueError, match="^Choi operator has a non-finite entry$"):
+            ch.kraus_from_choi(c)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_choi_from_kraus_rejects_a_non_finite_operator():
+    ad = ch.amplitude_damping(0.3)
+    for bad in (np.nan, np.inf, -np.inf):
+        ops = [k.copy() for k in ad.operators]
+        ops[1][0, 1] = bad
+        with pytest.raises(ValueError, match="^Kraus set has a non-finite entry$"):
+            ch.choi_from_kraus(ch.KrausSet(2, 2, tuple(ops)))
+    nan_set = ch.KrausSet(2, 2, (np.full((2, 2), np.nan),))
+    with pytest.raises(ValueError, match="^Kraus set has a non-finite entry$"):
+        ch.choi_from_kraus(nan_set)
+
+
+def masked_kraus_stack(c):
+    """The Kraus operators that a boolean mask ``w > EPS_RANK`` keeps of the
+    eigenpairs of the Choi operator's Hermitian part."""
+    w, v = np.linalg.eigh(hermitian_part(c.choi))
+    keep = w > ch.EPS_RANK
+    cols = v[:, keep] * np.sqrt(w[keep])
+    return cols.T.reshape(-1, c.dim_in, c.dim_out).transpose(0, 2, 1)
+
+
+def test_kept_eigenpairs_are_the_masked_ones_bit_for_bit():
+    # eigh's eigenvalues ascend, so the pairs above the rank cut are a suffix.
+    rank_deficient = ch.random_channel(2, 3, np.random.default_rng(12), dim_env=2)
+    for c in (ch.choi_from_kraus(ch.amplitude_damping(0.3)), ch.identity(3), rank_deficient):
+        expected = masked_kraus_stack(c)
+        for kraus in (ch.kraus_from_choi(c), ch.validated_kraus(c)):
+            assert np.array_equal(kraus.stack, expected)
+    assert ch.kraus_from_choi(rank_deficient).dim_env == 2
+    # An eigenvalue at the cut is dropped, as the mask drops it.
+    at_cut = ch.Channel(2, 2, np.diag([0.0, ch.EPS_RANK, 2 * ch.EPS_RANK, 1.0]))
+    assert np.array_equal(ch.kraus_from_choi(at_cut).stack, masked_kraus_stack(at_cut))
+    assert ch.kraus_from_choi(at_cut).dim_env == 2
+
+
+def test_no_eigenvalue_above_the_cut_raises():
+    message = "^Choi operator has no eigenvalue above the rank threshold$"
+    for m in (np.zeros((4, 4)), ch.EPS_RANK * np.eye(4)):
+        with pytest.raises(ValueError, match=message):
+            ch.kraus_from_choi(ch.Channel(2, 2, m))
 
 
 def test_isometry_from_kraus_single_op():
@@ -494,10 +566,10 @@ def test_one_pass_validation_matches_the_two_pass_defects():
         for validate in (ch.validate_channel, ch.validated_kraus):
             if failed:
                 with pytest.raises(ValueError) as err:
-                    validate(c, atol=1e-9, name="psi")
+                    validate(c, name="psi")
                 assert str(err.value) == messages[failed[0]]
             else:
-                validate(c, atol=1e-9, name="psi")
+                validate(c, name="psi")
     assert first_failures == [None, 0, 1, 2]
 
 
