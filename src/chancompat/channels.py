@@ -188,7 +188,8 @@ def _tp_defect(channel: Channel, h: np.ndarray) -> float:
 def cptp_defects(channel: Channel) -> tuple[float, float]:
     """(CP defect, TP defect) of the Choi operator's Hermitian part: most
     negative eigenvalue magnitude and Frobenius distance of the output
-    partial trace from the identity."""
+    partial trace from the identity. A non-finite entry raises."""
+    require_finite(channel.choi, "channel")
     h = hermitian_part(channel.choi)
     wmin = float(np.linalg.eigvalsh(h)[0])
     return max(0.0, -wmin), _tp_defect(channel, h)

@@ -319,9 +319,13 @@ class FeasibilityReport:
     ``stop_reason`` is one of ``"tolerance"`` (feasible), ``"certificate"``
     (infeasible, ``certificate`` holds the Farkas multipliers), ``"plateau"``
     (best residual stopped improving; inconclusive) and ``"iteration-cap"``
-    (inconclusive). ``constraints`` is the system that ``solution`` (a
-    matrix X) and ``certificate`` (multipliers for its rows) belong to;
-    :func:`certificate_bound` needs it to re-check the certificate.
+    (inconclusive). ``candidate`` says which candidate ended a feasible
+    solve: ``"psd"`` for the PSD iterate, ``"affine"`` for the affine point,
+    None when the solve is not feasible. ``rejections`` counts the
+    extrapolated points that the safeguard rejected. ``constraints`` is the
+    system that ``solution`` (a matrix X) and ``certificate`` (multipliers
+    for its rows) belong to; :func:`certificate_bound` needs it to re-check
+    the certificate.
     """
 
     status: Status
@@ -330,6 +334,8 @@ class FeasibilityReport:
     residual_psd: float
     iterations: int
     stop_reason: str
+    candidate: str | None
+    rejections: int
     certificate: np.ndarray | None = field(repr=False)
     constraints: CompositionConstraintSet = field(repr=False, compare=False)
 
@@ -391,12 +397,14 @@ class _Anderson:
 
     The safeguard: an extrapolated point whose ``||g||`` exceeds that of the
     point it was extrapolated from (its base) is rejected. The step returns
-    the base's plain step ``T(z_base)``, and ``on`` turns false, so that the
-    rest of the solve is plain Douglas-Rachford.
+    the base's plain step ``T(z_base)``, ``rejections`` counts the point, and
+    ``on`` turns false, so that the rest of the solve is plain
+    Douglas-Rachford.
     """
 
     def __init__(self, z: np.ndarray, t: np.ndarray):
         self.on = True
+        self.rejections = 0
         # Rows of the real views: two differences of g and the last g, whose
         # roles rotate (``_roles``: older difference, newer, g); the two
         # differences of T by slot; the last T.
@@ -427,6 +435,7 @@ class _Anderson:
         gg = by_g[g]
         if self._base is not None and not gg <= self._base[1]:  # also for nan
             self.on = False
+            self.rejections += 1
             return self._base[0]
         slot = self._slot
         np.subtract(t, self._t, out=self._dt_mats[slot])
@@ -505,6 +514,7 @@ def solve(
     checkpoints: list[float] = []
     status = Status.INCONCLUSIVE
     stop_reason = "iteration-cap"
+    candidate = None
     iterations = config.max_iter
     certificate = None
     infeasible_at = 10.0 * config.eps_feas
@@ -518,7 +528,7 @@ def solve(
             best = r_aff
             best_candidate = y
         if r_aff < config.eps_feas:
-            status, stop_reason, iterations = Status.FEASIBLE, "tolerance", it
+            status, stop_reason, iterations, candidate = Status.FEASIBLE, "tolerance", it, "psd"
             break
         checkpoint = it % _CHECKPOINT == 0
         if it == 1 or checkpoint:
@@ -543,7 +553,7 @@ def solve(
             r = constraints.residual_rows(x)
             r_aff = math.sqrt(_dot(r, r))
             if r_aff < config.eps_feas:
-                best, best_candidate = r_aff, x
+                best, best_candidate, candidate = r_aff, x, "affine"
                 status, stop_reason, iterations = Status.FEASIBLE, "tolerance", it
                 break
         t = y - c  # T(z)
@@ -561,7 +571,17 @@ def solve(
     if status is Status.FEASIBLE and not (best < config.eps_feas and r_psd < config.eps_feas):
         # Defensive: an accepted candidate should always satisfy both.
         status = Status.INCONCLUSIVE
-        solution = None
+        solution = candidate = None
+    rejections = anderson.rejections if anderson is not None else 0
     return FeasibilityReport(
-        status, solution, best, r_psd, iterations, stop_reason, certificate, constraints
+        status,
+        solution,
+        best,
+        r_psd,
+        iterations,
+        stop_reason,
+        candidate,
+        rejections,
+        certificate,
+        constraints,
     )

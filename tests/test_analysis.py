@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 from dense_oracle import compatibilizer_oracle, dense_forward
+from paths import INSTANCES
 from test_assembly import marginal_set
 
 from chancompat import analysis as an
@@ -114,9 +115,9 @@ def test_full_rank_pair_is_theorem_1_with_the_identity_dilation(d):
     # dilation's complementary channel rho -> rho (x) I_B with J_psi as the
     # first target, which is the joint under its marginal rows, and the
     # identity lift returns the solution unchanged.
-    eta = (d + 2) / (2 * (d + 1)) - 1e-3
-    dep = ch.Channel(d, d, eta * ch.identity(d).choi + (1 - eta) * np.eye(d * d) / d)
-    rep = an.check_compatibility(dep, dep)
+    instance = INSTANCES[f"dep-compat-d{d}-below-1e-3"]
+    dep = instance.channels[0]
+    rep = instance.run()
     assert rep.status is Status.FEASIBLE
     assert np.array_equal(rep.compatibilizer.choi, rep.solver.solution)
     marginal = marginal_set((d, d, d), dep.choi, dep.choi)

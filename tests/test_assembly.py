@@ -28,6 +28,7 @@ from dense_oracle import (
     oracle_constraints,
     residual_norm,
 )
+from paths import INSTANCES, dressed, noisy, thm1_pair
 
 from chancompat import analysis as an
 from chancompat import channels as ch
@@ -90,17 +91,6 @@ def route(psi, phi):
     return ("phi", k_phi) if side_phi < side_psi else ("psi", k_psi)
 
 
-def thm1_pair(rng, d, env):
-    kraus = ch.random_kraus(d, d, env, rng)
-    theta = ch.random_channel(env, d, rng, dim_env=2 * env)
-    return ch.choi_from_kraus(kraus), ch.compose_choi(ch.complementary(kraus), theta)
-
-
-def noisy(c, eps):
-    noise = ch.constant_channel(np.eye(c.dim_out) / c.dim_out, c.dim_in)
-    return Channel(c.dim_in, c.dim_out, (1 - eps) * c.choi + eps * noise.choi)
-
-
 def compat_instances():
     rng = np.random.default_rng(505)
     out = []
@@ -117,13 +107,6 @@ def compat_instances():
     chi = ch.choi_from_kraus(ch.random_measure_prepare(2, rng))
     out.append(pytest.param(ch.tensor(psi, chi), ch.tensor(phi, chi), id="tensored-64"))
     return out
-
-
-def dressed(c, rng):
-    """c between random unitaries on its input and on its output."""
-    before = ch.unitary_channel(ch.random_unitary(c.dim_in, rng))
-    after = ch.unitary_channel(ch.random_unitary(c.dim_out, rng))
-    return ch.compose_choi(ch.compose_choi(before, c), after)
 
 
 def div_instances():
@@ -144,7 +127,8 @@ def div_instances():
         psi, psi_c = ch.choi_from_kraus(kraus), ch.complementary(kraus)
         out.append(pytest.param(psi, psi_c, id=f"degradable-ad-{gamma}"))
         out.append(pytest.param(psi_c, psi, id=f"antidegradable-ad-{gamma}"))
-        out.append(pytest.param(dressed(psi, rng), ch.identity(2), id=f"dressed-ad-{gamma}-id"))
+        psi_d = dressed(psi, ch.random_unitary(2, rng), ch.random_unitary(2, rng))
+        out.append(pytest.param(psi_d, ch.identity(2), id=f"dressed-ad-{gamma}-id"))
     for d in (2, 3):
         out.append(pytest.param(ch.random_channel(d, d, rng), ch.identity(d), id=f"random-d{d}-id"))
     return out
@@ -413,10 +397,9 @@ def test_composition_set_builds_rows_from_hermitian_targets():
 @pytest.mark.parametrize("d", [5, 6])
 def test_large_divisible_pairs_are_feasible_at_iteration_one(d):
     # A dense M would be 650 x 625 (d=5) and 1332 x 1296 (d=6).
-    rng = np.random.default_rng(700 + d)
-    psi = ch.random_channel(d, d, rng, dim_env=2)
-    phi = ch.compose_choi(psi, ch.random_channel(d, d, rng, dim_env=d))
-    rep = an.check_divisibility(psi, phi, CONFIG)
+    instance = INSTANCES[f"large-div-d{d}"]
+    psi, phi = instance.channels
+    rep = instance.run()
     assert rep.status is Status.FEASIBLE
     assert rep.solver.iterations == 1
     assert ch.choi_distance(ch.compose_choi(psi, rep.quotient), phi) < CONFIG.eps_feas

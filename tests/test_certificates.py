@@ -16,6 +16,7 @@ import warnings
 import numpy as np
 import pytest
 from dense_oracle import AffineConstraintSet, div_oracle, marginal_oracle
+from paths import INSTANCES, depolarizing, noisy, thm1_pair
 
 from chancompat import analysis as an
 from chancompat import channels as ch
@@ -33,15 +34,18 @@ from chancompat.linalg import project_psd, skew, vectorize_hermitian
 CONFIG = SolverConfig()
 
 
-def thm1_pair(rng, d, env):
-    kraus = ch.random_kraus(d, d, env, rng)
-    theta = ch.random_channel(env, d, rng, dim_env=2 * env)
-    return ch.choi_from_kraus(kraus), ch.compose_choi(ch.complementary(kraus), theta)
+def spy(monkeypatch, owner, name):
+    """Every later call of ``owner.name``, as ``(args, result)``; the calls
+    still run. The tests read costs from it: calls per iteration, and what
+    each call was given or returned."""
+    calls, original = [], getattr(owner, name)
 
+    def record(*args):
+        calls.append((args, original(*args)))
+        return calls[-1][1]
 
-def noisy(c: Channel, eps: float) -> Channel:
-    noise = ch.constant_channel(np.eye(c.dim_out) / c.dim_out, c.dim_in)
-    return Channel(c.dim_in, c.dim_out, (1 - eps) * c.choi + eps * noise.choi)
+    monkeypatch.setattr(owner, name, record)
+    return calls
 
 
 def feasible_reports():
@@ -55,6 +59,9 @@ def feasible_reports():
         reports.append(an.check_divisibility(psi, phi, CONFIG))
     psi, phi = thm1_pair(rng, 2, 2)
     reports.append(an.check_compatibility(noisy(psi, 0.01), noisy(phi, 0.01), CONFIG))
+    # Solves that attempt a certificate at iteration 1 and go on.
+    for d in (2, 3):
+        reports.append(INSTANCES[f"dep-compat-d{d}-below-1e-2"].run())
     return reports
 
 
@@ -118,8 +125,9 @@ def test_identity_self_compatibility_is_certified(d):
     # channel after it gives back the identity. The certificate is stated on
     # that quotient system, whose dense oracle gives the same bound, and
     # solves the same way.
-    ident = ch.identity(d)
-    rep = an.check_compatibility(ident, ident, CONFIG).solver
+    instance = INSTANCES[f"identity-compat-d{d}"]
+    ident = instance.channels[0]
+    rep = instance.run().solver
     assert rep.status is Status.NOT_FEASIBLE_AT_TOLERANCE
     assert rep.stop_reason == "certificate" and rep.iterations == 1
     assert isinstance(rep.constraints, CompositionConstraintSet)
@@ -189,18 +197,13 @@ def test_full_rank_pairs_are_feasible_with_reverified_witness(d, env):
         assert certificate_bound(cons, cons.join(lam)) <= rep.solver.residual_affine + 1e-12
 
 
-def depolarizing(d: int, eta: float) -> Channel:
-    """rho -> eta rho + (1 - eta) Tr(rho) I / d."""
-    return Channel(d, d, eta * ch.identity(d).choi + (1 - eta) * ch.completely_depolarizing(d).choi)
-
-
 @pytest.mark.parametrize("d", [2, 3])
 def test_depolarizing_self_compatibility_brackets_cloning_threshold(d):
     # Optimal universal 1 -> 2 cloning: the depolarizing channel is
     # compatible with itself exactly when eta <= (d + 2) / (2 (d + 1)).
-    threshold = (d + 2) / (2 * (d + 1))
-    above = depolarizing(d, threshold + 1e-3)
-    rep = an.check_compatibility(above, above, CONFIG).solver
+    instance = INSTANCES[f"dep-compat-d{d}-above-1e-3"]
+    above = instance.channels[0]
+    rep = instance.run().solver
     assert isinstance(rep.constraints, CompositionConstraintSet)
     assert rep.constraints.dims == (d, d * d, d)  # the joint, under its marginals
     assert rep.status is Status.NOT_FEASIBLE_AT_TOLERANCE
@@ -213,8 +216,9 @@ def test_depolarizing_self_compatibility_brackets_cloning_threshold(d):
     assert (oracle.stop_reason, oracle.iterations) == ("certificate", 1)
     assert abs(bound - certificate_bound(dense, oracle.certificate)) <= 1e-12
 
-    below = depolarizing(d, threshold - 1e-3)
-    rep = an.check_compatibility(below, below, CONFIG)
+    instance = INSTANCES[f"dep-compat-d{d}-below-1e-3"]
+    below = instance.channels[0]
+    rep = instance.run()
     assert rep.status is Status.FEASIBLE
     assert joint_reverifies(rep.compatibilizer, below, below)
 
@@ -223,38 +227,29 @@ def test_depolarizing_self_compatibility_brackets_cloning_threshold(d):
 def test_depolarizing_self_compatibility_decided_within_1e6_of_cloning_threshold(d):
     # Plain Douglas-Rachford plateaus at 2 000 iterations below the
     # threshold from eta* - 1e-4 on; the accelerated solve is feasible in 4.
-    threshold = (d + 2) / (2 * (d + 1))
-    below = depolarizing(d, threshold - 1e-6)
-    rep = an.check_compatibility(below, below, CONFIG)
+    instance = INSTANCES[f"dep-compat-d{d}-below-1e-6"]
+    below = instance.channels[0]
+    rep = instance.run()
     assert rep.status is Status.FEASIBLE and rep.solver.iterations <= 4
     assert joint_reverifies(rep.compatibilizer, below, below)
 
-    above = depolarizing(d, threshold + 1e-6)
-    rep = an.check_compatibility(above, above, CONFIG).solver
+    instance = INSTANCES[f"dep-compat-d{d}-above-1e-6"]
+    above = instance.channels[0]
+    rep = instance.run().solver
     assert rep.stop_reason == "certificate" and rep.iterations == 1
     bound = certificate_bound(marginal_oracle(above, above), rep.certificate)
     assert bound >= 10 * CONFIG.eps_feas
 
 
-def test_rejected_extrapolation_ends_acceleration(monkeypatch):
+def test_rejected_extrapolation_ends_acceleration():
     # A noisy qutrit Theorem-1 pair (psi unitary, phi a constant channel):
     # the safeguard rejects one extrapolated point, and the solve ends
     # feasible after 18 iterations. Acceleration that stays on after the
     # rejection needs 28; plain Douglas-Rachford needs 45.
-    rejections, step = [], fz._Anderson.step
-
-    def watched(self, z, t):
-        on = self.on
-        out = step(self, z, t)
-        if on and not self.on:
-            rejections.append(1)
-        return out
-
-    monkeypatch.setattr(fz._Anderson, "step", watched)
-    psi, phi = thm1_pair(np.random.default_rng(3), 3, 1)
-    psi, phi = noisy(psi, 5.7e-3), noisy(phi, 5.7e-3)
-    rep = an.check_compatibility(psi, phi, CONFIG)
-    assert rejections == [1]
+    instance = INSTANCES["noisy-thm1-d3-env1-5.7e-3"]
+    psi, phi = instance.channels
+    rep = instance.run()
+    assert rep.solver.rejections == 1
     assert rep.status is Status.FEASIBLE and rep.solver.iterations <= 20
     cp, tp = ch.cptp_defects(rep.compatibilizer)
     assert cp <= 1e-8 and tp <= 1e-6
@@ -322,9 +317,10 @@ def certified_pool():
         solve_it = lambda psi=psi, kraus=kraus: an.check_antidegradable(psi, kraus, CONFIG).solver
         pool.append(pytest.param(solve_it, div_oracle(psi_c, psi), id=f"anti-{gamma:.2f}"))
     for d in (2, 3):
-        ident = ch.identity(d)
-        solve_it = lambda ident=ident: an.check_compatibility(ident, ident, CONFIG).solver
+        instance = INSTANCES[f"identity-compat-d{d}"]
+        ident = instance.channels[0]
         oracle = div_oracle(ch.complementary(ch.kraus_from_choi(ident)), ident)
+        solve_it = lambda instance=instance: instance.run().solver
         pool.append(pytest.param(solve_it, oracle, id=f"identity-self-d{d}"))
     for gamma in rng.uniform(0.2, 0.5, size=2):
         u_in, u_out = ch.random_unitary(2, rng), ch.random_unitary(2, rng)
@@ -333,34 +329,20 @@ def certified_pool():
         solve_it = lambda psi=psi: an.check_divisibility(psi, ch.identity(2), CONFIG).solver
         oracle = div_oracle(psi, ch.identity(2))
         pool.append(pytest.param(solve_it, oracle, id=f"div-dressed-ad-{gamma:.2f}-id"))
-    psi, phi, _ = ch.trace_out_pair(ch.completely_depolarizing(2), ch.identity(2))
-    solve_it = lambda: an.check_divisibility(psi, phi, CONFIG).solver
-    pool.append(pytest.param(solve_it, div_oracle(psi, phi), id="example2-div"))
+    instance = INSTANCES["example2-div"]
+    solve_it = lambda: instance.run().solver
+    pool.append(pytest.param(solve_it, div_oracle(*instance.channels), id="example2-div"))
     negative = AffineConstraintSet(2, vectorize_hermitian(np.eye(2))[None], np.array([-1.0]))
     pool.append(pytest.param(lambda: solve(negative, CONFIG), negative, id="trace-minus-one"))
     return pool
 
 
-def recording_bound(monkeypatch):
-    """Every ``(floor, bound)`` of the solver's certificate attempts."""
-    calls = []
-
-    def record(constraints, lam, floor):
-        value = bound(constraints, lam, floor)
-        calls.append((floor, value))
-        return value
-
-    bound = fz._bound
-    monkeypatch.setattr(fz, "_bound", record)
-    return calls
-
-
 @pytest.mark.parametrize("solve_it, oracle", certified_pool())
 def test_stopping_bound_is_the_recheck_bound(solve_it, oracle, monkeypatch):
-    attempts = recording_bound(monkeypatch)
+    attempts = spy(monkeypatch, fz, "_bound")
     rep = solve_it()
     assert rep.stop_reason == "certificate"
-    floor, stopped = attempts[-1]
+    (_, _, floor), stopped = attempts[-1]
     assert floor == 10 * CONFIG.eps_feas <= stopped
     monkeypatch.undo()
     recheck = certificate_bound(rep.constraints, rep.certificate)
@@ -368,48 +350,34 @@ def test_stopping_bound_is_the_recheck_bound(solve_it, oracle, monkeypatch):
     assert abs(stopped - certificate_bound(oracle, rep.certificate)) <= 1e-12
 
 
-def counting_vectorize(monkeypatch):
-    calls = []
-
-    def count(x):
-        calls.append(np.shape(x))
-        return vectorize(x)
-
-    vectorize = fz.vectorize_hermitian
-    monkeypatch.setattr(fz, "vectorize_hermitian", count)
-    return calls
-
-
 @pytest.mark.parametrize("solve_it, oracle", certified_pool())
 def test_certified_solve_vectorizes_only_the_kept_multipliers(solve_it, oracle, monkeypatch):
-    calls = counting_vectorize(monkeypatch)
+    calls = spy(monkeypatch, fz, "vectorize_hermitian")
     rep = solve_it()
+    shapes = [np.shape(x) for (x,), _ in calls]
     if isinstance(rep.constraints, CompositionConstraintSet):
         b = rep.constraints.dims[1]
         # One gather per row block of the certificate, and nothing else.
-        assert len(calls) == 2 and calls[0] == (b, b)
-        assert sum(int(np.prod(shape)) for shape in calls) == rep.certificate.size
+        assert len(shapes) == 2 and shapes[0] == (b, b)
+        assert sum(int(np.prod(shape)) for shape in shapes) == rep.certificate.size
     else:
-        assert calls == []
+        assert shapes == []
 
 
 def test_residual_rows_run_once_per_iteration(monkeypatch):
     # The report's affine residual is the loop's own measurement of the
-    # candidate, not a second one after the loop.
-    calls = []
+    # candidate, not a second one after the loop: the rows of every PSD
+    # iterate once, and of an accepted affine point once more.
     rows = CompositionConstraintSet.residual_rows
-
-    def counted(self, x):
-        calls.append(x)
-        return rows(self, x)
-
-    monkeypatch.setattr(CompositionConstraintSet, "residual_rows", counted)
-    for eta, status in ((2 / 3 - 1e-3, Status.FEASIBLE), (0.7, Status.NOT_FEASIBLE_AT_TOLERANCE)):
+    calls = spy(monkeypatch, CompositionConstraintSet, "residual_rows")
+    for name, status in (
+        ("dep-compat-d2-below-1e-3", Status.FEASIBLE),
+        ("dep-compat-d2-above-1e-3", Status.NOT_FEASIBLE_AT_TOLERANCE),
+    ):
         calls.clear()
-        dep = depolarizing(2, eta)
-        rep = an.check_compatibility(dep, dep, CONFIG).solver
+        rep = INSTANCES[name].run().solver
         assert rep.status is status
-        assert len(calls) == rep.iterations
+        assert len(calls) == rep.iterations + (rep.candidate == "affine")
         if status is Status.FEASIBLE:
             assert rep.iterations > 1
             r = rows(rep.constraints, rep.solution)
@@ -423,74 +391,35 @@ def test_one_projection_per_iteration_when_the_safeguard_fires(d, monkeypatch):
     # above eta* no affine point ends the solve: the safeguard rejects the
     # point evaluated at iteration 17 (d = 2) or 23 (d = 3), and the plateau
     # ends the solve.
-    projections, rejections = [], []
-    project, step = fz.project_psd, fz._Anderson.step
-
-    def counted(x):
-        projections.append(1)
-        return project(x)
-
-    def watched(self, z, t):
-        on = self.on
-        out = step(self, z, t)
-        if on and not self.on:
-            rejections.append(1)
-        return out
-
-    monkeypatch.setattr(fz, "project_psd", counted)
-    monkeypatch.setattr(fz._Anderson, "step", watched)
-    psi = depolarizing(d, (d + 2) / (2 * (d + 1)) + 1e-7)
-    rep = an.check_antidegradable(psi, ch.kraus_from_choi(psi), CONFIG).solver
+    projections = spy(monkeypatch, fz, "project_psd")
+    rep = INSTANCES[f"dep-antidegradable-d{d}-above-1e-7"].run().solver
     assert rep.status is Status.INCONCLUSIVE and rep.stop_reason == "plateau"
-    assert rejections == [1]
+    assert rep.rejections == 1
     assert len(projections) == rep.iterations
 
 
-def stopping_candidates(monkeypatch):
-    """The matrices whose rows the solve measures, and its PSD iterates."""
-    measured, projected = [], []
-    rows, project = CompositionConstraintSet.residual_rows, fz.project_psd
-
-    def measure(self, x):
-        measured.append(x)
-        return rows(self, x)
-
-    def psd(x):
-        projected.append(project(x))
-        return projected[-1]
-
-    monkeypatch.setattr(CompositionConstraintSet, "residual_rows", measure)
-    monkeypatch.setattr(fz, "project_psd", psd)
-    return measured, projected
-
-
-def affine_stop_instances():
-    rng = np.random.default_rng(4)
-    psi, phi = (noisy(c, 1e-4) for c in thm1_pair(rng, 2, 2))
-    yield pytest.param(lambda: an.check_compatibility(psi, phi, CONFIG), id="noisy-1e-4")
-    full = thm1_pair(np.random.default_rng(17), 2, 4)
-    yield pytest.param(lambda: an.check_compatibility(*full, CONFIG), id="full-rank-d2")
-    dep = depolarizing(3, 5 / 8 - 1e-4)
-    yield pytest.param(
-        lambda: an.check_antidegradable(dep, ch.kraus_from_choi(dep), CONFIG), id="antidegradable-d3"
-    )
-
-
-@pytest.mark.parametrize("check", affine_stop_instances())
-def test_a_solve_that_stops_on_the_affine_point_returns_it(check, monkeypatch):
+@pytest.mark.parametrize(
+    "name",
+    ["noisy-thm1-d2-env2-1e-4", "full-rank-thm1-d2-env4", "dep-antidegradable-d3-below-1e-4"],
+    ids=["noisy-1e-4", "full-rank-d2", "antidegradable-d3"],
+)
+def test_a_solve_that_stops_on_the_affine_point_returns_it(name, monkeypatch):
     # The affine point P_aff(2Y - Z) satisfies the rows to rounding; it ends
     # the solve when it has a Cholesky factor and its own rows' residual is
     # below eps_feas. It is then the solution, exactly Hermitian, and its
     # residuals are its own.
-    measured, projected = stopping_candidates(monkeypatch)
-    rep = check().solver
+    measured = spy(monkeypatch, CompositionConstraintSet, "residual_rows")
+    projected = spy(monkeypatch, fz, "project_psd")
+    rep = INSTANCES[name].run().solver
     x = rep.solution
     assert rep.status is Status.FEASIBLE and rep.stop_reason == "tolerance"
-    assert rep.iterations > 1
-    # Every PSD iterate's rows once, then the accepted point's.
-    assert len(measured) == rep.iterations + 1 and x is measured[-1]
+    assert rep.candidate == "affine" and rep.iterations > 1
+    # Every PSD iterate's rows once, then the accepted point's, and one
+    # projection per iteration.
+    (_, last), _ = measured[-1]
+    assert len(measured) == rep.iterations + 1 and x is last
     assert len(projected) == rep.iterations
-    assert not any(x is y for y in projected)
+    assert not any(x is y for _, y in projected)
     assert skew(x) == 0.0
     np.linalg.cholesky(x)
     assert rep.residual_psd == 0.0
@@ -502,22 +431,18 @@ def test_inconsistent_rows_never_accept_the_affine_point(monkeypatch):
     # Example 2's divisibility rows are inconsistent, so the affine point is
     # only a least-squares point, with residual sqrt(6). It is certified at
     # iteration 1, before the affine point is formed.
-    psi, phi = ch.trace_out_pair(ch.completely_depolarizing(2), ch.identity(2))[:2]
-    rep = an.check_divisibility(psi, phi, CONFIG).solver
+    instance = INSTANCES["example2-div"]
+    rep = instance.run().solver
     assert rep.status is Status.NOT_FEASIBLE_AT_TOLERANCE
     assert (rep.stop_reason, rep.iterations) == ("certificate", 1)
     # With certificates off, the affine point is positive definite at every
     # iteration, and its rows still refuse it to the iteration cap.
-    factored = []
-    positive_definite = fz._positive_definite
     monkeypatch.setattr(fz, "_bound", lambda *args: 0.0)
-    monkeypatch.setattr(
-        fz, "_positive_definite", lambda x: factored.append(positive_definite(x)) or factored[-1]
-    )
-    rep = an.check_divisibility(psi, phi, SolverConfig(max_iter=50)).solver
+    factored = spy(monkeypatch, fz, "_positive_definite")
+    rep = an.check_divisibility(*instance.channels, SolverConfig(max_iter=50)).solver
     assert rep.status is Status.INCONCLUSIVE and rep.stop_reason == "iteration-cap"
     assert rep.solution is None and rep.residual_affine >= 1.0
-    assert factored == [True] * 50
+    assert [result for _, result in factored] == [True] * 50
 
 
 @pytest.mark.parametrize("seed", [3, 7])
@@ -549,14 +474,15 @@ def test_nearly_singular_full_rank_pairs_are_feasible(seed, index):
 
 
 @pytest.mark.parametrize("d", [2, 3])
-@pytest.mark.parametrize("delta", [1e-4, 1e-6])
+@pytest.mark.parametrize("delta", ["1e-4", "1e-6"], ids=["0.0001", "1e-06"])
 def test_depolarizing_antidegradable_just_below_threshold(d, delta):
     # Anti-degradability on the minimal dilation, which took 1 375 iterations
     # (d = 2, delta = 1e-4) or plateaued before the affine point could stop
     # the solve.
-    psi = depolarizing(d, (d + 2) / (2 * (d + 1)) - delta)
+    instance = INSTANCES[f"dep-antidegradable-d{d}-below-{delta}"]
+    psi = instance.channels[0]
     kraus = ch.kraus_from_choi(psi)
-    rep = an.check_antidegradable(psi, kraus, CONFIG)
+    rep = instance.run()
     assert rep.status is Status.FEASIBLE and rep.solver.iterations < 100
     cp, tp = ch.cptp_defects(rep.degrading)
     assert cp <= 1e-8 and tp <= 1e-6
@@ -579,25 +505,12 @@ def test_affine_stop_is_sound_just_above_threshold(d):
 def test_failed_attempts_do_not_vectorize(monkeypatch):
     # Depolarizing self-compatibility just below the cloning threshold: the
     # attempt at iteration 1 fails and the solve goes on to a feasible end.
-    below = depolarizing(2, 2 / 3 - 1e-3)
-    attempts = recording_bound(monkeypatch)
-    calls = counting_vectorize(monkeypatch)
-    rep = an.check_compatibility(below, below, CONFIG)
+    attempts = spy(monkeypatch, fz, "_bound")
+    calls = spy(monkeypatch, fz, "vectorize_hermitian")
+    rep = INSTANCES["dep-compat-d2-below-1e-3"].run()
     assert rep.status is Status.FEASIBLE and rep.solver.iterations > 1
-    assert attempts and all(value < floor for floor, value in attempts)
+    assert attempts and all(value < floor for (_, _, floor), value in attempts)
     assert calls == []
-
-
-def counting_adjoint(monkeypatch, cls):
-    calls = []
-
-    def count(self, lam):
-        calls.append(1)
-        return adjoint(self, lam)
-
-    adjoint = cls.adjoint
-    monkeypatch.setattr(cls, "adjoint", count)
-    return calls
 
 
 def test_skip_never_fires_when_b_tau_is_negative(monkeypatch):
@@ -613,7 +526,7 @@ def test_skip_never_fires_when_b_tau_is_negative(monkeypatch):
     ]
     for cons in sets:
         assert cons.trace_scalars[0] < 0
-        calls = counting_adjoint(monkeypatch, type(cons))
+        calls = spy(monkeypatch, type(cons), "adjoint")
         for _ in range(5):
             g = rng.standard_normal((cons.dim,) * 2) + 1j * rng.standard_normal((cons.dim,) * 2)
             lam = cons.residual_multipliers(cons.residual_rows(project_psd(g + g.conj().T)))
@@ -638,7 +551,7 @@ def test_skip_never_skips_an_attempt_that_certifies(solve_it, oracle, monkeypatc
     for _ in range(6):
         g = rng.standard_normal((cons.dim,) * 2) + 1j * rng.standard_normal((cons.dim,) * 2)
         lams.append(cons.residual_multipliers(cons.residual_rows(project_psd(g + g.conj().T))))
-    calls = counting_adjoint(monkeypatch, type(cons))
+    calls = spy(monkeypatch, type(cons), "adjoint")
     skipped = 0
     for lam in lams:
         full = fz._bound(cons, lam, 0.0)

@@ -122,6 +122,13 @@ def test_kraus_from_choi_rejects_a_non_finite_choi_operator():
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_cptp_defects_reject_a_non_finite_choi_operator():
+    for c in nonfinite_chois():
+        with pytest.raises(ValueError, match="^channel has a non-finite entry$"):
+            ch.cptp_defects(c)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_choi_from_kraus_rejects_a_non_finite_operator():
     ad = ch.amplitude_damping(0.3)
     for bad in (np.nan, np.inf, -np.inf):

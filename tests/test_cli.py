@@ -5,6 +5,7 @@ import sys
 
 import numpy as np
 import pytest
+from paths import INSTANCES
 
 from chancompat import analysis as an, channels as ch, cli, io, pipelines
 from chancompat.cli import main
@@ -385,24 +386,22 @@ def test_complement_of_choi_form_extracts_kraus(tmp_path, capsys):
     assert comp.dim_out == 4  # canonical environment of the depolarizing qubit
 
 
-def thm1_files(tmp_path, rng, d, env, eps=0.0):
-    """Files of a Theorem 1 pair (psi, theta o psi^c), compatible by
-    construction, mixed with eps of completely depolarizing noise (which keeps
-    it compatible)."""
-    kraus = ch.random_kraus(d, d, env, rng)
-    theta = ch.random_channel(env, d, rng, dim_env=2 * env)
-    psi, phi = ch.choi_from_kraus(kraus), ch.compose_choi(ch.complementary(kraus), theta)
-    noise = ch.constant_channel(np.eye(d) / d, d)
-    paths = []
-    for name, c in (("psi", psi), ("phi", phi)):
-        paths.append(str(tmp_path / f"{name}.json"))
-        io.save_channel(paths[-1], ch.Channel(d, d, (1 - eps) * c.choi + eps * noise.choi))
-    return paths
+def instance_files(tmp_path, name):
+    """Choi files of the channels of ``paths.INSTANCES[name]``."""
+    files = []
+    for k, channel in enumerate(INSTANCES[name].channels):
+        files.append(str(tmp_path / f"{name}-{k}.json"))
+        io.save_channel(files[-1], channel)
+    return files
 
 
 def test_iteration_cap_gives_inconclusive_exit(tmp_path, capsys):
-    psi, phi = thm1_files(tmp_path, np.random.default_rng(3), 2, 4)
-    code, doc = run(capsys, "check", "compat", psi, phi, "--max-iter", "2", "--quiet")
+    # Depolarizing self-compatibility at 2/3 - 1e-2 is feasible at iteration
+    # 4; capped at 2, it is inconclusive.
+    name = "dep-compat-d2-below-1e-2-cap-2"
+    cap = str(INSTANCES[name].config.max_iter)
+    files = instance_files(tmp_path, name)
+    code, doc = run(capsys, "check", "compat", *files, "--max-iter", cap, "--quiet")
     assert code == 2
     assert doc["status"] == "inconclusive"
     assert doc["stop_reason"] == "iteration-cap" and doc["iterations"] == 2
@@ -451,11 +450,8 @@ def test_uncertified_plateau_is_inconclusive(tmp_path, capsys):
     # not compatible, but no bound reaches 10 * eps_feas, so the best
     # residual plateaus, and without a certificate the plateau decides
     # nothing.
-    eta = 2 / 3 + 1e-7
-    dep = ch.Channel(2, 2, eta * ch.identity(2).choi + (1 - eta) * ch.completely_depolarizing(2).choi)
-    path = str(tmp_path / "dep.json")
-    io.save_channel(path, dep)
-    code, doc = run(capsys, "check", "compat", path, path, "--quiet")
+    files = instance_files(tmp_path, "dep-compat-d2-above-1e-7")
+    code, doc = run(capsys, "check", "compat", *files, "--quiet")
     assert code == 2 and doc["status"] == "inconclusive"
     assert doc["stop_reason"] == "plateau" and "certificate" not in doc
     assert doc["warnings"] == []
@@ -465,7 +461,7 @@ def test_noisy_pair_is_feasible_with_reverified_witness(tmp_path, capsys):
     # Compatible by construction, with 1e-4 of noise. The PSD iterate's
     # residual stalls near 1e-4 for thousands of iterations; the affine
     # point is positive definite early and ends the solve.
-    psi_path, phi_path = thm1_files(tmp_path, np.random.default_rng(4), 2, 2, eps=1e-4)
+    psi_path, phi_path = instance_files(tmp_path, "noisy-thm1-d2-env2-1e-4")
     code, doc = run(capsys, "check", "compat", psi_path, phi_path)
     assert code == 0 and doc["status"] == "feasible" and doc["stop_reason"] == "tolerance"
     assert doc["iterations"] < 1000

@@ -24,7 +24,9 @@ import pytest
 from chancompat import analysis as an
 from chancompat import channels as ch
 from chancompat.feasibility import SolverConfig, Status, certificate_bound
-from test_certificates import depolarizing, joint_reverifies, noisy, thm1_pair
+from paths import depolarizing, noisy, thm1_pair
+from paths import dressed as dress
+from test_certificates import joint_reverifies
 
 CONFIG = SolverConfig()
 
@@ -50,12 +52,6 @@ def test_degradable_iff_complementary_is_antidegradable(kraus):
     antidegradable = an.check_antidegradable(psi_c, ch.kraus_from_choi(psi_c), CONFIG)
     assert degradable.status is not Status.INCONCLUSIVE
     assert antidegradable.status is degradable.status
-
-
-def dress(c, before, after):
-    """``after o c o before`` for unitary channels ``before`` and ``after``."""
-    dressed = ch.compose_choi(ch.unitary_channel(before), c)
-    return ch.compose_choi(dressed, ch.unitary_channel(after))
 
 
 @pytest.mark.parametrize("divisible", [True, False], ids=["divisible", "not-divisible"])
