@@ -177,7 +177,7 @@ def check_compatibility(
     if kraus.dim_env * other.dim_out == da * db * dc:
         # Operator a d_B + b is |b><a|; nothing below needs trace preservation.
         ops = np.eye(da * db, dtype=complex).reshape(-1, da, db).transpose(0, 2, 1)
-        kraus, first = KrausSet(da, db, tuple(ops)), psi.choi
+        kraus, first = KrausSet(da, db, ops), psi.choi
     env = ch.complementary(kraus)
     dims = (da, kraus.dim_env, other.dim_out)
     report = solve(CompositionConstraintSet(dims, env.choi, other.choi, first=first), config)

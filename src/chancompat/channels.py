@@ -104,30 +104,38 @@ class Channel:
 
 @dataclass(frozen=True)
 class KrausSet:
-    """Kraus operators {K_i}, each ``dim_out x dim_in``.
+    """Kraus operators {K_i}, each ``dim_out x dim_in``, given as a sequence
+    of matrices or as one ``(dim_env, dim_out, dim_in)`` array.
 
-    The operators are stacked once, into the read-only ``(dim_env, dim_out,
-    dim_in)`` array ``stack``, and ``operators`` are its views; every other
-    arrangement of them (:meth:`columns`, :func:`complementary`,
-    :func:`isometry_from_kraus`) is a reshape of that stack.
+    The operators are copied once, by one ``np.array`` call, into the
+    read-only ``(dim_env, dim_out, dim_in)`` array ``stack``, and
+    ``operators`` is the tuple of its views; every other arrangement of them
+    (:meth:`columns`, :func:`complementary`, :func:`isometry_from_kraus`) is
+    a reshape of that stack.
     """
 
     dim_in: int
     dim_out: int
-    operators: tuple[np.ndarray, ...] = field(repr=False)
+    operators: tuple[np.ndarray, ...] | np.ndarray = field(repr=False)
     stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        ops = tuple(np.asarray(k, dtype=complex) for k in self.operators)
-        if not ops:
-            raise ValueError("KrausSet needs at least one operator")
-        for k in ops:
-            if k.shape != (self.dim_out, self.dim_in):
-                raise ValueError(
-                    f"Kraus operator shape {k.shape} does not match "
-                    f"{self.dim_out}x{self.dim_in}"
-                )
-        stack = np.array(ops)
+        shape = (self.dim_out, self.dim_in)
+        try:
+            stack = np.array(self.operators, dtype=complex)
+        except ValueError:
+            # Operators of unequal shapes, which no one array holds.
+            off = next((np.shape(k) for k in self.operators if np.shape(k) != shape), None)
+            if off is None:
+                raise
+        else:
+            if not len(stack):
+                raise ValueError("KrausSet needs at least one operator")
+            off = stack.shape[1:]
+        if off != shape:
+            raise ValueError(
+                f"Kraus operator shape {off} does not match {self.dim_out}x{self.dim_in}"
+            )
         stack.setflags(write=False)
         object.__setattr__(self, "stack", stack)
         object.__setattr__(self, "operators", tuple(stack))
@@ -294,7 +302,7 @@ def _kraus_from_eigh(c: Channel, w: np.ndarray, v: np.ndarray) -> KrausSet:
         raise ValueError("Choi operator has no eigenvalue above the rank threshold")
     cols = v[:, start:] * np.sqrt(w[start:])
     ops = cols.T.reshape(-1, c.dim_in, c.dim_out).transpose(0, 2, 1)
-    return KrausSet(c.dim_in, c.dim_out, tuple(ops))
+    return KrausSet(c.dim_in, c.dim_out, ops)
 
 
 def isometry_from_kraus(k: KrausSet) -> StinespringIsometry:
@@ -306,8 +314,7 @@ def isometry_from_kraus(k: KrausSet) -> StinespringIsometry:
 def kraus_from_isometry(v: StinespringIsometry) -> KrausSet:
     """Slice K_i = (I (x) <i|_env) V out of the isometry."""
     blocks = v.v.reshape(v.dim_out, v.dim_env, v.dim_in)
-    ops = tuple(blocks[:, i, :] for i in range(v.dim_env))
-    return KrausSet(v.dim_in, v.dim_out, ops)
+    return KrausSet(v.dim_in, v.dim_out, blocks.transpose(1, 0, 2))
 
 
 # ---------------------------------------------------------------------------

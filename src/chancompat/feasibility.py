@@ -397,13 +397,11 @@ class _Anderson:
 
     The safeguard: an extrapolated point whose ``||g||`` exceeds that of the
     point it was extrapolated from (its base) is rejected. The step returns
-    the base's plain step ``T(z_base)``, ``rejections`` counts the point, and
-    ``on`` turns false, so that the rest of the solve is plain
-    Douglas-Rachford.
+    the base's plain step ``T(z_base)`` and ``rejections`` counts the point;
+    once it is positive, the rest of the solve is plain Douglas-Rachford.
     """
 
     def __init__(self, z: np.ndarray, t: np.ndarray):
-        self.on = True
         self.rejections = 0
         # Rows of the real views: two differences of g and the last g, whose
         # roles rotate (``_roles``: older difference, newer, g); the two
@@ -434,7 +432,6 @@ class _Anderson:
         a11, a12, a22, self._a22 = self._a22, by_new[old], by_new[new], by_new[new]
         gg = by_g[g]
         if self._base is not None and not gg <= self._base[1]:  # also for nan
-            self.on = False
             self.rejections += 1
             return self._base[0]
         slot = self._slot
@@ -460,7 +457,8 @@ class _Anderson:
 
 
 def _positive_definite(x: np.ndarray) -> bool:
-    """Whether the Hermitian x has a Cholesky factor."""
+    """Whether x has a Cholesky factor. LAPACK reads one triangle of x, so
+    this is the test of the Hermitian matrix that triangle defines."""
     try:
         np.linalg.cholesky(x)
     except np.linalg.LinAlgError:
@@ -496,12 +494,16 @@ def solve(
     below ``eps_feas`` ends the solve feasible, with X as the solution and
     ``r`` as ``residual_affine``. First the PSD iterate Y, PSD by
     construction; then, once T's correction is known, the affine point
-    ``P_aff(2Y - Z)`` (its Hermitian part), when one Cholesky factorization
-    shows it positive definite. Its rows are measured too, so that rows
-    that are inconsistent, where it is only a least-squares point, never
-    accept it. T itself is unchanged by the test. At iteration 1 and at
-    every 1000-iteration checkpoint Y's ``r`` gives multipliers ``lam = (M
-    M^T)^+ r + (r - M M^+ r)`` in row blocks; when the bound of
+    ``P_aff(2Y - Z)``, when a Cholesky factorization shows it positive
+    definite. That test reads one triangle of the point as formed. Only when
+    it passes is the point's Hermitian part formed and its rows measured, so
+    that rows that are inconsistent, where it is only a least-squares point,
+    never accept it; and only when the rows accept it is the Hermitian part
+    factored again. So the solution is the exactly Hermitian matrix that a
+    Cholesky factorization accepted, and its ``residual_psd`` is the 0.0
+    that the factor proves. T itself is unchanged by the test. At iteration
+    1 and at every 1000-iteration checkpoint Y's ``r`` gives multipliers
+    ``lam = (M M^T)^+ r + (r - M M^+ r)`` in row blocks; when the bound of
     :func:`certificate_bound` on them proves every PSD X to have residual at
     least ``10 * eps_feas``, the solve stops not feasible with ``lam``,
     joined into one dense-row vector, as its certificate. A plateau of Y's
@@ -548,11 +550,16 @@ def solve(
                 break
         w = 2.0 * y - z
         c = constraints.correction(w)
-        x = hermitian_part(w - c)  # P_aff(2Y - Z), the affine point in T(z)
+        # P_aff(2Y - Z), the affine point in T(z). Cholesky reads one
+        # triangle, so the point is factored as formed; its Hermitian part is
+        # formed and measured only when that succeeds, and factored again
+        # only when its rows accept it.
+        x = w - c
         if _positive_definite(x):
+            x = hermitian_part(x)
             r = constraints.residual_rows(x)
             r_aff = math.sqrt(_dot(r, r))
-            if r_aff < config.eps_feas:
+            if r_aff < config.eps_feas and _positive_definite(x):
                 best, best_candidate, candidate = r_aff, x, "affine"
                 status, stop_reason, iterations = Status.FEASIBLE, "tolerance", it
                 break
@@ -561,12 +568,13 @@ def solve(
             # Built here, so that a solve decided at iteration 1 never builds it.
             anderson, z = _Anderson(z, t), t
         else:
-            z = anderson.step(z, t) if anderson.on else t
+            z = t if anderson.rejections else anderson.step(z, t)
 
     # ``best`` is the candidate matrix's own affine residual, measured by
-    # ``residual_rows`` in the loop; its PSD defect is measured here, 0.0 for
-    # an affine point that passed Cholesky.
-    r_psd = _psd_defect(best_candidate)
+    # ``residual_rows`` in the loop. An accepted affine point's PSD defect is
+    # the 0.0 that its Cholesky factor proves; any other candidate's is
+    # measured here.
+    r_psd = 0.0 if candidate == "affine" else _psd_defect(best_candidate)
     solution = best_candidate if status is Status.FEASIBLE else None
     if status is Status.FEASIBLE and not (best < config.eps_feas and r_psd < config.eps_feas):
         # Defensive: an accepted candidate should always satisfy both.

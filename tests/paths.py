@@ -8,7 +8,10 @@ extrapolated points the safeguard rejected (``rejections``), and a bound on
 asserts every entry of :data:`INSTANCES`, so a solver change that moves an
 instance off its path fails one test, named after the instance. Tests that
 rely on a path take their instance from :data:`INSTANCES` by name and read the
-report's fields; none patches the solver to learn which path it took.
+report's fields; none patches the solver to learn which path it took. Each
+entry solves once for all the tests that only read its report
+(:attr:`Instance.report`); a test that spies on the solver or counts its
+calls makes a fresh solve (:meth:`Instance.run`).
 
 The builders of the solver-path families (Theorem-1 pairs, noise, dressing,
 depolarizing channels) are defined here once. Each draws from its rng in one
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -81,7 +85,8 @@ class Instance:
     config: SolverConfig = SolverConfig()
 
     def run(self):
-        """The check's report; its ``solver`` is the solve's report."""
+        """A fresh solve: the check's report, whose ``solver`` is the solve's
+        report."""
         if self.check == "compat":
             return an.check_compatibility(*self.channels, self.config)
         if self.check == "div":
@@ -89,6 +94,12 @@ class Instance:
         (psi,) = self.channels
         check = {"degradable": an.check_degradable, "antidegradable": an.check_antidegradable}
         return check[self.check](psi, ch.kraus_from_choi(psi), self.config)
+
+    @cached_property
+    def report(self):
+        """:meth:`run`'s report, made on first use and shared by every test
+        that only reads it."""
+        return self.run()
 
     def path(self) -> tuple:
         return self.status, self.stop_reason, self.candidate, self.rejections
@@ -165,8 +176,7 @@ def _instances() -> dict[str, Instance]:
     for d in (2, 3):
         dep = depolarizing(d, cloning_threshold(d) + 1e-7)
         out[f"dep-antidegradable-d{d}-above-1e-7"] = _plateau("antidegradable", (dep,))
-    dep = depolarizing(2, cloning_threshold(2) + 1e-7)
-    out["dep-compat-d2-above-1e-7"] = _plateau("compat", (dep, dep))
+        out[f"dep-compat-d{d}-above-1e-7"] = _plateau("compat", (dep, dep))
     # Feasible at iteration 4 without the cap.
     dep = depolarizing(2, cloning_threshold(2) - 1e-2)
     cap = SolverConfig(max_iter=2)

@@ -117,7 +117,7 @@ def test_full_rank_pair_is_theorem_1_with_the_identity_dilation(d):
     # identity lift returns the solution unchanged.
     instance = INSTANCES[f"dep-compat-d{d}-below-1e-3"]
     dep = instance.channels[0]
-    rep = instance.run()
+    rep = instance.report
     assert rep.status is Status.FEASIBLE
     assert np.array_equal(rep.compatibilizer.choi, rep.solver.solution)
     marginal = marginal_set((d, d, d), dep.choi, dep.choi)

@@ -399,7 +399,7 @@ def test_large_divisible_pairs_are_feasible_at_iteration_one(d):
     # A dense M would be 650 x 625 (d=5) and 1332 x 1296 (d=6).
     instance = INSTANCES[f"large-div-d{d}"]
     psi, phi = instance.channels
-    rep = instance.run()
+    rep = instance.report
     assert rep.status is Status.FEASIBLE
     assert rep.solver.iterations == 1
     assert ch.choi_distance(ch.compose_choi(psi, rep.quotient), phi) < CONFIG.eps_feas

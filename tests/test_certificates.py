@@ -61,7 +61,7 @@ def feasible_reports():
     reports.append(an.check_compatibility(noisy(psi, 0.01), noisy(phi, 0.01), CONFIG))
     # Solves that attempt a certificate at iteration 1 and go on.
     for d in (2, 3):
-        reports.append(INSTANCES[f"dep-compat-d{d}-below-1e-2"].run())
+        reports.append(INSTANCES[f"dep-compat-d{d}-below-1e-2"].report)
     return reports
 
 
@@ -127,7 +127,7 @@ def test_identity_self_compatibility_is_certified(d):
     # solves the same way.
     instance = INSTANCES[f"identity-compat-d{d}"]
     ident = instance.channels[0]
-    rep = instance.run().solver
+    rep = instance.report.solver
     assert rep.status is Status.NOT_FEASIBLE_AT_TOLERANCE
     assert rep.stop_reason == "certificate" and rep.iterations == 1
     assert isinstance(rep.constraints, CompositionConstraintSet)
@@ -203,7 +203,7 @@ def test_depolarizing_self_compatibility_brackets_cloning_threshold(d):
     # compatible with itself exactly when eta <= (d + 2) / (2 (d + 1)).
     instance = INSTANCES[f"dep-compat-d{d}-above-1e-3"]
     above = instance.channels[0]
-    rep = instance.run().solver
+    rep = instance.report.solver
     assert isinstance(rep.constraints, CompositionConstraintSet)
     assert rep.constraints.dims == (d, d * d, d)  # the joint, under its marginals
     assert rep.status is Status.NOT_FEASIBLE_AT_TOLERANCE
@@ -218,7 +218,7 @@ def test_depolarizing_self_compatibility_brackets_cloning_threshold(d):
 
     instance = INSTANCES[f"dep-compat-d{d}-below-1e-3"]
     below = instance.channels[0]
-    rep = instance.run()
+    rep = instance.report
     assert rep.status is Status.FEASIBLE
     assert joint_reverifies(rep.compatibilizer, below, below)
 
@@ -229,13 +229,13 @@ def test_depolarizing_self_compatibility_decided_within_1e6_of_cloning_threshold
     # threshold from eta* - 1e-4 on; the accelerated solve is feasible in 4.
     instance = INSTANCES[f"dep-compat-d{d}-below-1e-6"]
     below = instance.channels[0]
-    rep = instance.run()
+    rep = instance.report
     assert rep.status is Status.FEASIBLE and rep.solver.iterations <= 4
     assert joint_reverifies(rep.compatibilizer, below, below)
 
     instance = INSTANCES[f"dep-compat-d{d}-above-1e-6"]
     above = instance.channels[0]
-    rep = instance.run().solver
+    rep = instance.report.solver
     assert rep.stop_reason == "certificate" and rep.iterations == 1
     bound = certificate_bound(marginal_oracle(above, above), rep.certificate)
     assert bound >= 10 * CONFIG.eps_feas
@@ -248,7 +248,7 @@ def test_rejected_extrapolation_ends_acceleration():
     # rejection needs 28; plain Douglas-Rachford needs 45.
     instance = INSTANCES["noisy-thm1-d3-env1-5.7e-3"]
     psi, phi = instance.channels
-    rep = instance.run()
+    rep = instance.report
     assert rep.solver.rejections == 1
     assert rep.status is Status.FEASIBLE and rep.solver.iterations <= 20
     cp, tp = ch.cptp_defects(rep.compatibilizer)
@@ -407,10 +407,16 @@ def test_a_solve_that_stops_on_the_affine_point_returns_it(name, monkeypatch):
     # The affine point P_aff(2Y - Z) satisfies the rows to rounding; it ends
     # the solve when it has a Cholesky factor and its own rows' residual is
     # below eps_feas. It is then the solution, exactly Hermitian, and its
-    # residuals are its own.
+    # residuals are its own: its PSD defect is the 0.0 that the factor
+    # proves, with no eigensolve after the last iteration.
     measured = spy(monkeypatch, CompositionConstraintSet, "residual_rows")
     projected = spy(monkeypatch, fz, "project_psd")
+    eigvalsh, eigensolves = np.linalg.eigvalsh, []  # projections before each
+    monkeypatch.setattr(
+        np.linalg, "eigvalsh", lambda a: eigensolves.append(len(projected)) or eigvalsh(a)
+    )
     rep = INSTANCES[name].run().solver
+    assert all(n < rep.iterations for n in eigensolves)
     x = rep.solution
     assert rep.status is Status.FEASIBLE and rep.stop_reason == "tolerance"
     assert rep.candidate == "affine" and rep.iterations > 1
@@ -443,6 +449,22 @@ def test_inconsistent_rows_never_accept_the_affine_point(monkeypatch):
     assert rep.status is Status.INCONCLUSIVE and rep.stop_reason == "iteration-cap"
     assert rep.solution is None and rep.residual_affine >= 1.0
     assert [result for _, result in factored] == [True] * 50
+
+
+@pytest.mark.parametrize("name", ["dep-compat-d2-below-1e-2-cap-2", "dep-compat-d2-above-1e-7"])
+def test_a_rejected_affine_point_is_factored_once_as_formed(name, monkeypatch):
+    # Cholesky reads one triangle, so the affine point is factored as formed:
+    # one factorization per iteration that reaches it (the plateau's last
+    # iteration stops before it), and no Hermitian part of a point that
+    # fails it. Neither solve accepts an affine point.
+    factored = spy(monkeypatch, fz, "_positive_definite")
+    formed = spy(monkeypatch, fz, "hermitian_part")
+    rep = INSTANCES[name].run().solver
+    assert rep.candidate is None
+    assert len(factored) == rep.iterations - (rep.stop_reason == "plateau")
+    failed = [x for (x,), ok in factored if not ok]
+    assert failed
+    assert not any(x is part for x in failed for _, part in formed)
 
 
 @pytest.mark.parametrize("seed", [3, 7])
@@ -482,7 +504,7 @@ def test_depolarizing_antidegradable_just_below_threshold(d, delta):
     instance = INSTANCES[f"dep-antidegradable-d{d}-below-{delta}"]
     psi = instance.channels[0]
     kraus = ch.kraus_from_choi(psi)
-    rep = instance.run()
+    rep = instance.report
     assert rep.status is Status.FEASIBLE and rep.solver.iterations < 100
     cp, tp = ch.cptp_defects(rep.degrading)
     assert cp <= 1e-8 and tp <= 1e-6
@@ -494,11 +516,8 @@ def test_affine_stop_is_sound_just_above_threshold(d):
     # At eta* + 1e-7 no bound reaches 10 * eps_feas, so the solves run on
     # past iteration 1 (eta* + 1e-6 is certified there, see above); neither
     # self-compatibility nor anti-degradability ends feasible.
-    near = depolarizing(d, (d + 2) / (2 * (d + 1)) + 1e-7)
-    for rep in (
-        an.check_compatibility(near, near, CONFIG),
-        an.check_antidegradable(near, ch.kraus_from_choi(near), CONFIG),
-    ):
+    for check in ("compat", "antidegradable"):
+        rep = INSTANCES[f"dep-{check}-d{d}-above-1e-7"].report
         assert rep.status is not Status.FEASIBLE and rep.solver.solution is None
 
 

@@ -794,6 +794,31 @@ def test_kraus_operators_are_read_only_views_of_one_stack(tmp_path):
     assert np.array_equal(k.columns(), before) and k.completeness_defect() < 1e-15
 
 
+def test_a_kraus_array_and_its_operators_give_one_set():
+    # A tuple or list of operators and the (dim_env, dim_out, dim_in) array
+    # that holds them give the same set: a read-only copy of that array as
+    # the stack, and its views as the operators.
+    array = np.array(ch.random_kraus(3, 2, 4, np.random.default_rng(62)).stack)
+    sets = [ch.KrausSet(3, 2, given) for given in (tuple(array), list(array), array)]
+    for k in sets:
+        assert k.dim_env == 4 and k.stack.shape == array.shape
+        assert k.stack.tobytes() == array.tobytes() and not np.shares_memory(k.stack, array)
+        assert not k.stack.flags.writeable
+        assert len(k.operators) == 4 and all(op.base is k.stack for op in k.operators)
+        assert ch.choi_from_kraus(k).choi.tobytes() == ch.choi_from_kraus(sets[0]).choi.tobytes()
+    # Operators of mismatched shapes, given apart or as one array, and no
+    # operator at all still raise.
+    with pytest.raises(ValueError, match=r"Kraus operator shape \(2, 2\) does not match 2x3"):
+        ch.KrausSet(3, 2, (array[0], np.eye(2)))
+    with pytest.raises(ValueError, match=r"Kraus operator shape \(3, 2\) does not match 2x3"):
+        ch.KrausSet(3, 2, array.transpose(0, 2, 1))
+    with pytest.raises(ValueError, match=r"Kraus operator shape \(2,\) does not match 2x2"):
+        ch.KrausSet(2, 2, np.eye(2))
+    for empty in ((), np.zeros((0, 2, 3))):
+        with pytest.raises(ValueError, match="at least one operator"):
+            ch.KrausSet(3, 2, empty)
+
+
 def generic_trace_scalars(cons):
     """``trace_scalars`` from a fresh real ``vec(I_B)``, as it was formed
     before the set took the cached complex one."""

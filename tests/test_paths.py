@@ -12,7 +12,7 @@ from chancompat.feasibility import Status
 @pytest.mark.parametrize("name", INSTANCES)
 def test_instance_takes_its_path(name):
     instance = INSTANCES[name]
-    rep = instance.run().solver
+    rep = instance.report.solver
     path = rep.status, rep.stop_reason, rep.candidate, rep.rejections
     assert path == instance.path()
     least, most = instance.iterations
