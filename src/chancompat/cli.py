@@ -51,9 +51,15 @@ def _finite(x: float | None) -> float | None:
 
 
 def _solver_fields(solver: FeasibilityReport, quiet: bool) -> dict[str, Any]:
-    """Why the solver stopped and, for a certified verdict, the certificate
-    with the residual bound recomputed from its multipliers."""
-    doc: dict[str, Any] = {"stop_reason": solver.stop_reason}
+    """Why the solver stopped, which candidate ended a feasible solve, how
+    many extrapolated points the safeguard rejected and, for a certified
+    verdict, the certificate with the residual bound recomputed from its
+    multipliers."""
+    doc: dict[str, Any] = {
+        "stop_reason": solver.stop_reason,
+        "candidate": solver.candidate,
+        "rejections": solver.rejections,
+    }
     if solver.certificate is not None:
         cert: dict[str, Any] = {
             "residual_lower_bound": certificate_bound(solver.constraints, solver.certificate)

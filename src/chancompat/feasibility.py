@@ -43,6 +43,12 @@ Hilbert Spaces, ch. 26). On problems with positive definite solutions the
 affine point can enter the cone's interior long before Y's residual falls
 below tolerance: on noisy pairs whose Y stays near the noise level past the
 2000-iteration plateau, it ends the solve after tens to about a thousand.
+Before the first iteration the start ``P_aff(0) = M^+ b`` is a third
+candidate, tested as the affine point is, at iteration 0. It is shifted by
+a rounding-level multiple of I first, so that a factor can prove a start
+that is PSD but singular. On the paper's own feasible constructions
+(Theorem-1 pairs, divisible pairs, amplitude damping on either side of 1/2)
+the start is the witness, and no eigendecomposition runs.
 
 Infeasible verdicts are certified. At iteration 1 and at every
 1000-iteration checkpoint the residual of the PSD iterate is turned into
@@ -51,13 +57,16 @@ PSD cone that misses a consistent affine set) and one orthogonal to it (rows
 that are inconsistent on their own); :func:`certificate_bound` turns lambda
 into a lower bound on ``||M vec(X) - b||`` that holds for every PSD X, and a
 bound of at least ``10 * eps_feas`` ends the solve as not feasible at
-tolerance. Infeasibility detection from the splitting iterates follows Liu,
-Ryu & Yin (Math. Program. 2019). Weakly infeasible problems admit no such
-bound. And on feasible problems whose solutions lie on the cone boundary
-the affine point is never positive definite, and the best residual of the
-PSD iterate can stay flat for thousands of iterations before it falls
-again, so a plateau of the best residual between checkpoints decides
-nothing: it ends the solve inconclusive, as does the iteration cap.
+tolerance. At iteration 0 the residual of a positive definite start that
+the rows refuse is tried the same way: such rows are inconsistent on their
+own, as no-cloning's and Example 2's are. Infeasibility detection from the
+splitting iterates follows Liu, Ryu & Yin (Math. Program. 2019). Weakly
+infeasible problems admit no such bound. And on feasible problems whose
+solutions lie on the cone boundary the affine point is never positive
+definite, and the best residual of the PSD iterate can stay flat for
+thousands of iterations before it falls again, so a plateau of the best
+residual between checkpoints decides nothing: it ends the solve
+inconclusive, as does the iteration cap.
 """
 
 from __future__ import annotations
@@ -98,6 +107,10 @@ EPS_PLATEAU = 1e-12
 # Two differences of Anderson's fit count as one when the sine of their angle
 # is below the square root of this.
 _COLLINEAR = 1e-12
+# The start is tested at iteration 0 shifted by this times
+# ``n^2 eps max_i Re z_ii``, for eps the machine epsilon (``_shifted_start``).
+_START_SHIFT = 16
+_MACHINE_EPS = float(np.finfo(float).eps)
 
 
 class Status(enum.Enum):
@@ -321,7 +334,9 @@ class FeasibilityReport:
     (best residual stopped improving; inconclusive) and ``"iteration-cap"``
     (inconclusive). ``candidate`` says which candidate ended a feasible
     solve: ``"psd"`` for the PSD iterate, ``"affine"`` for the affine point,
-    None when the solve is not feasible. ``rejections`` counts the
+    None when the solve is not feasible. ``iterations`` 0 means the start
+    decided the solve before any iteration: as the affine candidate, or as
+    the residual that certified. ``rejections`` counts the
     extrapolated points that the safeguard rejected. ``constraints`` is the
     system that ``solution`` (a matrix X) and ``certificate`` (multipliers
     for its rows) belong to; :func:`certificate_bound` needs it to re-check
@@ -456,6 +471,19 @@ class _Anderson:
         return hermitian_part(t - shift)
 
 
+def _certificate(constraints, r: tuple, infeasible_at: float) -> np.ndarray | None:
+    """The certificate attempt on residual rows r: the multipliers ``lam``,
+    joined into one dense-row vector, when their bound reaches
+    ``infeasible_at``; else None. The range part of lam certifies a PSD
+    cone that misses a consistent affine set; the part orthogonal to M's
+    range (M^T of it is 0) certifies rows that are inconsistent on their
+    own."""
+    lam = constraints.residual_multipliers(r)
+    if _bound(constraints, lam, infeasible_at) >= infeasible_at:
+        return constraints.join(lam)
+    return None
+
+
 def _positive_definite(x: np.ndarray) -> bool:
     """Whether x has a Cholesky factor. LAPACK reads one triangle of x, so
     this is the test of the Hermitian matrix that triangle defines."""
@@ -464,6 +492,35 @@ def _positive_definite(x: np.ndarray) -> bool:
     except np.linalg.LinAlgError:
         return False
     return True
+
+
+def _affine_candidate(constraints, x: np.ndarray, eps_feas: float) -> tuple:
+    """The acceptance of an affine candidate x, as ``(x, r, ||r||,
+    accepted)``. Cholesky reads one triangle, so x is factored as formed;
+    when that fails, x is returned as it is, with no rows (``r`` None) and
+    ``||r|| = inf``. Otherwise its Hermitian part replaces it and its rows r
+    are measured, and it is accepted when ``||r|| < eps_feas`` and, factored
+    once more, it still has a Cholesky factor."""
+    if not _positive_definite(x):
+        return x, None, math.inf, False
+    x = hermitian_part(x)
+    r = constraints.residual_rows(x)
+    r_aff = math.sqrt(_dot(r, r))
+    return x, r, r_aff, r_aff < eps_feas and _positive_definite(x)
+
+
+def _shifted_start(z: np.ndarray) -> np.ndarray | None:
+    """``z + delta I`` for ``delta = _START_SHIFT n^2 eps max_i Re z_ii`` (see
+    :func:`solve`), or None when its least diagonal entry is not positive, so
+    that it has no Cholesky factor. ``fl(a + delta)`` is monotone in a, so
+    that entry is z's least, shifted."""
+    n, diag = z.shape[0], z.diagonal().real
+    delta = _START_SHIFT * n * n * _MACHINE_EPS * diag.max(initial=0.0)
+    if not diag.min(initial=np.inf) + delta > 0.0:
+        return None
+    x = z.copy()
+    x.flat[:: n + 1] += delta
+    return x
 
 
 def _psd_defect(x: np.ndarray) -> float:
@@ -488,6 +545,19 @@ def solve(
     plain step ``T(Z_base)`` and stays plain Douglas-Rachford to its end.
     ``iterations`` counts evaluations of T, one PSD projection each, a
     rejected point's included.
+
+    Iteration 0 tests the start, on a copy shifted by ``delta I`` with
+    ``delta = _START_SHIFT n^2 eps max_i Re Z_ii`` (eps the machine
+    epsilon), the rounding that Cholesky's success bound allows for (Higham,
+    Accuracy and Stability of Numerical Algorithms, Thm 10.7). A copy whose
+    least diagonal entry is not positive is refused at once; otherwise it
+    goes through the affine point's acceptance below. When the rows accept
+    it, the solve ends feasible with ``iterations`` 0, candidate
+    ``"affine"`` and ``residual_psd`` 0.0, and no projection or
+    eigendecomposition runs. When its factor passes but its rows refuse it,
+    its residual makes the certificate attempt of iteration 1, and a
+    certificate ends the solve at iteration 0. Otherwise Z itself, unshifted,
+    starts the iterations, which run as if the start had not been tested.
 
     Each iteration offers two candidates to one rule: a positive
     semidefinite candidate whose own affine residual ``r = M vec(X) - b`` is
@@ -522,7 +592,26 @@ def solve(
     infeasible_at = 10.0 * config.eps_feas
     anderson = None
 
-    for it in range(1, config.max_iter + 1):
+    # Iteration 0: the start, shifted on a copy, as an affine candidate. When
+    # its rows accept it, it is the solution. Rows that refuse a positive
+    # definite start are inconsistent, as in no-cloning and Example 2, and
+    # its residual makes the certificate attempt that iteration 1 would.
+    # Either verdict ends the solve at iteration 0; otherwise the iterates
+    # start from z itself.
+    x = _shifted_start(z)
+    if x is not None:
+        x, r, r_aff, accepted = _affine_candidate(constraints, x, config.eps_feas)
+        if accepted:
+            best, best_candidate, candidate = r_aff, x, "affine"
+            status, stop_reason, iterations = Status.FEASIBLE, "tolerance", 0
+        elif r is not None:
+            certificate = _certificate(constraints, r, infeasible_at)
+            if certificate is not None:
+                status, stop_reason = Status.NOT_FEASIBLE_AT_TOLERANCE, "certificate"
+                best, best_candidate, iterations = r_aff, x, 0
+
+    # A solve decided at iteration 0 has ``iterations == 0``: no loop.
+    for it in range(1, iterations + 1):
         y = project_psd(z)
         r = constraints.residual_rows(y)
         r_aff = math.sqrt(_dot(r, r))
@@ -534,13 +623,10 @@ def solve(
             break
         checkpoint = it % _CHECKPOINT == 0
         if it == 1 or checkpoint:
-            # The range part certifies a PSD cone that misses a consistent
-            # affine set; the part orthogonal to M's range (M^T of it is 0)
-            # certifies rows that are inconsistent on their own.
-            lam = constraints.residual_multipliers(r)
-            if _bound(constraints, lam, infeasible_at) >= infeasible_at:
+            certificate = _certificate(constraints, r, infeasible_at)
+            if certificate is not None:
                 status, stop_reason = Status.NOT_FEASIBLE_AT_TOLERANCE, "certificate"
-                iterations, certificate = it, constraints.join(lam)
+                iterations = it
                 break
         if checkpoint:
             checkpoints.append(best)
@@ -550,19 +636,12 @@ def solve(
                 break
         w = 2.0 * y - z
         c = constraints.correction(w)
-        # P_aff(2Y - Z), the affine point in T(z). Cholesky reads one
-        # triangle, so the point is factored as formed; its Hermitian part is
-        # formed and measured only when that succeeds, and factored again
-        # only when its rows accept it.
-        x = w - c
-        if _positive_definite(x):
-            x = hermitian_part(x)
-            r = constraints.residual_rows(x)
-            r_aff = math.sqrt(_dot(r, r))
-            if r_aff < config.eps_feas and _positive_definite(x):
-                best, best_candidate, candidate = r_aff, x, "affine"
-                status, stop_reason, iterations = Status.FEASIBLE, "tolerance", it
-                break
+        # P_aff(2Y - Z), the affine point in T(z).
+        x, _, r_aff, accepted = _affine_candidate(constraints, w - c, config.eps_feas)
+        if accepted:
+            best, best_candidate, candidate = r_aff, x, "affine"
+            status, stop_reason, iterations = Status.FEASIBLE, "tolerance", it
+            break
         t = y - c  # T(z)
         if anderson is None:
             # Built here, so that a solve decided at iteration 1 never builds it.

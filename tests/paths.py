@@ -2,11 +2,12 @@
 
 A path is what the solver's report says about how the solve ended: its
 ``status`` and ``stop_reason``, the ``candidate`` that ended a feasible solve
-(``"psd"``, the PSD iterate, or ``"affine"``, the affine point), the number of
-extrapolated points the safeguard rejected (``rejections``), and a bound on
-``iterations``, stated as loosely as the path allows. ``test_paths.py``
-asserts every entry of :data:`INSTANCES`, so a solver change that moves an
-instance off its path fails one test, named after the instance. Tests that
+(``"psd"``, the PSD iterate, or ``"affine"``, the affine point, which at
+iteration 0 is the shifted start), the number of extrapolated points the
+safeguard rejected (``rejections``), and a bound on ``iterations``, stated
+as loosely as the path allows. ``test_paths.py`` asserts every entry of
+:data:`INSTANCES`, so a solver change that moves an instance off its path
+fails one test, named after the instance. Tests that
 rely on a path take their instance from :data:`INSTANCES` by name and read the
 report's fields; none patches the solver to learn which path it took. Each
 entry solves once for all the tests that only read its report
@@ -110,9 +111,9 @@ def _feasible(check, channels, candidate, iterations, rejections=0):
     return Instance(check, channels, status, "tolerance", candidate, rejections, iterations)
 
 
-def _certified(check, channels):
+def _certified(check, channels, at=1):
     status = Status.NOT_FEASIBLE_AT_TOLERANCE
-    return Instance(check, channels, status, "certificate", None, 0, (1, 1))
+    return Instance(check, channels, status, "certificate", None, 0, (at, at))
 
 
 def _plateau(check, channels):
@@ -121,16 +122,28 @@ def _plateau(check, channels):
 
 def _instances() -> dict[str, Instance]:
     out = {}
-    # The PSD iterate ends the solve at iteration 1: AD(0.3) is degradable,
-    # and random divisible pairs at d = 5 and 6, where a dense M would be
-    # 650 x 625 and 1 332 x 1 296.
+    # The start, shifted at rounding level, ends the solve at iteration 0 as
+    # the affine point: AD(0.3) is degradable, and random divisible pairs at
+    # d = 5 and 6, where a dense M would be 650 x 625 and 1 332 x 1 296. None
+    # of these starts has a Cholesky factor unshifted. AD(1/2) is
+    # anti-degradable through a unitary channel, so its start is singular,
+    # of rank 1 in 4.
     ad = ch.choi_from_kraus(ch.amplitude_damping(0.3))
-    out["ad-0.3-degradable"] = _feasible("degradable", (ad,), "psd", (1, 1))
+    out["ad-0.3-degradable"] = _feasible("degradable", (ad,), "affine", (0, 0))
     for d in (5, 6):
         rng = np.random.default_rng(700 + d)
         psi = ch.random_channel(d, d, rng, dim_env=2)
         phi = ch.compose_choi(psi, ch.random_channel(d, d, rng, dim_env=d))
-        out[f"large-div-d{d}"] = _feasible("div", (psi, phi), "psd", (1, 1))
+        out[f"large-div-d{d}"] = _feasible("div", (psi, phi), "affine", (0, 0))
+    ad = ch.choi_from_kraus(ch.amplitude_damping(0.5))
+    out["ad-0.5-antidegradable"] = _feasible("antidegradable", (ad,), "affine", (0, 0))
+    # A start with a positive diagonal and no Cholesky factor: the solve
+    # iterates from it untouched, and the PSD iterate ends it at iteration 4.
+    # A Theorem-1 pair whose psi alone carries 1e-6 of noise, so that psi
+    # has full Choi rank and the check divides by the identity dilation.
+    psi, phi = thm1_pair(np.random.default_rng(0), 3, 1)
+    pair = noisy(psi, 1e-6), phi
+    out["noisy-psi-thm1-d3-env1-1e-6"] = _feasible("compat", pair, "psd", (1, 4))
     # Depolarizing self-compatibility around eta*. Below it, the PSD iterate
     # ends the solve after the certificate attempt at iteration 1 failed (at
     # iteration 4); within 1e-6 of eta*, where plain Douglas-Rachford
@@ -164,12 +177,13 @@ def _instances() -> dict[str, Instance]:
     # rejection needs 28; plain Douglas-Rachford needs 45.
     pair = tuple(noisy(c, 5.7e-3) for c in thm1_pair(np.random.default_rng(3), 3, 1))
     out["noisy-thm1-d3-env1-5.7e-3"] = _feasible("compat", pair, "affine", (1, 20), rejections=1)
-    # A certificate at iteration 1: no-cloning, and Example 2's divisibility
+    # A certificate at iteration 0, from the residual of a positive definite
+    # start that the rows refuse: no-cloning, and Example 2's divisibility
     # rows, which are inconsistent on their own.
     for d in (2, 3):
-        out[f"identity-compat-d{d}"] = _certified("compat", (ch.identity(d),) * 2)
+        out[f"identity-compat-d{d}"] = _certified("compat", (ch.identity(d),) * 2, at=0)
     psi, phi, _ = ch.trace_out_pair(ch.completely_depolarizing(2), ch.identity(2))
-    out["example2-div"] = _certified("div", (psi, phi))
+    out["example2-div"] = _certified("div", (psi, phi), at=0)
     # Just above eta*, no bound reaches 10 eps_feas and no affine point ends
     # the solve: the safeguard rejects one point, and the best residual
     # plateaus (at iteration 2 000).

@@ -124,19 +124,20 @@ def test_identity_self_compatibility_is_certified(d):
     # through Theorem 1: the complementary channel is the trace, and no
     # channel after it gives back the identity. The certificate is stated on
     # that quotient system, whose dense oracle gives the same bound, and
-    # solves the same way.
+    # solves the same way: the start is positive definite, and the rows,
+    # inconsistent on their own, refuse it and certify at iteration 0.
     instance = INSTANCES[f"identity-compat-d{d}"]
     ident = instance.channels[0]
     rep = instance.report.solver
     assert rep.status is Status.NOT_FEASIBLE_AT_TOLERANCE
-    assert rep.stop_reason == "certificate" and rep.iterations == 1
+    assert rep.stop_reason == "certificate" and rep.iterations == 0
     assert isinstance(rep.constraints, CompositionConstraintSet)
     bound = certificate_bound(rep.constraints, rep.certificate)
     assert bound >= 10 * CONFIG.eps_feas
     dense = div_oracle(ch.complementary(ch.kraus_from_choi(ident)), ident)
     assert abs(bound - certificate_bound(dense, rep.certificate)) <= 1e-12
     oracle = solve(dense, CONFIG)
-    assert (oracle.stop_reason, oracle.iterations) == ("certificate", 1)
+    assert (oracle.stop_reason, oracle.iterations) == ("certificate", 0)
     assert abs(bound - certificate_bound(dense, oracle.certificate)) <= 1e-12
 
 
@@ -433,22 +434,80 @@ def test_a_solve_that_stops_on_the_affine_point_returns_it(name, monkeypatch):
     assert rep.residual_affine == math.sqrt(fz._dot(r, r)) < CONFIG.eps_feas
 
 
+@pytest.mark.parametrize("name", ["ad-0.3-degradable", "large-div-d5", "ad-0.5-antidegradable"])
+def test_a_solve_that_stops_at_the_start_runs_no_eigensolve(name, monkeypatch):
+    # On the paper's own feasible constructions the start M^+ b is already
+    # a witness. Shifted at rounding level, it has a Cholesky factor and its
+    # rows accept it: the solve ends at iteration 0 on the affine candidate,
+    # with no projection and no eigendecomposition, and its PSD defect is
+    # the 0.0 that the factor proves.
+    constraints = INSTANCES[name].report.solver.constraints
+    eigh, eigvalsh = spy(monkeypatch, np.linalg, "eigh"), spy(monkeypatch, np.linalg, "eigvalsh")
+    projected = spy(monkeypatch, fz, "project_psd")
+    rep = solve(constraints, CONFIG)
+    assert (eigh, eigvalsh, projected) == ([], [], [])
+    assert (rep.status, rep.iterations, rep.candidate) == (Status.FEASIBLE, 0, "affine")
+    assert rep.residual_psd == 0.0
+    x = rep.solution
+    assert skew(x) == 0.0
+    np.linalg.cholesky(x)
+    r = constraints.residual_rows(x)
+    assert rep.residual_affine == math.sqrt(fz._dot(r, r)) < CONFIG.eps_feas
+
+
+def test_a_singular_start_is_decided_by_its_shift():
+    # AD(1/2) is anti-degradable through a unitary channel, so the start is
+    # PSD of rank 1 in 4, and after rounding it has no Cholesky factor. The
+    # shift delta = 16 n^2 eps max_i Re z_ii gives it one, and moves it by
+    # ||delta I|| = sqrt(n) delta, up to the rounding of its Hermitian part.
+    rep = INSTANCES["ad-0.5-antidegradable"].report.solver
+    z = rep.constraints.start()
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(z)
+    w = np.linalg.eigvalsh(z)
+    assert np.abs(w[:3]).max() < 1e-15 and w[3] > 1.0
+    assert (rep.iterations, rep.candidate, rep.residual_psd) == (0, "affine", 0.0)
+    n = z.shape[0]
+    delta = fz._START_SHIFT * n * n * np.finfo(float).eps * z.diagonal().real.max()
+    assert np.linalg.norm(rep.solution - z) <= math.sqrt(n) * delta + 1e-15
+
+
+def test_a_start_without_a_factor_iterates_from_it_untouched(monkeypatch):
+    # The start's diagonal is positive, so its shifted copy reaches
+    # Cholesky, which refuses it. The solve then iterates from the start
+    # itself, not from the copy, and the PSD iterate ends it.
+    constraints = INSTANCES["noisy-psi-thm1-d3-env1-1e-6"].report.solver.constraints
+    z = constraints.start()
+    assert z.diagonal().real.min() > 0.0
+    factored = spy(monkeypatch, fz, "_positive_definite")
+    projected = spy(monkeypatch, fz, "project_psd")
+    rep = solve(constraints, CONFIG)
+    (shifted,), ok = factored[0]
+    assert not ok and (shifted.diagonal().real > z.diagonal().real).all()
+    ((first,), _) = projected[0]
+    assert np.array_equal(first, z)
+    assert rep.iterations == len(projected) > 0 and rep.candidate == "psd"
+
+
 def test_inconsistent_rows_never_accept_the_affine_point(monkeypatch):
     # Example 2's divisibility rows are inconsistent, so the affine point is
-    # only a least-squares point, with residual sqrt(6). It is certified at
-    # iteration 1, before the affine point is formed.
+    # only a least-squares point, with residual sqrt(6). The start is one
+    # such point, and positive definite: its rows refuse it, and its
+    # residual certifies at iteration 0.
     instance = INSTANCES["example2-div"]
     rep = instance.run().solver
     assert rep.status is Status.NOT_FEASIBLE_AT_TOLERANCE
-    assert (rep.stop_reason, rep.iterations) == ("certificate", 1)
-    # With certificates off, the affine point is positive definite at every
-    # iteration, and its rows still refuse it to the iteration cap.
+    assert (rep.stop_reason, rep.iterations) == ("certificate", 0)
+    assert rep.residual_affine == pytest.approx(math.sqrt(6.0), abs=1e-9)
+    # With certificates off, the start and the affine point of every
+    # iteration are positive definite, and their rows still refuse them to
+    # the iteration cap: one factorization each, never a second.
     monkeypatch.setattr(fz, "_bound", lambda *args: 0.0)
     factored = spy(monkeypatch, fz, "_positive_definite")
     rep = an.check_divisibility(*instance.channels, SolverConfig(max_iter=50)).solver
     assert rep.status is Status.INCONCLUSIVE and rep.stop_reason == "iteration-cap"
     assert rep.solution is None and rep.residual_affine >= 1.0
-    assert [result for _, result in factored] == [True] * 50
+    assert [result for _, result in factored] == [True] * (1 + 50)
 
 
 @pytest.mark.parametrize("name", ["dep-compat-d2-below-1e-2-cap-2", "dep-compat-d2-above-1e-7"])

@@ -475,13 +475,14 @@ def test_noisy_pair_is_feasible_with_reverified_witness(tmp_path, capsys):
 
 def test_inconsistent_rows_are_certified(tmp_path, capsys):
     # Example-2 divisibility: the affine rows alone have least-squares
-    # residual sqrt(6), which multipliers orthogonal to M's range prove.
+    # residual sqrt(6), which multipliers orthogonal to M's range prove. The
+    # start is positive definite, so its rows certify at iteration 0.
     stem = str(tmp_path / "ex2")
     main(["make", "example2", "-o", stem])
     capsys.readouterr()
     code, doc = run(capsys, "check", "div", f"{stem}.psi.json", f"{stem}.phi.json", "--quiet")
     assert code == 1 and doc["status"] == "not-feasible-at-tolerance"
-    assert doc["stop_reason"] == "certificate" and doc["iterations"] == 1
+    assert doc["stop_reason"] == "certificate" and doc["iterations"] == 0
     assert abs(doc["certificate"]["residual_lower_bound"] - np.sqrt(6.0)) < 1e-9
     assert doc["warnings"] == []
 
@@ -505,12 +506,35 @@ def test_choi_file_within_load_skew_is_decided(tmp_path, capsys):
 
 
 def test_verify_reports_solver_iterations(tmp_path, capsys):
-    id_path = str(tmp_path / "id2.json")
-    main(["make", "identity", "--dim", "2", "-o", id_path])
+    # The identity divides psi at its start, iteration 0. psi, a qubit
+    # channel after complete dephasing, is not invertible, so its quotients
+    # form a family whose minimum-norm start is not PSD: the solve iterates.
+    rng = np.random.default_rng(4)
+    dephasing = ch.Channel(2, 2, np.diag([1.0, 0.0, 0.0, 1.0]).astype(complex))
+    psi = ch.compose_choi(dephasing, ch.choi_from_kraus(ch.random_kraus(2, 2, 2, rng)))
+    phi = ch.compose_choi(psi, ch.random_channel(2, 2, rng, dim_env=2))
+    paths = [str(tmp_path / f"{name}.json") for name in ("id2", "psi", "phi")]
+    main(["make", "identity", "--dim", "2", "-o", paths[0]])
+    io.save_channel(paths[1], psi)
+    io.save_channel(paths[2], phi)
     capsys.readouterr()
-    _, doc = run(capsys, "verify", "family", id_path, id_path, id_path, "--quiet")
-    assert [s["iterations"] for s in doc["steps"]] == [1, 1]
-    assert doc["iterations"] == 2
+    _, doc = run(capsys, "verify", "family", *paths, "--quiet")
+    assert [s["iterations"] for s in doc["steps"]] == [0, 4]
+    assert doc["iterations"] == 4
+
+
+def test_check_reports_the_candidate_and_rejections(tmp_path, capsys):
+    # The fields of the solver's report: a stop at the start on the affine
+    # candidate at iteration 0, a stop after one rejected extrapolation, and
+    # a certificate, which has no candidate.
+    names = ["ad-0.5-antidegradable", "noisy-thm1-d3-env1-5.7e-3", "identity-compat-d2"]
+    for name in names:
+        instance = INSTANCES[name]
+        _, doc = run(capsys, "check", instance.check, *instance_files(tmp_path, name), "--quiet")
+        fields = doc["stop_reason"], doc["candidate"], doc["rejections"]
+        assert fields == (instance.stop_reason, instance.candidate, instance.rejections)
+        assert doc["iterations"] == instance.report.solver.iterations
+    assert [INSTANCES[name].report.solver.iterations == 0 for name in names] == [True, False, True]
 
 
 PIPELINE_STEP_KINDS = {

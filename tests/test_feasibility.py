@@ -35,8 +35,10 @@ def test_system_without_coordinates_is_certified_at_first_iteration():
     b = np.array([3.0, -4.0, 0.0])
     cons = AffineConstraintSet(0, np.empty((3, 0)), b)
     rep = solve(cons)
+    # The 0 x 0 start has a Cholesky factor; the rows refuse it, and its
+    # residual certifies at iteration 0.
     assert rep.status is Status.NOT_FEASIBLE_AT_TOLERANCE
-    assert (rep.stop_reason, rep.iterations) == ("certificate", 1)
+    assert (rep.stop_reason, rep.iterations) == ("certificate", 0)
     assert rep.solution is None
     assert rep.residual_affine == 5.0
     assert np.copysign(1.0, rep.residual_psd) == 1.0 and rep.residual_psd == 0.0
@@ -46,8 +48,8 @@ def test_system_without_coordinates_is_certified_at_first_iteration():
 def test_system_without_coordinates_and_zero_rhs_is_feasible():
     rep = solve(AffineConstraintSet(0, np.empty((2, 0)), np.zeros(2)))
     assert rep.status is Status.FEASIBLE
-    assert (rep.stop_reason, rep.iterations) == ("tolerance", 1)
-    assert rep.solution.shape == (0, 0)
+    assert (rep.stop_reason, rep.iterations, rep.candidate) == ("tolerance", 0, "affine")
+    assert rep.solution.shape == (0, 0) and rep.residual_psd == 0.0
 
 
 def test_project_affine_idempotent_and_exact():
