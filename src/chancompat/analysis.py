@@ -160,10 +160,12 @@ def check_compatibility(
     witness found through phi back. When that space is all of A (x) B (x) C
     (both Choi operators have full rank), it takes the identity dilation
     ``|b><a|`` instead: R = I, psi_c is ``rho -> rho (x) I_B``, the first
-    target is J_psi, and X is the joint itself. ``solver.solution`` and
-    ``certificate`` are in the coordinates of X; the ``residual``
-    re-verifies the joint against the given psi and phi, so it includes the
-    eigenvalue weight that the rank cut drops.
+    target is J_psi, and X is the joint itself. ``solver.solution`` is in
+    the coordinates of X, and the certificate ``(Y_T, Y)`` is on the rows of
+    X's system: ``Y_T`` on the dilation's environment E (A (x) B for the
+    identity dilation), ``Y`` on A and the other channel's output; the
+    ``residual`` re-verifies the joint against the given psi and phi, so it
+    includes the eigenvalue weight that the rank cut drops.
     """
     if psi.dim_in != phi.dim_in:
         raise ValueError("channels must share the input dimension")

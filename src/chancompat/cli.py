@@ -53,8 +53,9 @@ def _finite(x: float | None) -> float | None:
 def _solver_fields(solver: FeasibilityReport, quiet: bool) -> dict[str, Any]:
     """Why the solver stopped, which candidate ended a feasible solve, how
     many extrapolated points the safeguard rejected and, for a certified
-    verdict, the certificate with the residual bound recomputed from its
-    multipliers."""
+    verdict, the certificate: its multipliers, one Hermitian operator per row
+    block (``[Y_T, Y]``) in the channel file's matrix format, and the
+    residual bound recomputed from them."""
     doc: dict[str, Any] = {
         "stop_reason": solver.stop_reason,
         "candidate": solver.candidate,
@@ -65,7 +66,7 @@ def _solver_fields(solver: FeasibilityReport, quiet: bool) -> dict[str, Any]:
             "residual_lower_bound": certificate_bound(solver.constraints, solver.certificate)
         }
         if not quiet:
-            cert["multipliers"] = solver.certificate.tolist()
+            cert["multipliers"] = [io.matrix_to_json(y) for y in solver.certificate]
         doc["certificate"] = cert
     return doc
 

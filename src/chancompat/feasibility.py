@@ -26,10 +26,11 @@ the divisibility of phi by psi. Compatibility is this system too (see
 :func:`chancompat.analysis.check_compatibility`): through Theorem 1, it is
 the divisibility of one channel by the complementary channel of a dilation
 of the other, with ``T = J_psi`` for the identity dilation. The set holds
-only this affine geometry, on Hermitian matrices, and keeps rows and
-multipliers as its two row blocks in matrix form (the ``Tr_C`` block and the
-realigned composition block); the PSD step is :func:`solve`'s own. The tests
-hold a dense set with a pseudo-inverse as the oracle it matches.
+only this affine geometry, on Hermitian matrices. Its rows are the
+``Tr_C`` block and the composition block, and its multipliers are two
+Hermitian operators on those rows' own spaces: ``Y_T`` on B and ``Y`` on
+A (x) C. The PSD step is :func:`solve`'s own. The tests hold a dense set
+with a pseudo-inverse as the oracle it matches.
 
 Feasible verdicts have one rule and two candidates per iteration: a
 positive semidefinite candidate whose own affine residual is below
@@ -54,19 +55,19 @@ Infeasible verdicts are certified. At iteration 1 and at every
 1000-iteration checkpoint the residual of the PSD iterate is turned into
 Farkas multipliers lambda for the affine rows, with one part in M's range (a
 PSD cone that misses a consistent affine set) and one orthogonal to it (rows
-that are inconsistent on their own); :func:`certificate_bound` turns lambda
-into a lower bound on ``||M vec(X) - b||`` that holds for every PSD X, and a
-bound of at least ``10 * eps_feas`` ends the solve as not feasible at
-tolerance. At iteration 0 the residual of a positive definite start that
-the rows refuse is tried the same way: such rows are inconsistent on their
-own, as no-cloning's and Example 2's are. Infeasibility detection from the
-splitting iterates follows Liu, Ryu & Yin (Math. Program. 2019). Weakly
-infeasible problems admit no such bound. And on feasible problems whose
-solutions lie on the cone boundary the affine point is never positive
-definite, and the best residual of the PSD iterate can stay flat for
-thousands of iterations before it falls again, so a plateau of the best
-residual between checkpoints decides nothing: it ends the solve
-inconclusive, as does the iteration cap.
+that are inconsistent on their own); :func:`certificate_bound` turns lambda,
+the pair of operators ``(Y_T, Y)``, into a lower bound on ``||M vec(X) -
+b||`` that holds for every PSD X, and a bound of at least ``10 * eps_feas``
+ends the solve as not feasible at tolerance. At iteration 0 the residual of
+a positive definite start that the rows refuse is tried the same way: such
+rows are inconsistent on their own, as no-cloning's and Example 2's are.
+Infeasibility detection from the splitting iterates follows Liu, Ryu & Yin
+(Math. Program. 2019). Weakly infeasible problems admit no such bound. And
+on feasible problems whose solutions lie on the cone boundary the affine
+point is never positive definite, and the best residual of the PSD iterate
+can stay flat for thousands of iterations before it falls again, so a
+plateau of the best residual between checkpoints decides nothing: it ends
+the solve inconclusive, as does the iteration cap.
 """
 
 from __future__ import annotations
@@ -74,14 +75,14 @@ from __future__ import annotations
 import enum
 import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .channels import EPS_VALID
-from .linalg import devectorize_hermitian, hermitian_part, hermitian_part_and_skew
-from .linalg import project_psd, realign, unalign, vectorize_hermitian
+from .linalg import hermitian_part, hermitian_part_and_skew, project_psd, realign, unalign
 
 __all__ = [
     "EPS_PLATEAU",
@@ -123,28 +124,30 @@ class Status(enum.Enum):
 # matrices:
 #   start(), correction(W)    P_aff(0) and W - P_aff(W), for P_aff the
 #                             Euclidean projection onto the affine set
-#   residual_rows(X)          r = M vec(X) - b
-# and on rows held as a tuple of row blocks, arrays whose entries are the
-# dense rows' coordinates up to an isometry (see ``_dot``):
-#   rhs_blocks, adjoint(lam)  b, and devec(M^T lam) as a matrix
-#   residual_multipliers(r)   (M M^T)^+ r + (r - M M^+ r)
-#   trace_scalars             (b . tau, ||tau||) for M^T tau = vec(I), or None
-#   split(v), join(lam)       a dense-row vector to blocks, and back
-# The bound is taken on blocks with the two tau scalars (``_bound``), which
-# skips the eigensolve of an attempt that cannot certify; a report's
-# certificate is the one dense-row vector, joined once.
+#   residual_rows(X)          r = M vec(X) - b, as a tuple of arrays in the
+#                             set's own layout, read only by ``_dot`` and
+#                             residual_multipliers
+# and on multipliers held as a tuple of Hermitian operators, one per row
+# block, on that block's own space:
+#   rhs_blocks, adjoint(lam)  b, and M^* lam as a matrix
+#   residual_multipliers(r)   (M M^*)^+ r + (r - M M^+ r)
+#   trace_scalars             (b . tau, ||tau||) for M^* tau = I, or None
+# The bound is taken on the operators with the two tau scalars (``_bound``),
+# which skips the eigensolve of an attempt that cannot certify; a report's
+# certificate is their Hermitian part, formed once.
 
 
 def _dot(x: tuple, y: tuple) -> float:
-    """The dense rows' dot product of two block tuples: sum_k Re <x_k, y_k>."""
+    """The real inner product of two tuples of arrays: sum_k Re <x_k, y_k>,
+    the Frobenius one on operators."""
     return float(sum(map(np.vdot, x, y)).real)
 
 
 def _target(name: str, m: np.ndarray, side: int) -> np.ndarray:
-    """A target's Hermitian part, which blocks (whole matrices) and their
-    vectorization (upper triangles) agree on; m itself if exactly Hermitian.
-    A skew above ``channels.EPS_VALID``, the bound at which channel data are
-    valid, raises."""
+    """The Hermitian part of a target or multiplier operator m, which must be
+    a finite ``side x side`` matrix; m itself if exactly Hermitian. A skew
+    above ``channels.EPS_VALID``, the bound at which channel data are valid,
+    raises."""
     m = np.asarray(m, dtype=complex)
     if m.shape != (side, side) or not np.isfinite(m).all():
         raise ValueError(f"{name} must be a finite {side} x {side} matrix, got {m.shape}")
@@ -220,7 +223,8 @@ class CompositionConstraintSet:
         first = self._vec_i if first is None else _target("first", first, b).ravel()
         self._k = realign(psi, a, b)
         self._kh = self._k.conj().T
-        self.rhs_blocks = self._first, self._phi = first, realign(phi, a, c)
+        self._first, self._phi = first, realign(phi, a, c)
+        self.rhs_blocks = first.reshape(b, b), phi
         self._thin = 2 * a * a <= b * b
         left, s, right = np.linalg.svd(self._k, full_matrices=not self._thin)
         rank = int(np.count_nonzero(s > _RCOND * math.sqrt(float(s[0]) ** 2 + c)))
@@ -248,19 +252,6 @@ class CompositionConstraintSet:
     def start(self) -> np.ndarray:
         return self._x0r.take(self._back)  # P_aff(0) = M^+ b, with no null-space part
 
-    def join(self, lam: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-        """The dense-row vector of blocks ``(vec T, Yr)``; ``split`` undoes it."""
-        a, b, c = self.dims
-        t, yr = lam
-        return np.concatenate(
-            [vectorize_hermitian(t.reshape(b, b)), vectorize_hermitian(unalign(yr, a, c))]
-        )
-
-    def split(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        a, b, c = self.dims
-        t, yr = devectorize_hermitian(v[: b * b]), devectorize_hermitian(v[b * b :])
-        return t.ravel(), realign(yr, a, c)
-
     def residual_rows(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``vec(Tr_C X - T)`` and the realigned ``J_psi * X - J_phi``."""
         xr = x.take(self._there)
@@ -270,8 +261,11 @@ class CompositionConstraintSet:
         return t, yr
 
     def adjoint(self, lam: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-        t, yr = lam
-        g = math.sqrt(self.dims[2]) * (t[:, None] * self._u) + self._kh @ yr
+        """``Y_T (x) I_C`` plus the composition's adjoint of Y, for ``lam =
+        (Y_T, Y)``."""
+        a, _, c = self.dims
+        t, y = lam
+        g = math.sqrt(c) * (t.reshape(-1)[:, None] * self._u) + self._kh @ realign(y, a, c)
         return g.take(self._back)
 
     def correction(self, w: np.ndarray) -> np.ndarray:
@@ -286,18 +280,20 @@ class CompositionConstraintSet:
         return w - part.take(self._back)
 
     def residual_multipliers(self, r: tuple) -> tuple[np.ndarray, np.ndarray]:
-        """``(M M^T)^+ r + (r - M M^+ r)`` blockwise, for residual rows r in
-        blocks ``(vec T, Yr)``: on K's block it is ``Yr`` with its part in K's
-        kept range scaled by ``s^-2``; on ``N``'s, with ``g = N^+ r_u``, it is
-        ``r_u + N ((N^dag N)^-1 g - g)``."""
-        c = self.dims[2]
+        """``(M M^*)^+ r + (r - M M^+ r)`` as the operators ``(Y_T, Y)``, for
+        residual rows r from :meth:`residual_rows`. Blockwise on the realigned
+        rows: on K's block it is ``Yr`` with its part in K's kept range scaled
+        by ``s^-2``; on ``N``'s, with ``g = N^+ r_u``, it is ``r_u + N
+        ((N^dag N)^-1 g - g)``."""
+        a, b, c = self.dims
         t, yr = r
         y_u = yr @ self._u
         rest = yr - y_u[:, None] * self._u
         rest += self._left @ ((self._s**-2 - 1.0)[:, None] * (self._left_h @ rest))
         g = self._gram_solve(math.sqrt(c) * t + self._kh @ y_u)
         h = self._gram_solve(g) - g
-        return t + math.sqrt(c) * h, rest + (y_u + self._k @ h)[:, None] * self._u
+        rest += (y_u + self._k @ h)[:, None] * self._u
+        return (t + math.sqrt(c) * h).reshape(b, b), unalign(rest, a, c)
 
     @cached_property
     def trace_scalars(self) -> tuple[float, float]:
@@ -338,9 +334,11 @@ class FeasibilityReport:
     decided the solve before any iteration: as the affine candidate, or as
     the residual that certified. ``rejections`` counts the
     extrapolated points that the safeguard rejected. ``constraints`` is the
-    system that ``solution`` (a matrix X) and ``certificate`` (multipliers
-    for its rows) belong to; :func:`certificate_bound` needs it to re-check
-    the certificate.
+    system that ``solution`` (a matrix X) and ``certificate`` belong to. The
+    certificate is the Farkas multipliers as exactly Hermitian operators, one
+    per row block on that block's space: ``(Y_T, Y)`` on B and on A (x) C
+    for a :class:`CompositionConstraintSet`. :func:`certificate_bound`
+    re-checks it on ``constraints``, or on any set with the same rows.
     """
 
     status: Status
@@ -351,12 +349,12 @@ class FeasibilityReport:
     stop_reason: str
     candidate: str | None
     rejections: int
-    certificate: np.ndarray | None = field(repr=False)
+    certificate: tuple[np.ndarray, ...] | None = field(repr=False)
     constraints: CompositionConstraintSet = field(repr=False, compare=False)
 
 
 def _bound(constraints, lam: tuple, floor: float) -> float:
-    """:func:`certificate_bound` on multipliers in row blocks. When ``b . tau
+    """:func:`certificate_bound` on unchecked operators. When ``b . tau
     >= 0`` or no tau exists, the bound is at most ``-b . lam / ||lam||``; a
     cap below ``floor`` returns 0.0 before G is formed."""
     delta = -_dot(constraints.rhs_blocks, lam)
@@ -373,28 +371,33 @@ def _bound(constraints, lam: tuple, floor: float) -> float:
     return delta / scale if delta > 0.0 else 0.0
 
 
-def certificate_bound(constraints: CompositionConstraintSet, lam: np.ndarray) -> float:
-    """Lower bound on ``||M vec(X) - b||`` over every PSD X, from multipliers lam.
+def certificate_bound(
+    constraints: CompositionConstraintSet, multipliers: Sequence[np.ndarray]
+) -> float:
+    """Lower bound on ``||M vec(X) - b||`` over every PSD X, from multipliers
+    lam: one Hermitian operator per row block of ``constraints``, ``(Y_T,
+    Y)`` for a :class:`CompositionConstraintSet`.
 
-    With ``G = devec(M^T lam)`` and ``mu = min(0, lambda_min(G))``, every PSD X
-    has ``lam . (M vec(X) - b) = <G, X> - b . lam >= mu Tr X - b . lam``. When
-    ``M^T tau = vec(I)``, ``Tr X = tau . (M vec(X) - b) + b . tau``, so
-    ``(lam - mu tau) . (M vec(X) - b) >= delta = mu b . tau - b . lam`` and
-    Cauchy-Schwarz gives ``||M vec(X) - b|| >= delta / (||lam|| + |mu| ||tau||)``.
-    Returns 0.0 (no bound) when that is not positive, or when ``mu < 0`` and
-    the constraints do not fix Tr X. The dense-row vector lam is split into
-    the set's row blocks once; one ``eigvalsh``. Nothing from the solve that
-    produced lam is used.
+    With ``G = M^* lam`` (``Y_T (x) I_C`` plus the composition's adjoint of
+    Y) and ``mu = min(0, lambda_min(G))``, every PSD X has ``<lam, M vec(X)
+    - b> = <G, X> - <lam, b> >= mu Tr X - <lam, b>``. When ``M^* tau = I``,
+    ``Tr X = <tau, M vec(X) - b> + <tau, b>``, so ``<lam - mu tau, M vec(X)
+    - b> >= delta = mu <tau, b> - <lam, b>`` and Cauchy-Schwarz gives
+    ``||M vec(X) - b|| >= delta / (||lam|| + |mu| ||tau||)``. Returns 0.0 (no
+    bound) when that is not positive, or when ``mu < 0`` and the constraints
+    do not fix Tr X. Each operator is checked as the set's targets are: it
+    must have its row block's side, be finite, and be Hermitian within
+    ``channels.EPS_VALID``, and its Hermitian part is what counts. One
+    ``eigvalsh``; nothing from the solve that produced lam is used.
     """
-    lam = np.asarray(lam)
-    if np.iscomplexobj(lam):
-        raise ValueError("multipliers must be real")
-    lam, rows = lam.astype(float), sum(b.size for b in constraints.rhs_blocks)
-    if lam.shape != (rows,):
-        raise ValueError(f"multiplier shape {lam.shape} does not match {rows} rows")
-    if not np.isfinite(lam).all():
-        raise ValueError("multipliers contain non-finite entries")
-    return _bound(constraints, constraints.split(lam), 0.0)
+    blocks = constraints.rhs_blocks
+    if len(multipliers) != len(blocks):
+        raise ValueError(f"expected {len(blocks)} multiplier operators, got {len(multipliers)}")
+    lam = tuple(
+        _target(f"multipliers[{k}]", y, rhs.shape[0])
+        for k, (y, rhs) in enumerate(zip(multipliers, blocks))
+    )
+    return _bound(constraints, lam, 0.0)
 
 
 class _Anderson:
@@ -471,16 +474,15 @@ class _Anderson:
         return hermitian_part(t - shift)
 
 
-def _certificate(constraints, r: tuple, infeasible_at: float) -> np.ndarray | None:
-    """The certificate attempt on residual rows r: the multipliers ``lam``,
-    joined into one dense-row vector, when their bound reaches
-    ``infeasible_at``; else None. The range part of lam certifies a PSD
-    cone that misses a consistent affine set; the part orthogonal to M's
-    range (M^T of it is 0) certifies rows that are inconsistent on their
-    own."""
+def _certificate(constraints, r: tuple, infeasible_at: float) -> tuple | None:
+    """The certificate attempt on residual rows r: the Hermitian parts of the
+    multiplier operators ``lam`` when their bound reaches ``infeasible_at``;
+    else None. The range part of lam certifies a PSD cone that misses a
+    consistent affine set; the part orthogonal to M's range (M^* of it is 0)
+    certifies rows that are inconsistent on their own."""
     lam = constraints.residual_multipliers(r)
     if _bound(constraints, lam, infeasible_at) >= infeasible_at:
-        return constraints.join(lam)
+        return tuple(map(hermitian_part, lam))
     return None
 
 
@@ -573,12 +575,12 @@ def solve(
     Cholesky factorization accepted, and its ``residual_psd`` is the 0.0
     that the factor proves. T itself is unchanged by the test. At iteration
     1 and at every 1000-iteration checkpoint Y's ``r`` gives multipliers
-    ``lam = (M M^T)^+ r + (r - M M^+ r)`` in row blocks; when the bound of
-    :func:`certificate_bound` on them proves every PSD X to have residual at
-    least ``10 * eps_feas``, the solve stops not feasible with ``lam``,
-    joined into one dense-row vector, as its certificate. A plateau of Y's
-    best residual between checkpoints, and exhausting ``max_iter``, end the
-    solve inconclusive.
+    ``lam = (M M^*)^+ r + (r - M M^+ r)``, one operator per row block; when
+    the bound of :func:`certificate_bound` on them proves every PSD X to have
+    residual at least ``10 * eps_feas``, the solve stops not feasible with
+    their Hermitian parts as its certificate. A plateau of Y's best residual
+    between checkpoints, and exhausting ``max_iter``, end the solve
+    inconclusive.
     """
     z = constraints.start()
     best = np.inf

@@ -28,8 +28,6 @@ __all__ = [
     "realign",
     "unalign",
     "project_psd",
-    "vectorize_hermitian",
-    "devectorize_hermitian",
     "hermitian_basis",
     "swap_unitary",
     "frob",
@@ -172,8 +170,8 @@ def project_psd(x: np.ndarray) -> np.ndarray:
 @functools.cache
 def _hermitian_indices(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Flat indices into a d x d matrix of its diagonal, its strict upper
-    triangle and the transposed (lower) positions, in the coordinate order of
-    :func:`vectorize_hermitian`. Cached per dimension, read-only."""
+    triangle and the transposed (lower) positions, in the order of
+    :func:`hermitian_basis`. Cached per dimension, read-only."""
     iu, ju = np.triu_indices(d, k=1)
     out = (np.arange(d) * (d + 1), iu * d + ju, ju * d + iu)
     for a in out:
@@ -181,64 +179,11 @@ def _hermitian_indices(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return out
 
 
-@functools.cache
-def _hermitian_plan(d: int) -> tuple[np.ndarray, ...]:
-    """Index plans of :func:`vectorize_hermitian` and its inverse on the real
-    view of a flat ``d x d`` complex matrix, where entry k has its real part
-    at ``2k`` and its imaginary part at ``2k + 1``.
-
-    Returns ``(gather, scale, source, target, coef)``: coordinates are
-    ``view[gather] * scale``, and a matrix is ``view[target] = v[source] *
-    coef`` on zeros. Cached per dimension, read-only.
-    """
-    diag, upper, lower = _hermitian_indices(d)
-    m = upper.size
-    re, im = np.arange(d, d + m), np.arange(d + m, d + 2 * m)
-    half = np.full(m, 1.0 / _SQRT2)
-    out = (
-        np.concatenate([2 * diag, 2 * upper, 2 * upper + 1]),
-        np.concatenate([np.ones(d), np.full(2 * m, _SQRT2)]),
-        np.concatenate([np.arange(d), re, im, re, im]),
-        np.concatenate([2 * diag, 2 * upper, 2 * upper + 1, 2 * lower, 2 * lower + 1]),
-        np.concatenate([np.ones(d), half, half, half, -half]),
-    )
-    for a in out:
-        a.setflags(write=False)
-    return out
-
-
-def vectorize_hermitian(x: np.ndarray) -> np.ndarray:
-    """Real coordinates of a Hermitian d x d matrix, length d^2.
-
-    Uses an orthonormal basis of the Hermitian space: diagonal matrix units,
-    then symmetric and antisymmetric off-diagonal pairs scaled by 1/sqrt(2),
-    so Frobenius norms map to Euclidean norms exactly. Leading batch axes are
-    kept: a ``(..., d, d)`` stack gives ``(..., d^2)`` coordinates. One gather
-    from the real view of the matrix.
-    """
-    x = np.asarray(x)
-    d = x.shape[-1]
-    gather, scale, _, _, _ = _hermitian_plan(d)
-    flat = np.ascontiguousarray(x, dtype=complex).reshape(*x.shape[:-2], d * d)
-    return flat.view(float)[..., gather] * scale
-
-
-def devectorize_hermitian(v: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`vectorize_hermitian`: one scatter into the real view
-    of the matrix."""
-    v = np.asarray(v, dtype=float)
-    d = int(round(np.sqrt(v.size)))
-    if d * d != v.size:
-        raise ValueError(f"vector length {v.size} is not a perfect square")
-    _, _, source, target, coef = _hermitian_plan(d)
-    out = np.zeros(2 * d * d)
-    out[target] = v[source] * coef
-    return out.view(complex).reshape(d, d)
-
-
 def hermitian_basis(d: int) -> np.ndarray:
-    """Orthonormal Hermitian basis in the :func:`vectorize_hermitian` order,
-    as a ``(d^2, d, d)`` stack: element k is ``devectorize_hermitian(e_k)``."""
+    """Orthonormal basis of the Hermitian d x d matrices, as a ``(d^2, d, d)``
+    stack: the diagonal matrix units, then the symmetric and the
+    antisymmetric off-diagonal pairs of the strict upper triangle, scaled by
+    1/sqrt(2)."""
     diag, upper, lower = _hermitian_indices(d)
     m = upper.size
     out = np.zeros((d * d, d * d), dtype=complex)

@@ -2,7 +2,13 @@ import re
 
 import numpy as np
 import pytest
-from dense_oracle import compatibilizer_oracle, dense_forward
+from dense_oracle import (
+    compatibilizer_oracle,
+    dense_forward,
+    dense_rhs,
+    residual_norm,
+    vectorize_hermitian,
+)
 from paths import INSTANCES
 from test_assembly import marginal_set
 
@@ -14,7 +20,7 @@ from chancompat.feasibility import (
     Status,
     solve,
 )
-from chancompat.linalg import frob, partial_trace, vectorize_hermitian
+from chancompat.linalg import frob, partial_trace
 
 TIGHT = SolverConfig(eps_feas=1e-10, max_iter=50000)
 
@@ -32,7 +38,8 @@ def test_constraint_builder_matches_direct_evaluation():
     # M vec(X) must evaluate the declared linear maps exactly: the two
     # marginals of a joint on A (x) B (x) C, and the trace over C and the
     # composition after psi of a quotient on B (x) C. The check runs the
-    # forward maps on channels.
+    # forward maps on channels. M is read off the set's adjoint, and the
+    # set's own residual rows have the norm of the direct residual.
     rng = np.random.default_rng(0)
     for dims in ((2, 2, 2), (2, 3, 2)):
         da, db, dc = dims
@@ -48,6 +55,8 @@ def test_constraint_builder_matches_direct_evaluation():
                 ]
             )
             assert np.allclose(dense_forward(marginal, x), expected, atol=1e-12)
+            direct = np.linalg.norm(expected - dense_rhs(marginal))
+            assert abs(residual_norm(marginal, x) - direct) <= 1e-12
             y = _random_hermitian(db * dc, rng)
             expected = np.concatenate(
                 [
@@ -56,6 +65,8 @@ def test_constraint_builder_matches_direct_evaluation():
                 ]
             )
             assert np.allclose(dense_forward(composition, y), expected, atol=1e-12)
+            direct = np.linalg.norm(expected - dense_rhs(composition))
+            assert abs(residual_norm(composition, y) - direct) <= 1e-12
 
 
 def test_identity_is_not_self_compatible():
@@ -124,7 +135,8 @@ def test_full_rank_pair_is_theorem_1_with_the_identity_dilation(d):
     rng = np.random.default_rng(d)
     for _ in range(3):
         x = _random_hermitian(d**3, rng)
-        assert np.array_equal(dense_forward(rep.solver.constraints, x), dense_forward(marginal, x))
+        rows = zip(rep.solver.constraints.residual_rows(x), marginal.residual_rows(x))
+        assert all(np.array_equal(r, s) for r, s in rows)
     direct = solve(marginal)
     assert direct.iterations == rep.solver.iterations
     assert np.array_equal(direct.solution, rep.solver.solution)

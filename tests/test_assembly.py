@@ -3,13 +3,15 @@
 The oracle (``dense_oracle.oracle_constraints``) applies each forward map to
 every Hermitian basis element of the variable and stores the constraint
 matrix column by column. Every system gets the ``CompositionConstraintSet``,
-which has no matrix: its forward map, projection, multipliers and trace
-coordinates are compared with the oracle, and its solves must match the
-oracle's. A compatibility pair whose Choi operators both have full rank is
-the joint under its marginal rows, a composition after rho -> rho (x) I_B
-with ``J_psi`` as the first target; it is checked against the marginal
-oracle, also on targets whose A-marginals disagree and with a factor of
-dimension 1. Every divisibility system, and the compatibility system of a
+which has no matrix: its rows (read off its adjoint, ``dense_matrix``),
+residual norm, projection, multipliers (Hermitian operators on each row
+block's space, one per forward map of the oracle) and trace coordinates are
+compared with the oracle, and its solves must match the oracle's. A
+compatibility pair whose Choi operators both have full rank is the joint
+under its marginal rows, a composition after rho -> rho (x) I_B with
+``J_psi`` as the first target; it is checked against the marginal oracle,
+also on targets whose A-marginals disagree and with a factor of dimension
+1. Every divisibility system, and the compatibility system of a
 rank-deficient pair (the divisibility of the other channel by a
 complementary channel, through Theorem 1), is checked against the
 divisibility oracle, on dimensions with d_B != d_C and with a factor of
@@ -21,12 +23,13 @@ explicit null columns.
 import numpy as np
 import pytest
 from dense_oracle import (
-    dense_forward,
+    dense_matrix,
     dense_rhs,
     div_oracle,
     marginal_oracle,
     oracle_constraints,
     residual_norm,
+    vectorize_hermitian,
 )
 from paths import INSTANCES, dressed, noisy, thm1_pair
 
@@ -41,13 +44,7 @@ from chancompat.feasibility import (
     certificate_bound,
     solve,
 )
-from chancompat.linalg import (
-    dag,
-    devectorize_hermitian,
-    partial_trace,
-    project_psd,
-    vectorize_hermitian,
-)
+from chancompat.linalg import dag, partial_trace, project_psd
 
 CONFIG = SolverConfig()
 
@@ -134,16 +131,9 @@ def div_instances():
     return out
 
 
-def forward_columns(cons):
-    """The constraint matrix of any constraint set, one forward map per
-    basis element of its variable."""
-    basis = np.eye(cons.dim * cons.dim)
-    return np.column_stack([dense_forward(cons, devectorize_hermitian(e)) for e in basis])
-
-
 def assert_parity(report, oracle):
     cons = report.constraints
-    m = forward_columns(cons)
+    m = dense_matrix(cons)
     assert m.shape == oracle.matrix.shape
     assert np.abs(m - oracle.matrix).max() <= 1e-14
     assert np.array_equal(dense_rhs(cons), oracle.rhs)
@@ -268,18 +258,17 @@ def marginal_pair(dims, shift):
 
 
 def assert_multiplier_parity(cons, oracle, y, tol):
-    """The set's multipliers for Y, in blocks, against the oracle's dense
-    vector within ``tol``; G and the bound from the blocks and from the
-    joined vector against the oracle's."""
+    """The set's multiplier operators for Y against the oracle's, one per
+    row block, within ``tol``; G and the bound from them on both sets."""
     lam = cons.residual_multipliers(cons.residual_rows(y))
     dense = oracle.residual_multipliers(oracle.residual_rows(y))
-    vec = cons.join(lam)
-    assert np.abs(vec - oracle.join(dense)).max() <= tol
-    g = oracle.adjoint(oracle.split(vec))
+    assert [x.shape for x in lam] == [x.shape for x in dense]
+    assert max(np.abs(x - z).max() for x, z in zip(lam, dense)) <= tol
+    g = oracle.adjoint(lam)
     assert np.abs(cons.adjoint(lam) - g).max() <= 1e-13
-    assert np.abs(cons.adjoint(cons.split(vec)) - g).max() <= 1e-13
-    bound = certificate_bound(cons, vec)
-    assert abs(bound - certificate_bound(oracle, vec)) <= 1e-12
+    assert np.abs(cons.adjoint(dense) - g).max() <= 1e-13
+    bound = certificate_bound(cons, lam)
+    assert abs(bound - certificate_bound(oracle, lam)) <= 1e-12
     assert abs(bound - fz._bound(cons, lam, 0.0)) <= 1e-12 * max(1.0, bound)
 
 
@@ -304,7 +293,7 @@ def test_marginal_set_matches_dense_oracle(dims, shift):
             (lambda x: partial_trace(x, dims, (0, 2)), second),
         ],
     )
-    assert np.abs(forward_columns(cons) - oracle.matrix).max() <= 1e-14
+    assert np.abs(dense_matrix(cons) - oracle.matrix).max() <= 1e-14
     assert np.array_equal(dense_rhs(cons), oracle.rhs)
     assert np.abs(np.subtract(cons.trace_scalars, oracle.trace_scalars)).max() <= 1e-13
     rng = np.random.default_rng(1)
@@ -324,6 +313,9 @@ def test_divisibility_assembly_matches_oracle(psi, phi):
     if report.certificate is not None:
         bound = certificate_bound(report.constraints, report.certificate)
         assert abs(bound - certificate_bound(expected.constraints, expected.certificate)) <= 1e-12
+        # Each certificate re-checks on the other's rows.
+        assert abs(bound - certificate_bound(expected.constraints, report.certificate)) <= 1e-12
+        assert abs(bound - certificate_bound(report.constraints, expected.certificate)) <= 1e-12
 
 
 # d_B != d_C catches a transposed factor order; a dimension of 1 leaves the
@@ -344,7 +336,7 @@ def test_composition_set_matches_dense_oracle(dims):
     )
     cons = CompositionConstraintSet(dims, psi.choi, phi.choi)
     oracle = div_oracle(psi, phi)
-    assert np.abs(forward_columns(cons) - oracle.matrix).max() <= 1e-14
+    assert np.abs(dense_matrix(cons) - oracle.matrix).max() <= 1e-14
     assert np.array_equal(dense_rhs(cons), oracle.rhs)
     assert np.abs(np.subtract(cons.trace_scalars, oracle.trace_scalars)).max() <= 1e-13
     assert np.abs(cons.start() - oracle.start()).max() <= 1e-13
@@ -380,8 +372,7 @@ def test_composition_set_builds_rows_from_hermitian_targets():
     exact = hermitian_part(phi)
     exact.imag[np.diag_indices(4)] = -0.0
     cons = CompositionConstraintSet((2, 2, 2), psi.choi, exact)
-    realigned = exact.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
-    assert cons.rhs_blocks[1].tobytes() == realigned.tobytes()
+    assert cons.rhs_blocks[1].tobytes() == exact.tobytes()
 
     for kwargs, name in (
         ({"first": [[1.0, 0.5], [0.0, 1.0]]}, "first is not Hermitian"),
@@ -395,7 +386,7 @@ def test_composition_set_builds_rows_from_hermitian_targets():
 
 
 @pytest.mark.parametrize("d", [5, 6])
-def test_large_divisible_pairs_are_feasible_at_iteration_one(d):
+def test_large_divisible_pairs_are_feasible_at_iteration_zero(d):
     # A dense M would be 650 x 625 (d=5) and 1332 x 1296 (d=6). The start,
     # shifted at rounding level, is the quotient: no iteration runs.
     instance = INSTANCES[f"large-div-d{d}"]

@@ -6,16 +6,18 @@ ends the acceleration at a rejected point, at the cost of one projection.
 Feasible instances near the PSD cone boundary never get a
 not-feasible verdict, and the positive-definite affine point that ends the
 noisy and near-threshold solves is the solution, while inconsistent rows
-never accept it. The bound that stops a solve, taken on the set's row
-blocks, is the one that the report's dense multipliers re-check to, and an
-attempt skipped before its eigensolve could not have certified."""
+never accept it. The bound that stops a solve, taken on the multiplier
+operators as the set forms them, is the one that the report's certificate,
+their Hermitian parts, re-checks to, and an attempt skipped before its
+eigensolve could not have certified. ``certificate_bound`` checks each
+operator of a certificate as the set checks its targets."""
 
 import math
 import warnings
 
 import numpy as np
 import pytest
-from dense_oracle import AffineConstraintSet, div_oracle, marginal_oracle
+from dense_oracle import AffineConstraintSet, div_oracle, marginal_oracle, vectorize_hermitian
 from paths import INSTANCES, depolarizing, noisy, thm1_pair
 
 from chancompat import analysis as an
@@ -29,7 +31,7 @@ from chancompat.feasibility import (
     certificate_bound,
     solve,
 )
-from chancompat.linalg import project_psd, skew, vectorize_hermitian
+from chancompat.linalg import hermitian_part, project_psd, skew
 
 CONFIG = SolverConfig()
 
@@ -81,7 +83,7 @@ def test_feasible_instances_are_never_certified():
                 (cons.dim, cons.dim)
             )
             y = project_psd(0.5 * (g + g.conj().T))
-            lam = cons.join(cons.residual_multipliers(cons.residual_rows(y)))
+            lam = cons.residual_multipliers(cons.residual_rows(y))
             assert certificate_bound(cons, lam) <= solver.residual_affine + 1e-12
     # The batch includes solves that attempted a certificate and went on.
     assert iterated >= 2
@@ -195,7 +197,7 @@ def test_full_rank_pairs_are_feasible_with_reverified_witness(d, env):
         n = cons.dim
         g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         lam = cons.residual_multipliers(cons.residual_rows(project_psd(0.5 * (g + g.conj().T))))
-        assert certificate_bound(cons, cons.join(lam)) <= rep.solver.residual_affine + 1e-12
+        assert certificate_bound(cons, lam) <= rep.solver.residual_affine + 1e-12
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -353,16 +355,18 @@ def test_stopping_bound_is_the_recheck_bound(solve_it, oracle, monkeypatch):
 
 @pytest.mark.parametrize("solve_it, oracle", certified_pool())
 def test_certified_solve_vectorizes_only_the_kept_multipliers(solve_it, oracle, monkeypatch):
-    calls = spy(monkeypatch, fz, "vectorize_hermitian")
+    # Nothing is vectorized. The certificate is the Hermitian parts of the
+    # multiplier operators whose bound stopped the solve, one per row block
+    # and of its side, each formed once and exactly Hermitian.
+    attempts = spy(monkeypatch, fz, "_bound")
+    formed = spy(monkeypatch, fz, "hermitian_part")
     rep = solve_it()
-    shapes = [np.shape(x) for (x,), _ in calls]
-    if isinstance(rep.constraints, CompositionConstraintSet):
-        b = rep.constraints.dims[1]
-        # One gather per row block of the certificate, and nothing else.
-        assert len(shapes) == 2 and shapes[0] == (b, b)
-        assert sum(int(np.prod(shape)) for shape in shapes) == rep.certificate.size
-    else:
-        assert shapes == []
+    (_, kept, _), _ = attempts[-1]
+    parts = [part for (x,), part in formed if any(x is y for y in kept)]
+    assert len(parts) == len(kept) == len(rep.constraints.rhs_blocks)
+    assert all(y is part for y, part in zip(rep.certificate, parts))
+    for y, rhs in zip(rep.certificate, rep.constraints.rhs_blocks):
+        assert y.shape == rhs.shape and skew(y) == 0.0
 
 
 def test_residual_rows_run_once_per_iteration(monkeypatch):
@@ -583,12 +587,15 @@ def test_affine_stop_is_sound_just_above_threshold(d):
 def test_failed_attempts_do_not_vectorize(monkeypatch):
     # Depolarizing self-compatibility just below the cloning threshold: the
     # attempt at iteration 1 fails and the solve goes on to a feasible end.
+    # Nothing is vectorized, and no Hermitian part of a failed attempt's
+    # multipliers is formed.
     attempts = spy(monkeypatch, fz, "_bound")
-    calls = spy(monkeypatch, fz, "vectorize_hermitian")
+    formed = spy(monkeypatch, fz, "hermitian_part")
     rep = INSTANCES["dep-compat-d2-below-1e-3"].run()
     assert rep.status is Status.FEASIBLE and rep.solver.iterations > 1
     assert attempts and all(value < floor for (_, _, floor), value in attempts)
-    assert calls == []
+    tried = [y for (_, lam, _), _ in attempts for y in lam]
+    assert formed and not any(x is y for (x,), _ in formed for y in tried)
 
 
 def test_skip_never_fires_when_b_tau_is_negative(monkeypatch):
@@ -625,7 +632,7 @@ def test_skip_never_skips_an_attempt_that_certifies(solve_it, oracle, monkeypatc
     rep = solve_it()
     cons = rep.constraints
     rng = np.random.default_rng(17)
-    lams = [cons.split(rep.certificate)]
+    lams = [rep.certificate]
     for _ in range(6):
         g = rng.standard_normal((cons.dim,) * 2) + 1j * rng.standard_normal((cons.dim,) * 2)
         lams.append(cons.residual_multipliers(cons.residual_rows(project_psd(g + g.conj().T))))
@@ -648,12 +655,50 @@ def test_skip_never_skips_an_attempt_that_certifies(solve_it, oracle, monkeypatc
 
 
 def test_certificate_bound_rejects_complex_multipliers():
+    # Multipliers are Hermitian operators: complex entries are theirs, an
+    # anti-Hermitian part is not. An operator with one above
+    # channels.EPS_VALID is rejected by name, with no ComplexWarning.
     ident = ch.identity(2)
     rep = an.check_compatibility(ident, ident, CONFIG).solver
-    lam = rep.certificate
-    assert certificate_bound(rep.constraints, lam) >= 10 * CONFIG.eps_feas
+    y_t, y = rep.certificate
+    assert certificate_bound(rep.constraints, (y_t, y)) >= 10 * CONFIG.eps_feas
     with warnings.catch_warnings():
-        warnings.simplefilter("error")  # no ComplexWarning on the way
-        for bad in (lam + 1j * lam, lam + 0j):
-            with pytest.raises(ValueError, match="real"):
-                certificate_bound(rep.constraints, bad)
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"multipliers\[1\] is not Hermitian"):
+            certificate_bound(rep.constraints, (y_t, y + 1j * y))
+
+
+def test_certificate_bound_checks_each_operator():
+    # Each operator is checked as a constraint target is, and an error names
+    # it: the number of operators, the row block's side, finite entries, and
+    # a skew within channels.EPS_VALID, below which the Hermitian part counts.
+    rep = check("degradable", ch.amplitude_damping(0.7))
+    cons = rep.constraints
+    y_t, y = rep.certificate
+    bound = certificate_bound(cons, (y_t, y))
+    assert bound >= 10 * CONFIG.eps_feas
+    for bad, message in (
+        ((y_t,), "expected 2 multiplier operators, got 1"),
+        ((y_t, y, y), "expected 2 multiplier operators, got 3"),
+        ((y_t, y[:-1, :-1]), r"multipliers\[1\] must be a finite"),
+        ((y, y_t), r"multipliers\[0\] must be a finite"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            certificate_bound(cons, bad)
+    for k in range(2):
+        ops = [y_t.copy(), y.copy()]
+        ops[k][0, 0] = np.nan
+        with pytest.raises(ValueError, match=rf"multipliers\[{k}\] must be a finite"):
+            certificate_bound(cons, ops)
+        ops = [y_t.copy(), y.copy()]
+        ops[k][0, 1] += 1e-6
+        with pytest.raises(ValueError, match=rf"multipliers\[{k}\] is not Hermitian"):
+            certificate_bound(cons, ops)
+        ops[k][0, 1] -= 1e-6 - 1e-12
+        assert skew(ops[k]) > 0.0
+        accepted = certificate_bound(cons, ops)
+        ops[k] = hermitian_part(ops[k])
+        assert accepted == certificate_bound(cons, ops)
+        assert abs(accepted - bound) <= 1e-9 * bound
+    # With Y negated, the multipliers bound nothing.
+    assert certificate_bound(cons, (y_t, -y)) == 0.0

@@ -685,7 +685,7 @@ def test_gram_constructions_are_exactly_hermitian():
         first = ch.random_channel(1, psi.dim_out, rng).choi
         cons = CompositionConstraintSet((a, psi.dim_out, phi.dim_out), psi.choi, phi.choi, first)
         assert cons.rhs_blocks[0].tobytes() == first.tobytes()
-        assert cons.rhs_blocks[1].tobytes() == realign(phi.choi, a, phi.dim_out).tobytes()
+        assert cons.rhs_blocks[1].tobytes() == phi.choi.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -822,11 +822,12 @@ def test_a_kraus_array_and_its_operators_give_one_set():
 def generic_trace_scalars(cons):
     """``trace_scalars`` from a fresh real ``vec(I_B)``, as it was formed
     before the set took the cached complex one."""
-    b, c = cons.dims[1:]
+    a, b, c = cons.dims
+    t, phi = cons.rhs_blocks
     h = cons._gram_solve(np.eye(b).ravel())
     kh = cons._k @ h
-    b_tau = c * np.vdot(h, cons.rhs_blocks[0]).real
-    b_tau += np.sqrt(c) * np.vdot(kh, cons.rhs_blocks[1] @ (np.eye(c).ravel() / np.sqrt(c))).real
+    b_tau = c * np.vdot(h, t.ravel()).real
+    b_tau += np.sqrt(c) * np.vdot(kh, realign(phi, a, c) @ (np.eye(c).ravel() / np.sqrt(c))).real
     return float(b_tau), float(np.sqrt(c * c * np.vdot(h, h).real + c * np.vdot(kh, kh).real))
 
 

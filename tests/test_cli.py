@@ -9,7 +9,7 @@ from paths import INSTANCES
 
 from chancompat import analysis as an, channels as ch, cli, io, pipelines
 from chancompat.cli import main
-from chancompat.feasibility import SolverConfig, Status
+from chancompat.feasibility import CompositionConstraintSet, SolverConfig, Status, certificate_bound
 from chancompat.linalg import frob
 
 
@@ -434,13 +434,14 @@ def test_certified_infeasible_report(tmp_path, capsys):
     assert doc["warnings"] == []
     bound = doc["certificate"]["residual_lower_bound"]
     assert bound >= 10 * doc["config"]["eps_feas"]
-    # The bound is recomputed from the reported multipliers alone.
-    from chancompat import analysis as an
-    from chancompat.feasibility import certificate_bound
-
+    # The bound re-checks from the two channel files and the reported
+    # operators alone: Y_T on B and Y on A (x) C, in the files' matrix format.
     psi, _, _ = io.load_channel(ad)
-    cons = an.check_divisibility(psi, ch.identity(2)).solver.constraints
-    assert certificate_bound(cons, np.array(doc["certificate"]["multipliers"])) == bound
+    phi, _, _ = io.load_channel(id_path)
+    cons = CompositionConstraintSet((psi.dim_in, psi.dim_out, phi.dim_out), psi.choi, phi.choi)
+    y_t, y = (io.matrix_from_json(m) for m in doc["certificate"]["multipliers"])
+    assert y_t.shape == (psi.dim_out,) * 2 and y.shape == (psi.dim_in * phi.dim_out,) * 2
+    assert certificate_bound(cons, (y_t, y)) == bound
     _, quiet = run(capsys, "check", "div", ad, id_path, "--quiet")
     assert quiet["certificate"] == {"residual_lower_bound": bound}
 

@@ -3,10 +3,10 @@ test-side :class:`dense_oracle.AffineConstraintSet`."""
 
 import numpy as np
 import pytest
-from dense_oracle import AffineConstraintSet, residual_norm
+from dense_oracle import AffineConstraintSet, residual_norm, vectorize_hermitian
 
 from chancompat.feasibility import SolverConfig, Status, certificate_bound, solve
-from chancompat.linalg import dag, frob, vectorize_hermitian
+from chancompat.linalg import dag, frob
 
 
 def trace_constraint(d, value):
@@ -31,7 +31,7 @@ def test_negative_trace_is_not_feasible():
     assert rep.residual_affine >= 1e-6
 
 
-def test_system_without_coordinates_is_certified_at_first_iteration():
+def test_system_without_coordinates_is_certified_at_iteration_zero():
     b = np.array([3.0, -4.0, 0.0])
     cons = AffineConstraintSet(0, np.empty((3, 0)), b)
     rep = solve(cons)
@@ -151,12 +151,12 @@ def test_certificate_bound_needs_a_fixed_trace():
     row = vectorize_hermitian(np.diag([1.0, -1.0]))
     cons = AffineConstraintSet(2, row.reshape(1, -1), np.array([1.0]))
     assert cons.trace_coordinates is None
-    assert certificate_bound(cons, np.array([-1.0])) == 0.0
-    assert certificate_bound(trace_constraint(2, 1.0), np.array([1.0])) == 0.0
+    assert certificate_bound(cons, ([[-1.0]],)) == 0.0
+    assert certificate_bound(trace_constraint(2, 1.0), ([[1.0]],)) == 0.0
     with pytest.raises(ValueError):
-        certificate_bound(cons, np.zeros(2))
+        certificate_bound(cons, ([[0.0]], [[0.0]]))
     with pytest.raises(ValueError):
-        certificate_bound(cons, np.array([np.nan]))
+        certificate_bound(cons, ([[np.nan]],))
 
 
 def test_config_validation():
