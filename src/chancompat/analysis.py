@@ -178,7 +178,10 @@ def check_compatibility(
     first = None
     if kraus.dim_env * other.dim_out == da * db * dc:
         # Operator a d_B + b is |b><a|; nothing below needs trace preservation.
-        ops = np.eye(da * db, dtype=complex).reshape(-1, da, db).transpose(0, 2, 1)
+        # It takes the pair's dtype, so that the set and the lift mix no real
+        # and complex operands: real for a real pair.
+        dtype = np.result_type(psi.choi, phi.choi)
+        ops = np.eye(da * db, dtype=dtype).reshape(-1, da, db).transpose(0, 2, 1)
         kraus, first = KrausSet(da, db, ops), psi.choi
     env = ch.complementary(kraus)
     dims = (da, kraus.dim_env, other.dim_out)

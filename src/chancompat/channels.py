@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import dag, frob, hermitian_part, hermitian_part_and_skew, partial_trace
+from .linalg import dag, double, frob, hermitian_part, hermitian_part_and_skew, partial_trace
 from .linalg import partial_trace_adjoint, realign, unalign
 from .linalg import swap_unitary  # noqa: F401  (kept importable as channels.swap_unitary)
 
@@ -82,7 +82,9 @@ class Channel:
     """A quantum channel stored as its Choi operator.
 
     ``choi`` is a Hermitian ``(dim_in*dim_out) x (dim_in*dim_out)`` matrix on
-    H_in (x) H_out, input-major. CPTP validity is checked explicitly via
+    H_in (x) H_out, input-major, kept as given when it is float64 or
+    complex128 (``linalg.double`` casts other dtypes): operations on real
+    channels return real ones. CPTP validity is checked explicitly via
     :func:`validate_channel` rather than at construction so that
     solver-produced witnesses (accurate to a feasibility tolerance) can be
     carried by the same type.
@@ -94,7 +96,7 @@ class Channel:
 
     def __post_init__(self):
         side = self.dim_in * self.dim_out
-        choi = np.asarray(self.choi, dtype=complex)
+        choi = double(self.choi)
         if choi.shape != (side, side):
             raise ValueError(
                 f"Choi shape {choi.shape} does not match dims {self.dim_in}x{self.dim_out}"
@@ -108,7 +110,8 @@ class KrausSet:
     of matrices or as one ``(dim_env, dim_out, dim_in)`` array.
 
     The operators are copied once, by one ``np.array`` call, into the
-    read-only ``(dim_env, dim_out, dim_in)`` array ``stack``, and
+    read-only ``(dim_env, dim_out, dim_in)`` array ``stack``, float64 when
+    every operator is real and complex128 otherwise (``linalg.double``), and
     ``operators`` is the tuple of its views; every other arrangement of them
     (:meth:`columns`, :func:`complementary`, :func:`isometry_from_kraus`) is
     a reshape of that stack.
@@ -122,7 +125,7 @@ class KrausSet:
     def __post_init__(self):
         shape = (self.dim_out, self.dim_in)
         try:
-            stack = np.array(self.operators, dtype=complex)
+            stack = double(np.array(self.operators))
         except ValueError:
             # Operators of unequal shapes, which no one array holds.
             off = next((np.shape(k) for k in self.operators if np.shape(k) != shape), None)
@@ -166,7 +169,7 @@ class StinespringIsometry:
     v: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        v = np.asarray(self.v, dtype=complex)
+        v = double(self.v)
         if v.shape != (self.dim_out * self.dim_env, self.dim_in):
             raise ValueError(
                 f"isometry shape {v.shape} does not match "
@@ -372,13 +375,13 @@ def complementary(k: KrausSet) -> Channel:
 
 
 def identity(d: int) -> Channel:
-    w = np.eye(d, dtype=complex).reshape(-1)
-    return Channel(d, d, np.outer(w, w.conj()))
+    w = np.eye(d).reshape(-1)
+    return Channel(d, d, np.outer(w, w))
 
 
 def completely_depolarizing(d: int) -> Channel:
     """Constant map rho -> Tr(rho) I/d."""
-    return Channel(d, d, np.eye(d * d, dtype=complex) / d)
+    return Channel(d, d, np.eye(d * d) / d)
 
 
 def unitary_channel(u: np.ndarray) -> Channel:
@@ -482,7 +485,7 @@ def self_complementary_qubit(family: int, alpha: float, beta: float) -> KrausSet
 
 def constant_channel(sigma: np.ndarray, dim_in: int) -> Channel:
     """Preparation map rho -> Tr(rho) sigma; self-compatible by construction."""
-    sigma = np.asarray(sigma, dtype=complex)
+    sigma = double(sigma)
     return Channel(dim_in, sigma.shape[0], np.kron(np.eye(dim_in), sigma))
 
 
@@ -504,8 +507,8 @@ def amplitude_damping(gamma: float) -> KrausSet:
     for gamma > 1/2."""
     if not 0.0 <= gamma <= 1.0:
         raise ValueError(f"gamma={gamma} outside [0, 1]")
-    k0 = np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - gamma)]], dtype=complex)
-    k1 = np.array([[0.0, np.sqrt(gamma)], [0.0, 0.0]], dtype=complex)
+    k0 = np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - gamma)]])
+    k1 = np.array([[0.0, np.sqrt(gamma)], [0.0, 0.0]])
     return KrausSet(2, 2, (k0, k1))
 
 

@@ -82,7 +82,8 @@ from functools import cached_property
 import numpy as np
 
 from .channels import EPS_VALID
-from .linalg import hermitian_part, hermitian_part_and_skew, project_psd, realign, unalign
+from .linalg import double, hermitian_part, hermitian_part_and_skew, project_psd, realign
+from .linalg import unalign
 
 __all__ = [
     "EPS_PLATEAU",
@@ -145,10 +146,10 @@ def _dot(x: tuple, y: tuple) -> float:
 
 def _target(name: str, m: np.ndarray, side: int) -> np.ndarray:
     """The Hermitian part of a target or multiplier operator m, which must be
-    a finite ``side x side`` matrix; m itself if exactly Hermitian. A skew
-    above ``channels.EPS_VALID``, the bound at which channel data are valid,
-    raises."""
-    m = np.asarray(m, dtype=complex)
+    a finite ``side x side`` matrix; m itself if exactly Hermitian. Its dtype
+    is m's, after ``linalg.double``. A skew above ``channels.EPS_VALID``, the
+    bound at which channel data are valid, raises."""
+    m = double(m)
     if m.shape != (side, side) or not np.isfinite(m).all():
         raise ValueError(f"{name} must be a finite {side} x {side} matrix, got {m.shape}")
     h, defect = hermitian_part_and_skew(m)
@@ -158,12 +159,12 @@ def _target(name: str, m: np.ndarray, side: int) -> np.ndarray:
 
 
 @functools.cache
-def _plan(b: int, c: int) -> tuple[np.ndarray, ...]:
-    """What a set on B (x) C needs of its shape alone, cached per shape and
-    read-only: the flat indices with ``x.take(there) == realign(x, b, c)``
-    and ``xr.take(back) == unalign(xr, b, c)``, ``vec(I_C)``, ``u =
-    vec(I_C) / sqrt(d_C)``, ``I - u u^T`` and the complex ``vec(I_B)``, the
-    default first target."""
+def _plan(b: int, c: int, dtype: np.dtype) -> tuple[np.ndarray, ...]:
+    """What a set on B (x) C of this dtype needs of its shape alone, cached
+    per shape and dtype and read-only: the flat indices with
+    ``x.take(there) == realign(x, b, c)`` and ``xr.take(back) == unalign(xr,
+    b, c)``, ``vec(I_C)``, ``u = vec(I_C) / sqrt(d_C)``, ``I - u u^T`` and
+    ``vec(I_B)`` of the set's dtype, the default first target."""
     flat = np.arange(b * b * c * c)
     trace_c = np.eye(c).ravel()
     u = trace_c / np.sqrt(c)
@@ -173,7 +174,7 @@ def _plan(b: int, c: int) -> tuple[np.ndarray, ...]:
         trace_c,
         u,
         np.eye(c * c) - np.outer(u, u),
-        np.eye(b, dtype=complex).ravel(),
+        np.eye(b, dtype=dtype).ravel(),
     )
     for arr in out:
         arr.setflags(write=False)
@@ -203,6 +204,11 @@ class CompositionConstraintSet:
     pseudo-inverse drops them. The projection goes through whichever of K's
     kept and null right-singular bases is smaller; the kept one, from a thin
     SVD, when ``2 d_A^2 <= d_B^2``.
+
+    The set takes its targets' common dtype: it is real when they all are.
+    For real targets the real part of any solution is a solution, and every
+    projection keeps real points real, so the solve runs in real arithmetic
+    from its real start and decides as on the complex cast of its targets.
     """
 
     def __init__(
@@ -217,10 +223,17 @@ class CompositionConstraintSet:
             raise ValueError(f"dims must be three positive dimensions, got {dims}")
         a, b, c = dims
         psi, phi = _target("psi", psi, a * b), _target("phi", phi, a * c)
+        if first is not None:
+            first = _target("first", first, b)
+        # The targets' common dtype, taken once, so that no product of the
+        # solve mixes real and complex arrays: float64 when all are real.
+        dtype = np.result_type(psi, phi, psi if first is None else first)
+        psi, phi = psi.astype(dtype, copy=False), phi.astype(dtype, copy=False)
         self.dims, self.dim = dims, b * c
         # Xr @ vec(I_C) is vec(Tr_C X), and Xr @ (I - u u^T) is Xr off u.
-        self._there, self._back, self._trace_c, self._u, self._off_u, self._vec_i = _plan(b, c)
-        first = self._vec_i if first is None else _target("first", first, b).ravel()
+        plan = _plan(b, c, dtype)
+        self._there, self._back, self._trace_c, self._u, self._off_u, self._vec_i = plan
+        first = self._vec_i if first is None else first.astype(dtype, copy=False).ravel()
         self._k = realign(psi, a, b)
         self._kh = self._k.conj().T
         self._first, self._phi = first, realign(phi, a, c)
@@ -388,7 +401,9 @@ def certificate_bound(
     do not fix Tr X. Each operator is checked as the set's targets are: it
     must have its row block's side, be finite, and be Hermitian within
     ``channels.EPS_VALID``, and its Hermitian part is what counts. One
-    ``eigvalsh``; nothing from the solve that produced lam is used.
+    ``eigvalsh``; nothing from the solve that produced lam is used. Real
+    operators bound complex X too: G is then real symmetric, and ``<G, X>
+    >= lambda_min(G) Tr X`` holds for every complex PSD X.
     """
     blocks = constraints.rhs_blocks
     if len(multipliers) != len(blocks):
@@ -410,8 +425,9 @@ class _Anderson:
     gamma minimises ``||g - sum_k gamma_k dg_k||`` through its 2 x 2 normal
     equations, solved in scalars (on the newer difference alone when the two
     are collinear or only one exists), and the next point is the Hermitian
-    part of ``T(z) - sum_k gamma_k dt_k``. Inner products are the real ones
-    of the matrices' real views.
+    part of ``T(z) - sum_k gamma_k dt_k``. The buffers take the iterates'
+    dtype, and inner products are the real ones of their real views, the
+    matrices themselves when those are real.
 
     The safeguard: an extrapolated point whose ``||g||`` exceeds that of the
     point it was extrapolated from (its base) is rejected. The step returns
@@ -421,14 +437,13 @@ class _Anderson:
 
     def __init__(self, z: np.ndarray, t: np.ndarray):
         self.rejections = 0
-        # Rows of the real views: two differences of g and the last g, whose
-        # roles rotate (``_roles``: older difference, newer, g); the two
-        # differences of T by slot; the last T.
-        self._g = np.zeros((3, 2 * t.size))
-        self._dt = np.zeros((2, 2 * t.size))
-        self._g_rows = list(self._g)
-        self._g_mats = [row.view(complex).reshape(t.shape) for row in self._g]
-        self._dt_mats = [row.view(complex).reshape(t.shape) for row in self._dt]
+        # Two differences of g and the last g, whose roles rotate
+        # (``_roles``: older difference, newer, g); the two differences of T
+        # by slot; the last T. ``_g`` and ``_dt`` are their real views, one
+        # row per matrix.
+        g_mats, dt_mats = np.zeros((3, *t.shape), t.dtype), np.zeros((2, *t.shape), t.dtype)
+        self._g, self._dt = g_mats.view(float).reshape(3, -1), dt_mats.view(float).reshape(2, -1)
+        self._g_rows, self._g_mats, self._dt_mats = list(self._g), list(g_mats), list(dt_mats)
         self._roles, self._slot, self._a22 = (0, 1, 2), 0, 0.0
         np.subtract(t, z, out=self._g_mats[2])
         self._t = t
@@ -470,7 +485,7 @@ class _Anderson:
         if slot == 0:
             gammas.reverse()
         self._base = t, gg
-        shift = (np.array(gammas) @ self._dt).view(complex).reshape(t.shape)
+        shift = (np.array(gammas) @ self._dt).view(t.dtype).reshape(t.shape)
         return hermitian_part(t - shift)
 
 
@@ -558,8 +573,11 @@ def solve(
     ``"affine"`` and ``residual_psd`` 0.0, and no projection or
     eigendecomposition runs. When its factor passes but its rows refuse it,
     its residual makes the certificate attempt of iteration 1, and a
-    certificate ends the solve at iteration 0. Otherwise Z itself, unshifted,
-    starts the iterations, which run as if the start had not been tested.
+    certificate ends the solve at iteration 0; the shifted start's Hermitian
+    part, factored once more, then has the ``residual_psd`` 0.0 that its
+    factor proves (it is measured when it has none). Otherwise Z itself,
+    unshifted, starts the iterations, which run as if the start had not been
+    tested.
 
     Each iteration offers two candidates to one rule: a positive
     semidefinite candidate whose own affine residual ``r = M vec(X) - b`` is
@@ -593,6 +611,7 @@ def solve(
     certificate = None
     infeasible_at = 10.0 * config.eps_feas
     anderson = None
+    r_psd = None  # best_candidate's PSD defect, once a Cholesky factor proves it 0.0
 
     # Iteration 0: the start, shifted on a copy, as an affine candidate. When
     # its rows accept it, it is the solution. Rows that refuse a positive
@@ -604,13 +623,17 @@ def solve(
     if x is not None:
         x, r, r_aff, accepted = _affine_candidate(constraints, x, config.eps_feas)
         if accepted:
-            best, best_candidate, candidate = r_aff, x, "affine"
+            best, best_candidate, candidate, r_psd = r_aff, x, "affine", 0.0
             status, stop_reason, iterations = Status.FEASIBLE, "tolerance", 0
         elif r is not None:
             certificate = _certificate(constraints, r, infeasible_at)
             if certificate is not None:
                 status, stop_reason = Status.NOT_FEASIBLE_AT_TOLERANCE, "certificate"
                 best, best_candidate, iterations = r_aff, x, 0
+                # x is the Hermitian part of the start that was factored as
+                # formed; one factor of x itself proves its PSD defect 0.0.
+                if _positive_definite(x):
+                    r_psd = 0.0
 
     # A solve decided at iteration 0 has ``iterations == 0``: no loop.
     for it in range(1, iterations + 1):
@@ -641,7 +664,7 @@ def solve(
         # P_aff(2Y - Z), the affine point in T(z).
         x, _, r_aff, accepted = _affine_candidate(constraints, w - c, config.eps_feas)
         if accepted:
-            best, best_candidate, candidate = r_aff, x, "affine"
+            best, best_candidate, candidate, r_psd = r_aff, x, "affine", 0.0
             status, stop_reason, iterations = Status.FEASIBLE, "tolerance", it
             break
         t = y - c  # T(z)
@@ -652,10 +675,11 @@ def solve(
             z = t if anderson.rejections else anderson.step(z, t)
 
     # ``best`` is the candidate matrix's own affine residual, measured by
-    # ``residual_rows`` in the loop. An accepted affine point's PSD defect is
-    # the 0.0 that its Cholesky factor proves; any other candidate's is
-    # measured here.
-    r_psd = 0.0 if candidate == "affine" else _psd_defect(best_candidate)
+    # ``residual_rows`` in the loop. An accepted affine point's PSD defect,
+    # and a certifying start's when it has a factor, is the 0.0 that its
+    # Cholesky factor proves; any other candidate's is measured here.
+    if r_psd is None:
+        r_psd = _psd_defect(best_candidate)
     solution = best_candidate if status is Status.FEASIBLE else None
     if status is Status.FEASIBLE and not (best < config.eps_feas and r_psd < config.eps_feas):
         # Defensive: an accepted candidate should always satisfy both.

@@ -4,7 +4,9 @@ Channel files carry ``dim_in``, ``dim_out`` and exactly one of ``kraus``
 (list of matrices) or ``choi`` (single matrix), plus an optional ``label``.
 A complex scalar is encoded as the two-element array ``[re, im]`` and a
 matrix as an array of rows. Matrices are written with full float precision
-so a load/save/load cycle is entrywise exact.
+so a load/save/load cycle is entrywise exact. A loaded matrix is complex128
+whatever its imaginary parts, so a channel read from a file is solved in
+complex arithmetic; a real matrix is written with imaginary parts 0.0.
 """
 
 from __future__ import annotations

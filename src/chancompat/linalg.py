@@ -1,6 +1,10 @@
-"""Dense complex linear algebra over Hermitian operator spaces.
+"""Dense linear algebra over Hermitian operator spaces.
 
-Operators are plain ``numpy.ndarray`` complex matrices. Composite spaces
+Operators are plain ``numpy.ndarray`` matrices of double precision, real or
+complex: the dtype follows the data (:func:`double`). A real symmetric
+matrix is a Hermitian one, so real data need no complex arithmetic, and
+every function here keeps real input real, except :func:`hermitian_basis`,
+whose antisymmetric elements are imaginary. Composite spaces
 H_A (x) H_B (x) ... use the A-major basis ordering: in |a> (x) |b> the left
 factor index varies slowest, which is exactly the ordering produced by
 ``numpy.kron``. Subsystem dimensions are passed around as plain tuples.
@@ -19,6 +23,7 @@ _SQRT2 = float(np.sqrt(2.0))
 
 __all__ = [
     "EPS_HERM",
+    "double",
     "dag",
     "hermitian_part",
     "hermitian_part_and_skew",
@@ -32,6 +37,13 @@ __all__ = [
     "swap_unitary",
     "frob",
 ]
+
+
+def double(x) -> np.ndarray:
+    """x as a float64 array when its entries are real (bool, integer or
+    floating), else as a complex128 one; no copy when it is either already."""
+    x = np.asarray(x)
+    return x.astype(float if x.dtype.kind in "biuf" else complex, copy=False)
 
 
 def dag(x: np.ndarray) -> np.ndarray:
@@ -144,7 +156,7 @@ def unalign(xr: np.ndarray, m: int, n: int) -> np.ndarray:
 
 
 def _symmetrize(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=complex)
+    x = double(x)
     if x.ndim != 2 or x.shape[0] != x.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {x.shape}")
     h, defect = hermitian_part_and_skew(x)
@@ -159,7 +171,7 @@ def project_psd(x: np.ndarray) -> np.ndarray:
 
     Symmetrizes the input (rejecting non-Hermitian matrices beyond
     ``EPS_HERM`` relative to the largest entry), clips negative eigenvalues
-    to zero and reassembles.
+    to zero and reassembles; real input gives a real result.
     """
     h = _symmetrize(x)
     w, v = np.linalg.eigh(h)

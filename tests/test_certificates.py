@@ -459,6 +459,27 @@ def test_a_solve_that_stops_at_the_start_runs_no_eigensolve(name, monkeypatch):
     assert rep.residual_affine == math.sqrt(fz._dot(r, r)) < CONFIG.eps_feas
 
 
+@pytest.mark.parametrize("name", ["identity-compat-d2", "identity-compat-d3", "example2-div"])
+def test_a_start_that_certifies_runs_only_the_bounds_eigensolve(name, monkeypatch):
+    # No-cloning's and Example 2's rows refuse their positive definite start,
+    # whose residual certifies at iteration 0. The bound's eigvalsh of G is
+    # the only eigensolve: the start's Hermitian part, the stored candidate,
+    # is factored once more, and its PSD defect is the 0.0 that proves.
+    constraints = INSTANCES[name].report.solver.constraints
+    eigh, eigvalsh = spy(monkeypatch, np.linalg, "eigh"), spy(monkeypatch, np.linalg, "eigvalsh")
+    factored = spy(monkeypatch, fz, "_positive_definite")
+    rep = solve(constraints, CONFIG)
+    assert (rep.status, rep.iterations, rep.stop_reason) == (
+        Status.NOT_FEASIBLE_AT_TOLERANCE,
+        0,
+        "certificate",
+    )
+    assert eigh == [] and len(eigvalsh) == 1
+    (((formed,), ok_formed), ((stored,), ok_stored)) = factored
+    assert ok_formed and ok_stored and stored is not formed and skew(stored) == 0.0
+    assert rep.residual_psd == 0.0
+
+
 def test_a_singular_start_is_decided_by_its_shift():
     # AD(1/2) is anti-degradable through a unitary channel, so the start is
     # PSD of rank 1 in 4, and after rounding it has no Cholesky factor. The

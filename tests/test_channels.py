@@ -821,7 +821,7 @@ def test_a_kraus_array_and_its_operators_give_one_set():
 
 def generic_trace_scalars(cons):
     """``trace_scalars`` from a fresh real ``vec(I_B)``, as it was formed
-    before the set took the cached complex one."""
+    before the set took the cached one of its dtype."""
     a, b, c = cons.dims
     t, phi = cons.rhs_blocks
     h = cons._gram_solve(np.eye(b).ravel())
@@ -836,14 +836,27 @@ def test_default_first_target_is_the_identity_bit_for_bit(dims):
     a, b, c = dims
     rng = np.random.default_rng(sum(dims))
     psi, phi = ch.random_channel(a, b, rng), ch.random_channel(a, c, rng)
-    default = CompositionConstraintSet(dims, psi.choi, phi.choi)
-    given = CompositionConstraintSet(dims, psi.choi, phi.choi, first=np.eye(b))
-    for x, y in zip(default.rhs_blocks, given.rhs_blocks, strict=True):
-        assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
-    assert default.start().tobytes() == given.start().tobytes()
-    assert default.trace_scalars == given.trace_scalars == generic_trace_scalars(given)
-    # The default target is shared by every set of its shape: it is read-only.
-    with pytest.raises(ValueError, match="read-only"):
-        default.rhs_blocks[0][0] = 2.0
-    again = CompositionConstraintSet(dims, psi.choi, phi.choi)
-    assert again.rhs_blocks[0].tobytes() == np.eye(b, dtype=complex).tobytes()
+    # Complex targets, real ones (the real part of a CPTP map's Choi
+    # operator is one too), and both mixed: the default is vec(I_B) of the
+    # targets' common dtype.
+    cases = [
+        (psi.choi, phi.choi, complex),
+        (psi.choi.real, phi.choi.real, float),
+        (psi.choi, phi.choi.real, complex),
+        (psi.choi.real, phi.choi, complex),
+    ]
+    for j_psi, j_phi, dtype in cases:
+        default = CompositionConstraintSet(dims, j_psi, j_phi)
+        given = CompositionConstraintSet(dims, j_psi, j_phi, first=np.eye(b))
+        for x, y in zip(default.rhs_blocks, given.rhs_blocks, strict=True):
+            assert x.dtype == y.dtype == dtype and x.tobytes() == y.tobytes()
+        assert default.start().dtype == dtype
+        assert default.start().tobytes() == given.start().tobytes()
+        assert default.trace_scalars == given.trace_scalars == generic_trace_scalars(given)
+        # The default target is shared by every set of its shape and dtype:
+        # it is read-only.
+        with pytest.raises(ValueError, match="read-only"):
+            default.rhs_blocks[0][0] = 2.0
+        again = CompositionConstraintSet(dims, j_psi, j_phi)
+        assert np.shares_memory(again.rhs_blocks[0], default.rhs_blocks[0])
+        assert again.rhs_blocks[0].tobytes() == np.eye(b, dtype=dtype).tobytes()

@@ -9,6 +9,7 @@ from chancompat.linalg import (
     EPS_HERM,
     _symmetrize,
     dag,
+    double,
     frob,
     hermitian_basis,
     hermitian_part,
@@ -126,6 +127,32 @@ def test_project_psd_rejects_non_hermitian():
     x = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(ValueError):
         project_psd(x)
+
+
+def test_double_keeps_double_data_and_casts_the_rest():
+    # Real entries become float64 and any others complex128; an array that
+    # is either already is returned as it is.
+    for x in (np.eye(2), np.eye(2, dtype=complex)):
+        assert double(x) is x
+    cases = [
+        (np.eye(2, dtype=int), float),
+        (np.eye(2, dtype=bool), float),
+        (np.eye(2, dtype=np.float32), float),
+        ([[1, 2]], float),
+        (np.eye(2, dtype=np.complex64), complex),
+        ([[1, 2j]], complex),
+    ]
+    for given, dtype in cases:
+        assert double(given).dtype == dtype
+
+
+def test_project_psd_keeps_real_input_real():
+    rng = np.random.default_rng(8)
+    g = rng.standard_normal((5, 5))
+    x = g + g.T
+    p = project_psd(x)
+    assert p.dtype == float and np.linalg.eigvalsh(p)[0] >= -1e-12
+    assert np.abs(p - project_psd(x.astype(complex))).max() <= 1e-12
 
 
 def test_hermiticity_guard_is_relative_to_the_largest_entry():
