@@ -210,6 +210,12 @@ def check_divisibility(
         raise ValueError("channels must share the input dimension")
     ch.validate_channel(psi, name="psi")
     ch.validate_channel(phi, name="phi")
+    return _divide(psi, phi, config)
+
+
+def _divide(psi: Channel, phi: Channel, config: SolverConfig) -> DivReport:
+    """:func:`check_divisibility` on channels already validated, with equal
+    input dimensions."""
     dims = (psi.dim_in, psi.dim_out, phi.dim_out)
     report = solve(CompositionConstraintSet(dims, psi.choi, phi.choi), config)
     if report.status is not Status.FEASIBLE:
@@ -273,7 +279,10 @@ def check_family_divisibility(
 
     Each member maps the same initial space X0 to successive spaces X_k; the
     family is divisible (the dynamics Markovian) when every member divides
-    its successor. Returns one report per consecutive pair.
+    its successor. Returns one report per consecutive pair, each the
+    :func:`check_divisibility` of that pair. Every member is validated once,
+    before any solve, under the name its first step gives it: the first
+    member as ``psi``, every later one as ``phi``.
     """
     if not family:
         raise ValueError("family must contain at least one channel")
@@ -281,9 +290,9 @@ def check_family_divisibility(
     for k, member in enumerate(family):
         if member.dim_in != d0:
             raise ValueError(f"family member {k} has input dim {member.dim_in}, expected {d0}")
-    return [
-        check_divisibility(family[k], family[k + 1], config) for k in range(len(family) - 1)
-    ]
+    for k, member in enumerate(family):
+        ch.validate_channel(member, name="phi" if k else "psi")
+    return [_divide(family[k], family[k + 1], config) for k in range(len(family) - 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -45,11 +45,12 @@ affine point can enter the cone's interior long before Y's residual falls
 below tolerance: on noisy pairs whose Y stays near the noise level past the
 2000-iteration plateau, it ends the solve after tens to about a thousand.
 Before the first iteration the start ``P_aff(0) = M^+ b`` is a third
-candidate, tested as the affine point is, at iteration 0. It is shifted by
-a rounding-level multiple of I first, so that a factor can prove a start
-that is PSD but singular. On the paper's own feasible constructions
-(Theorem-1 pairs, divisible pairs, amplitude damping on either side of 1/2)
-the start is the witness, and no eigendecomposition runs.
+candidate, at iteration 0: its Hermitian part, shifted by a rounding-level
+multiple of I so that a factor can prove a start that is PSD but singular,
+is factored once, and then its rows are measured. On the paper's own
+feasible constructions (Theorem-1 pairs, divisible pairs, amplitude damping
+on either side of 1/2) the start is the witness, and no eigendecomposition
+runs.
 
 Infeasible verdicts are certified. At iteration 1 and at every
 1000-iteration checkpoint the residual of the PSD iterate is turned into
@@ -242,18 +243,24 @@ class CompositionConstraintSet:
         left, s, right = np.linalg.svd(self._k, full_matrices=not self._thin)
         rank = int(np.count_nonzero(s > _RCOND * math.sqrt(float(s[0]) ** 2 + c)))
         # What _gram_solve needs of every singular triplet, and K's kept ones.
+        # The kept right basis's conjugate transpose is the first ``rank``
+        # columns of the first, formed once: a view in the same F order.
         self._gram = right[: s.size].conj().T, s * s / (c * (c + s * s)), right[: s.size]
         self._left, self._s, self._right = left[:, :rank], s[:rank], right[:rank]
         self._left_h = self._left.conj().T
+        right_h = self._gram[0][:, :rank]
         # The basis that ``correction`` projects onto: the kept or the null one.
-        self._basis = self._right if self._thin else right[rank:]
-        self._basis_h = self._basis.conj().T
+        if self._thin:
+            self._basis, self._basis_h = self._right, right_h
+        else:
+            self._basis = right[rank:]
+            self._basis_h = self._basis.conj().T
         # M^+ b, the projection of 0: N^+ on the u column, K^+ on the rest.
         # ``a[:, None] * u`` is ``np.outer(a, u)``.
         y_u = self._phi @ self._u
         x_u = self._gram_solve(math.sqrt(c) * self._first + self._kh @ y_u)
         rest = self._left_h @ (self._phi - y_u[:, None] * self._u) / self._s[:, None]
-        self._x0r = x_u[:, None] * self._u + self._right.conj().T @ rest
+        self._x0r = x_u[:, None] * self._u + right_h @ rest
 
     def _gram_solve(self, v: np.ndarray) -> np.ndarray:
         """``(N^dag N)^-1 v = (d_C I + K^dag K)^-1 v``, which is
@@ -527,16 +534,19 @@ def _affine_candidate(constraints, x: np.ndarray, eps_feas: float) -> tuple:
 
 
 def _shifted_start(z: np.ndarray) -> np.ndarray | None:
-    """``z + delta I`` for ``delta = _START_SHIFT n^2 eps max_i Re z_ii`` (see
-    :func:`solve`), or None when its least diagonal entry is not positive, so
-    that it has no Cholesky factor. ``fl(a + delta)`` is monotone in a, so
-    that entry is z's least, shifted."""
+    """``hermitian_part(z) + delta I`` for ``delta = _START_SHIFT n^2 eps
+    max_i Re z_ii`` (see :func:`solve`), or None when its least diagonal
+    entry is not positive, so that it has no Cholesky factor. ``fl(a +
+    delta)`` is monotone in a, so that entry is z's least, shifted. The
+    result is ``hermitian_part(z + delta I)`` bit for bit: on the diagonal
+    both are ``fl(Re z_ii + delta)``, off it both are ``0.5 (z_ij + conj
+    z_ji)``."""
     n, diag = z.shape[0], z.diagonal().real
     delta = _START_SHIFT * n * n * _MACHINE_EPS * diag.max(initial=0.0)
     if not diag.min(initial=np.inf) + delta > 0.0:
         return None
-    x = z.copy()
-    x.flat[:: n + 1] += delta
+    x = hermitian_part(z)
+    x.reshape(-1)[:: n + 1] += delta
     return x
 
 
@@ -563,21 +573,21 @@ def solve(
     ``iterations`` counts evaluations of T, one PSD projection each, a
     rejected point's included.
 
-    Iteration 0 tests the start, on a copy shifted by ``delta I`` with
-    ``delta = _START_SHIFT n^2 eps max_i Re Z_ii`` (eps the machine
+    Iteration 0 tests the start's Hermitian part shifted by ``delta I``,
+    with ``delta = _START_SHIFT n^2 eps max_i Re Z_ii`` (eps the machine
     epsilon), the rounding that Cholesky's success bound allows for (Higham,
-    Accuracy and Stability of Numerical Algorithms, Thm 10.7). A copy whose
-    least diagonal entry is not positive is refused at once; otherwise it
-    goes through the affine point's acceptance below. When the rows accept
-    it, the solve ends feasible with ``iterations`` 0, candidate
-    ``"affine"`` and ``residual_psd`` 0.0, and no projection or
-    eigendecomposition runs. When its factor passes but its rows refuse it,
-    its residual makes the certificate attempt of iteration 1, and a
-    certificate ends the solve at iteration 0; the shifted start's Hermitian
-    part, factored once more, then has the ``residual_psd`` 0.0 that its
-    factor proves (it is measured when it has none). Otherwise Z itself,
-    unshifted, starts the iterations, which run as if the start had not been
-    tested.
+    Accuracy and Stability of Numerical Algorithms, Thm 10.7); it is the
+    Hermitian part of ``Z + delta I`` bit for bit. A start whose least
+    diagonal entry, shifted, is not positive is refused at once. Otherwise
+    it is factored once, and when the factor passes its rows are measured.
+    When the rows accept it, the solve ends feasible with ``iterations`` 0,
+    candidate ``"affine"`` and ``residual_psd`` 0.0, and no projection or
+    eigendecomposition runs. When they refuse it, its residual makes the
+    certificate attempt of iteration 1, and a certificate ends the solve at
+    iteration 0. Either way the stored candidate is the matrix that was
+    factored, and its ``residual_psd`` is the 0.0 that the factor proves.
+    Otherwise Z itself, unshifted, starts the iterations, which run as if
+    the start had not been tested.
 
     Each iteration offers two candidates to one rule: a positive
     semidefinite candidate whose own affine residual ``r = M vec(X) - b`` is
@@ -613,27 +623,25 @@ def solve(
     anderson = None
     r_psd = None  # best_candidate's PSD defect, once a Cholesky factor proves it 0.0
 
-    # Iteration 0: the start, shifted on a copy, as an affine candidate. When
-    # its rows accept it, it is the solution. Rows that refuse a positive
-    # definite start are inconsistent, as in no-cloning and Example 2, and
-    # its residual makes the certificate attempt that iteration 1 would.
-    # Either verdict ends the solve at iteration 0; otherwise the iterates
-    # start from z itself.
+    # Iteration 0: the start's Hermitian part, shifted, factored once. When
+    # it has a factor and its rows accept it, it is the solution. Rows that
+    # refuse a positive definite start are inconsistent, as in no-cloning
+    # and Example 2, and its residual makes the certificate attempt that
+    # iteration 1 would. Either verdict ends the solve at iteration 0 on the
+    # matrix that was factored, whose PSD defect is the 0.0 its factor
+    # proves; otherwise the iterates start from z itself.
     x = _shifted_start(z)
-    if x is not None:
-        x, r, r_aff, accepted = _affine_candidate(constraints, x, config.eps_feas)
-        if accepted:
-            best, best_candidate, candidate, r_psd = r_aff, x, "affine", 0.0
-            status, stop_reason, iterations = Status.FEASIBLE, "tolerance", 0
-        elif r is not None:
+    if x is not None and _positive_definite(x):
+        r = constraints.residual_rows(x)
+        r_aff = math.sqrt(_dot(r, r))
+        if r_aff < config.eps_feas:
+            candidate, status, stop_reason = "affine", Status.FEASIBLE, "tolerance"
+        else:
             certificate = _certificate(constraints, r, infeasible_at)
             if certificate is not None:
                 status, stop_reason = Status.NOT_FEASIBLE_AT_TOLERANCE, "certificate"
-                best, best_candidate, iterations = r_aff, x, 0
-                # x is the Hermitian part of the start that was factored as
-                # formed; one factor of x itself proves its PSD defect 0.0.
-                if _positive_definite(x):
-                    r_psd = 0.0
+        if status is not Status.INCONCLUSIVE:
+            best, best_candidate, r_psd, iterations = r_aff, x, 0.0, 0
 
     # A solve decided at iteration 0 has ``iterations == 0``: no loop.
     for it in range(1, iterations + 1):
@@ -675,9 +683,9 @@ def solve(
             z = t if anderson.rejections else anderson.step(z, t)
 
     # ``best`` is the candidate matrix's own affine residual, measured by
-    # ``residual_rows`` in the loop. An accepted affine point's PSD defect,
-    # and a certifying start's when it has a factor, is the 0.0 that its
-    # Cholesky factor proves; any other candidate's is measured here.
+    # ``residual_rows``. An accepted affine point's PSD defect, and a
+    # certifying start's, is the 0.0 that its Cholesky factor proves; any
+    # other candidate's is measured here.
     if r_psd is None:
         r_psd = _psd_defect(best_candidate)
     solution = best_candidate if status is Status.FEASIBLE else None

@@ -555,6 +555,46 @@ def test_family_divisibility_detects_pathological_step():
     assert reports[1].status is Status.NOT_FEASIBLE_AT_TOLERANCE
 
 
+def _power_family(n):
+    psi = ch.random_channel(2, 2, np.random.default_rng(11), dim_env=2)
+    family = [psi]
+    for _ in range(n - 1):
+        family.append(ch.compose_choi(family[-1], psi))
+    return family
+
+
+def test_family_divisibility_validates_each_member_once(monkeypatch):
+    # Each member is validated once, before any solve: the first as psi and
+    # every later one as phi, the names its first step gives it. Validating
+    # step by step would take 2n - 2 validations, every inner member twice.
+    family = _power_family(4)
+    names, validate = [], ch.validate_channel
+    monkeypatch.setattr(
+        ch, "validate_channel", lambda c, name: names.append((c, name)) or validate(c, name=name)
+    )
+    reports = an.check_family_divisibility(family)
+    assert [name for _, name in names] == ["psi", "phi", "phi", "phi"]
+    assert all(c is member for (c, _), member in zip(names, family))
+    assert [rep.status for rep in reports] == [Status.FEASIBLE] * 3
+
+
+@pytest.mark.parametrize(
+    "defect, message",
+    [(np.nan, "phi has a non-finite entry"), (1e-6, "phi is not trace preserving")],
+    ids=["non-finite", "non-tp"],
+)
+def test_an_invalid_inner_member_raises_before_any_solve(defect, message, monkeypatch):
+    family = _power_family(4)
+    bad = family[2].choi.copy()
+    bad[0, 0] += defect
+    family[2] = ch.Channel(2, 2, bad)
+    solves = []
+    monkeypatch.setattr(an, "solve", lambda *args: solves.append(args))
+    with pytest.raises(ValueError, match=f"^{message}"):
+        an.check_family_divisibility(family)
+    assert solves == []
+
+
 def test_family_divisibility_edge_cases():
     assert an.check_family_divisibility([ch.identity(2)]) == []
     with pytest.raises(ValueError):

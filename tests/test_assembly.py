@@ -20,6 +20,8 @@ search space must contain the forced support of the pair, computed from
 explicit null columns.
 """
 
+import math
+
 import numpy as np
 import pytest
 from dense_oracle import (
@@ -396,3 +398,21 @@ def test_large_divisible_pairs_are_feasible_at_iteration_zero(d):
     assert rep.solver.iterations == 0
     assert ch.choi_distance(ch.compose_choi(psi, rep.quotient), phi) < CONFIG.eps_feas
     ch.validate_channel(rep.quotient, atol=1e-7)
+
+
+@pytest.mark.parametrize("name", list(INSTANCES))
+def test_the_start_takes_the_conjugate_right_basis_from_the_gram_factor(name):
+    # The kept right basis's conjugate transpose is a view of the one that
+    # _gram_solve holds, in the same F order, so M^+ b and the thin basis
+    # keep the bits of a conjugate transpose formed for each.
+    cons = INSTANCES[name].report.solver.constraints
+    c = cons.dims[2]
+    own = cons._right.conj().T
+    y_u = cons._phi @ cons._u
+    x_u = cons._gram_solve(math.sqrt(c) * cons._first + cons._kh @ y_u)
+    rest = cons._left_h @ (cons._phi - y_u[:, None] * cons._u) / cons._s[:, None]
+    x0r = x_u[:, None] * cons._u + own @ rest
+    assert cons.start().tobytes() == x0r.take(cons._back).tobytes()
+    if cons._thin:
+        assert cons._basis_h.tobytes() == own.tobytes()
+        assert cons._basis_h.flags.f_contiguous and np.shares_memory(cons._basis_h, cons._gram[0])

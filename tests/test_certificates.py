@@ -444,12 +444,14 @@ def test_a_solve_that_stops_at_the_start_runs_no_eigensolve(name, monkeypatch):
     # a witness. Shifted at rounding level, it has a Cholesky factor and its
     # rows accept it: the solve ends at iteration 0 on the affine candidate,
     # with no projection and no eigendecomposition, and its PSD defect is
-    # the 0.0 that the factor proves.
+    # the 0.0 that the factor proves. One Cholesky factorization proves it.
     constraints = INSTANCES[name].report.solver.constraints
     eigh, eigvalsh = spy(monkeypatch, np.linalg, "eigh"), spy(monkeypatch, np.linalg, "eigvalsh")
     projected = spy(monkeypatch, fz, "project_psd")
+    factored = spy(monkeypatch, np.linalg, "cholesky")
     rep = solve(constraints, CONFIG)
     assert (eigh, eigvalsh, projected) == ([], [], [])
+    assert len(factored) == 1
     assert (rep.status, rep.iterations, rep.candidate) == (Status.FEASIBLE, 0, "affine")
     assert rep.residual_psd == 0.0
     x = rep.solution
@@ -463,8 +465,9 @@ def test_a_solve_that_stops_at_the_start_runs_no_eigensolve(name, monkeypatch):
 def test_a_start_that_certifies_runs_only_the_bounds_eigensolve(name, monkeypatch):
     # No-cloning's and Example 2's rows refuse their positive definite start,
     # whose residual certifies at iteration 0. The bound's eigvalsh of G is
-    # the only eigensolve: the start's Hermitian part, the stored candidate,
-    # is factored once more, and its PSD defect is the 0.0 that proves.
+    # the only eigensolve, and the start is factored once: its exactly
+    # Hermitian part, shifted, the stored candidate, whose PSD defect is the
+    # 0.0 that factor proves.
     constraints = INSTANCES[name].report.solver.constraints
     eigh, eigvalsh = spy(monkeypatch, np.linalg, "eigh"), spy(monkeypatch, np.linalg, "eigvalsh")
     factored = spy(monkeypatch, fz, "_positive_definite")
@@ -475,9 +478,39 @@ def test_a_start_that_certifies_runs_only_the_bounds_eigensolve(name, monkeypatc
         "certificate",
     )
     assert eigh == [] and len(eigvalsh) == 1
-    (((formed,), ok_formed), ((stored,), ok_stored)) = factored
-    assert ok_formed and ok_stored and stored is not formed and skew(stored) == 0.0
+    (((stored,), ok),) = factored
+    assert ok and skew(stored) == 0.0
     assert rep.residual_psd == 0.0
+
+
+def _shifted_then_hermitian(z):
+    """The start shifted by delta I on a copy, then its Hermitian part: the
+    two steps of ``_shifted_start`` in the other order."""
+    n = z.shape[0]
+    delta = fz._START_SHIFT * n * n * np.finfo(float).eps * z.diagonal().real.max()
+    x = z.copy()
+    x.flat[:: n + 1] += delta
+    return hermitian_part(x)
+
+
+@pytest.mark.parametrize("name", [n for n, i in INSTANCES.items() if i.iterations == (0, 0)])
+def test_a_start_decided_solve_keeps_the_bits_of_the_shifted_start(name):
+    # The start's Hermitian part shifted by delta I is the Hermitian part of
+    # the start shifted by delta I, bit for bit. So a solve decided at
+    # iteration 0 has the solution, or the certificate and residual, of the
+    # shifted start's Hermitian part, whichever step comes first.
+    rep = INSTANCES[name].report.solver
+    assert rep.iterations == 0
+    cons = rep.constraints
+    x = _shifted_then_hermitian(cons.start())
+    assert fz._shifted_start(cons.start()).tobytes() == x.tobytes()
+    r = cons.residual_rows(x)
+    assert rep.residual_affine == math.sqrt(fz._dot(r, r))
+    if rep.status is Status.FEASIBLE:
+        assert rep.solution.tobytes() == x.tobytes()
+    else:
+        expected = fz._certificate(cons, r, 10.0 * CONFIG.eps_feas)
+        assert [y.tobytes() for y in rep.certificate] == [y.tobytes() for y in expected]
 
 
 def test_a_singular_start_is_decided_by_its_shift():
