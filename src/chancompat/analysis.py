@@ -143,8 +143,9 @@ def check_compatibility(
 
     The joint is the Choi operator of a channel A -> B (x) C that reproduces
     ``psi`` when C is traced out and ``phi`` when B is traced out. One
-    eigendecomposition of each Choi operator validates it and gives its
-    minimal Kraus set, whose length r is the Choi rank at ``EPS_RANK``.
+    eigendecomposition of each Choi operator validates it and gives its Choi
+    rank r at ``EPS_RANK``; the minimal Kraus set, of length r, is taken
+    from it only for the channel that the check dilates below.
 
     The check follows Theorem 1: dilate, divide, lift. For R the matrix of
     vectorized Kraus operators of a set whose range covers J_psi's, every
@@ -169,20 +170,21 @@ def check_compatibility(
     """
     if psi.dim_in != phi.dim_in:
         raise ValueError("channels must share the input dimension")
-    k_psi = ch.validated_kraus(psi, name="psi")
-    k_phi = ch.validated_kraus(phi, name="phi")
+    eig_psi, eig_phi = ch.validated_eigh(psi, name="psi"), ch.validated_eigh(phi, name="phi")
     da, db, dc = psi.dim_in, psi.dim_out, phi.dim_out
-    side_psi, side_phi = k_psi.dim_env * dc, k_phi.dim_env * db
+    side_psi, side_phi = ch.choi_rank(eig_psi[0]) * dc, ch.choi_rank(eig_phi[0]) * db
     swap = side_phi < side_psi
-    kraus, other = (k_phi, psi) if swap else (k_psi, phi)
+    dilated, eig, other = (phi, eig_phi, psi) if swap else (psi, eig_psi, phi)
     first = None
-    if kraus.dim_env * other.dim_out == da * db * dc:
+    if min(side_psi, side_phi) == da * db * dc:
         # Operator a d_B + b is |b><a|; nothing below needs trace preservation.
         # It takes the pair's dtype, so that the set and the lift mix no real
         # and complex operands: real for a real pair.
         dtype = np.result_type(psi.choi, phi.choi)
         ops = np.eye(da * db, dtype=dtype).reshape(-1, da, db).transpose(0, 2, 1)
         kraus, first = KrausSet(da, db, ops), psi.choi
+    else:
+        kraus = ch.kraus_from_eigh(dilated, *eig)
     env = ch.complementary(kraus)
     dims = (da, kraus.dim_env, other.dim_out)
     report = solve(CompositionConstraintSet(dims, env.choi, other.choi, first=first), config)

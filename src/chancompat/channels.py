@@ -47,10 +47,13 @@ __all__ = [
     "cptp_defects",
     "require_finite",
     "validate_channel",
+    "validated_eigh",
     "validated_kraus",
+    "choi_rank",
     "choi_distance",
     "choi_from_kraus",
     "kraus_from_choi",
+    "kraus_from_eigh",
     "isometry_from_kraus",
     "kraus_from_isometry",
     "apply",
@@ -241,6 +244,17 @@ def validate_channel(channel: Channel, atol: float = EPS_VALID, name: str = "cha
     _raise_on_defects(channel, h, defect, float(np.linalg.eigvalsh(h)[0]), atol, name)
 
 
+def validated_eigh(channel: Channel, name: str = "channel") -> tuple[np.ndarray, np.ndarray]:
+    """:func:`validate_channel` at ``EPS_VALID``, and the eigendecomposition
+    ``(w, v)`` of the Choi operator's Hermitian part that it reads, from one
+    ``eigh``: w ascending. Raises as :func:`validate_channel` does."""
+    require_finite(channel.choi, name)
+    h, defect = hermitian_part_and_skew(channel.choi)
+    w, v = np.linalg.eigh(h)
+    _raise_on_defects(channel, h, defect, float(w[0]), EPS_VALID, name)
+    return w, v
+
+
 def validated_kraus(channel: Channel, name: str = "channel") -> KrausSet:
     """:func:`validate_channel` at ``EPS_VALID``, then :func:`kraus_from_choi`,
     from one eigendecomposition of the Choi operator.
@@ -249,11 +263,7 @@ def validated_kraus(channel: Channel, name: str = "channel") -> KrausSet:
     ``EPS_VALID`` is then dropped with the rest below ``EPS_RANK``. The length
     of the returned set is the Choi rank at that cut.
     """
-    require_finite(channel.choi, name)
-    h, defect = hermitian_part_and_skew(channel.choi)
-    w, v = np.linalg.eigh(h)
-    _raise_on_defects(channel, h, defect, float(w[0]), EPS_VALID, name)
-    return _kraus_from_eigh(channel, w, v)
+    return kraus_from_eigh(channel, *validated_eigh(channel, name))
 
 
 def choi_distance(a: Channel, b: Channel) -> float:
@@ -293,16 +303,24 @@ def kraus_from_choi(c: Channel) -> KrausSet:
     w, v = np.linalg.eigh(hermitian_part(c.choi))
     if not w[0] >= -EPS_VALID:
         raise ValueError(f"Choi operator has negative eigenvalue {w[0]:.3e}")
-    return _kraus_from_eigh(c, w, v)
+    return kraus_from_eigh(c, w, v)
 
 
-def _kraus_from_eigh(c: Channel, w: np.ndarray, v: np.ndarray) -> KrausSet:
-    """``K_i = sqrt(w_i) v_i`` unvectorized, for each eigenpair above
-    ``EPS_RANK``, in ascending eigenvalue order. ``eigh`` returns ``w`` in
-    ascending order, so those pairs are a suffix; ``w`` must be finite."""
-    start = int(np.searchsorted(w, EPS_RANK, side="right"))
-    if start == len(w):
+def choi_rank(w: np.ndarray) -> int:
+    """The number of eigenvalues above ``EPS_RANK`` in the ascending w of
+    ``eigh``: the length of the set that :func:`kraus_from_eigh` gives."""
+    return len(w) - int(np.searchsorted(w, EPS_RANK, side="right"))
+
+
+def kraus_from_eigh(c: Channel, w: np.ndarray, v: np.ndarray) -> KrausSet:
+    """``K_i = sqrt(w_i) v_i`` unvectorized, for each eigenpair of c's Choi
+    operator above ``EPS_RANK``, in ascending eigenvalue order. ``eigh``
+    returns ``w`` in ascending order, so those pairs are a suffix; ``w`` must
+    be finite."""
+    rank = choi_rank(w)
+    if rank == 0:
         raise ValueError("Choi operator has no eigenvalue above the rank threshold")
+    start = len(w) - rank
     cols = v[:, start:] * np.sqrt(w[start:])
     ops = cols.T.reshape(-1, c.dim_in, c.dim_out).transpose(0, 2, 1)
     return KrausSet(c.dim_in, c.dim_out, ops)

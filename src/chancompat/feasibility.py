@@ -21,7 +21,8 @@ projection.
 One constraint set provides that projection in closed form without
 forming or factoring M: :class:`CompositionConstraintSet`, the system
 ``Tr_C X = T, J_psi * X = J_phi`` on B (x) C, whose M splits into Kronecker
-blocks that one SVD of the realigned J_psi inverts. With ``T = I_B`` it is
+blocks that one SVD of the realigned J_psi inverts, formed on first use.
+With ``T = I_B`` it is
 the divisibility of phi by psi. Compatibility is this system too (see
 :func:`chancompat.analysis.check_compatibility`): through Theorem 1, it is
 the divisibility of one channel by the complementary channel of a dilation
@@ -50,7 +51,12 @@ multiple of I so that a factor can prove a start that is PSD but singular,
 is factored once, and then its rows are measured. On the paper's own
 feasible constructions (Theorem-1 pairs, divisible pairs, amplitude damping
 on either side of 1/2) the start is the witness, and no eigendecomposition
-runs.
+runs. When the realigned J_psi, K, is square and nonsingular (psi is
+invertible as a linear map), the composition rows alone fix the point
+``x* = K^-1 J_phi``, the quotient ``phi o psi^-1`` (Wolf & Cirac, Commun.
+Math. Phys. 279, 2008), and one LU solve gives it. It is offered before
+the start, under the same rule, and for channel data it is the start
+itself; a solve that it decides forms no SVD.
 
 Infeasible verdicts are certified. At iteration 1 and at every
 1000-iteration checkpoint the residual of the PSD iterate is turned into
@@ -114,6 +120,8 @@ _COLLINEAR = 1e-12
 # ``n^2 eps max_i Re z_ii``, for eps the machine epsilon (``_shifted_start``).
 _START_SHIFT = 16
 _MACHINE_EPS = float(np.finfo(float).eps)
+# What ``CompositionConstraintSet._factor`` forms from K's SVD.
+_FACTORS = frozenset(("_gram", "_left", "_s", "_right", "_left_h", "_basis", "_basis_h", "_x0r"))
 
 
 class Status(enum.Enum):
@@ -126,6 +134,8 @@ class Status(enum.Enum):
 # matrices:
 #   start(), correction(W)    P_aff(0) and W - P_aff(W), for P_aff the
 #                             Euclidean projection onto the affine set
+#   inverse_point()           the one point that the composition rows fix
+#                             when they are square and nonsingular, or None
 #   residual_rows(X)          r = M vec(X) - b, as a tuple of arrays in the
 #                             set's own layout, read only by ``_dot`` and
 #                             residual_multipliers
@@ -200,9 +210,12 @@ class CompositionConstraintSet:
     ``K`` acting on ``Xr (I - u u^T)`` and the stack ``N = [sqrt(d_C) I; K]``
     acting on ``Xr u``, whose singular values ``sqrt(d_C + s^2)``, for K's
     singular values s, are all at least ``sqrt(d_C)``. One SVD of K gives
-    both blocks' pseudo-inverses. K's singular values below ``_RCOND`` times
-    M's largest, ``sqrt(s_max^2 + d_C)``, are dropped, as the dense
-    pseudo-inverse drops them. The projection goes through whichever of K's
+    both blocks' pseudo-inverses; it is formed once, on first use by
+    ``start``, ``correction``, ``residual_multipliers`` or
+    ``trace_scalars``, and ``inverse_point`` needs only an LU solve of a
+    square K. K's singular values below ``_RCOND`` times M's largest,
+    ``sqrt(s_max^2 + d_C)``, are dropped, as the dense pseudo-inverse drops
+    them. The projection goes through whichever of K's
     kept and null right-singular bases is smaller; the kept one, from a thin
     SVD, when ``2 d_A^2 <= d_B^2``.
 
@@ -240,6 +253,22 @@ class CompositionConstraintSet:
         self._first, self._phi = first, realign(phi, a, c)
         self.rhs_blocks = first.reshape(b, b), phi
         self._thin = 2 * a * a <= b * b
+
+    def __getattr__(self, name: str):
+        # Called only for a name the instance does not hold yet: one of
+        # ``_factor``'s is formed with all the others, on first use.
+        if name not in _FACTORS:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self._factor()
+        return self.__dict__[name]
+
+    def _factor(self) -> None:
+        """K's SVD and what is taken from it, formed once, when ``start``,
+        ``correction``, ``residual_multipliers`` or ``trace_scalars`` first
+        reads one of them: the factors of ``_gram_solve``, K's kept singular
+        triplets, the basis that ``correction`` projects onto and ``M^+ b``
+        (``_x0r``)."""
+        c = self.dims[2]
         left, s, right = np.linalg.svd(self._k, full_matrices=not self._thin)
         rank = int(np.count_nonzero(s > _RCOND * math.sqrt(float(s[0]) ** 2 + c)))
         # What _gram_solve needs of every singular triplet, and K's kept ones.
@@ -271,6 +300,23 @@ class CompositionConstraintSet:
 
     def start(self) -> np.ndarray:
         return self._x0r.take(self._back)  # P_aff(0) = M^+ b, with no null-space part
+
+    def inverse_point(self) -> np.ndarray | None:
+        """``x* = K^-1 Phi`` as X on B (x) C, from one LU solve, when K is
+        square (``d_A == d_B``): the one point of the composition rows when
+        K is nonsingular, which is psi invertible as a linear map, and then
+        the quotient ``phi o psi^-1``. None when K is not square, when the
+        solve finds it singular, or when x* is not finite. ``np.linalg.solve``
+        ignores overflow and division by zero and raises on an invalid value,
+        so none of these cases warns."""
+        a, b, _ = self.dims
+        if a != b:
+            return None
+        try:
+            xr = np.linalg.solve(self._k, self._phi)
+        except np.linalg.LinAlgError:
+            return None
+        return xr.take(self._back) if np.isfinite(xr).all() else None
 
     def residual_rows(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``vec(Tr_C X - T)`` and the realigned ``J_psi * X - J_phi``."""
@@ -540,14 +586,28 @@ def _shifted_start(z: np.ndarray) -> np.ndarray | None:
     delta)`` is monotone in a, so that entry is z's least, shifted. The
     result is ``hermitian_part(z + delta I)`` bit for bit: on the diagonal
     both are ``fl(Re z_ii + delta)``, off it both are ``0.5 (z_ij + conj
-    z_ji)``."""
-    n, diag = z.shape[0], z.diagonal().real
-    delta = _START_SHIFT * n * n * _MACHINE_EPS * diag.max(initial=0.0)
-    if not diag.min(initial=np.inf) + delta > 0.0:
+    z_ji)``. The diagonal is sorted once for its least and greatest entries;
+    a NaN sorts last, so delta is NaN and z is refused. A 0 x 0 z, of a set
+    without coordinates, has nothing to refuse."""
+    n, diag = z.shape[0], np.sort(z.diagonal().real)
+    least, greatest = (diag[0], diag[-1]) if n else (np.inf, 0.0)
+    delta = _START_SHIFT * n * n * _MACHINE_EPS * greatest
+    if not least + delta > 0.0:
         return None
     x = hermitian_part(z)
     x.reshape(-1)[:: n + 1] += delta
     return x
+
+
+def _tested_start(constraints, z: np.ndarray) -> tuple | None:
+    """Iteration 0's rule on a point z, as ``(x, r, ||r||)``: x is z's
+    Hermitian part shifted by ``delta I`` (:func:`_shifted_start`), factored
+    once, and r its residual rows. None when x has no Cholesky factor."""
+    x = _shifted_start(z)
+    if x is None or not _positive_definite(x):
+        return None
+    r = constraints.residual_rows(x)
+    return x, r, math.sqrt(_dot(r, r))
 
 
 def _psd_defect(x: np.ndarray) -> float:
@@ -572,6 +632,15 @@ def solve(
     plain step ``T(Z_base)`` and stays plain Douglas-Rachford to its end.
     ``iterations`` counts evaluations of T, one PSD projection each, a
     rejected point's included.
+
+    When the set offers a point ``x* = K^-1 J_phi`` (``inverse_point``: K
+    square and nonsingular, and x* finite), iteration 0 tests it first,
+    under the start's rule below, and only its rows can accept it: then the
+    solve ends feasible with ``iterations`` 0, candidate ``"affine"`` and
+    ``residual_psd`` 0.0, and forms no SVD. For channel data x* is the
+    start itself. When x* is not offered or not accepted, iteration 0 goes
+    on from the start as if x* had not been tested, so every solve that
+    iterates starts from the same ``M^+ b``.
 
     Iteration 0 tests the start's Hermitian part shifted by ``delta I``,
     with ``delta = _START_SHIFT n^2 eps max_i Re Z_ii`` (eps the machine
@@ -610,7 +679,6 @@ def solve(
     between checkpoints, and exhausting ``max_iter``, end the solve
     inconclusive.
     """
-    z = constraints.start()
     best = np.inf
     best_candidate = None
     checkpoints: list[float] = []
@@ -623,17 +691,23 @@ def solve(
     anderson = None
     r_psd = None  # best_candidate's PSD defect, once a Cholesky factor proves it 0.0
 
-    # Iteration 0: the start's Hermitian part, shifted, factored once. When
-    # it has a factor and its rows accept it, it is the solution. Rows that
-    # refuse a positive definite start are inconsistent, as in no-cloning
-    # and Example 2, and its residual makes the certificate attempt that
-    # iteration 1 would. Either verdict ends the solve at iteration 0 on the
-    # matrix that was factored, whose PSD defect is the 0.0 its factor
-    # proves; otherwise the iterates start from z itself.
-    x = _shifted_start(z)
-    if x is not None and _positive_definite(x):
-        r = constraints.residual_rows(x)
-        r_aff = math.sqrt(_dot(r, r))
+    # Iteration 0. When the composition rows alone fix a point x*, it is
+    # offered first, under the start's rule, and accepted only by its rows;
+    # for channel data it is the start itself. Otherwise, or when x* is not
+    # accepted, the start z: its Hermitian part, shifted, factored once.
+    # When it has a factor and its rows accept it, it is the solution. Rows
+    # that refuse a positive definite start are inconsistent, as in
+    # no-cloning and Example 2, and its residual makes the certificate
+    # attempt that iteration 1 would. Either verdict ends the solve at
+    # iteration 0 on the matrix that was factored, whose PSD defect is the
+    # 0.0 its factor proves; otherwise the iterates start from z itself.
+    point = constraints.inverse_point()
+    tested = None if point is None else _tested_start(constraints, point)
+    if tested is None or not tested[2] < config.eps_feas:
+        z = constraints.start()
+        tested = _tested_start(constraints, z)
+    if tested is not None:
+        x, r, r_aff = tested
         if r_aff < config.eps_feas:
             candidate, status, stop_reason = "affine", Status.FEASIBLE, "tolerance"
         else:
@@ -643,7 +717,8 @@ def solve(
         if status is not Status.INCONCLUSIVE:
             best, best_candidate, r_psd, iterations = r_aff, x, 0.0, 0
 
-    # A solve decided at iteration 0 has ``iterations == 0``: no loop.
+    # A solve decided at iteration 0 has ``iterations == 0``: no loop. Every
+    # other solve has taken z from ``start``.
     for it in range(1, iterations + 1):
         y = project_psd(z)
         r = constraints.residual_rows(y)

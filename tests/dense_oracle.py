@@ -189,6 +189,20 @@ class AffineConstraintSet:
     def correction(self, w: np.ndarray) -> np.ndarray:
         return devectorize_hermitian(self.pinv @ (self.forward(w) - self.rhs))
 
+    def inverse_point(self) -> np.ndarray | None:
+        """The one point that the last row block fixes, from one LU solve of
+        its dense rows, when they are square and nonsingular and the point is
+        finite; else None. For :func:`div_oracle` that block is the
+        composition rows, square when ``d_A == d_B``."""
+        rows = self.sides[-1] ** 2
+        if rows != self.dim * self.dim:
+            return None
+        try:
+            v = np.linalg.solve(self.matrix[-rows:], self.rhs[-rows:])
+        except np.linalg.LinAlgError:
+            return None
+        return devectorize_hermitian(v) if np.isfinite(v).all() else None
+
 
 def dense_rows(ops) -> np.ndarray:
     """A tuple of row-block operators as one dense row vector."""

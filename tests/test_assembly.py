@@ -34,6 +34,7 @@ from dense_oracle import (
     vectorize_hermitian,
 )
 from paths import INSTANCES, dressed, noisy, thm1_pair
+from test_certificates import spy
 
 from chancompat import analysis as an
 from chancompat import channels as ch
@@ -139,6 +140,11 @@ def assert_parity(report, oracle):
     assert m.shape == oracle.matrix.shape
     assert np.abs(m - oracle.matrix).max() <= 1e-14
     assert np.array_equal(dense_rhs(cons), oracle.rhs)
+    # Both offer the same point x* that their composition rows fix, or none.
+    point, dense_point = cons.inverse_point(), oracle.inverse_point()
+    assert (point is None) == (dense_point is None)
+    if point is not None:
+        assert np.abs(point - dense_point).max() <= 1e-12 * np.abs(point).max()
     expected = solve(oracle, CONFIG)
     assert report.status is expected.status
     assert report.iterations == expected.iterations
@@ -171,6 +177,33 @@ def route_oracle(psi, phi):
     if side == "marginal":
         return marginal_oracle(psi, phi)
     return div_oracle(ch.complementary(kraus), phi if side == "psi" else psi)
+
+
+@pytest.mark.parametrize("swap", [False, True], ids=["as-given", "swapped"])
+@pytest.mark.parametrize("psi, phi", support_instances())
+def test_compatibility_extracts_a_kraus_set_only_for_the_channel_it_dilates(
+    psi, phi, swap, monkeypatch
+):
+    # Both channels are validated and eigendecomposed, since their ranks
+    # pick the route. A Kraus set is then taken from the eigendecomposition
+    # of the dilated channel alone, none for the identity dilation, and it
+    # is the set that validated_kraus gives, bit for bit.
+    if swap:
+        psi, phi = phi, psi
+    side, kraus = route(psi, phi)
+    validated = spy(monkeypatch, ch, "validated_eigh")
+    taken = spy(monkeypatch, ch, "kraus_from_eigh")
+    an.check_compatibility(psi, phi, CONFIG)
+    ((first,), _), ((second,), _) = validated
+    assert first is psi and second is phi
+    if side == "marginal":
+        assert taken == []
+    else:
+        (((channel, _, _), got),) = taken
+        assert channel is (psi if side == "psi" else phi)
+        assert [k.tobytes() for k in got.operators] == [k.tobytes() for k in kraus.operators]
+        expected = ch.validated_kraus(channel)
+        assert [k.tobytes() for k in got.operators] == [k.tobytes() for k in expected.operators]
 
 
 def test_instances_cover_both_kinds_of_compatibility_system():

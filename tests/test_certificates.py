@@ -31,7 +31,7 @@ from chancompat.feasibility import (
     certificate_bound,
     solve,
 )
-from chancompat.linalg import hermitian_part, project_psd, skew
+from chancompat.linalg import hermitian_part, project_psd, skew, unalign
 
 CONFIG = SolverConfig()
 
@@ -42,8 +42,8 @@ def spy(monkeypatch, owner, name):
     each call was given or returned."""
     calls, original = [], getattr(owner, name)
 
-    def record(*args):
-        calls.append((args, original(*args)))
+    def record(*args, **kwargs):
+        calls.append((args, original(*args, **kwargs)))
         return calls[-1][1]
 
     monkeypatch.setattr(owner, name, record)
@@ -498,12 +498,15 @@ def test_a_start_decided_solve_keeps_the_bits_of_the_shifted_start(name):
     # The start's Hermitian part shifted by delta I is the Hermitian part of
     # the start shifted by delta I, bit for bit. So a solve decided at
     # iteration 0 has the solution, or the certificate and residual, of the
-    # shifted start's Hermitian part, whichever step comes first.
+    # shifted start's Hermitian part, whichever step comes first. A square
+    # set offers x* = K^-1 Phi first, and on these entries x* decides.
     rep = INSTANCES[name].report.solver
     assert rep.iterations == 0
     cons = rep.constraints
-    x = _shifted_then_hermitian(cons.start())
-    assert fz._shifted_start(cons.start()).tobytes() == x.tobytes()
+    a, b, _ = cons.dims
+    z = cons.inverse_point() if a == b else cons.start()
+    x = _shifted_then_hermitian(z)
+    assert fz._shifted_start(z).tobytes() == x.tobytes()
     r = cons.residual_rows(x)
     assert rep.residual_affine == math.sqrt(fz._dot(r, r))
     if rep.status is Status.FEASIBLE:
@@ -511,6 +514,173 @@ def test_a_start_decided_solve_keeps_the_bits_of_the_shifted_start(name):
     else:
         expected = fz._certificate(cons, r, 10.0 * CONFIG.eps_feas)
         assert [y.tobytes() for y in rep.certificate] == [y.tobytes() for y in expected]
+
+
+def _fresh(cons):
+    """A new set on the data of cons, with none of its factors formed."""
+    a, b, _ = cons.dims
+    first, phi = cons.rhs_blocks
+    return CompositionConstraintSet(cons.dims, unalign(cons._k, a, b), phi, first)
+
+
+def _old_shifted_start(z):
+    """``_shifted_start`` by two reductions over the diagonal,
+    ``max(initial=0.0)`` and ``min(initial=inf)``: the reference for its
+    bytes and its refusal."""
+    n, diag = z.shape[0], z.diagonal().real
+    delta = fz._START_SHIFT * n * n * np.finfo(float).eps * diag.max(initial=0.0)
+    if not diag.min(initial=np.inf) + delta > 0.0:
+        return None
+    x = hermitian_part(z)
+    x.reshape(-1)[:: n + 1] += delta
+    return x
+
+
+def _start_points():
+    """Every registry set's start and x*; points that must be refused: a
+    negative diagonal entry, a zero diagonal, a NaN diagonal entry; and a
+    negative entry that the shift lifts, a 0 x 0 point and a 1 x 1 one."""
+    points = {}
+    for name, instance in INSTANCES.items():
+        cons = instance.report.solver.constraints
+        points[f"{name}-start"] = cons.start()
+        if cons.inverse_point() is not None:
+            points[f"{name}-x*"] = cons.inverse_point()
+    points["negative"] = np.diag([1.0, -1e-3, 2.0]) + 0.25j * np.eye(3, k=1)
+    points["shifted-up"] = np.diag([1.0, -1e-300, 2.0]) + 0.25j * np.eye(3, k=1)
+    points["zero"] = np.zeros((2, 2))
+    points["nan"] = np.diag([np.nan, 1.0, 2.0])
+    points["nan-last"] = np.diag([1.0, 2.0, np.nan])
+    points["empty"] = np.zeros((0, 0))
+    points["one"] = np.array([[3.0 + 1j]])
+    return points
+
+
+def test_the_shifted_start_keeps_its_bytes_and_refusals():
+    # One sort of the diagonal finds both of its ends; the bytes of every
+    # shifted point and every refusal are those of the two reductions.
+    refused = set()
+    for name, z in _start_points().items():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got, expected = fz._shifted_start(z), _old_shifted_start(z)
+        assert (got is None) == (expected is None), name
+        if got is None:
+            refused.add(name)
+        else:
+            assert got.tobytes() == expected.tobytes() and got.dtype == expected.dtype, name
+    assert {"negative", "zero", "nan", "nan-last"} <= refused
+    assert not {"shifted-up", "empty", "one"} & refused
+
+
+@pytest.mark.parametrize("name", [n for n, i in INSTANCES.items() if i.iterations[1] <= 50])
+def test_only_a_set_that_x_star_does_not_decide_forms_its_svd(name, monkeypatch):
+    # A square set offers x* = K^-1 Phi first, from one LU solve: when it
+    # decides the solve, the solve runs no SVD, one Cholesky factorization
+    # and no eigensolve, and its solution is x* shifted, byte for byte. A set
+    # that is not square never calls the LU solve and forms its SVD once.
+    cons = _fresh(INSTANCES[name].report.solver.constraints)
+    svd, lu = spy(monkeypatch, np.linalg, "svd"), spy(monkeypatch, np.linalg, "solve")
+    factored = spy(monkeypatch, np.linalg, "cholesky")
+    eigh, eigvalsh = spy(monkeypatch, np.linalg, "eigh"), spy(monkeypatch, np.linalg, "eigvalsh")
+    rep = solve(cons, CONFIG)
+    a, b, _ = cons.dims
+    assert len(lu) == (a == b)
+    if a == b and rep.iterations == 0:
+        assert (len(svd), len(factored), eigh, eigvalsh) == (0, 1, [], [])
+        assert rep.solution.tobytes() == fz._shifted_start(cons.inverse_point()).tobytes()
+    else:
+        assert len(svd) == 1
+
+
+@pytest.mark.parametrize("name", ["ad-0.3-degradable", "large-div-d5", "ad-0.5-antidegradable"])
+def test_a_bound_after_x_star_decided_forms_the_svd(name, monkeypatch):
+    # The solve leaves K's SVD unformed; a later certificate_bound forms it
+    # once, and the bound, the start and the trace scalars are those of a
+    # set built afresh.
+    cons = _fresh(INSTANCES[name].report.solver.constraints)
+    assert solve(cons, CONFIG).iterations == 0 and fz._FACTORS.isdisjoint(vars(cons))
+    lam = tuple(-y for y in cons.rhs_blocks)
+    svd = spy(monkeypatch, np.linalg, "svd")
+    bound = certificate_bound(cons, lam)
+    assert len(svd) == 1
+    other = _fresh(cons)
+    assert bound == certificate_bound(other, lam)
+    assert cons.trace_scalars == other.trace_scalars
+    assert cons.start().tobytes() == other.start().tobytes()
+    assert len(svd) == 2
+
+
+def _ad(gamma):
+    return ch.choi_from_kraus(ch.amplitude_damping(gamma))
+
+
+def _singular_square_cases():
+    dep, ident = ch.completely_depolarizing(2), ch.identity(2)
+    feasible = ("feasible", "tolerance", "affine", 0)
+    certified = ("not-feasible-at-tolerance", "certificate", None)
+    cases = [
+        pytest.param(dep, dep, feasible, id="dep-dep"),
+        pytest.param(dep, ident, (*certified, 0), id="dep-id"),
+    ]
+    for label, gamma in (("1-1e-6", 1 - 1e-6), ("1-1e-10", 1 - 1e-10), ("1", 1.0)):
+        cases += [
+            pytest.param(_ad(gamma), ident, (*certified, int(gamma < 1)), id=f"ad{label}-id"),
+            pytest.param(_ad(gamma), dep, feasible, id=f"ad{label}-dep"),
+            pytest.param(_ad(0.5), _ad(gamma), feasible, id=f"ad0.5-ad{label}"),
+        ]
+    return cases
+
+
+@pytest.mark.parametrize("psi, phi, path", _singular_square_cases())
+def test_singular_and_nearly_singular_square_sets_keep_their_paths(psi, phi, path):
+    # psi completely depolarizing, or amplitude damping at gamma = 1, has a
+    # singular K: the LU solve finds it singular and offers no x*, and the
+    # start decides as before. Near gamma = 1, K is nonsingular and x* may
+    # be far from a PSD point. Each keeps the status, stop reason, candidate
+    # and iterations it had before x* was offered, with no warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = an.check_divisibility(psi, phi, CONFIG)
+    solver = rep.solver
+    assert (solver.status.value, solver.stop_reason, solver.candidate, solver.iterations) == path
+    singular = np.linalg.matrix_rank(solver.constraints._k) < 4
+    assert (solver.constraints.inverse_point() is None) == singular
+    if rep.status is Status.FEASIBLE:
+        assert rep.residual < CONFIG.eps_feas
+        ch.validate_channel(rep.quotient, atol=1e-7)
+
+
+@pytest.mark.parametrize("gamma", [1 - 1e-6, 1 - 1e-10])
+def test_nearly_singular_self_division_is_decided_by_x_star(gamma):
+    # AD(gamma) divides itself through the identity. K's singular values
+    # are about sqrt(2), sqrt(1 - gamma) twice and (1 - gamma) / sqrt(2); at
+    # gamma = 1 - 1e-10 the least is below the SVD's cut and M^+ b drops it.
+    # Either way the shifted start M^+ b has no Cholesky factor, and the PSD
+    # iterate ended the solve at iteration 1 (gamma = 1 - 1e-6) or 11
+    # (gamma = 1 - 1e-10). The LU solve's x* has one: the solve ends at
+    # iteration 0, and the quotient re-verifies.
+    psi = _ad(gamma)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = an.check_divisibility(psi, psi, CONFIG)
+    solver = rep.solver
+    assert (solver.status, solver.iterations, solver.candidate) == (Status.FEASIBLE, 0, "affine")
+    start = fz._shifted_start(solver.constraints.start())
+    assert start is None or not fz._positive_definite(start)
+    assert rep.residual < CONFIG.eps_feas
+    assert ch.choi_distance(rep.quotient, ch.identity(2)) < 1e-6
+
+
+def test_a_non_finite_x_star_is_not_offered():
+    # K = [1e-320] is nonsingular, but Phi / K overflows: the LU solve
+    # ignores the overflow, x* is inf, and it is not offered, with no
+    # warning. A set that is not square offers none.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cons = CompositionConstraintSet((1, 1, 1), np.array([[1e-320]]), np.array([[1e300]]))
+        assert cons.inverse_point() is None
+    assert CompositionConstraintSet((2, 4, 2), np.eye(8) / 4, np.eye(4) / 2).inverse_point() is None
 
 
 def test_a_singular_start_is_decided_by_its_shift():
