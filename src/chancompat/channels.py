@@ -114,24 +114,23 @@ class KrausSet:
 
     The operators are copied once, by one ``np.array`` call, into the
     read-only ``(dim_env, dim_out, dim_in)`` array ``stack``, float64 when
-    every operator is real and complex128 otherwise (``linalg.double``), and
-    ``operators`` is the tuple of its views; every other arrangement of them
-    (:meth:`columns`, :func:`complementary`, :func:`isometry_from_kraus`) is
-    a reshape of that stack.
+    every operator is real and complex128 otherwise (``linalg.double``).
+    That array is all the set holds: ``operators`` is the tuple of its
+    views, and every other arrangement of them (:meth:`columns`,
+    :func:`complementary`, :func:`isometry_from_kraus`) is a reshape of it.
     """
 
     dim_in: int
     dim_out: int
-    operators: tuple[np.ndarray, ...] | np.ndarray = field(repr=False)
-    stack: np.ndarray = field(init=False, repr=False, compare=False)
+    stack: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         shape = (self.dim_out, self.dim_in)
         try:
-            stack = double(np.array(self.operators))
+            stack = double(np.array(self.stack))
         except ValueError:
             # Operators of unequal shapes, which no one array holds.
-            off = next((np.shape(k) for k in self.operators if np.shape(k) != shape), None)
+            off = next((np.shape(k) for k in self.stack if np.shape(k) != shape), None)
             if off is None:
                 raise
         else:
@@ -144,11 +143,15 @@ class KrausSet:
             )
         stack.setflags(write=False)
         object.__setattr__(self, "stack", stack)
-        object.__setattr__(self, "operators", tuple(stack))
+
+    @property
+    def operators(self) -> tuple[np.ndarray, ...]:
+        """The operators, as read-only views of ``stack``."""
+        return tuple(self.stack)
 
     @property
     def dim_env(self) -> int:
-        return len(self.operators)
+        return self.stack.shape[0]
 
     def columns(self) -> np.ndarray:
         """R, whose column i is ``vec K_i = sum_a |a> (x) K_i|a>``: the
@@ -379,7 +382,7 @@ def complementary(k: KrausSet) -> Channel:
     """Environment view of the channel for this particular Kraus set.
 
     Implements psi_c(rho) = sum_ij Tr[K_i^dag K_j rho] |j><i| on an
-    environment of dimension ``len(k.operators)``; equals tracing the system
+    environment of dimension ``k.dim_env``; equals tracing the system
     out of the Stinespring dilation built from the same operators. Its Choi
     operator is ``S^T conj(S)`` for ``S[m, (a, j)] = K_j[m, a]``.
     """

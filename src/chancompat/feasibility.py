@@ -270,7 +270,11 @@ class CompositionConstraintSet:
         (``_x0r``)."""
         c = self.dims[2]
         left, s, right = np.linalg.svd(self._k, full_matrices=not self._thin)
-        rank = int(np.count_nonzero(s > _RCOND * math.sqrt(float(s[0]) ** 2 + c)))
+        try:
+            cut = _RCOND * math.sqrt(float(s[0]) ** 2 + c)
+        except OverflowError:
+            raise ValueError(f"psi overflows: K's largest singular value {s[0]:.3e}, squared")
+        rank = int(np.count_nonzero(s > cut))
         # What _gram_solve needs of every singular triplet, and K's kept ones.
         # The kept right basis's conjugate transpose is the first ``rank``
         # columns of the first, formed once: a view in the same F order.
@@ -677,7 +681,8 @@ def solve(
     residual at least ``10 * eps_feas``, the solve stops not feasible with
     their Hermitian parts as its certificate. A plateau of Y's best residual
     between checkpoints, and exhausting ``max_iter``, end the solve
-    inconclusive.
+    inconclusive. Data whose products overflow, so that no residual is
+    finite, raise ``ValueError``.
     """
     best = np.inf
     best_candidate = None
@@ -757,6 +762,9 @@ def solve(
         else:
             z = t if anderson.rejections else anderson.step(z, t)
 
+    # The targets are finite, so only an overflow leaves no candidate.
+    if best_candidate is None:
+        raise ValueError("the constraint data overflow: no residual of the solve is finite")
     # ``best`` is the candidate matrix's own affine residual, measured by
     # ``residual_rows``. An accepted affine point's PSD defect, and a
     # certifying start's, is the 0.0 that its Cholesky factor proves; any

@@ -234,6 +234,20 @@ def test_verify_family_from_files(tmp_path, capsys):
     assert len(doc["steps"]) == 2
 
 
+def test_verify_family_without_files_samples_a_power_family(capsys):
+    code, doc = run(capsys, "verify", "family", "--steps", "3", "--seed", "1", "--quiet")
+    assert code == 0 and doc["status"] == "feasible"
+    assert len(doc["steps"]) == 2
+
+
+def test_make_without_an_output_file_prints_the_channel_document(capsys):
+    code, doc = run(capsys, "make", "identity", "--dim", "2")
+    assert code == 0
+    channel, kraus = io.channel_from_json(doc)
+    assert kraus is None and (channel.dim_in, channel.dim_out) == (2, 2)
+    assert np.array_equal(channel.choi, ch.identity(2).choi)
+
+
 def test_usage_errors_exit_three(tmp_path, capsys):
     missing = str(tmp_path / "nope.json")
     assert main(["check", "compat", missing, missing]) == 3
