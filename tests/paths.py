@@ -61,6 +61,14 @@ def depolarizing(d: int, eta: float) -> Channel:
     return Channel(d, d, eta * ch.identity(d).choi + (1 - eta) * noise)
 
 
+def dephasing(kappa: float) -> Channel:
+    """Qubit dephasing: rho_01 -> kappa rho_01, the diagonal kept."""
+    j = np.zeros((4, 4))
+    j[0, 0] = j[3, 3] = 1.0
+    j[0, 3] = j[3, 0] = kappa
+    return Channel(2, 2, j)
+
+
 def cloning_threshold(d: int) -> float:
     """eta* = (d + 2) / (2 (d + 1)): the depolarizing channel is compatible
     with itself, and anti-degradable, exactly when eta <= eta* (optimal
@@ -184,6 +192,18 @@ def _instances() -> dict[str, Instance]:
         out[f"identity-compat-d{d}"] = _certified("compat", (ch.identity(d),) * 2, at=0)
     psi, phi, _ = ch.trace_out_pair(ch.completely_depolarizing(2), ch.identity(2))
     out["example2-div"] = _certified("div", (psi, phi), at=0)
+    # Square sets, (2, 2, 2), whose x* = K^-1 J_phi is refused: amplitude
+    # damping on the wrong side of gamma = 1/2, AD(0.5) dividing AD(0.3)
+    # (psi and phi in the CLI's order), and depolarizing d = 2 at 0.8
+    # dividing 0.8 + 1e-6. x* is the quotient, which is not CP, so neither it
+    # nor the start has a Cholesky factor, and iteration 1 certifies.
+    for gamma, check in ((0.6, "degradable"), (0.4, "antidegradable")):
+        ad = ch.choi_from_kraus(ch.amplitude_damping(gamma))
+        out[f"ad-{gamma}-{check}"] = _certified(check, (ad,))
+    pair = tuple(ch.choi_from_kraus(ch.amplitude_damping(g)) for g in (0.5, 0.3))
+    out["div-ad-0.5-by-ad-0.3"] = _certified("div", pair)
+    pair = depolarizing(2, 0.8), depolarizing(2, 0.8 + 1e-6)
+    out["div-dep-d2-0.8-above-1e-6"] = _certified("div", pair)
     # Just above eta*, no bound reaches 10 eps_feas and no affine point ends
     # the solve: the safeguard rejects one point, and the best residual
     # plateaus (at iteration 2 000).

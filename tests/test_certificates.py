@@ -18,7 +18,7 @@ import warnings
 import numpy as np
 import pytest
 from dense_oracle import AffineConstraintSet, div_oracle, marginal_oracle, vectorize_hermitian
-from paths import INSTANCES, depolarizing, noisy, thm1_pair
+from paths import INSTANCES, dephasing, depolarizing, noisy, thm1_pair
 
 from chancompat import analysis as an
 from chancompat import channels as ch
@@ -670,6 +670,25 @@ def test_nearly_singular_self_division_is_decided_by_x_star(gamma):
     assert start is None or not fz._positive_definite(start)
     assert rep.residual < CONFIG.eps_feas
     assert ch.choi_distance(rep.quotient, ch.identity(2)) < 1e-6
+
+
+@pytest.mark.parametrize(
+    "psi, phi",
+    [
+        (depolarizing(2, 0.8), depolarizing(2, 0.8 + 1e-7)),
+        (dephasing(0.5), dephasing(0.5 + 1e-7)),
+    ],
+    ids=["dep-d2-0.8", "dephasing-0.5"],
+)
+def test_surjective_band_pairs_end_on_the_plateau(psi, phi):
+    # psi does not divide phi, by 1e-7: K is square and nonsingular, x* is
+    # the only point of the rows and it is not PSD, but no bound reaches
+    # 10 eps_feas, so the solve ends inconclusive on the first checkpoint
+    # pair. The safeguard's rejections are not asserted: a plateau's
+    # iterates do not reproduce to rounding.
+    solver = an.check_divisibility(psi, phi, CONFIG).solver
+    assert (solver.status, solver.stop_reason) == (Status.INCONCLUSIVE, "plateau")
+    assert solver.iterations == 2000 and solver.residual_affine >= CONFIG.eps_feas
 
 
 def test_a_non_finite_x_star_is_not_offered():

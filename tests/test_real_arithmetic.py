@@ -13,7 +13,7 @@ real, so the real solve visits the real points of the complex one.
 
 import numpy as np
 import pytest
-from paths import INSTANCES, cloning_threshold, depolarizing
+from paths import INSTANCES, cloning_threshold, dephasing, depolarizing
 
 from chancompat import analysis as an
 from chancompat import channels as ch
@@ -172,14 +172,6 @@ def test_mixed_data_are_solved_complex_as_their_complex_cast():
     assert mixed.status is Status.FEASIBLE and path(mixed) == path(cplx)
     for x, y in zip(arrays(mixed), arrays(cplx), strict=True):
         assert x.dtype == y.dtype == complex and x.tobytes() == y.tobytes()
-
-
-def dephasing(kappa: float) -> Channel:
-    """Qubit dephasing: rho_01 -> kappa rho_01, the diagonal kept."""
-    j = np.zeros((4, 4))
-    j[0, 0] = j[3, 3] = 1.0
-    j[0, 3] = j[3, 0] = kappa
-    return Channel(2, 2, j)
 
 
 # Lambda_t divides Lambda_s exactly when |kappa(s)| <= |kappa(t)|.
