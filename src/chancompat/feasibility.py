@@ -21,8 +21,9 @@ projection.
 One constraint set provides that projection in closed form without
 forming or factoring M: :class:`CompositionConstraintSet`, the system
 ``Tr_C X = T, J_psi * X = J_phi`` on B (x) C, whose M splits into Kronecker
-blocks that one SVD of the realigned J_psi inverts, formed on first use.
-With ``T = I_B`` it is
+blocks that the realigned J_psi, K, inverts, formed on first use: through
+K's inverse when K is square and provably well conditioned, else through
+one SVD of K. With ``T = I_B`` it is
 the divisibility of phi by psi. Compatibility is this system too (see
 :func:`chancompat.analysis.check_compatibility`): through Theorem 1, it is
 the divisibility of one channel by the complementary channel of a dilation
@@ -56,7 +57,9 @@ invertible as a linear map), the composition rows alone fix the point
 ``x* = K^-1 J_phi``, the quotient ``phi o psi^-1`` (Wolf & Cirac, Commun.
 Math. Phys. 279, 2008), and one LU solve gives it. It is offered before
 the start, under the same rule, and for channel data it is the start
-itself; a solve that it decides forms no SVD.
+itself; a solve that it decides forms no factor of K. When it is refused
+but its rows hold and the set is injective, it is the start, which is not
+tested again, and K's inverse stands in for its SVD.
 
 Infeasible verdicts are certified. At iteration 1 and at every
 1000-iteration checkpoint the residual of the PSD iterate is turned into
@@ -120,8 +123,14 @@ _COLLINEAR = 1e-12
 # ``n^2 eps max_i Re z_ii``, for eps the machine epsilon (``_shifted_start``).
 _START_SHIFT = 16
 _MACHINE_EPS = float(np.finfo(float).eps)
-# What ``CompositionConstraintSet._factor`` forms from K's SVD.
-_FACTORS = frozenset(("_gram", "_left", "_s", "_right", "_left_h", "_basis", "_basis_h", "_x0r"))
+# What ``CompositionConstraintSet._factor`` forms: on either route, which
+# one it took and the factor of ``_gram_solve``; from K's SVD, its kept
+# triplets and the basis that ``correction`` projects onto; from K's inverse,
+# K^-1 and ``(K K^dag)^-1``.
+_FACTORS = frozenset(
+    ("_by_inverse", "_gram", "_left", "_s", "_right", "_left_h", "_basis", "_basis_h")
+    + ("_kinv", "_range_inv")
+)
 
 
 class Status(enum.Enum):
@@ -136,6 +145,8 @@ class Status(enum.Enum):
 #                             Euclidean projection onto the affine set
 #   inverse_point()           the one point that the composition rows fix
 #                             when they are square and nonsingular, or None
+#   injective                 true only when M, as factored, has no null
+#                             space, so that P_aff(W) = M^+ b for every W
 #   residual_rows(X)          r = M vec(X) - b, as a tuple of arrays in the
 #                             set's own layout, read only by ``_dot`` and
 #                             residual_multipliers
@@ -209,15 +220,19 @@ class CompositionConstraintSet:
     ``sqrt(d_C) Xr u`` with ``u = vec(I_C) / sqrt(d_C)``. So M splits into
     ``K`` acting on ``Xr (I - u u^T)`` and the stack ``N = [sqrt(d_C) I; K]``
     acting on ``Xr u``, whose singular values ``sqrt(d_C + s^2)``, for K's
-    singular values s, are all at least ``sqrt(d_C)``. One SVD of K gives
-    both blocks' pseudo-inverses; it is formed once, on first use by
-    ``start``, ``correction``, ``residual_multipliers`` or
-    ``trace_scalars``, and ``inverse_point`` needs only an LU solve of a
-    square K. K's singular values below ``_RCOND`` times M's largest,
-    ``sqrt(s_max^2 + d_C)``, are dropped, as the dense pseudo-inverse drops
-    them. The projection goes through whichever of K's
-    kept and null right-singular bases is smaller; the kept one, from a thin
-    SVD, when ``2 d_A^2 <= d_B^2``.
+    singular values s, are all at least ``sqrt(d_C)``. Both blocks'
+    pseudo-inverses are formed once, on first use by ``start``,
+    ``correction``, ``residual_multipliers`` or ``trace_scalars``, and
+    ``inverse_point`` needs only an LU solve of a square K. When K is
+    square and ``_RCOND ||K^-1||_F sqrt(||K||_F^2 + d_C) < 1``, which
+    proves that the cut below keeps every singular value, they come from
+    K^-1: ``(K K^dag)^-1 = K^-dag K^-1`` on K's block, ``(d_C I + K^dag
+    K)^-1`` on N's, and M is injective, so ``correction`` has no null
+    space to project onto. Otherwise one SVD of K gives both: K's singular
+    values below ``_RCOND`` times M's largest, ``sqrt(s_max^2 + d_C)``, are
+    dropped, as the dense pseudo-inverse drops them, and the projection goes
+    through whichever of K's kept and null right-singular bases is smaller;
+    the kept one, from a thin SVD, when ``2 d_A^2 <= d_B^2``.
 
     The set takes its targets' common dtype: it is real when they all are.
     For real targets the real part of any solution is a solution, and every
@@ -255,19 +270,56 @@ class CompositionConstraintSet:
         self._thin = 2 * a * a <= b * b
 
     def __getattr__(self, name: str):
-        # Called only for a name the instance does not hold yet: one of
-        # ``_factor``'s is formed with all the others, on first use.
-        if name not in _FACTORS:
+        # Called only for a name the instance does not hold: one of
+        # ``_factor``'s is formed with all the others of its route, on first
+        # use, and a name of the other route is missing.
+        if name not in _FACTORS or "_by_inverse" in self.__dict__:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         self._factor()
-        return self.__dict__[name]
+        return getattr(self, name)
 
     def _factor(self) -> None:
-        """K's SVD and what is taken from it, formed once, when ``start``,
-        ``correction``, ``residual_multipliers`` or ``trace_scalars`` first
-        reads one of them: the factors of ``_gram_solve``, K's kept singular
-        triplets, the basis that ``correction`` projects onto and ``M^+ b``
-        (``_x0r``)."""
+        """What ``start``, ``correction``, ``residual_multipliers`` and
+        ``trace_scalars`` need of K, formed once, when one of them first
+        reads it: from K's inverse when K is square and provably well
+        conditioned (``_well_conditioned_inverse``), else from K's SVD."""
+        kinv = self._well_conditioned_inverse()
+        if kinv is not None:
+            self._factor_inverse(kinv)
+        else:
+            self._factor_svd()
+
+    def _well_conditioned_inverse(self) -> np.ndarray | None:
+        """K^-1 when K is square and the SVD's cut would keep every singular
+        value; else None. K's least singular value is at least ``1 /
+        ||K^-1||_F`` and its largest at most ``||K||_F``, so the cut
+        ``_RCOND sqrt(s_max^2 + d_C)`` keeps all of them when ``_RCOND
+        ||K^-1||_F sqrt(||K||_F^2 + d_C) < 1``. ``math.hypot`` takes the
+        norms without overflow; a square that overflows makes the bound inf,
+        and the SVD then names the overflow."""
+        a, b, c = self.dims
+        if a != b:
+            return None
+        try:
+            kinv = np.linalg.inv(self._k)
+        except np.linalg.LinAlgError:
+            return None
+        norm = math.hypot(*self._k.ravel().view(float).tolist())
+        bound = _RCOND * math.hypot(*kinv.ravel().view(float).tolist())
+        return kinv if bound * math.sqrt(norm * norm + c) < 1.0 else None
+
+    def _factor_inverse(self, kinv: np.ndarray) -> None:
+        """From K^-1: ``(d_C I + K^dag K)^-1`` for ``_gram_solve``, and ``(K
+        K^dag)^-1 = K^-dag K^-1`` for ``residual_multipliers``."""
+        self._by_inverse, self._kinv = True, kinv
+        gram = self._kh @ self._k
+        gram.reshape(-1)[:: gram.shape[0] + 1] += self.dims[2]
+        self._gram = np.linalg.inv(gram)
+        self._range_inv = kinv.conj().T @ kinv
+
+    def _factor_svd(self) -> None:
+        """From K's SVD: the factors of ``_gram_solve``, K's kept singular
+        triplets and the basis that ``correction`` projects onto."""
         c = self.dims[2]
         left, s, right = np.linalg.svd(self._k, full_matrices=not self._thin)
         try:
@@ -275,30 +327,48 @@ class CompositionConstraintSet:
         except OverflowError:
             raise ValueError(f"psi overflows: K's largest singular value {s[0]:.3e}, squared")
         rank = int(np.count_nonzero(s > cut))
+        self._by_inverse = False
         # What _gram_solve needs of every singular triplet, and K's kept ones.
         # The kept right basis's conjugate transpose is the first ``rank``
         # columns of the first, formed once: a view in the same F order.
         self._gram = right[: s.size].conj().T, s * s / (c * (c + s * s)), right[: s.size]
         self._left, self._s, self._right = left[:, :rank], s[:rank], right[:rank]
         self._left_h = self._left.conj().T
-        right_h = self._gram[0][:, :rank]
         # The basis that ``correction`` projects onto: the kept or the null one.
         if self._thin:
-            self._basis, self._basis_h = self._right, right_h
+            self._basis, self._basis_h = self._right, self._gram[0][:, :rank]
         else:
             self._basis = right[rank:]
             self._basis_h = self._basis.conj().T
-        # M^+ b, the projection of 0: N^+ on the u column, K^+ on the rest.
-        # ``a[:, None] * u`` is ``np.outer(a, u)``.
+
+    @cached_property
+    def _x0r(self) -> np.ndarray:
+        """``M^+ b`` realigned, the projection of 0, formed on first use by
+        ``start`` or ``correction``: N^+ on the u column, K^+ (K^-1 on the
+        route through K's inverse) on the rest. ``a[:, None] * u`` is
+        ``np.outer(a, u)``."""
         y_u = self._phi @ self._u
-        x_u = self._gram_solve(math.sqrt(c) * self._first + self._kh @ y_u)
-        rest = self._left_h @ (self._phi - y_u[:, None] * self._u) / self._s[:, None]
-        self._x0r = x_u[:, None] * self._u + right_h @ rest
+        x_u = self._gram_solve(math.sqrt(self.dims[2]) * self._first + self._kh @ y_u)
+        rest = self._phi - y_u[:, None] * self._u
+        if self._by_inverse:
+            xr = self._kinv @ rest
+            xr += x_u[:, None] * self._u
+            return xr
+        rest = self._left_h @ rest / self._s[:, None]
+        return x_u[:, None] * self._u + self._gram[0][:, : self._s.size] @ rest
+
+    @cached_property
+    def _x0(self) -> np.ndarray:
+        """``M^+ b`` as X, which ``correction`` subtracts on the route
+        through K's inverse."""
+        return self._x0r.take(self._back)
 
     def _gram_solve(self, v: np.ndarray) -> np.ndarray:
-        """``(N^dag N)^-1 v = (d_C I + K^dag K)^-1 v``, which is
-        ``(v - V^dag diag(s^2 / (d_C + s^2)) V v) / d_C`` for K's right
-        singular vectors V and singular values s."""
+        """``(N^dag N)^-1 v = (d_C I + K^dag K)^-1 v``: one product with that
+        inverse, or ``(v - V^dag diag(s^2 / (d_C + s^2)) V v) / d_C`` for K's
+        right singular vectors V and singular values s."""
+        if self._by_inverse:
+            return self._gram @ v
         right_h, weights, right = self._gram
         return v / self.dims[2] - right_h @ (weights * (right @ v))
 
@@ -322,6 +392,12 @@ class CompositionConstraintSet:
             return None
         return xr.take(self._back) if np.isfinite(xr).all() else None
 
+    @property
+    def injective(self) -> bool:
+        """Whether M, as factored, is provably injective, so that ``P_aff(W)
+        = M^+ b`` for every W: true on the route through K's inverse."""
+        return self._by_inverse
+
     def residual_rows(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``vec(Tr_C X - T)`` and the realigned ``J_psi * X - J_phi``."""
         xr = x.take(self._there)
@@ -339,6 +415,8 @@ class CompositionConstraintSet:
         return g.take(self._back)
 
     def correction(self, w: np.ndarray) -> np.ndarray:
+        if self._by_inverse:
+            return w - self._x0  # M is injective: P_aff(W) = M^+ b
         # P_aff(W) = M^+ b + W's part in M's null space, which is
         # ``Xr (I - u u^T)`` projected onto K's null space: through the null
         # basis, or as the rest of its projection onto the kept one.
@@ -359,7 +437,10 @@ class CompositionConstraintSet:
         t, yr = r
         y_u = yr @ self._u
         rest = yr - y_u[:, None] * self._u
-        rest += self._left @ ((self._s**-2 - 1.0)[:, None] * (self._left_h @ rest))
+        if self._by_inverse:
+            rest = self._range_inv @ rest
+        else:
+            rest += self._left @ ((self._s**-2 - 1.0)[:, None] * (self._left_h @ rest))
         g = self._gram_solve(math.sqrt(c) * t + self._kh @ y_u)
         h = self._gram_solve(g) - g
         rest += (y_u + self._k @ h)[:, None] * self._u
@@ -614,6 +695,25 @@ def _tested_start(constraints, z: np.ndarray) -> tuple | None:
     return x, r, math.sqrt(_dot(r, r))
 
 
+def _inverse_start(constraints, eps_feas: float) -> tuple | None:
+    """Iteration 0's test of the point ``x* = inverse_point()``, as ``(x*,
+    tested)`` for ``tested`` from :func:`_tested_start`: when its rows accept
+    it, or when it has no Cholesky factor, its rows hold and the set is
+    injective, so that it is the start ``M^+ b``, which would be refused
+    again (``tested`` None). None when the set offers no x*, or when the
+    start must be tested."""
+    point = constraints.inverse_point()
+    if point is None:
+        return None
+    tested = _tested_start(constraints, point)
+    if tested is not None:
+        return (point, tested) if tested[2] < eps_feas else None
+    r = constraints.residual_rows(point)
+    if math.sqrt(_dot(r, r)) < eps_feas and constraints.injective:
+        return point, None
+    return None
+
+
 def _psd_defect(x: np.ndarray) -> float:
     w = np.linalg.eigvalsh(hermitian_part(x))
     return max(0.0, -float(w.min(initial=0.0)))
@@ -641,10 +741,13 @@ def solve(
     square and nonsingular, and x* finite), iteration 0 tests it first,
     under the start's rule below, and only its rows can accept it: then the
     solve ends feasible with ``iterations`` 0, candidate ``"affine"`` and
-    ``residual_psd`` 0.0, and forms no SVD. For channel data x* is the
-    start itself. When x* is not offered or not accepted, iteration 0 goes
-    on from the start as if x* had not been tested, so every solve that
-    iterates starts from the same ``M^+ b``.
+    ``residual_psd`` 0.0, and forms no factor of K. For channel data x* is
+    the start itself: when the set is injective (``injective``) and x*'s
+    rows hold, below ``eps_feas``, but it has no Cholesky factor, the
+    iterations start from x*, and the start, which would be refused again,
+    is not tested. When x* is not offered or is refused otherwise,
+    iteration 0 goes on from the start ``M^+ b`` as if x* had not been
+    tested.
 
     Iteration 0 tests the start's Hermitian part shifted by ``delta I``,
     with ``delta = _START_SHIFT n^2 eps max_i Re Z_ii`` (eps the machine
@@ -682,7 +785,8 @@ def solve(
     their Hermitian parts as its certificate. A plateau of Y's best residual
     between checkpoints, and exhausting ``max_iter``, end the solve
     inconclusive. Data whose products overflow, so that no residual is
-    finite, raise ``ValueError``.
+    finite, raise ``ValueError`` at the first certificate attempt of the
+    loop.
     """
     best = np.inf
     best_candidate = None
@@ -698,19 +802,20 @@ def solve(
 
     # Iteration 0. When the composition rows alone fix a point x*, it is
     # offered first, under the start's rule, and accepted only by its rows;
-    # for channel data it is the start itself. Otherwise, or when x* is not
-    # accepted, the start z: its Hermitian part, shifted, factored once.
+    # for channel data it is the start itself. A refused x* whose rows hold
+    # on an injective set is the start, and is not tested again. Otherwise
+    # the start z: its Hermitian part, shifted, factored once.
     # When it has a factor and its rows accept it, it is the solution. Rows
     # that refuse a positive definite start are inconsistent, as in
     # no-cloning and Example 2, and its residual makes the certificate
     # attempt that iteration 1 would. Either verdict ends the solve at
     # iteration 0 on the matrix that was factored, whose PSD defect is the
     # 0.0 its factor proves; otherwise the iterates start from z itself.
-    point = constraints.inverse_point()
-    tested = None if point is None else _tested_start(constraints, point)
-    if tested is None or not tested[2] < config.eps_feas:
+    offered = _inverse_start(constraints, config.eps_feas)
+    if offered is None:
         z = constraints.start()
-        tested = _tested_start(constraints, z)
+        offered = z, _tested_start(constraints, z)
+    z, tested = offered
     if tested is not None:
         x, r, r_aff = tested
         if r_aff < config.eps_feas:
@@ -723,7 +828,7 @@ def solve(
             best, best_candidate, r_psd, iterations = r_aff, x, 0.0, 0
 
     # A solve decided at iteration 0 has ``iterations == 0``: no loop. Every
-    # other solve has taken z from ``start``.
+    # other solve has taken z from ``start``, or x* where x* is the start.
     for it in range(1, iterations + 1):
         y = project_psd(z)
         r = constraints.residual_rows(y)
@@ -736,6 +841,10 @@ def solve(
             break
         checkpoint = it % _CHECKPOINT == 0
         if it == 1 or checkpoint:
+            # The targets are finite, so only an overflow leaves no residual
+            # finite by the first attempt, and then none ever is.
+            if best == math.inf:
+                raise ValueError("the constraint data overflow: no residual of the solve is finite")
             certificate = _certificate(constraints, r, infeasible_at)
             if certificate is not None:
                 status, stop_reason = Status.NOT_FEASIBLE_AT_TOLERANCE, "certificate"
@@ -762,9 +871,6 @@ def solve(
         else:
             z = t if anderson.rejections else anderson.step(z, t)
 
-    # The targets are finite, so only an overflow leaves no candidate.
-    if best_candidate is None:
-        raise ValueError("the constraint data overflow: no residual of the solve is finite")
     # ``best`` is the candidate matrix's own affine residual, measured by
     # ``residual_rows``. An accepted affine point's PSD defect, and a
     # certifying start's, is the 0.0 that its Cholesky factor proves; any

@@ -25,7 +25,6 @@ __all__ = [
     "dag",
     "hermitian_part",
     "hermitian_part_and_skew",
-    "skew",
     "partial_trace",
     "partial_trace_adjoint",
     "realign",
@@ -73,18 +72,14 @@ def hermitian_part(x: np.ndarray) -> np.ndarray:
 
 
 def hermitian_part_and_skew(x: np.ndarray) -> tuple[np.ndarray, float]:
-    """``(hermitian_part(X), skew(X))`` bit for bit, from one conjugate
+    """``hermitian_part(X)`` bit for bit and the skew ``max |X - X^dag|``,
+    0.0 exactly when X is Hermitian (or empty), from one conjugate
     transpose, for a square floating-point X."""
     h = np.conjugate(x.T, order="C")
     defect = float(np.abs(x - h).max(initial=0.0))
     h += x
     h *= 0.5
     return h, defect
-
-
-def skew(x: np.ndarray) -> float:
-    """``max |X - X^dag|``: 0.0 exactly when X is Hermitian (or empty)."""
-    return hermitian_part_and_skew(x)[1]
 
 
 def partial_trace(x: np.ndarray, dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:

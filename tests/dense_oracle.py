@@ -189,6 +189,13 @@ class AffineConstraintSet:
     def correction(self, w: np.ndarray) -> np.ndarray:
         return devectorize_hermitian(self.pinv @ (self.forward(w) - self.rhs))
 
+    @cached_property
+    def injective(self) -> bool:
+        """Whether the pseudo-inverse keeps every column of M: no singular
+        value of M at or below ``RCOND`` times the largest."""
+        s = np.linalg.svd(self.matrix, compute_uv=False)
+        return s.size == self.dim * self.dim and bool(s[-1] > RCOND * s[0])
+
     def inverse_point(self) -> np.ndarray | None:
         """The one point that the last row block fixes, from one LU solve of
         its dense rows, when they are square and nonsingular and the point is

@@ -33,13 +33,13 @@ from dense_oracle import (
     residual_norm,
     vectorize_hermitian,
 )
-from paths import INSTANCES, dressed, noisy, thm1_pair
+from paths import INSTANCES, depolarizing, dressed, noisy, thm1_pair
 from test_certificates import spy
 
 from chancompat import analysis as an
 from chancompat import channels as ch
 from chancompat import feasibility as fz
-from chancompat.channels import Channel
+from chancompat.channels import Channel, KrausSet
 from chancompat.feasibility import (
     CompositionConstraintSet,
     SolverConfig,
@@ -433,11 +433,17 @@ def test_large_divisible_pairs_are_feasible_at_iteration_zero(d):
     ch.validate_channel(rep.quotient, atol=1e-7)
 
 
-@pytest.mark.parametrize("name", list(INSTANCES))
+def _square(name):
+    a, b, _ = INSTANCES[name].report.solver.constraints.dims
+    return a == b
+
+
+@pytest.mark.parametrize("name", [n for n in INSTANCES if not _square(n)])
 def test_the_start_takes_the_conjugate_right_basis_from_the_gram_factor(name):
     # The kept right basis's conjugate transpose is a view of the one that
     # _gram_solve holds, in the same F order, so M^+ b and the thin basis
-    # keep the bits of a conjugate transpose formed for each.
+    # keep the bits of a conjugate transpose formed for each. A set that is
+    # not square factors K by its SVD.
     cons = INSTANCES[name].report.solver.constraints
     c = cons.dims[2]
     own = cons._right.conj().T
@@ -449,3 +455,99 @@ def test_the_start_takes_the_conjugate_right_basis_from_the_gram_factor(name):
     if cons._thin:
         assert cons._basis_h.tobytes() == own.tobytes()
         assert cons._basis_h.flags.f_contiguous and np.shares_memory(cons._basis_h, cons._gram[0])
+
+
+def _real_channel(d, rank, rng):
+    """A random real channel on R^d: the Kraus operators of a random real
+    isometry R^d -> R^(rank d)."""
+    v, _ = np.linalg.qr(rng.standard_normal((rank * d, d)))
+    return ch.choi_from_kraus(KrausSet(d, d, v.reshape(rank, d, d)))
+
+
+def square_sets():
+    """Square sets (d_A = d_B) whose K is nonsingular and provably well
+    conditioned: the registry's four whose x* is refused, and seeded random
+    ones, real and complex, at d = 2 and 3, with phi a channel or moved off
+    the Tr_C rows so that x* is not M^+ b."""
+    out = []
+    for name in ("ad-0.6-degradable", "ad-0.4-antidegradable"):
+        (psi,) = INSTANCES[name].channels
+        phi = ch.complementary(ch.kraus_from_choi(psi))
+        if name.endswith("-antidegradable"):
+            psi, phi = phi, psi
+        out.append(pytest.param(psi, phi, id=name))
+    for name in ("div-ad-0.5-by-ad-0.3", "div-dep-d2-0.8-above-1e-6"):
+        out.append(pytest.param(*INSTANCES[name].channels, id=name))
+    rng = np.random.default_rng(3232)
+    for d in (2, 3):
+        for kind in ("real", "complex"):
+            if kind == "real":
+                psi, phi = _real_channel(d, d, rng), _real_channel(d, 2, rng)
+                g = rng.standard_normal((d * d,) * 2)
+            else:
+                psi, phi = ch.random_channel(d, d, rng), ch.random_channel(d, d, rng, dim_env=2)
+                g = rng.standard_normal((d * d,) * 2) + 1j * rng.standard_normal((d * d,) * 2)
+            out.append(pytest.param(psi, phi, id=f"{kind}-d{d}"))
+            moved = Channel(d, d, phi.choi + 1e-3 * (g + dag(g)))
+            out.append(pytest.param(psi, moved, id=f"{kind}-d{d}-moved"))
+    return out
+
+
+@pytest.mark.parametrize("psi, phi", square_sets())
+def test_a_square_set_factored_through_k_inverse_matches_the_dense_oracle(psi, phi, monkeypatch):
+    # K's inverse stands in for its SVD: the start, the correction and the
+    # trace scalars match the pseudo-inverse of the dense M within 1e-12
+    # relative, and no SVD runs. Each solve is certified at iteration 1, and
+    # its certificate re-checks to the same bound on the oracle's rows
+    # within 1e-12 relative. The multipliers, and the bound on them, go
+    # through (K K^dag)^-1, whose rounding grows as cond(K)^2: on the real
+    # d = 3 draw (cond(K) = 116) K's SVD differs from the oracle by 9e-12 as
+    # well, so they match within max(1e-12, 1e-14 cond(K)^2).
+    d = psi.dim_in
+    cons = CompositionConstraintSet((d, d, d), psi.choi, phi.choi)
+    oracle = div_oracle(psi, phi)
+    assert cons.injective and not {"_s", "_basis"} & set(vars(cons))
+    s = np.linalg.svd(cons._k, compute_uv=False)
+    squared = max(1e-12, 1e-14 * (s[0] / s[-1]) ** 2)
+
+    def close(x, y, tol=1e-12):
+        return np.abs(x - y).max() <= tol * np.abs(y).max()
+
+    assert close(cons.start(), oracle.start())
+    assert close(np.array(cons.trace_scalars), np.array(oracle.trace_scalars))
+    rng = np.random.default_rng(d)
+    for _ in range(3):
+        g = rng.standard_normal((cons.dim,) * 2) + 1j * rng.standard_normal((cons.dim,) * 2)
+        x = g + dag(g)
+        assert close(cons.correction(x), oracle.correction(x))
+        y = project_psd(x)
+        lam = cons.residual_multipliers(cons.residual_rows(y))
+        dense = oracle.residual_multipliers(oracle.residual_rows(y))
+        assert all(close(z, w, squared) for z, w in zip(lam, dense, strict=True))
+        bound = certificate_bound(cons, lam)
+        assert abs(bound - certificate_bound(oracle, dense)) <= squared * bound
+    svd = spy(monkeypatch, np.linalg, "svd")
+    rep = solve(CompositionConstraintSet((d, d, d), psi.choi, phi.choi), CONFIG)
+    assert (rep.stop_reason, rep.iterations, svd) == ("certificate", 1, [])
+    bound = certificate_bound(rep.constraints, rep.certificate)
+    assert bound >= 10 * CONFIG.eps_feas
+    assert abs(bound - certificate_bound(oracle, rep.certificate)) <= 1e-12 * bound
+
+
+@pytest.mark.parametrize("eta, rank", [(1e-10, 1), (2e-10, 4), (3e-10, None)])
+def test_a_square_set_failing_the_conditioning_bound_keeps_its_svd_rank(eta, rank, monkeypatch):
+    # Depolarizing d = 2 at eta has K's singular values 1 and eta, three
+    # times. The LU solve finds K nonsingular and offers x* at each eta. At
+    # 1e-10 and 2e-10, _RCOND ||K^-1||_F sqrt(||K||_F^2 + d_C) >= 1, so the
+    # set factors K by its SVD and keeps the singular values above _RCOND
+    # sqrt(s_max^2 + d_C), as before: one of four at 1e-10, all four at
+    # 2e-10. At 3e-10 the bound proves that the cut keeps all four, and K's
+    # inverse stands in.
+    cons = CompositionConstraintSet((2, 2, 2), depolarizing(2, eta).choi, ch.identity(2).choi)
+    assert cons.inverse_point() is not None
+    svd = spy(monkeypatch, np.linalg, "svd")
+    cons.start()
+    assert cons.injective is (rank is None) and len(svd) == (rank is not None)
+    if rank is not None:
+        s = svd[0][1][1]
+        assert cons._s.size == rank == np.count_nonzero(s > fz._RCOND * math.sqrt(s[0] ** 2 + 2))

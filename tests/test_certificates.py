@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 from dense_oracle import AffineConstraintSet, div_oracle, marginal_oracle, vectorize_hermitian
 from paths import INSTANCES, dephasing, depolarizing, noisy, thm1_pair
+from test_linalg import skew
 
 from chancompat import analysis as an
 from chancompat import channels as ch
@@ -31,7 +32,7 @@ from chancompat.feasibility import (
     certificate_bound,
     solve,
 )
-from chancompat.linalg import hermitian_part, project_psd, skew, unalign
+from chancompat.linalg import hermitian_part, project_psd, unalign
 
 CONFIG = SolverConfig()
 
@@ -574,41 +575,53 @@ def test_the_shifted_start_keeps_its_bytes_and_refusals():
 
 
 @pytest.mark.parametrize("name", [n for n, i in INSTANCES.items() if i.iterations[1] <= 50])
-def test_only_a_set_that_x_star_does_not_decide_forms_its_svd(name, monkeypatch):
-    # A square set offers x* = K^-1 Phi first, from one LU solve: when it
-    # decides the solve, the solve runs no SVD, one Cholesky factorization
-    # and no eigensolve, and its solution is x* shifted, byte for byte. A set
-    # that is not square never calls the LU solve and forms its SVD once.
+def test_only_a_set_that_is_not_square_forms_its_svd(name, monkeypatch):
+    # A square set offers x* = K^-1 Phi first, from one LU solve. When x*
+    # decides the solve, the solve runs one Cholesky factorization and no
+    # eigensolve, forms no factor of K, and its solution is x* shifted, byte
+    # for byte. When x* is refused, its rows hold and it is the start: it is
+    # not factored again, and the set takes K's inverse and the Gram
+    # matrix's, not K's SVD. A set that is not square never calls the LU
+    # solve and forms its SVD once.
     cons = _fresh(INSTANCES[name].report.solver.constraints)
     svd, lu = spy(monkeypatch, np.linalg, "svd"), spy(monkeypatch, np.linalg, "solve")
-    factored = spy(monkeypatch, np.linalg, "cholesky")
+    factored, inverted = spy(monkeypatch, np.linalg, "cholesky"), spy(monkeypatch, np.linalg, "inv")
     eigh, eigvalsh = spy(monkeypatch, np.linalg, "eigh"), spy(monkeypatch, np.linalg, "eigvalsh")
     rep = solve(cons, CONFIG)
     a, b, _ = cons.dims
     assert len(lu) == (a == b)
-    if a == b and rep.iterations == 0:
-        assert (len(svd), len(factored), eigh, eigvalsh) == (0, 1, [], [])
+    if a != b:
+        assert len(svd) == 1
+    elif rep.iterations == 0:
+        assert (svd, len(factored), inverted, eigh, eigvalsh) == ([], 1, [], [], [])
         assert rep.solution.tobytes() == fz._shifted_start(cons.inverse_point()).tobytes()
     else:
-        assert len(svd) == 1
+        # x* is factored at most once: not when its diagonal refuses it.
+        shifted = fz._shifted_start(cons.inverse_point())
+        assert (svd, len(factored), len(inverted)) == ([], int(shifted is not None), 2)
+        assert cons.injective
 
 
 @pytest.mark.parametrize("name", ["ad-0.3-degradable", "large-div-d5", "ad-0.5-antidegradable"])
-def test_a_bound_after_x_star_decided_forms_the_svd(name, monkeypatch):
-    # The solve leaves K's SVD unformed; a later certificate_bound forms it
-    # once, and the bound, the start and the trace scalars are those of a
-    # set built afresh.
+def test_a_bound_after_x_star_decided_inverts_k_once(name, monkeypatch):
+    # The solve leaves K unfactored; a later certificate_bound inverts K
+    # once and forms no SVD, and the bound, the start and the trace scalars
+    # are those of a set built afresh.
     cons = _fresh(INSTANCES[name].report.solver.constraints)
     assert solve(cons, CONFIG).iterations == 0 and fz._FACTORS.isdisjoint(vars(cons))
     lam = tuple(-y for y in cons.rhs_blocks)
-    svd = spy(monkeypatch, np.linalg, "svd")
+    svd, inverted = spy(monkeypatch, np.linalg, "svd"), spy(monkeypatch, np.linalg, "inv")
     bound = certificate_bound(cons, lam)
-    assert len(svd) == 1
+
+    def k_inverses():
+        return sum(np.array_equal(args[0], cons._k) for args, _ in inverted)
+
+    assert (svd, k_inverses()) == ([], 1) and cons.injective
     other = _fresh(cons)
     assert bound == certificate_bound(other, lam)
     assert cons.trace_scalars == other.trace_scalars
     assert cons.start().tobytes() == other.start().tobytes()
-    assert len(svd) == 2
+    assert (svd, k_inverses()) == ([], 2)
 
 
 def _ad(gamma):

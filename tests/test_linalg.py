@@ -15,9 +15,14 @@ from chancompat.linalg import (
     partial_trace,
     partial_trace_adjoint,
     project_psd,
-    skew,
     swap_unitary,
 )
+
+
+def skew(x: np.ndarray) -> float:
+    """``max |X - X^dag|``, the skew half of ``hermitian_part_and_skew``:
+    0.0 exactly when X is Hermitian (or empty)."""
+    return hermitian_part_and_skew(x)[1]
 
 
 def random_hermitian(d, rng):

@@ -11,9 +11,11 @@ return reports.
 import numpy as np
 import pytest
 from paths import noisy, thm1_pair
+from test_certificates import spy
 
 from chancompat import analysis as an
 from chancompat import channels as ch
+from chancompat import feasibility as fz
 from chancompat.feasibility import CompositionConstraintSet, SolverConfig, Status, solve
 
 # At the cut and 1e-3 of it to either side.
@@ -74,9 +76,14 @@ NO_FINITE_RESIDUAL = "^the constraint data overflow: no residual of the solve is
     ],
     ids=["phi-1e200", "psi-1e100", "psi-1e200"],
 )
-def test_constraint_data_that_overflow_raise_a_named_value_error(dims, psi, phi, message):
+def test_constraint_data_that_overflow_raise_a_named_value_error(dims, psi, phi, message, monkeypatch):
     # Finite targets whose products overflow double precision: no residual
     # that the solve measures is finite, or K's largest singular value
-    # squared is not.
+    # squared is not. At the default max_iter the solve raises at its first
+    # certificate attempt, after at most one PSD projection, not after
+    # max_iter of them. K = [1e200] is square and nonsingular, and its
+    # squared norm sends it to the SVD, which names the overflow.
+    projections = spy(monkeypatch, fz, "project_psd")
     with pytest.raises(ValueError, match=message):
-        solve(CompositionConstraintSet(dims, psi, phi), SolverConfig(max_iter=3))
+        solve(CompositionConstraintSet(dims, psi, phi))
+    assert len(projections) <= 1
