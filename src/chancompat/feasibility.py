@@ -128,8 +128,8 @@ _MACHINE_EPS = float(np.finfo(float).eps)
 # triplets and the basis that ``correction`` projects onto; from K's inverse,
 # K^-1 and ``(K K^dag)^-1``.
 _FACTORS = frozenset(
-    ("_by_inverse", "_gram", "_left", "_s", "_right", "_left_h", "_basis", "_basis_h")
-    + ("_kinv", "_range_inv")
+    {"_by_inverse", "_gram", "_left", "_s", "_right", "_left_h", "_basis", "_basis_h"}
+    | {"_kinv", "_range_inv"}
 )
 
 
@@ -696,12 +696,11 @@ def _tested_start(constraints, z: np.ndarray) -> tuple | None:
 
 
 def _inverse_start(constraints, eps_feas: float) -> tuple | None:
-    """Iteration 0's test of the point ``x* = inverse_point()``, as ``(x*,
-    tested)`` for ``tested`` from :func:`_tested_start`: when its rows accept
-    it, or when it has no Cholesky factor, its rows hold and the set is
-    injective, so that it is the start ``M^+ b``, which would be refused
-    again (``tested`` None). None when the set offers no x*, or when the
-    start must be tested."""
+    """Iteration 0's test of ``x* = inverse_point()``, as ``(x*, tested)``,
+    or None when the set offers no x* or the start must be tested.
+    ``tested`` is :func:`_tested_start`'s when x*'s rows accept it. It is
+    None when x* has no Cholesky factor but its rows hold on an injective
+    set: x* is then the start ``M^+ b``, which would be refused again."""
     point = constraints.inverse_point()
     if point is None:
         return None
