@@ -205,8 +205,10 @@ def check_divisibility(
     The variable is the Choi operator of theta: B -> C, constrained to be
     trace preserving and to satisfy the (linear) composition identity with
     the fixed ``psi``. Both constraints are products with the realigned Choi
-    operators, so the system is a :class:`CompositionConstraintSet`, which
-    projects in closed form from one SVD of psi's realigned Choi operator.
+    operators, so the system is a :class:`CompositionConstraintSet`. For
+    psi's realigned Choi operator K, it takes x* from one LU solve when K is
+    square, and projects in closed form from K^-1 when K is provably well
+    conditioned, otherwise from one thin SVD of K.
     """
     if psi.dim_in != phi.dim_in:
         raise ValueError("channels must share the input dimension")

@@ -23,8 +23,8 @@ forming or factoring M: :class:`CompositionConstraintSet`, the system
 ``Tr_C X = T, J_psi * X = J_phi`` on B (x) C, whose M splits into Kronecker
 blocks that the realigned J_psi, K, inverts, formed on first use: through
 K's inverse when K is square and provably well conditioned, else through
-one SVD of K. With ``T = I_B`` it is
-the divisibility of phi by psi. Compatibility is this system too (see
+one thin SVD of K. With ``T = I_B`` it is the divisibility of phi by psi.
+Compatibility is this system too (see
 :func:`chancompat.analysis.check_compatibility`): through Theorem 1, it is
 the divisibility of one channel by the complementary channel of a dilation
 of the other, with ``T = J_psi`` for the identity dilation. The set holds
@@ -59,7 +59,7 @@ Math. Phys. 279, 2008), and one LU solve gives it. It is offered before
 the start, under the same rule, and for channel data it is the start
 itself; a solve that it decides forms no factor of K. When it is refused
 but its rows hold and the set is injective, it is the start, which is not
-tested again, and K's inverse stands in for its SVD.
+tested again.
 
 Infeasible verdicts are certified. At iteration 1 and at every
 1000-iteration checkpoint the residual of the PSD iterate is turned into
@@ -77,7 +77,8 @@ on feasible problems whose solutions lie on the cone boundary the affine
 point is never positive definite, and the best residual of the PSD iterate
 can stay flat for thousands of iterations before it falls again, so a
 plateau of the best residual between checkpoints decides nothing: it ends
-the solve inconclusive, as does the iteration cap.
+the solve inconclusive, as does the iteration cap. When M is injective the
+affine set is one point, and iteration 1 is already that plateau.
 """
 
 from __future__ import annotations
@@ -123,12 +124,12 @@ _COLLINEAR = 1e-12
 # ``n^2 eps max_i Re z_ii``, for eps the machine epsilon (``_shifted_start``).
 _START_SHIFT = 16
 _MACHINE_EPS = float(np.finfo(float).eps)
-# What ``CompositionConstraintSet._factor`` forms: on either route, which
-# one it took and the factor of ``_gram_solve``; from K's SVD, its kept
-# triplets and the basis that ``correction`` projects onto; from K's inverse,
-# K^-1 and ``(K K^dag)^-1``.
+# What ``CompositionConstraintSet._factor`` forms: on either route,
+# ``injective``, which route it took and the factor of ``_gram_solve``; from
+# K's SVD, its kept triplets and their conjugate transposes; from K's
+# inverse, K^-1 and ``(K K^dag)^-1``.
 _FACTORS = frozenset(
-    {"_by_inverse", "_gram", "_left", "_s", "_right", "_left_h", "_basis", "_basis_h"}
+    {"injective", "_by_inverse", "_gram", "_left", "_s", "_right", "_left_h", "_right_h"}
     | {"_kinv", "_range_inv"}
 )
 
@@ -145,8 +146,8 @@ class Status(enum.Enum):
 #                             Euclidean projection onto the affine set
 #   inverse_point()           the one point that the composition rows fix
 #                             when they are square and nonsingular, or None
-#   injective                 true only when M, as factored, has no null
-#                             space, so that P_aff(W) = M^+ b for every W
+#   injective                 whether M, as factored, has no null space,
+#                             so that P_aff(W) = M^+ b for every W
 #   residual_rows(X)          r = M vec(X) - b, as a tuple of arrays in the
 #                             set's own layout, read only by ``_dot`` and
 #                             residual_multipliers
@@ -227,12 +228,12 @@ class CompositionConstraintSet:
     square and ``_RCOND ||K^-1||_F sqrt(||K||_F^2 + d_C) < 1``, which
     proves that the cut below keeps every singular value, they come from
     K^-1: ``(K K^dag)^-1 = K^-dag K^-1`` on K's block, ``(d_C I + K^dag
-    K)^-1`` on N's, and M is injective, so ``correction`` has no null
-    space to project onto. Otherwise one SVD of K gives both: K's singular
+    K)^-1`` on N's. Otherwise one thin SVD of K gives both: K's singular
     values below ``_RCOND`` times M's largest, ``sqrt(s_max^2 + d_C)``, are
-    dropped, as the dense pseudo-inverse drops them, and the projection goes
-    through whichever of K's kept and null right-singular bases is smaller;
-    the kept one, from a thin SVD, when ``2 d_A^2 <= d_B^2``.
+    dropped, as the dense pseudo-inverse drops them. M is ``injective`` on
+    the first route, and on the second when the cut keeps all ``d_B^2``
+    singular values or ``d_C = 1`` (M is N alone); else ``correction``
+    projects off K's kept right-singular basis.
 
     The set takes its targets' common dtype: it is real when they all are.
     For real targets the real part of any solution is a solution, and every
@@ -267,13 +268,12 @@ class CompositionConstraintSet:
         self._kh = self._k.conj().T
         self._first, self._phi = first, realign(phi, a, c)
         self.rhs_blocks = first.reshape(b, b), phi
-        self._thin = 2 * a * a <= b * b
 
     def __getattr__(self, name: str):
         # Called only for a name the instance does not hold: one of
         # ``_factor``'s is formed with all the others of its route, on first
         # use, and a name of the other route is missing.
-        if name not in _FACTORS or "_by_inverse" in self.__dict__:
+        if name not in _FACTORS or "injective" in self.__dict__:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         self._factor()
         return getattr(self, name)
@@ -309,37 +309,33 @@ class CompositionConstraintSet:
         return kinv if bound * math.sqrt(norm * norm + c) < 1.0 else None
 
     def _factor_inverse(self, kinv: np.ndarray) -> None:
-        """From K^-1: ``(d_C I + K^dag K)^-1`` for ``_gram_solve``, and ``(K
-        K^dag)^-1 = K^-dag K^-1`` for ``residual_multipliers``."""
-        self._by_inverse, self._kinv = True, kinv
+        """From K^-1, with M injective: ``(d_C I + K^dag K)^-1`` for
+        ``_gram_solve``, and ``(K K^dag)^-1 = K^-dag K^-1`` for
+        ``residual_multipliers``."""
+        self.injective, self._by_inverse, self._kinv = True, True, kinv
         gram = self._kh @ self._k
         gram.reshape(-1)[:: gram.shape[0] + 1] += self.dims[2]
         self._gram = np.linalg.inv(gram)
         self._range_inv = kinv.conj().T @ kinv
 
     def _factor_svd(self) -> None:
-        """From K's SVD: the factors of ``_gram_solve``, K's kept singular
-        triplets and the basis that ``correction`` projects onto."""
-        c = self.dims[2]
-        left, s, right = np.linalg.svd(self._k, full_matrices=not self._thin)
+        """From K's thin SVD: the factors of ``_gram_solve`` and K's kept
+        singular triplets. M is injective when they are all ``d_B^2`` of
+        them, or when ``d_C = 1``."""
+        _, b, c = self.dims
+        left, s, right = np.linalg.svd(self._k, full_matrices=False)
         try:
             cut = _RCOND * math.sqrt(float(s[0]) ** 2 + c)
         except OverflowError:
             raise ValueError(f"psi overflows: K's largest singular value {s[0]:.3e}, squared")
         rank = int(np.count_nonzero(s > cut))
-        self._by_inverse = False
+        self.injective, self._by_inverse = rank == b * b or c == 1, False
         # What _gram_solve needs of every singular triplet, and K's kept ones.
         # The kept right basis's conjugate transpose is the first ``rank``
         # columns of the first, formed once: a view in the same F order.
-        self._gram = right[: s.size].conj().T, s * s / (c * (c + s * s)), right[: s.size]
+        self._gram = right.conj().T, s * s / (c * (c + s * s)), right
         self._left, self._s, self._right = left[:, :rank], s[:rank], right[:rank]
-        self._left_h = self._left.conj().T
-        # The basis that ``correction`` projects onto: the kept or the null one.
-        if self._thin:
-            self._basis, self._basis_h = self._right, self._gram[0][:, :rank]
-        else:
-            self._basis = right[rank:]
-            self._basis_h = self._basis.conj().T
+        self._left_h, self._right_h = self._left.conj().T, self._gram[0][:, :rank]
 
     @cached_property
     def _x0r(self) -> np.ndarray:
@@ -355,12 +351,12 @@ class CompositionConstraintSet:
             xr += x_u[:, None] * self._u
             return xr
         rest = self._left_h @ rest / self._s[:, None]
-        return x_u[:, None] * self._u + self._gram[0][:, : self._s.size] @ rest
+        return x_u[:, None] * self._u + self._right_h @ rest
 
     @cached_property
     def _x0(self) -> np.ndarray:
-        """``M^+ b`` as X, which ``correction`` subtracts on the route
-        through K's inverse."""
+        """``M^+ b`` as X, which ``correction`` subtracts when M is
+        injective."""
         return self._x0r.take(self._back)
 
     def _gram_solve(self, v: np.ndarray) -> np.ndarray:
@@ -392,12 +388,6 @@ class CompositionConstraintSet:
             return None
         return xr.take(self._back) if np.isfinite(xr).all() else None
 
-    @property
-    def injective(self) -> bool:
-        """Whether M, as factored, is provably injective, so that ``P_aff(W)
-        = M^+ b`` for every W: true on the route through K's inverse."""
-        return self._by_inverse
-
     def residual_rows(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``vec(Tr_C X - T)`` and the realigned ``J_psi * X - J_phi``."""
         xr = x.take(self._there)
@@ -415,15 +405,12 @@ class CompositionConstraintSet:
         return g.take(self._back)
 
     def correction(self, w: np.ndarray) -> np.ndarray:
-        if self._by_inverse:
-            return w - self._x0  # M is injective: P_aff(W) = M^+ b
+        if self.injective:
+            return w - self._x0  # P_aff(W) = M^+ b
         # P_aff(W) = M^+ b + W's part in M's null space, which is
-        # ``Xr (I - u u^T)`` projected onto K's null space: through the null
-        # basis, or as the rest of its projection onto the kept one.
+        # ``Xr (I - u u^T)`` off its projection onto K's kept right basis.
         wr = w.take(self._there) @ self._off_u
-        part = self._basis_h @ (self._basis @ wr)
-        if self._thin:
-            part = wr - part
+        part = wr - self._right_h @ (self._right @ wr)
         part += self._x0r
         return w - part.take(self._back)
 
@@ -479,12 +466,13 @@ class FeasibilityReport:
     ``stop_reason`` is one of ``"tolerance"`` (feasible), ``"certificate"``
     (infeasible, ``certificate`` holds the Farkas multipliers), ``"plateau"``
     (best residual stopped improving; inconclusive) and ``"iteration-cap"``
-    (inconclusive). ``candidate`` says which candidate ended a feasible
+    (inconclusive); a plateau at iteration 1 is proved on an injective
+    set, not observed. ``candidate`` says which candidate ended a feasible
     solve: ``"psd"`` for the PSD iterate, ``"affine"`` for the affine point,
     None when the solve is not feasible. ``iterations`` 0 means the start
     decided the solve before any iteration: as the affine candidate, or as
-    the residual that certified. ``rejections`` counts the
-    extrapolated points that the safeguard rejected. ``constraints`` is the
+    the residual that certified. ``rejections`` counts the extrapolated
+    points that the safeguard rejected. ``constraints`` is the
     system that ``solution`` (a matrix X) and ``certificate`` belong to. The
     certificate is the Farkas multipliers as exactly Hermitian operators, one
     per row block on that block's space: ``(Y_T, Y)`` on B and on A (x) C
@@ -783,9 +771,12 @@ def solve(
     residual at least ``10 * eps_feas``, the solve stops not feasible with
     their Hermitian parts as its certificate. A plateau of Y's best residual
     between checkpoints, and exhausting ``max_iter``, end the solve
-    inconclusive. Data whose products overflow, so that no residual is
-    finite, raise ``ValueError`` at the first certificate attempt of the
-    loop.
+    inconclusive. On an ``injective`` set ``P_aff`` is the one point ``p =
+    M^+ b``, so ``Z_k = P_+(p) + (k + 1) P_-(p)`` and every iteration
+    repeats the first: a solve that iteration 1 leaves undecided ends there,
+    on the ``"plateau"`` (``"iteration-cap"`` when ``max_iter`` is 1). Data
+    whose products overflow, so that no residual is finite, raise
+    ``ValueError`` at the first certificate attempt of the loop.
     """
     best = np.inf
     best_candidate = None
@@ -862,6 +853,11 @@ def solve(
         if accepted:
             best, best_candidate, candidate, r_psd = r_aff, x, "affine", 0.0
             status, stop_reason, iterations = Status.FEASIBLE, "tolerance", it
+            break
+        if constraints.injective and it < iterations:
+            # P_aff is the one point M^+ b, so every later iterate repeats
+            # this one's PSD iterate and affine point: a proved plateau.
+            stop_reason, iterations = "plateau", it
             break
         t = y - c  # T(z)
         if anderson is None:

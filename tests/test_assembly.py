@@ -131,6 +131,11 @@ def div_instances():
         out.append(pytest.param(psi_d, ch.identity(2), id=f"dressed-ad-{gamma}-id"))
     for d in (2, 3):
         out.append(pytest.param(ch.random_channel(d, d, rng), ch.identity(d), id=f"random-d{d}-id"))
+    # The trace map by the completely depolarizing channel: K keeps one
+    # singular value of four, but with d_C = 1 M is N alone, so the set is
+    # injective, as the oracle's is.
+    trace = Channel(2, 1, np.eye(2))
+    out.append(pytest.param(ch.completely_depolarizing(2), trace, id="trace-by-depolarizing"))
     return out
 
 
@@ -140,7 +145,9 @@ def assert_parity(report, oracle):
     assert m.shape == oracle.matrix.shape
     assert np.abs(m - oracle.matrix).max() <= 1e-14
     assert np.array_equal(dense_rhs(cons), oracle.rhs)
-    # Both offer the same point x* that their composition rows fix, or none.
+    # Both are injective or neither, and both offer the same point x* that
+    # their composition rows fix, or none.
+    assert cons.injective == oracle.injective
     point, dense_point = cons.inverse_point(), oracle.inverse_point()
     assert (point is None) == (dense_point is None)
     if point is not None:
@@ -441,7 +448,7 @@ def _square(name):
 @pytest.mark.parametrize("name", [n for n in INSTANCES if not _square(n)])
 def test_the_start_takes_the_conjugate_right_basis_from_the_gram_factor(name):
     # The kept right basis's conjugate transpose is a view of the one that
-    # _gram_solve holds, in the same F order, so M^+ b and the thin basis
+    # _gram_solve holds, in the same F order, so M^+ b and the correction
     # keep the bits of a conjugate transpose formed for each. A set that is
     # not square factors K by its SVD.
     cons = INSTANCES[name].report.solver.constraints
@@ -452,9 +459,13 @@ def test_the_start_takes_the_conjugate_right_basis_from_the_gram_factor(name):
     rest = cons._left_h @ (cons._phi - y_u[:, None] * cons._u) / cons._s[:, None]
     x0r = x_u[:, None] * cons._u + own @ rest
     assert cons.start().tobytes() == x0r.take(cons._back).tobytes()
-    if cons._thin:
-        assert cons._basis_h.tobytes() == own.tobytes()
-        assert cons._basis_h.flags.f_contiguous and np.shares_memory(cons._basis_h, cons._gram[0])
+    assert_right_h_is_a_view_of_the_gram_factor(cons)
+
+
+def assert_right_h_is_a_view_of_the_gram_factor(cons):
+    own = cons._right.conj().T
+    assert cons._right_h.tobytes() == own.tobytes()
+    assert cons._right_h.flags.f_contiguous and np.shares_memory(cons._right_h, cons._gram[0])
 
 
 def _real_channel(d, rank, rng):
@@ -541,13 +552,15 @@ def test_a_square_set_failing_the_conditioning_bound_keeps_its_svd_rank(eta, ran
     # 1e-10 and 2e-10, _RCOND ||K^-1||_F sqrt(||K||_F^2 + d_C) >= 1, so the
     # set factors K by its SVD and keeps the singular values above _RCOND
     # sqrt(s_max^2 + d_C), as before: one of four at 1e-10, all four at
-    # 2e-10. At 3e-10 the bound proves that the cut keeps all four, and K's
-    # inverse stands in.
+    # 2e-10. The set is injective exactly when the SVD keeps all four. At
+    # 3e-10 the bound proves that the cut keeps all four, and K's inverse
+    # stands in.
     cons = CompositionConstraintSet((2, 2, 2), depolarizing(2, eta).choi, ch.identity(2).choi)
     assert cons.inverse_point() is not None
     svd = spy(monkeypatch, np.linalg, "svd")
     cons.start()
-    assert cons.injective is (rank is None) and len(svd) == (rank is not None)
+    assert cons.injective is (rank != 1) and len(svd) == (rank is not None)
     if rank is not None:
         s = svd[0][1][1]
         assert cons._s.size == rank == np.count_nonzero(s > fz._RCOND * math.sqrt(s[0] ** 2 + 2))
+        assert_right_h_is_a_view_of_the_gram_factor(cons)

@@ -686,22 +686,28 @@ def test_nearly_singular_self_division_is_decided_by_x_star(gamma):
 
 
 @pytest.mark.parametrize(
-    "psi, phi",
+    "psi, phi, best",
     [
-        (depolarizing(2, 0.8), depolarizing(2, 0.8 + 1e-7)),
-        (dephasing(0.5), dephasing(0.5 + 1e-7)),
+        (depolarizing(2, 0.8), depolarizing(2, 0.8 + 1e-7), 1.680541200738967e-07),
+        (depolarizing(3, 0.8), depolarizing(3, 0.8 + 1e-7), 2.244334401034795e-07),
+        (dephasing(0.5), dephasing(0.5 + 1e-7), 2.1213203369477496e-07),
     ],
-    ids=["dep-d2-0.8", "dephasing-0.5"],
+    ids=["dep-d2-0.8", "dep-d3-0.8", "dephasing-0.5"],
 )
-def test_surjective_band_pairs_end_on_the_plateau(psi, phi):
+def test_surjective_band_pairs_end_on_the_plateau(psi, phi, best):
     # psi does not divide phi, by 1e-7: K is square and nonsingular, x* is
     # the only point of the rows and it is not PSD, but no bound reaches
-    # 10 eps_feas, so the solve ends inconclusive on the first checkpoint
-    # pair. The safeguard's rejections are not asserted: a plateau's
-    # iterates do not reproduce to rounding.
+    # 10 eps_feas. The set is injective, so no later iteration can differ
+    # from iteration 1, and the solve ends inconclusive on the plateau
+    # there. Its best residual is the one that 2 000 Douglas-Rachford
+    # iterations ended on, within 1e-6 relative. Capped at one iteration,
+    # the same solve ends at the cap.
     solver = an.check_divisibility(psi, phi, CONFIG).solver
     assert (solver.status, solver.stop_reason) == (Status.INCONCLUSIVE, "plateau")
-    assert solver.iterations == 2000 and solver.residual_affine >= CONFIG.eps_feas
+    assert solver.iterations == 1 and solver.residual_affine >= CONFIG.eps_feas
+    assert abs(solver.residual_affine - best) <= 1e-6 * best
+    capped = an.check_divisibility(psi, phi, SolverConfig(max_iter=1)).solver
+    assert (capped.stop_reason, capped.iterations) == ("iteration-cap", 1)
 
 
 def test_a_non_finite_x_star_is_not_offered():
