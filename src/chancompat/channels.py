@@ -48,7 +48,6 @@ __all__ = [
     "require_finite",
     "validate_channel",
     "validated_eigh",
-    "validated_kraus",
     "choi_rank",
     "choi_distance",
     "choi_from_kraus",
@@ -256,17 +255,6 @@ def validated_eigh(channel: Channel, name: str = "channel") -> tuple[np.ndarray,
     w, v = np.linalg.eigh(h)
     _raise_on_defects(channel, h, defect, float(w[0]), EPS_VALID, name)
     return w, v
-
-
-def validated_kraus(channel: Channel, name: str = "channel") -> KrausSet:
-    """:func:`validate_channel` at ``EPS_VALID``, then :func:`kraus_from_choi`,
-    from one eigendecomposition of the Choi operator.
-
-    Raises as :func:`validate_channel` does; a negative eigenvalue within
-    ``EPS_VALID`` is then dropped with the rest below ``EPS_RANK``. The length
-    of the returned set is the Choi rank at that cut.
-    """
-    return kraus_from_eigh(channel, *validated_eigh(channel, name))
 
 
 def choi_distance(a: Channel, b: Channel) -> float:

@@ -165,8 +165,6 @@ def cmd_make(args: argparse.Namespace) -> int:
         psi, phi, compat = ch.trace_out_pair(
             ch.completely_depolarizing(args.dim_b), ch.identity(args.dim_c)
         )
-        if args.output is None:
-            raise ValueError("make example2 requires -o; it emits three files")
         stem = args.output[:-5] if args.output.endswith(".json") else args.output
         io.save_channel(f"{stem}.psi.json", psi, "depolarizing-marginal")
         io.save_channel(f"{stem}.phi.json", phi, "identity-marginal")
@@ -361,12 +359,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _usage_error(args: argparse.Namespace) -> str | None:
     """Argument combinations the parser cannot reject by itself: wrong file
-    counts, ``make`` dimensions no channel file can carry, and ``verify``
-    runs that would check nothing and so report a vacuous success."""
+    counts, ``make`` dimensions no channel file can carry, a ``make
+    example2`` with no ``-o`` for its three files, and ``verify`` runs that
+    would check nothing and so report a vacuous success."""
     if args.command == "make":
         for flag, dim in (("--dim", args.dim), ("--dim-b", args.dim_b), ("--dim-c", args.dim_c)):
             if dim < 1:
                 return f"make {flag} must be at least 1"
+        if args.kind == "example2" and args.output is None:
+            return "make example2 requires -o; it emits three files"
     elif args.command == "check":
         need = 2 if args.what in ("compat", "div") else 1
         if len(args.channels) != need:

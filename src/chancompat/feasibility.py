@@ -21,10 +21,10 @@ projection.
 One constraint set provides that projection in closed form without
 forming or factoring M: :class:`CompositionConstraintSet`, the system
 ``Tr_C X = T, J_psi * X = J_phi`` on B (x) C, whose M splits into Kronecker
-blocks that the realigned J_psi, K, inverts, formed on first use: through
-K's inverse when K is square and provably well conditioned, else through
-one thin SVD of K. With ``T = I_B`` it is the divisibility of phi by psi.
-Compatibility is this system too (see
+blocks that the realigned J_psi, K, inverts. K is factored once, on first
+use, and in one place: through K's inverse when K is square and provably
+well conditioned, else through one thin SVD of K. With ``T = I_B`` it is
+the divisibility of phi by psi. Compatibility is this system too (see
 :func:`chancompat.analysis.check_compatibility`): through Theorem 1, it is
 the divisibility of one channel by the complementary channel of a dilation
 of the other, with ``T = J_psi`` for the identity dilation. The set holds
@@ -86,9 +86,10 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -124,14 +125,6 @@ _COLLINEAR = 1e-12
 # ``n^2 eps max_i Re z_ii``, for eps the machine epsilon (``_shifted_start``).
 _START_SHIFT = 16
 _MACHINE_EPS = float(np.finfo(float).eps)
-# What ``CompositionConstraintSet._factor`` forms: on either route,
-# ``injective``, which route it took and the factor of ``_gram_solve``; from
-# K's SVD, its kept triplets and their conjugate transposes; from K's
-# inverse, K^-1 and ``(K K^dag)^-1``.
-_FACTORS = frozenset(
-    {"injective", "_by_inverse", "_gram", "_left", "_s", "_right", "_left_h", "_right_h"}
-    | {"_kinv", "_range_inv"}
-)
 
 
 class Status(enum.Enum):
@@ -204,6 +197,21 @@ def _plan(b: int, c: int, dtype: np.dtype) -> tuple[np.ndarray, ...]:
     return out
 
 
+class _Factors(NamedTuple):
+    """What a :class:`CompositionConstraintSet` needs of K, on either route:
+    whether M is ``injective``; K^+ on a block of rows (``pinv``); ``(d_C I
+    + K^dag K)^-1`` (``gram_solve``), which is ``(N^dag N)^-1``; ``(K
+    K^dag)^+ + (I - K K^+)`` on a block of rows (``range_solve``); and K's
+    kept right-singular basis with its conjugate transpose, which a set that
+    is not injective projects off (None from K's inverse)."""
+
+    injective: bool
+    pinv: Callable[[np.ndarray], np.ndarray]
+    gram_solve: Callable[[np.ndarray], np.ndarray]
+    range_solve: Callable[[np.ndarray], np.ndarray]
+    right: tuple[np.ndarray, np.ndarray] | None
+
+
 class CompositionConstraintSet:
     """The constraints ``Tr_C X = T``, ``J_psi * X = J_phi`` over Hermitian X
     on B (x) C, where ``*`` composes X as the Choi operator of a map B -> C
@@ -222,18 +230,19 @@ class CompositionConstraintSet:
     ``K`` acting on ``Xr (I - u u^T)`` and the stack ``N = [sqrt(d_C) I; K]``
     acting on ``Xr u``, whose singular values ``sqrt(d_C + s^2)``, for K's
     singular values s, are all at least ``sqrt(d_C)``. Both blocks'
-    pseudo-inverses are formed once, on first use by ``start``,
-    ``correction``, ``residual_multipliers`` or ``trace_scalars``, and
-    ``inverse_point`` needs only an LU solve of a square K. When K is
-    square and ``_RCOND ||K^-1||_F sqrt(||K||_F^2 + d_C) < 1``, which
-    proves that the cut below keeps every singular value, they come from
-    K^-1: ``(K K^dag)^-1 = K^-dag K^-1`` on K's block, ``(d_C I + K^dag
-    K)^-1`` on N's. Otherwise one thin SVD of K gives both: K's singular
-    values below ``_RCOND`` times M's largest, ``sqrt(s_max^2 + d_C)``, are
-    dropped, as the dense pseudo-inverse drops them. M is ``injective`` on
-    the first route, and on the second when the cut keeps all ``d_B^2``
-    singular values or ``d_C = 1`` (M is N alone); else ``correction``
-    projects off K's kept right-singular basis.
+    pseudo-inverses are formed once, as ``_factors``, when ``start``,
+    ``correction``, ``residual_multipliers``, ``trace_scalars`` or
+    ``injective`` first reads them, and ``inverse_point`` needs only an LU
+    solve of a square K. When K is square and ``_RCOND ||K^-1||_F
+    sqrt(||K||_F^2 + d_C) < 1``, which proves that the cut below keeps
+    every singular value, they come from K^-1: ``(K K^dag)^-1 = K^-dag
+    K^-1`` on K's block, ``(d_C I + K^dag K)^-1`` on N's. Otherwise one thin
+    SVD of K gives both: K's singular values below ``_RCOND`` times M's
+    largest, ``sqrt(s_max^2 + d_C)``, are dropped, as the dense
+    pseudo-inverse drops them. M is ``injective`` on the first route, and on
+    the second when the cut keeps all ``d_B^2`` singular values or ``d_C =
+    1`` (M is N alone); else ``correction`` projects off K's kept
+    right-singular basis.
 
     The set takes its targets' common dtype: it is real when they all are.
     For real targets the real part of any solution is a solution, and every
@@ -269,26 +278,6 @@ class CompositionConstraintSet:
         self._first, self._phi = first, realign(phi, a, c)
         self.rhs_blocks = first.reshape(b, b), phi
 
-    def __getattr__(self, name: str):
-        # Called only for a name the instance does not hold: one of
-        # ``_factor``'s is formed with all the others of its route, on first
-        # use, and a name of the other route is missing.
-        if name not in _FACTORS or "injective" in self.__dict__:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        self._factor()
-        return getattr(self, name)
-
-    def _factor(self) -> None:
-        """What ``start``, ``correction``, ``residual_multipliers`` and
-        ``trace_scalars`` need of K, formed once, when one of them first
-        reads it: from K's inverse when K is square and provably well
-        conditioned (``_well_conditioned_inverse``), else from K's SVD."""
-        kinv = self._well_conditioned_inverse()
-        if kinv is not None:
-            self._factor_inverse(kinv)
-        else:
-            self._factor_svd()
-
     def _well_conditioned_inverse(self) -> np.ndarray | None:
         """K^-1 when K is square and the SVD's cut would keep every singular
         value; else None. K's least singular value is at least ``1 /
@@ -308,65 +297,67 @@ class CompositionConstraintSet:
         bound = _RCOND * math.hypot(*kinv.ravel().view(float).tolist())
         return kinv if bound * math.sqrt(norm * norm + c) < 1.0 else None
 
-    def _factor_inverse(self, kinv: np.ndarray) -> None:
-        """From K^-1, with M injective: ``(d_C I + K^dag K)^-1`` for
-        ``_gram_solve``, and ``(K K^dag)^-1 = K^-dag K^-1`` for
-        ``residual_multipliers``."""
-        self.injective, self._by_inverse, self._kinv = True, True, kinv
-        gram = self._kh @ self._k
-        gram.reshape(-1)[:: gram.shape[0] + 1] += self.dims[2]
-        self._gram = np.linalg.inv(gram)
-        self._range_inv = kinv.conj().T @ kinv
-
-    def _factor_svd(self) -> None:
-        """From K's thin SVD: the factors of ``_gram_solve`` and K's kept
-        singular triplets. M is injective when they are all ``d_B^2`` of
-        them, or when ``d_C = 1``."""
+    @cached_property
+    def _factors(self) -> _Factors:
+        """The one place that picks K's route: K's inverse when
+        ``_well_conditioned_inverse`` gives one, else K's thin SVD, whose
+        kept triplets give K^+ and ``(K K^dag)^+``, and whose every triplet
+        gives ``(d_C I + K^dag K)^-1 v = (v - V^dag diag(s^2 / (d_C + s^2))
+        V v) / d_C``."""
         _, b, c = self.dims
+        kinv = self._well_conditioned_inverse()
+        if kinv is not None:
+            gram = self._kh @ self._k
+            gram.reshape(-1)[:: gram.shape[0] + 1] += c
+            gram_inv, range_inv = np.linalg.inv(gram), kinv.conj().T @ kinv
+            return _Factors(
+                True,
+                functools.partial(np.matmul, kinv),
+                functools.partial(np.matmul, gram_inv),
+                functools.partial(np.matmul, range_inv),
+                None,
+            )
         left, s, right = np.linalg.svd(self._k, full_matrices=False)
         try:
             cut = _RCOND * math.sqrt(float(s[0]) ** 2 + c)
         except OverflowError:
             raise ValueError(f"psi overflows: K's largest singular value {s[0]:.3e}, squared")
         rank = int(np.count_nonzero(s > cut))
-        self.injective, self._by_inverse = rank == b * b or c == 1, False
-        # What _gram_solve needs of every singular triplet, and K's kept ones.
-        # The kept right basis's conjugate transpose is the first ``rank``
-        # columns of the first, formed once: a view in the same F order.
-        self._gram = right.conj().T, s * s / (c * (c + s * s)), right
-        self._left, self._s, self._right = left[:, :rank], s[:rank], right[:rank]
-        self._left_h, self._right_h = self._left.conj().T, self._gram[0][:, :rank]
+        right_h, weights = right.conj().T, s * s / (c * (c + s * s))
+        # K's kept triplets. The kept right basis's conjugate transpose is the
+        # first ``rank`` columns of right_h, formed once: a view in the same F
+        # order.
+        left, s, kept = left[:, :rank], s[:rank], right[:rank]
+        left_h, kept_h, scale = left.conj().T, right_h[:, :rank], s**-2 - 1.0
+        return _Factors(
+            rank == b * b or c == 1,
+            lambda rows: kept_h @ (left_h @ rows / s[:, None]),
+            lambda v: v / c - right_h @ (weights * (right @ v)),
+            lambda rows: rows + left @ (scale[:, None] * (left_h @ rows)),
+            (kept, kept_h),
+        )
+
+    @property
+    def injective(self) -> bool:
+        return self._factors.injective
 
     @cached_property
     def _x0r(self) -> np.ndarray:
         """``M^+ b`` realigned, the projection of 0, formed on first use by
-        ``start`` or ``correction``: N^+ on the u column, K^+ (K^-1 on the
-        route through K's inverse) on the rest. ``a[:, None] * u`` is
-        ``np.outer(a, u)``."""
+        ``start`` or ``correction``: N^+ on the u column, K^+ on the rest.
+        ``a[:, None] * u`` is ``np.outer(a, u)``."""
+        factors = self._factors
         y_u = self._phi @ self._u
-        x_u = self._gram_solve(math.sqrt(self.dims[2]) * self._first + self._kh @ y_u)
-        rest = self._phi - y_u[:, None] * self._u
-        if self._by_inverse:
-            xr = self._kinv @ rest
-            xr += x_u[:, None] * self._u
-            return xr
-        rest = self._left_h @ rest / self._s[:, None]
-        return x_u[:, None] * self._u + self._right_h @ rest
+        x_u = factors.gram_solve(math.sqrt(self.dims[2]) * self._first + self._kh @ y_u)
+        xr = factors.pinv(self._phi - y_u[:, None] * self._u)
+        xr += x_u[:, None] * self._u
+        return xr
 
     @cached_property
     def _x0(self) -> np.ndarray:
         """``M^+ b`` as X, which ``correction`` subtracts when M is
         injective."""
         return self._x0r.take(self._back)
-
-    def _gram_solve(self, v: np.ndarray) -> np.ndarray:
-        """``(N^dag N)^-1 v = (d_C I + K^dag K)^-1 v``: one product with that
-        inverse, or ``(v - V^dag diag(s^2 / (d_C + s^2)) V v) / d_C`` for K's
-        right singular vectors V and singular values s."""
-        if self._by_inverse:
-            return self._gram @ v
-        right_h, weights, right = self._gram
-        return v / self.dims[2] - right_h @ (weights * (right @ v))
 
     def start(self) -> np.ndarray:
         return self._x0r.take(self._back)  # P_aff(0) = M^+ b, with no null-space part
@@ -409,27 +400,25 @@ class CompositionConstraintSet:
             return w - self._x0  # P_aff(W) = M^+ b
         # P_aff(W) = M^+ b + W's part in M's null space, which is
         # ``Xr (I - u u^T)`` off its projection onto K's kept right basis.
+        right, right_h = self._factors.right
         wr = w.take(self._there) @ self._off_u
-        part = wr - self._right_h @ (self._right @ wr)
+        part = wr - right_h @ (right @ wr)
         part += self._x0r
         return w - part.take(self._back)
 
     def residual_multipliers(self, r: tuple) -> tuple[np.ndarray, np.ndarray]:
         """``(M M^*)^+ r + (r - M M^+ r)`` as the operators ``(Y_T, Y)``, for
         residual rows r from :meth:`residual_rows`. Blockwise on the realigned
-        rows: on K's block it is ``Yr`` with its part in K's kept range scaled
-        by ``s^-2``; on ``N``'s, with ``g = N^+ r_u``, it is ``r_u + N
-        ((N^dag N)^-1 g - g)``."""
+        rows: on K's block it is ``(K K^dag)^+ + (I - K K^+)`` on ``Yr``; on
+        ``N``'s, with ``g = N^+ r_u``, it is ``r_u + N ((N^dag N)^-1 g -
+        g)``."""
         a, b, c = self.dims
+        factors = self._factors
         t, yr = r
         y_u = yr @ self._u
-        rest = yr - y_u[:, None] * self._u
-        if self._by_inverse:
-            rest = self._range_inv @ rest
-        else:
-            rest += self._left @ ((self._s**-2 - 1.0)[:, None] * (self._left_h @ rest))
-        g = self._gram_solve(math.sqrt(c) * t + self._kh @ y_u)
-        h = self._gram_solve(g) - g
+        rest = factors.range_solve(yr - y_u[:, None] * self._u)
+        g = factors.gram_solve(math.sqrt(c) * t + self._kh @ y_u)
+        h = factors.gram_solve(g) - g
         rest += (y_u + self._k @ h)[:, None] * self._u
         return (t + math.sqrt(c) * h).reshape(b, b), unalign(rest, a, c)
 
@@ -440,7 +429,7 @@ class CompositionConstraintSet:
         rank. With ``h = (N^dag N)^-1 vec(I_B)``, tau is ``(d_C h, K h
         vec(I_C)^T)``."""
         c = self.dims[2]
-        h = self._gram_solve(self._vec_i)
+        h = self._factors.gram_solve(self._vec_i)
         kh = self._k @ h
         b_tau = c * np.vdot(h, self._first).real
         b_tau += math.sqrt(c) * np.vdot(kh, self._phi @ self._u).real

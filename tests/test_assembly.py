@@ -194,7 +194,7 @@ def test_compatibility_extracts_a_kraus_set_only_for_the_channel_it_dilates(
     # Both channels are validated and eigendecomposed, since their ranks
     # pick the route. A Kraus set is then taken from the eigendecomposition
     # of the dilated channel alone, none for the identity dilation, and it
-    # is the set that validated_kraus gives, bit for bit.
+    # is the set that kraus_from_eigh gives from validated_eigh, bit for bit.
     if swap:
         psi, phi = phi, psi
     side, kraus = route(psi, phi)
@@ -209,7 +209,7 @@ def test_compatibility_extracts_a_kraus_set_only_for_the_channel_it_dilates(
         (((channel, _, _), got),) = taken
         assert channel is (psi if side == "psi" else phi)
         assert [k.tobytes() for k in got.operators] == [k.tobytes() for k in kraus.operators]
-        expected = ch.validated_kraus(channel)
+        expected = ch.kraus_from_eigh(channel, *ch.validated_eigh(channel))
         assert [k.tobytes() for k in got.operators] == [k.tobytes() for k in expected.operators]
 
 
@@ -421,10 +421,12 @@ def test_composition_set_builds_rows_from_hermitian_targets():
         ({"phi": phi + 1e-7 * skew / 5e-10}, "phi is not Hermitian"),
         ({"psi": np.full((4, 4), np.nan)}, "psi must be a finite 4 x 4"),
         ({"phi": np.eye(3)}, "phi must be a finite 4 x 4"),
+        ({"dims": (2, 0, 2)}, r"dims must be three positive dimensions, got \(2, 0, 2\)"),
+        ({"dims": (2, 2)}, r"dims must be three positive dimensions, got \(2, 2\)"),
     ):
-        args = {"psi": psi.choi, "phi": phi, **kwargs}
+        args = {"dims": (2, 2, 2), "psi": psi.choi, "phi": phi, **kwargs}
         with pytest.raises(ValueError, match=name):
-            CompositionConstraintSet((2, 2, 2), **args)
+            CompositionConstraintSet(**args)
 
 
 @pytest.mark.parametrize("d", [5, 6])
@@ -447,25 +449,31 @@ def _square(name):
 
 @pytest.mark.parametrize("name", [n for n in INSTANCES if not _square(n)])
 def test_the_start_takes_the_conjugate_right_basis_from_the_gram_factor(name):
-    # The kept right basis's conjugate transpose is a view of the one that
-    # _gram_solve holds, in the same F order, so M^+ b and the correction
-    # keep the bits of a conjugate transpose formed for each. A set that is
-    # not square factors K by its SVD.
+    # The kept right basis's conjugate transpose is a view of the whole
+    # basis's, which the Gram solve holds, in the same F order, so M^+ b
+    # keeps the bits of conjugate transposes formed apart from K's thin
+    # SVD. A set that is not square factors K by its SVD.
     cons = INSTANCES[name].report.solver.constraints
     c = cons.dims[2]
-    own = cons._right.conj().T
+    left, s, right = np.linalg.svd(cons._k, full_matrices=False)
+    rank = np.count_nonzero(s > fz._RCOND * math.sqrt(s[0] ** 2 + c))
     y_u = cons._phi @ cons._u
-    x_u = cons._gram_solve(math.sqrt(c) * cons._first + cons._kh @ y_u)
-    rest = cons._left_h @ (cons._phi - y_u[:, None] * cons._u) / cons._s[:, None]
-    x0r = x_u[:, None] * cons._u + own @ rest
+    v = math.sqrt(c) * cons._first + cons._kh @ y_u
+    x_u = v / c - right.conj().T @ (s * s / (c * (c + s * s)) * (right @ v))
+    rest = left[:, :rank].conj().T @ (cons._phi - y_u[:, None] * cons._u) / s[:rank, None]
+    x0r = x_u[:, None] * cons._u + right[:rank].conj().T @ rest
     assert cons.start().tobytes() == x0r.take(cons._back).tobytes()
+    assert cons._factors.right[0].tobytes() == right[:rank].tobytes()
     assert_right_h_is_a_view_of_the_gram_factor(cons)
 
 
 def assert_right_h_is_a_view_of_the_gram_factor(cons):
-    own = cons._right.conj().T
-    assert cons._right_h.tobytes() == own.tobytes()
-    assert cons._right_h.flags.f_contiguous and np.shares_memory(cons._right_h, cons._gram[0])
+    # The whole basis's conjugate, with one row per singular value, not a
+    # conjugate of the kept rows alone.
+    right, right_h = cons._factors.right
+    assert right_h.tobytes() == right.conj().T.tobytes() and right_h.flags.f_contiguous
+    assert right_h.base.shape == (min(cons._k.shape), cons._k.shape[1])
+    assert np.shares_memory(right_h, right_h.base)
 
 
 def _real_channel(d, rank, rng):
@@ -517,7 +525,7 @@ def test_a_square_set_factored_through_k_inverse_matches_the_dense_oracle(psi, p
     d = psi.dim_in
     cons = CompositionConstraintSet((d, d, d), psi.choi, phi.choi)
     oracle = div_oracle(psi, phi)
-    assert cons.injective and not {"_s", "_basis"} & set(vars(cons))
+    assert cons.injective and cons._factors.right is None
     s = np.linalg.svd(cons._k, compute_uv=False)
     squared = max(1e-12, 1e-14 * (s[0] / s[-1]) ** 2)
 
@@ -562,5 +570,6 @@ def test_a_square_set_failing_the_conditioning_bound_keeps_its_svd_rank(eta, ran
     assert cons.injective is (rank != 1) and len(svd) == (rank is not None)
     if rank is not None:
         s = svd[0][1][1]
-        assert cons._s.size == rank == np.count_nonzero(s > fz._RCOND * math.sqrt(s[0] ** 2 + 2))
+        kept = cons._factors.right[0].shape[0]
+        assert kept == rank == np.count_nonzero(s > fz._RCOND * math.sqrt(s[0] ** 2 + 2))
         assert_right_h_is_a_view_of_the_gram_factor(cons)

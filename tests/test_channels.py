@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -107,7 +108,7 @@ def nonfinite_chois():
 # Each validator tests finiteness before any arithmetic, so a non-finite entry
 # raises its own error and no RuntimeWarning.
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("validate", [ch.validate_channel, ch.validated_kraus])
+@pytest.mark.parametrize("validate", [ch.validate_channel, ch.validated_eigh])
 def test_validation_rejects_a_non_finite_choi_operator(validate):
     for c in nonfinite_chois():
         with pytest.raises(ValueError, match="^psi has a non-finite entry$"):
@@ -155,7 +156,7 @@ def test_kept_eigenpairs_are_the_masked_ones_bit_for_bit():
     rank_deficient = ch.random_channel(2, 3, np.random.default_rng(12), dim_env=2)
     for c in (ch.choi_from_kraus(ch.amplitude_damping(0.3)), ch.identity(3), rank_deficient):
         expected = masked_kraus_stack(c)
-        for kraus in (ch.kraus_from_choi(c), ch.validated_kraus(c)):
+        for kraus in (ch.kraus_from_choi(c), ch.kraus_from_eigh(c, *ch.validated_eigh(c))):
             assert np.array_equal(kraus.stack, expected)
     assert ch.kraus_from_choi(rank_deficient).dim_env == 2
     # An eigenvalue at the cut is dropped, as the mask drops it.
@@ -415,6 +416,46 @@ def test_self_complementary_parameter_range():
         ch.self_complementary_qubit(1, -0.1, 0.0)
     with pytest.raises(ValueError):
         ch.self_complementary_qubit(3, 0.0, 0.0)
+    with pytest.raises(ValueError, match=r"^beta=7\.0 outside \[0, 2 pi\]$"):
+        ch.self_complementary_qubit(1, 0.0, 7.0)
+
+
+def test_constructors_reject_inconsistent_arguments():
+    # Each message names what does not fit.
+    joint = ch.Channel(4, 16, np.eye(64))
+    rng = np.random.default_rng(0)
+    for build, message in (
+        (lambda: ch.Channel(2, 2, np.eye(3)), "Choi shape (3, 3) does not match dims 2x2"),
+        (
+            lambda: ch.StinespringIsometry(2, 2, 2, np.eye(3)),
+            "isometry shape (3, 3) does not match (2*2) x 2",
+        ),
+        (lambda: ch.amplitude_damping(-0.1), "gamma=-0.1 outside [0, 1]"),
+        (lambda: ch.amplitude_damping(1.5), "gamma=1.5 outside [0, 1]"),
+        (
+            lambda: ch.random_kraus(4, 2, 1, rng),
+            "dim_out*dim_env must be at least dim_in for an isometry",
+        ),
+        (
+            lambda: ch.trace_out_channel((2, 3), (2,)),
+            "keep indices (2,) out of range for 2 subsystems",
+        ),
+        (lambda: ch.swap_output(ch.identity(4), 3, 2), "output factors do not multiply to dim_out"),
+        (
+            lambda: ch.catalysis_reduction(joint, (2, 2, 4), 2),
+            "out_dims must be (dB, dB', dC, dB'')",
+        ),
+        (
+            lambda: ch.catalysis_reduction(joint, (2, 2, 2, 3), 2),
+            "out_dims do not factor the joint output dimension",
+        ),
+        (
+            lambda: ch.catalysis_reduction(joint, (2, 2, 2, 2), 3),
+            "ancilla dimension does not divide the joint input dimension",
+        ),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build()
 
 
 def test_trace_out_pair_marginals():
@@ -529,7 +570,7 @@ def test_validate_channel_flags_violations():
     skew[0, 1], skew[1, 0] = 0.3, -0.3
     bad_herm = ch.Channel(2, 2, skew)
     assert ch.cptp_defects(bad_herm) == pytest.approx((0.0, 0.0), abs=1e-15)
-    for validate in (ch.validate_channel, ch.validated_kraus):
+    for validate in (ch.validate_channel, ch.validated_eigh):
         with pytest.raises(ValueError, match="non-Hermitian Choi operator"):
             validate(bad_herm)
 
@@ -570,7 +611,7 @@ def test_one_pass_validation_matches_the_two_pass_defects():
         assert ch.cptp_defects(c) == (cp, tp)
         failed = [k for k, d in enumerate((skew, cp, tp)) if d > 1e-9]
         first_failures.append(failed[0] if failed else None)
-        for validate in (ch.validate_channel, ch.validated_kraus):
+        for validate in (ch.validate_channel, ch.validated_eigh):
             if failed:
                 with pytest.raises(ValueError) as err:
                     validate(c, name="psi")
@@ -824,7 +865,7 @@ def generic_trace_scalars(cons):
     before the set took the cached one of its dtype."""
     a, b, c = cons.dims
     t, phi = cons.rhs_blocks
-    h = cons._gram_solve(np.eye(b).ravel())
+    h = cons._factors.gram_solve(np.eye(b).ravel())
     kh = cons._k @ h
     b_tau = c * np.vdot(h, t.ravel()).real
     b_tau += np.sqrt(c) * np.vdot(kh, realign(phi, a, c) @ (np.eye(c).ravel() / np.sqrt(c))).real

@@ -116,6 +116,8 @@ def test_load_rejects_invalid_documents(tmp_path, capsys):
         ({"dim_in": 2, "dim_out": 2, "kraus": [bool_eye]}, "kraus"),
         ({"dim_in": 2, "dim_out": 2, "choi": bool_choi}, "choi"),
         ({"dim_in": 2, "dim_out": 2, "choi": io.matrix_to_json(skew)}, "choi"),
+        ([], "channel document must be a json object"),
+        ({"dim_in": 2, "dim_out": 2, "choi": []}, "choi: expected a non-empty 2-d array"),
     ):
         bad.write_text(json.dumps(doc))
         with pytest.raises(io.LoadError):
@@ -248,7 +250,7 @@ def test_make_without_an_output_file_prints_the_channel_document(capsys):
     assert np.array_equal(channel.choi, ch.identity(2).choi)
 
 
-def test_usage_errors_exit_three(tmp_path, capsys):
+def test_usage_errors_exit_three(tmp_path, capsys, monkeypatch):
     missing = str(tmp_path / "nope.json")
     assert main(["check", "compat", missing, missing]) == 3
     bad = tmp_path / "bad.json"
@@ -256,6 +258,16 @@ def test_usage_errors_exit_three(tmp_path, capsys):
     assert main(["check", "selfdeg", str(bad)]) == 3
     assert main(["check", "compat", str(bad)]) == 3  # wrong arity
     capsys.readouterr()
+    # make example2 writes three files, so it needs -o, and that is checked
+    # before the pair is built.
+    built = []
+    monkeypatch.setattr(ch, "trace_out_pair", lambda *pair: built.append(pair))
+    monkeypatch.chdir(tmp_path)
+    assert main(["make", "example2"]) == 3
+    captured = capsys.readouterr()
+    message = "error: make example2 requires -o; it emits three files\n"
+    assert captured.out == "" and captured.err == message
+    assert built == [] and list(tmp_path.glob("*.psi.json")) == []
 
 
 @pytest.mark.parametrize(

@@ -96,6 +96,8 @@ def test_partial_trace_kron_marginal_random():
 def test_partial_trace_dimension_mismatch():
     with pytest.raises(ValueError):
         partial_trace(np.eye(4), (2, 3), keep=(0,))
+    with pytest.raises(ValueError, match=r"^keep indices \[2\] out of range for 2 subsystems$"):
+        partial_trace(np.eye(6), (2, 3), keep=(2,))
 
 
 def test_project_psd_eigenvalue_clipping():
@@ -360,6 +362,8 @@ def test_partial_trace_adjoint_is_kron_with_identity():
     assert np.allclose(partial_trace_adjoint(b, (2, 3), (0,)), np.kron(b, np.eye(3)), atol=1e-15)
     with pytest.raises(ValueError):
         partial_trace_adjoint(np.eye(3), (2, 3), (0,))
+    with pytest.raises(ValueError, match=r"^keep indices \[-1\] out of range for 2 subsystems$"):
+        partial_trace_adjoint(np.eye(2), (2, 3), (-1,))
     # One k x k matrix only: a stack of them is rejected.
     with pytest.raises(ValueError):
         partial_trace_adjoint(np.array([b, b]), (2, 3), (0,))
