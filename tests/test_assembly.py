@@ -20,6 +20,7 @@ search space must contain the forced support of the pair, computed from
 explicit null columns.
 """
 
+import inspect
 import math
 
 import numpy as np
@@ -468,12 +469,15 @@ def test_the_start_takes_the_conjugate_right_basis_from_the_gram_factor(name):
 
 
 def assert_right_h_is_a_view_of_the_gram_factor(cons):
-    # The whole basis's conjugate, with one row per singular value, not a
-    # conjugate of the kept rows alone.
+    # The kept conjugate transpose that correction applies lies in the very
+    # array that the Gram solve applies, the whole basis's conjugate
+    # transpose, as its first columns: not a second conjugate transpose.
     right, right_h = cons._factors.right
+    gram_h = inspect.getclosurevars(cons._factors.gram_solve).nonlocals["right_h"]
     assert right_h.tobytes() == right.conj().T.tobytes() and right_h.flags.f_contiguous
-    assert right_h.base.shape == (min(cons._k.shape), cons._k.shape[1])
-    assert np.shares_memory(right_h, right_h.base)
+    assert gram_h.shape == (cons._k.shape[1], min(cons._k.shape))
+    assert np.shares_memory(right_h, gram_h)
+    assert right_h.ctypes.data == gram_h.ctypes.data and right_h.strides == gram_h.strides
 
 
 def _real_channel(d, rank, rng):
