@@ -144,8 +144,10 @@ def check_compatibility(
     The joint is the Choi operator of a channel A -> B (x) C that reproduces
     ``psi`` when C is traced out and ``phi`` when B is traced out. One
     eigendecomposition of each Choi operator validates it and gives its Choi
-    rank r at ``EPS_RANK``; the minimal Kraus set, of length r, is taken
-    from it only for the channel that the check dilates below.
+    rank r at ``EPS_RANK`` (``channels.validated_eigh``); the minimal Kraus
+    set, of length r, is taken from it only for the channel that the check
+    dilates below. The set is built from the operators that validation
+    proved, with no second check.
 
     The check follows Theorem 1: dilate, divide, lift. For R the matrix of
     vectorized Kraus operators of a set whose range covers J_psi's, every
@@ -170,11 +172,13 @@ def check_compatibility(
     """
     if psi.dim_in != phi.dim_in:
         raise ValueError("channels must share the input dimension")
-    eig_psi, eig_phi = ch.validated_eigh(psi, name="psi"), ch.validated_eigh(phi, name="phi")
+    psi_t, *eig_psi = ch.validated_eigh(psi, name="psi")
+    phi_t, *eig_phi = ch.validated_eigh(phi, name="phi")
     da, db, dc = psi.dim_in, psi.dim_out, phi.dim_out
     side_psi, side_phi = ch.choi_rank(eig_psi[0]) * dc, ch.choi_rank(eig_phi[0]) * db
     swap = side_phi < side_psi
-    dilated, eig, other = (phi, eig_phi, psi) if swap else (psi, eig_psi, phi)
+    dilated, eig = (phi, eig_phi) if swap else (psi, eig_psi)
+    other, other_t = (psi, psi_t) if swap else (phi, phi_t)
     first = None
     if min(side_psi, side_phi) == da * db * dc:
         # Operator a d_B + b is |b><a|; nothing below needs trace preservation.
@@ -182,12 +186,14 @@ def check_compatibility(
         # and complex operands: real for a real pair.
         dtype = np.result_type(psi.choi, phi.choi)
         ops = np.eye(da * db, dtype=dtype).reshape(-1, da, db).transpose(0, 2, 1)
-        kraus, first = KrausSet(da, db, ops), psi.choi
+        kraus, first = KrausSet(da, db, ops), psi_t
     else:
         kraus = ch.kraus_from_eigh(dilated, *eig)
+    # env's Choi operator, the Hermitian part of a product of bounded Kraus
+    # operators, is what the constructor's check of it would return.
     env = ch.complementary(kraus)
     dims = (da, kraus.dim_env, other.dim_out)
-    report = solve(CompositionConstraintSet(dims, env.choi, other.choi, first=first), config)
+    report = solve(CompositionConstraintSet.from_validated(dims, env.choi, other_t, first), config)
     if report.status is not Status.FEASIBLE:
         return CompatReport(report.status, None, None, report)
     theta = Channel(kraus.dim_env, other.dim_out, report.solution)
@@ -212,16 +218,17 @@ def check_divisibility(
     """
     if psi.dim_in != phi.dim_in:
         raise ValueError("channels must share the input dimension")
-    ch.validate_channel(psi, name="psi")
-    ch.validate_channel(phi, name="phi")
-    return _divide(psi, phi, config)
+    psi_t = ch.validate_channel(psi, name="psi")
+    return _divide(psi, phi, psi_t, ch.validate_channel(phi, name="phi"), config)
 
 
-def _divide(psi: Channel, phi: Channel, config: SolverConfig) -> DivReport:
-    """:func:`check_divisibility` on channels already validated, with equal
-    input dimensions."""
+def _divide(
+    psi: Channel, phi: Channel, psi_t: np.ndarray, phi_t: np.ndarray, config: SolverConfig
+) -> DivReport:
+    """:func:`check_divisibility` on channels with equal input dimensions,
+    whose Choi operators validation proved to be ``psi_t`` and ``phi_t``."""
     dims = (psi.dim_in, psi.dim_out, phi.dim_out)
-    report = solve(CompositionConstraintSet(dims, psi.choi, phi.choi), config)
+    report = solve(CompositionConstraintSet.from_validated(dims, psi_t, phi_t), config)
     if report.status is not Status.FEASIBLE:
         return DivReport(report.status, None, None, report)
     quotient = Channel(psi.dim_out, phi.dim_out, report.solution)
@@ -245,7 +252,8 @@ def check_degradable(
     its complementary channel (for this Kraus representation)?"""
     _check_kraus_matches(psi, kraus)
     psi_c = ch.complementary(kraus)
-    div = check_divisibility(psi, psi_c, config)
+    psi_t = ch._validated_finite(psi, ch.EPS_VALID, "psi")
+    div = _divide(psi, psi_c, psi_t, ch.validate_channel(psi_c, name="phi"), config)
     return DegradabilityReport(div.status, div.quotient, div.residual, div.solver)
 
 
@@ -255,7 +263,8 @@ def check_antidegradable(
     """Anti-degradability: does the complementary channel divide psi?"""
     _check_kraus_matches(psi, kraus)
     psi_c = ch.complementary(kraus)
-    div = check_divisibility(psi_c, psi, config)
+    psi_c_t = ch.validate_channel(psi_c, name="psi")
+    div = _divide(psi_c, psi, psi_c_t, ch._validated_finite(psi, ch.EPS_VALID, "phi"), config)
     return DegradabilityReport(div.status, div.quotient, div.residual, div.solver)
 
 
@@ -286,7 +295,8 @@ def check_family_divisibility(
     its successor. Returns one report per consecutive pair, each the
     :func:`check_divisibility` of that pair. Every member is validated once,
     before any solve, under the name its first step gives it: the first
-    member as ``psi``, every later one as ``phi``.
+    member as ``psi``, every later one as ``phi``. Each step's set takes
+    the operators that validation proved, so n members take n checks.
     """
     if not family:
         raise ValueError("family must contain at least one channel")
@@ -294,9 +304,11 @@ def check_family_divisibility(
     for k, member in enumerate(family):
         if member.dim_in != d0:
             raise ValueError(f"family member {k} has input dim {member.dim_in}, expected {d0}")
-    for k, member in enumerate(family):
-        ch.validate_channel(member, name="phi" if k else "psi")
-    return [_divide(family[k], family[k + 1], config) for k in range(len(family) - 1)]
+    proved = [ch.validate_channel(c, name="phi" if k else "psi") for k, c in enumerate(family)]
+    return [
+        _divide(family[k], family[k + 1], proved[k], proved[k + 1], config)
+        for k in range(len(family) - 1)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ return the Hermitian part of their product and so are exactly Hermitian.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -97,6 +98,7 @@ class Channel:
     choi: np.ndarray = field(repr=False)
 
     def __post_init__(self):
+        _require_positive_ints(self, "dim_in", "dim_out")
         side = self.dim_in * self.dim_out
         choi = double(self.choi)
         if choi.shape != (side, side):
@@ -124,6 +126,7 @@ class KrausSet:
     stack: np.ndarray = field(repr=False)
 
     def __post_init__(self):
+        _require_positive_ints(self, "dim_in", "dim_out")
         shape = (self.dim_out, self.dim_in)
         try:
             stack = double(np.array(self.stack))
@@ -174,6 +177,7 @@ class StinespringIsometry:
     v: np.ndarray = field(repr=False)
 
     def __post_init__(self):
+        _require_positive_ints(self, "dim_in", "dim_out", "dim_env")
         v = double(self.v)
         if v.shape != (self.dim_out * self.dim_env, self.dim_in):
             raise ValueError(
@@ -184,6 +188,21 @@ class StinespringIsometry:
 
     def isometry_defect(self) -> float:
         return _identity_defect(dag(self.v) @ self.v)
+
+
+def _require_positive_ints(obj, *names: str) -> None:
+    """Raise ``ValueError`` naming the first field of ``obj`` in ``names``
+    that is not an integer at least 1: a dimension, or a count such as
+    ``SolverConfig.max_iter``. Numpy integers pass (``operator.index``); a
+    boolean, which Python counts as an integer, does not."""
+    for name in names:
+        d = getattr(obj, name)
+        try:
+            valid = not isinstance(d, bool) and operator.index(d) >= 1
+        except TypeError:
+            valid = False
+        if not valid:
+            raise ValueError(f"{name} must be an integer at least 1, got {d!r}")
 
 
 def _identity_defect(g: np.ndarray) -> float:
@@ -221,11 +240,14 @@ def require_finite(m: np.ndarray, name: str) -> None:
         raise ValueError(f"{name} has a non-finite entry")
 
 
-def _raise_on_defects(
+def _proved(
     channel: Channel, h: np.ndarray, defect: float, wmin: float, atol: float, name: str
-) -> None:
-    # h is the Choi operator's Hermitian part and wmin its least eigenvalue,
-    # on which the CP and TP defects are measured; defect is the skew they hide.
+) -> np.ndarray:
+    """The Hermitian operator that validation proves: the Choi operator
+    itself when it is exactly Hermitian, else its Hermitian part h, as
+    ``feasibility`` takes a target. Raises on the first defect above
+    ``atol``: the skew ``defect``, then the CP defect ``-wmin`` and the TP
+    defect, both measured on h, whose least eigenvalue is ``wmin``."""
     if not defect <= atol:
         raise ValueError(
             f"{name} has a non-Hermitian Choi operator: max |J - J^dag| = {defect:.3e}"
@@ -236,25 +258,39 @@ def _raise_on_defects(
     tp = _tp_defect(channel, h)
     if not tp <= atol:
         raise ValueError(f"{name} is not trace preserving: TP defect {tp:.3e}")
+    return h if defect else channel.choi
 
 
-def validate_channel(channel: Channel, atol: float = EPS_VALID, name: str = "channel") -> None:
-    """Raise ``ValueError`` unless the channel's Choi operator is finite and
-    Hermitian and the channel is CPTP, each within ``atol``."""
-    require_finite(channel.choi, name)
+def _validated_finite(channel: Channel, atol: float, name: str) -> np.ndarray:
+    """:func:`validate_channel` for a Choi operator already proved finite."""
     h, defect = hermitian_part_and_skew(channel.choi)
-    _raise_on_defects(channel, h, defect, float(np.linalg.eigvalsh(h)[0]), atol, name)
+    return _proved(channel, h, defect, float(np.linalg.eigvalsh(h)[0]), atol, name)
 
 
-def validated_eigh(channel: Channel, name: str = "channel") -> tuple[np.ndarray, np.ndarray]:
-    """:func:`validate_channel` at ``EPS_VALID``, and the eigendecomposition
-    ``(w, v)`` of the Choi operator's Hermitian part that it reads, from one
-    ``eigh``: w ascending. Raises as :func:`validate_channel` does."""
+def validate_channel(
+    channel: Channel, atol: float = EPS_VALID, name: str = "channel"
+) -> np.ndarray:
+    """Raise ``ValueError`` unless the channel's Choi operator is finite and
+    Hermitian and the channel is CPTP, each within ``atol``. Returns the
+    Hermitian operator that it proved: the Choi operator itself when it is
+    exactly Hermitian, else its Hermitian part, on which the CP and TP
+    defects are measured. A constraint set takes it as a target unchecked
+    (``CompositionConstraintSet.from_validated``)."""
+    require_finite(channel.choi, name)
+    return _validated_finite(channel, atol, name)
+
+
+def validated_eigh(
+    channel: Channel, name: str = "channel"
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`validate_channel` at ``EPS_VALID``: the operator it proves and
+    the eigendecomposition ``(w, v)`` of the Choi operator's Hermitian part
+    that it reads, from one ``eigh``, w ascending. Raises as
+    :func:`validate_channel` does."""
     require_finite(channel.choi, name)
     h, defect = hermitian_part_and_skew(channel.choi)
     w, v = np.linalg.eigh(h)
-    _raise_on_defects(channel, h, defect, float(w[0]), EPS_VALID, name)
-    return w, v
+    return _proved(channel, h, defect, float(w[0]), EPS_VALID, name), w, v
 
 
 def choi_distance(a: Channel, b: Channel) -> float:

@@ -93,7 +93,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channels import EPS_VALID
+from .channels import EPS_VALID, _require_positive_ints
 from .linalg import double, hermitian_part, hermitian_part_and_skew, project_psd, realign
 from .linalg import unalign
 
@@ -248,6 +248,12 @@ class CompositionConstraintSet:
     For real targets the real part of any solution is a solution, and every
     projection keeps real points real, so the solve runs in real arithmetic
     from its real start and decides as on the complex cast of its targets.
+
+    The constructor checks each target as ``_target`` does: shape,
+    finiteness and a skew within ``channels.EPS_VALID``, whose Hermitian part
+    it keeps. :meth:`from_validated` takes the operators that channel
+    validation proved, which pass those checks by construction, and checks
+    nothing again.
     """
 
     def __init__(
@@ -264,6 +270,28 @@ class CompositionConstraintSet:
         psi, phi = _target("psi", psi, a * b), _target("phi", phi, a * c)
         if first is not None:
             first = _target("first", first, b)
+        self._build(dims, psi, phi, first)
+
+    @classmethod
+    def from_validated(
+        cls,
+        dims: tuple[int, int, int],
+        psi: np.ndarray,
+        phi: np.ndarray,
+        first: np.ndarray | None = None,
+    ) -> CompositionConstraintSet:
+        """The set on targets that are already what the constructor's checks
+        return, built with no second check: ``dims`` three positive integers,
+        stored as ints as the constructor stores them, and each target the
+        Hermitian operator that ``channels.validate_channel`` or
+        ``channels.validated_eigh`` proves, of its side."""
+        self = cls.__new__(cls)
+        self._build(tuple(int(d) for d in dims), psi, phi, first)
+        return self
+
+    def _build(self, dims, psi, phi, first) -> None:
+        """The set on checked targets."""
+        a, b, c = dims
         # The targets' common dtype, taken once, so that no product of the
         # solve mixes real and complex arrays: float64 when all are real.
         dtype = np.result_type(psi, phi, psi if first is None else first)
@@ -442,10 +470,11 @@ class SolverConfig:
     max_iter: int = 20000
 
     def __post_init__(self):
-        if not 0 < self.eps_feas < np.inf:  # also false for nan
+        # Python counts a boolean as a number; eps_feas takes none.
+        eps = self.eps_feas
+        if isinstance(eps, (bool, np.bool_)) or not 0 < eps < np.inf:  # also false for nan
             raise ValueError("eps_feas must be a positive finite number")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+        _require_positive_ints(self, "max_iter")
 
 
 @dataclass(frozen=True)

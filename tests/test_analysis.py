@@ -376,7 +376,7 @@ def test_swapped_compatibility_witness_is_the_kronecker_lift():
     psi, phi, _ = example2_pair()
     rep = an.check_compatibility(psi, phi)
     assert rep.status is Status.FEASIBLE
-    kraus = ch.kraus_from_eigh(phi, *ch.validated_eigh(phi))
+    kraus = ch.kraus_from_eigh(phi, *ch.validated_eigh(phi)[1:])
     assert rep.solver.constraints.dims == (4, kraus.dim_env, psi.dim_out)
     theta = ch.Channel(kraus.dim_env, psi.dim_out, rep.solver.solution)
     joint = ch.Channel(4, phi.dim_out * psi.dim_out, kron_lift(kraus, theta))

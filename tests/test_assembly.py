@@ -210,8 +210,124 @@ def test_compatibility_extracts_a_kraus_set_only_for_the_channel_it_dilates(
         (((channel, _, _), got),) = taken
         assert channel is (psi if side == "psi" else phi)
         assert [k.tobytes() for k in got.operators] == [k.tobytes() for k in kraus.operators]
-        expected = ch.kraus_from_eigh(channel, *ch.validated_eigh(channel))
+        expected = ch.kraus_from_eigh(channel, *ch.validated_eigh(channel)[1:])
         assert [k.tobytes() for k in got.operators] == [k.tobytes() for k in expected.operators]
+
+
+def operator_passes(monkeypatch):
+    """``passes(m)``, for every later call: the finiteness passes
+    (``require_finite``) and the Hermitian-part and skew passes (in
+    validation and in a constraint set's ``_target``) on the operator m, and
+    the ``eigh`` and ``eigvalsh`` calls on its Hermitian part, matched by
+    value."""
+    finite = spy(monkeypatch, ch, "require_finite")
+    skew = spy(monkeypatch, ch, "hermitian_part_and_skew")
+    skew_in_set = spy(monkeypatch, fz, "hermitian_part_and_skew")
+    eigh = spy(monkeypatch, np.linalg, "eigh")
+    eigvalsh = spy(monkeypatch, np.linalg, "eigvalsh")
+
+    def on(calls, m):
+        return sum(np.shape(args[0]) == m.shape and np.array_equal(args[0], m) for args, _ in calls)
+
+    def passes(m):
+        h = hermitian_part(m)
+        return on(finite, m), on(skew + skew_in_set, m), on(eigh, h), on(eigvalsh, h)
+
+    return passes
+
+
+def skewed(c, size=2e-10):
+    """c with an anti-Hermitian part of ``size``, within ``EPS_VALID``: its
+    validation proves its Hermitian part, not c's Choi operator itself."""
+    j = c.choi.astype(complex)
+    j[0, 1] += size
+    j[1, 0] -= size
+    return Channel(c.dim_in, c.dim_out, j)
+
+
+@pytest.mark.parametrize("form", ["hermitian", "skewed", "numpy-dims"])
+def test_divisibility_checks_each_operator_once(form, monkeypatch):
+    # Validation checks each Choi operator once, eigenvalues alone, and the
+    # set takes the operator it proved with no second pass: the set that
+    # the constructor builds from the same channels, bit for bit, with the
+    # same Python int dimensions when the channels carry numpy integers.
+    rng = np.random.default_rng(41)
+    psi = ch.random_channel(2, 2, rng, dim_env=2)
+    phi = ch.compose_choi(psi, ch.random_channel(2, 2, rng))
+    if form == "skewed":
+        psi, phi = skewed(psi), skewed(phi)
+    elif form == "numpy-dims":
+        psi = Channel(np.int64(2), np.int32(2), psi.choi)
+        phi = Channel(np.int64(2), np.int8(2), phi.choi)
+    passes = operator_passes(monkeypatch)
+    cons = an.check_divisibility(psi, phi, CONFIG).solver.constraints
+    assert passes(psi.choi) == passes(phi.choi) == (1, 1, 0, 1)
+    direct = CompositionConstraintSet((psi.dim_in, psi.dim_out, phi.dim_out), psi.choi, phi.choi)
+    assert [type(d) for d in (*cons.dims, cons.dim)] == [int] * 4
+    assert (cons.dims, cons.dim) == (direct.dims, direct.dim)
+    for got, want in zip(cons.rhs_blocks + (cons._k,), direct.rhs_blocks + (direct._k,)):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_family_divisibility_checks_each_member_once(monkeypatch):
+    # n checks for n members; before, each inner member was checked three
+    # times: once by validation and once by each set that holds it.
+    rng = np.random.default_rng(42)
+    step = ch.random_channel(2, 2, rng, dim_env=3)
+    family = [step]
+    for _ in range(3):
+        family.append(ch.compose_choi(family[-1], step))
+    passes = operator_passes(monkeypatch)
+    an.check_family_divisibility(family, CONFIG)
+    assert [passes(member.choi) for member in family] == [(1, 1, 0, 1)] * 4
+
+
+@pytest.mark.parametrize("check", [an.check_degradable, an.check_antidegradable])
+@pytest.mark.parametrize("gamma", [0.3, 0.7])
+def test_degradability_checks_each_operator_once(check, gamma, monkeypatch):
+    # psi is proved finite once, by the test that the Kraus set represents
+    # it, and then validated without that pass; its complementary channel is
+    # validated once. Neither set checks them again.
+    kraus = ch.amplitude_damping(gamma)
+    psi, psi_c = ch.choi_from_kraus(kraus), ch.complementary(kraus)
+    assert not np.array_equal(psi.choi, psi_c.choi)
+    passes = operator_passes(monkeypatch)
+    check(psi, kraus, CONFIG)
+    assert passes(psi.choi) == passes(psi_c.choi) == (1, 1, 0, 1)
+
+
+def test_degradability_raises_in_the_order_of_its_division():
+    # psi's finiteness is tested before its Kraus set, and its other
+    # defects after, under the name its division gives it: psi when it is
+    # divided, phi, after its complementary channel, when it is the target.
+    kraus = ch.amplitude_damping(0.3)
+    psi = ch.choi_from_kraus(kraus).choi
+    near = Channel(2, 2, psi - 5e-9 * np.eye(4))  # within EPS_EQ of the set's, not CP
+    with pytest.raises(ValueError, match="^psi is not completely positive"):
+        an.check_degradable(near, kraus)
+    with pytest.raises(ValueError, match="^phi is not completely positive"):
+        an.check_antidegradable(near, kraus)
+    nan = psi.copy()
+    nan[0, 0] = np.nan
+    incomplete = KrausSet(2, 2, kraus.stack * 1.001)
+    for check in (an.check_degradable, an.check_antidegradable):
+        with pytest.raises(ValueError, match="^psi has a non-finite entry$"):
+            check(Channel(2, 2, nan), incomplete)
+
+
+@pytest.mark.parametrize("swap", [False, True], ids=["as-given", "swapped"])
+@pytest.mark.parametrize("psi, phi", support_instances())
+def test_compatibility_decomposes_each_operator_once(psi, phi, swap, monkeypatch):
+    # One eigh of each validates it and gives its rank, and the dilated
+    # channel's Kraus set is taken from that eigh; neither operator is
+    # checked again, by an eigensolve or by the set.
+    if swap:
+        psi, phi = phi, psi
+    passes = operator_passes(monkeypatch)
+    an.check_compatibility(psi, phi, CONFIG)
+    # identity-dN checks a channel with itself: both counts fall on it.
+    want = (2, 2, 2, 0) if np.array_equal(psi.choi, phi.choi) else (1, 1, 1, 0)
+    assert passes(psi.choi) == passes(phi.choi) == want
 
 
 def test_instances_cover_both_kinds_of_compatibility_system():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from chancompat import channels as ch, io
+from chancompat import feasibility as fz
 from chancompat.feasibility import CompositionConstraintSet
 from chancompat.linalg import dag, frob, hermitian_part, hermitian_part_and_skew, partial_trace
 from chancompat.linalg import realign
@@ -156,7 +157,7 @@ def test_kept_eigenpairs_are_the_masked_ones_bit_for_bit():
     rank_deficient = ch.random_channel(2, 3, np.random.default_rng(12), dim_env=2)
     for c in (ch.choi_from_kraus(ch.amplitude_damping(0.3)), ch.identity(3), rank_deficient):
         expected = masked_kraus_stack(c)
-        for kraus in (ch.kraus_from_choi(c), ch.kraus_from_eigh(c, *ch.validated_eigh(c))):
+        for kraus in (ch.kraus_from_choi(c), ch.kraus_from_eigh(c, *ch.validated_eigh(c)[1:])):
             assert np.array_equal(kraus.stack, expected)
     assert ch.kraus_from_choi(rank_deficient).dim_env == 2
     # An eigenvalue at the cut is dropped, as the mask drops it.
@@ -426,6 +427,29 @@ def test_constructors_reject_inconsistent_arguments():
     rng = np.random.default_rng(0)
     for build, message in (
         (lambda: ch.Channel(2, 2, np.eye(3)), "Choi shape (3, 3) does not match dims 2x2"),
+        # A dimension is an integer at least 1: not 0, negative, a float or a
+        # boolean, which Python counts as an integer.
+        (lambda: ch.Channel(0, 2, np.zeros((0, 0))), "dim_in must be an integer at least 1, got 0"),
+        (lambda: ch.Channel(-2, -2, np.eye(4) / 2), "dim_in must be an integer at least 1, got -2"),
+        (lambda: ch.Channel(2.0, 2, np.eye(4)), "dim_in must be an integer at least 1, got 2.0"),
+        (lambda: ch.Channel(True, 2, np.eye(2)), "dim_in must be an integer at least 1, got True"),
+        (lambda: ch.Channel(2, 0, np.eye(2)), "dim_out must be an integer at least 1, got 0"),
+        (
+            lambda: ch.KrausSet(-1, 2, (np.eye(2),)),
+            "dim_in must be an integer at least 1, got -1",
+        ),
+        (
+            lambda: ch.KrausSet(2, False, (np.eye(2),)),
+            "dim_out must be an integer at least 1, got False",
+        ),
+        (
+            lambda: ch.StinespringIsometry(2, 2, 0, np.zeros((0, 2))),
+            "dim_env must be an integer at least 1, got 0",
+        ),
+        (
+            lambda: ch.StinespringIsometry(2, 1.5, 2, np.eye(3)),
+            "dim_out must be an integer at least 1, got 1.5",
+        ),
         (
             lambda: ch.StinespringIsometry(2, 2, 2, np.eye(3)),
             "isometry shape (3, 3) does not match (2*2) x 2",
@@ -456,6 +480,11 @@ def test_constructors_reject_inconsistent_arguments():
     ):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             build()
+    # Numpy integers are dimensions.
+    dims = np.int64(2), np.int32(2)
+    assert ch.Channel(*dims, np.eye(4) / 2).dim_in == 2
+    assert ch.KrausSet(*dims, (np.eye(2),)).dim_env == 1
+    assert ch.StinespringIsometry(*dims, np.int8(1), np.eye(2)).isometry_defect() == 0.0
 
 
 def test_trace_out_pair_marginals():
@@ -619,6 +648,23 @@ def test_one_pass_validation_matches_the_two_pass_defects():
             else:
                 validate(c, name="psi")
     assert first_failures == [None, 0, 1, 2]
+
+
+def test_validation_returns_the_target_that_a_constraint_set_would_check():
+    # An exactly Hermitian Choi operator is returned itself, signs of zeros
+    # and all; one with a skew within EPS_VALID as its Hermitian part. Both
+    # are, bit for bit, what the set's own check of the array returns.
+    exact = ch.choi_from_kraus(ch.amplitude_damping(0.3)).choi.astype(complex)
+    exact.imag[np.diag_indices(4)] = -0.0
+    skewed = exact.copy()
+    skewed[0, 1] += 2e-10
+    skewed[1, 0] -= 2e-10
+    for m in (exact, skewed):
+        c = ch.Channel(2, 2, m)
+        target = fz._target("psi", m, 4)
+        for got in (ch.validate_channel(c), ch.validated_eigh(c)[0]):
+            assert got.tobytes() == target.tobytes()
+            assert (got is c.choi) == (m is exact)
 
 
 def test_unitary_complementary_collapses_environment():

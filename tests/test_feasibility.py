@@ -1,6 +1,8 @@
 """The solver and the certificate bound on small dense systems, held by the
 test-side :class:`dense_oracle.AffineConstraintSet`."""
 
+import re
+
 import numpy as np
 import pytest
 from dense_oracle import AffineConstraintSet, residual_norm, vectorize_hermitian
@@ -165,6 +167,26 @@ def test_config_validation():
             SolverConfig(eps_feas=eps)
     with pytest.raises(ValueError):
         SolverConfig(max_iter=0)
+
+
+def test_config_rejects_values_that_a_solve_cannot_run():
+    # A float cap cannot be a range, and Python counts a boolean as a number
+    # and as an integer; each is refused with the field's name. A numpy
+    # integer is an integer.
+    for kwargs, message in (
+        ({"max_iter": 2.0}, "max_iter must be an integer at least 1, got 2.0"),
+        ({"max_iter": 1.5}, "max_iter must be an integer at least 1, got 1.5"),
+        ({"max_iter": True}, "max_iter must be an integer at least 1, got True"),
+        ({"max_iter": np.True_}, "max_iter must be an integer at least 1, got "),
+        ({"max_iter": 0}, "max_iter must be an integer at least 1, got 0"),
+        ({"eps_feas": True}, "eps_feas must be a positive finite number"),
+        ({"eps_feas": np.True_}, "eps_feas must be a positive finite number"),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            SolverConfig(**kwargs)
+    assert SolverConfig(max_iter=np.int64(3)).max_iter == 3
+    cons = trace_constraint(2, 1.0)
+    assert solve(cons, SolverConfig(max_iter=np.int64(3))).status is Status.FEASIBLE
 
 
 def test_constraint_set_validation():
